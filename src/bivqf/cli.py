@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .catalog import CATALOG_NAMES, make_case
+from .catalog import CATALOG_NAMES, CatalogEntry, make_case
 from .comoment import population_lcomoments, sample_lcomoments
 from .data import BUILTIN_DATASETS, PairedSample, ingest
 from .errors import BivqfError, ConvergenceError, ParseError
@@ -32,6 +32,10 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 64
+
+
+class _UsageError(ValueError):
+    """Bad command-line input found after argument parsing (exit 64)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,16 +101,31 @@ def _marginal_dict(m: MarginalParams) -> dict:
     return {"c": m.c, "alpha": m.alpha, "beta": m.beta}
 
 
+def _number(flag: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise _UsageError(f"{flag} expects numbers, got {text!r}") from None
+
+
+def _catalog_entry(name: str, pairs: list[str] | None, theta: float) -> CatalogEntry:
+    natural = {}
+    for kv in pairs or []:
+        key, _, val = kv.partition("=")
+        natural[key] = _number(f"--param {key}", val)
+    natural["theta"] = theta
+    try:
+        return make_case(name, **natural)
+    except KeyError as e:
+        raise _UsageError(
+            f"catalog case {name!r} needs --param {e.args[0]}=VALUE") from None
+
+
 def _params_from_args(args) -> BivariateParams:
     if args.catalog:
-        natural = {}
-        for kv in args.param or []:
-            key, _, val = kv.partition("=")
-            natural[key] = float(val)
-        natural["theta"] = args.theta
-        return make_case(args.catalog, **natural).params
+        return _catalog_entry(args.catalog, args.param, args.theta).params
     if args.params:
-        vals = [float(v) for v in args.params.split(",")]
+        vals = [_number("--params", v) for v in args.params.split(",")]
         if len(vals) != 7:
             raise ParseError("--params expects c1,alpha1,beta1,c2,alpha2,beta2,theta")
         return BivariateParams(MarginalParams(*vals[0:3]),
@@ -206,6 +225,8 @@ def _cmd_comoments(args) -> int:
 
 def _cmd_sample(args) -> int:
     cfg = _numeric_config(args)
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
     bp = _params_from_args(args)
     spec = SamplerSpec(seed=args.seed, n=args.n, method=args.method)
     s = draw(bp, spec, cfg)
@@ -251,10 +272,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.name:
-        entry = make_case(args.name, **{
-            kv.partition("=")[0]: float(kv.partition("=")[2])
-            for kv in (args.param or [])
-        }, theta=args.theta)
+        entry = _catalog_entry(args.name, args.param, args.theta)
         out = {
             "name": entry.name,
             "natural": entry.natural,
@@ -451,7 +469,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        out = getattr(args, "out", None)
+        if out and not Path(out).parent.is_dir():
+            raise _UsageError(f"--out directory {str(Path(out).parent)!r} does not exist")
         return args.fn(args)
+    except _UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except ParseError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -22,10 +22,10 @@ term vanishes and J is exactly linear in u1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc, betaincinv, roots_jacobi
 from scipy.stats import rankdata
 
 from .data import PairedSample
@@ -35,27 +35,23 @@ from .model import (
     BivariateParams,
     DEFAULT_NUMERIC_CONFIG,
     NumericConfig,
-    _quad,
-    quad_beta_kernel,
+    _fixed_rule,
     u21,
 )
-from .specfun import complete_beta, gauss_2f1, inv_reg_inc_beta, reg_inc_beta
+from .specfun import complete_beta, gauss_2f1
 
 __all__ = ["LComomentSet", "PowerLcovComparison", "population_lcomoments",
            "power_case_lcov_closed_form", "power_case_lcov_hypergeometric",
            "sample_lcomoments"]
 
-_WEIGHTS = {
-    2: (2.0, lambda t: 1.0),
-    3: (1.0, lambda t: 12.0 * t - 6.0),
-    4: (1.0, lambda t: (60.0 * t - 60.0) * t + 12.0),
-}
+# g_k of the k = 2, 3, 4 comoments and their weight polynomials W_k
+_GAMMA = np.array([2.0, 1.0, 1.0])
 
-# 96-point Gauss-Legendre rule mapped to (0, 1) for the inner comoment
-# integrals; exact to machine precision on the closed-form u21 branches
-_GL_X, _GL_WRAW = np.polynomial.legendre.leggauss(96)
-_GL_S = 0.5 * (_GL_X + 1.0)
-_GL_W = 0.5 * _GL_WRAW
+
+def _weights(t: np.ndarray) -> np.ndarray:
+    return np.stack([np.ones_like(t), 12.0 * t - 6.0, (60.0 * t - 60.0) * t + 12.0])
+
+
 
 
 @dataclass(frozen=True)
@@ -110,59 +106,47 @@ def population_lcomoments(bp: BivariateParams,
         z = (0.0, 0.0, 0.0)
         return _build_set(z, z, lam2_1, lam2_2)
 
-    # (1,2): fixed-order inner rule over u2 at each outer u1 node; the
-    # integrand is smooth apart from a (1-u2)^(beta2+1) kink, flattened
-    # by the power substitution when beta2 < 0
+    # (1,2): an inner rule over u2 with as many nodes as the outer one, so
+    # the outer n-against-2n test covers both.  Near u2 = 1 the integrand
+    # mixes powers of (1-u2) and (1-u2)^(beta2+1); the substitution
+    # 1 - u2 = s^k with k = 2/min(beta2+1, 1) turns the latter into even
+    # powers of s, and the Jacobian s^(k-1) is the inner Gauss-Jacobi weight
     if m2.beta <= -1.0:
         # u21 reaches 1 with a (1-u2)^(1/(1+theta*u1)) kink whose exponent
         # varies with u1; a fixed stronger power flattens every case
-        binv = 2.0 * (1.0 + bp.theta)
-        t_nodes = 1.0 - _GL_S ** binv
-        jac = binv * _GL_S ** (binv - 1.0) * _GL_W
-    elif m2.beta < 0.0:
-        binv = 1.0 / (m2.beta + 1.0)
-        t_nodes = 1.0 - _GL_S ** binv
-        jac = binv * _GL_S ** (binv - 1.0) * _GL_W
+        k = 2.0 * (1.0 + bp.theta)
     else:
-        t_nodes = _GL_S
-        jac = _GL_W
+        k = 2.0 / min(m2.beta + 1.0, 1.0)
 
-    def inner_12(u1_val: float, wfun) -> float:
-        total = 0.0
-        for t, wt in zip(t_nodes, jac):
-            total += (t - u21(bp, u1_val, t, cfg)) * wfun(t) * wt
-        return total
+    def inner_12(u1: np.ndarray) -> np.ndarray:
+        s, ws = roots_jacobi(u1.size, 0.0, k - 1.0)
+        s = 0.5 * (s + 1.0)
+        t = 1.0 - s ** k
+        w_inner = _weights(t) * (k * 0.5 ** k * ws)
+        return m1.c * np.stack(
+            [w_inner @ (t - u21(bp, float(u), t, cfg)) for u in u1], axis=1)
 
-    l12 = []
-    for k in (2, 3, 4):
-        gam, wfun = _WEIGHTS[k]
-        val = gam * quad_beta_kernel(
-            lambda u: m1.c * inner_12(u, wfun), m1.alpha, m1.beta + 1.0, cfg)
-        l12.append(val)
+    l12 = _GAMMA * _fixed_rule(inner_12, m1.alpha, m1.beta + 1.0, cfg)
 
     # (2,1): exact inner reduction to the partial-mean difference J(u1)
     th = bp.theta
     lam1_2 = population_lmoments(m2).l1
     if m2.beta <= -1.0:
-        def jfun(u1_val: float) -> float:
-            return th * u1_val * lam1_2
+        def jfun(u1: np.ndarray) -> np.ndarray:
+            return th * u1 * lam1_2
     else:
         a2, b2 = m2.alpha + 1.0, m2.beta + 1.0
         norm2 = complete_beta(a2, b2 + 1.0)
 
-        def jfun(u1_val: float) -> float:
-            g = 1.0 + th * u1_val
-            w = inv_reg_inc_beta(1.0 / g, a2, b2)
-            partial = m2.c * norm2 * reg_inc_beta(w, a2, b2 + 1.0)
-            return th * u1_val * lam1_2 - g * (lam1_2 - partial)
+        def jfun(u1: np.ndarray) -> np.ndarray:
+            g = 1.0 + th * u1
+            w = betaincinv(a2, b2, 1.0 / g)
+            partial = m2.c * norm2 * betainc(a2, b2 + 1.0, w)
+            return th * u1 * lam1_2 - g * (lam1_2 - partial)
 
-    l21 = []
-    for k in (2, 3, 4):
-        gam, wfun = _WEIGHTS[k]
-        val = gam * _quad(lambda u: (1.0 - u) * wfun(u) * jfun(u), 0.0, 1.0, cfg)
-        l21.append(val)
+    l21 = _GAMMA * _fixed_rule(lambda u: _weights(u) * jfun(u), 0.0, 1.0, cfg)
 
-    return _build_set(tuple(l12), tuple(l21), lam2_1, lam2_2)
+    return _build_set(tuple(map(float, l12)), tuple(map(float, l21)), lam2_1, lam2_2)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from .comoment import sample_lcomoments
 from .data import PairedSample
@@ -42,7 +43,8 @@ from .model import (
     MarginalParams,
     NumericConfig,
     _brentq,
-    _quad,
+    _fixed_rule,
+    _newton_bisect,
     product_moment,
 )
 from .specfun import log_gamma
@@ -224,29 +226,35 @@ class MrqFitResult:
 
 
 def _mrq_lcov_12(p: MrqParams, cfg: NumericConfig) -> float:
-    """Population L2(1,2) of the competitor by quadrature.
+    """Population L2(1,2) of the competitor on a tensor Gauss-Legendre rule.
 
     L2(1,2) = 2 int int (1-u1)(u2 - v) q1(u1) du1 du2 where v solves
     Q21(v | u1) = Q2(u2); the outer integrand (1-u1) q1(u1) is the
-    bounded polynomial (a1 + b1) - 2 b1 (1-u1).
+    bounded polynomial (a1 + b1) - 2 b1 (1-u1).  Near u2 = 1 the gap
+    u2 - v mixes the powers (1-u2)^r and (1-u2), r = (a2 + c) / aa with
+    aa = a2 + c + (b2 + d) u1, so the inner rule substitutes 1-u2 = s^k
+    with k = 3 max(1, 1/r) per outer node.  v is solved on the whole grid
+    at once in y = -log(1-v), where Q21 is nearly linear.
     """
     a_marg = p.a2 + p.c
-    c_marg = p.c
 
-    def inner(u1_val: float) -> float:
-        aa = p.a2 + p.c + (p.b2 + p.d) * u1_val
-        cc = p.c + p.d * u1_val
+    def inner(u1: np.ndarray) -> np.ndarray:
+        x, w = roots_legendre(u1.size)
+        s, ws = 0.5 * (x + 1.0), 0.5 * w
+        aa = (a_marg + (p.b2 + p.d) * u1)[:, None]
+        cc = (p.c + p.d * u1)[:, None]
+        k = 3.0 * np.maximum(1.0, aa / a_marg)
+        sk = s ** k
+        x2 = -a_marg * k * np.log(s) - 2.0 * p.c * (1.0 - sk)
+        # h(0) = -x2 <= 0 and h(y_max) >= aa > 0 bracket the root
+        y_max = (x2 + 2.0 * np.abs(cc)) / aa + 1.0
+        y = _newton_bisect(lambda y: aa * y + 2.0 * cc * np.expm1(-y) - x2,
+                           lambda y: aa - 2.0 * cc * np.exp(-y),
+                           np.zeros_like(x2), y_max, np.minimum(x2 / aa, y_max), cfg)
+        gap = np.exp(-y) - sk
+        return ((p.a1 + p.b1) - 2.0 * p.b1 * (1.0 - u1)) * ((gap * k * s ** (k - 1.0)) @ ws)
 
-        def gap(u2_val: float) -> float:
-            x2 = -a_marg * math.log1p(-u2_val) - 2.0 * c_marg * u2_val
-            v = _invert_unit_quantile(
-                lambda w: -aa * math.log1p(-w) - 2.0 * cc * w, x2, cfg)
-            return u2_val - v
-
-        return _quad(gap, 0.0, 1.0, cfg)
-
-    return 2.0 * _quad(
-        lambda u: ((p.a1 + p.b1) - 2.0 * p.b1 * (1.0 - u)) * inner(u), 0.0, 1.0, cfg)
+    return 2.0 * float(_fixed_rule(inner, 0.0, 0.0, cfg))
 
 
 def fit_mrq(s: PairedSample,

@@ -19,10 +19,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from scipy.integrate import quad as _scipy_quad
 from scipy.optimize import brentq as _scipy_brentq
+from scipy.special import betainc, betaincinv, roots_jacobi
 
-from .errors import BracketError, DivergentMomentError, DomainError, QuadratureError
+from .errors import (BracketError, ConvergenceError, DivergentMomentError, DomainError,
+                     QuadratureError)
 from .specfun import complete_beta, inc_beta, inv_reg_inc_beta, log_gamma, reg_inc_beta
 
 __all__ = [
@@ -205,6 +208,62 @@ def _beta_integral(alpha: float, beta: float, lo: float, hi: float,
     return sign * quad_beta_kernel(lambda _u: 1.0, alpha, beta, cfg, lo, hi)
 
 
+# the fixed rules start at 16 nodes and give up with QuadratureError
+# past this many
+MAX_RULE_NODES = 512
+
+
+def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
+                cfg: NumericConfig) -> np.ndarray:
+    """int_0^1 u^a_exp (1-u)^b_exp f(u) du on Gauss-Jacobi nodes (Golub-Welsch).
+
+    `f` maps the node vector to values of shape (..., n), so integrands
+    that share the nodes are contracted together; an inner rule inside
+    `f` may size itself from the node count.  The count doubles until the
+    n- and 2n-node results agree to the quadrature tolerances in every
+    component; the 2n-node result is returned.
+    """
+    prev, n = None, 16
+    while n <= MAX_RULE_NODES:
+        x, w = roots_jacobi(n, b_exp, a_exp)
+        val = f(0.5 * (x + 1.0)) @ w * 0.5 ** (a_exp + b_exp + 1.0)
+        if prev is not None:
+            err = np.abs(val - prev)
+            if np.all(err <= np.maximum(cfg.quad_abs_tol, cfg.quad_rel_tol * np.abs(val))):
+                return val
+        prev, n = val, 2 * n
+    raise QuadratureError(
+        f"fixed rule did not reach the quadrature tolerance within "
+        f"{MAX_RULE_NODES} nodes (last change {np.max(err):.3e})")
+
+
+def _newton_bisect(h: Callable[[np.ndarray], np.ndarray],
+                   dh: Callable[[np.ndarray], np.ndarray],
+                   lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
+                   cfg: NumericConfig) -> np.ndarray:
+    """Elementwise root of h with h(lo) <= 0 <= h(hi), for whole arrays.
+
+    Safeguarded Newton: a step that leaves the bracket, or a nonpositive
+    slope, is replaced by bisection, and every evaluation shrinks the
+    bracket on the sign of h.  Stops when no element moves by more than
+    root_tol.
+    """
+    for _ in range(cfg.root_max_iter):
+        hx = h(x)
+        lo = np.where(hx < 0.0, x, lo)
+        hi = np.where(hx > 0.0, x, hi)
+        slope = dh(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - hx / slope
+        newton = (slope > 0.0) & (xn >= lo) & (xn <= hi)
+        xn = np.where(hx == 0.0, x, np.where(newton, xn, 0.5 * (lo + hi)))
+        if np.all(np.abs(xn - x) <= cfg.root_tol):
+            return xn
+        x = xn
+    raise ConvergenceError(
+        f"safeguarded Newton did not converge within {cfg.root_max_iter} steps")
+
+
 # ---------------------------------------------------------------------------
 # quantile density / quantile function / inversion
 
@@ -357,38 +416,78 @@ def _brentq(f: Callable[[float], float], lo: float, hi: float,
 # conditional structure
 
 
-def u21(bp: BivariateParams, u1: float, u2: float,
-        cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float:
+def u21(bp: BivariateParams, u1: float, u2: float | np.ndarray,
+        cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float | np.ndarray:
     """Solve Q2(v) = Q2(u2) / (1 + theta*u1) for v.
 
     This is the probability level of the second marginal reached by the
-    conditional quantile; v <= u2 with equality iff theta*u1 = 0.
+    conditional quantile; v <= u2 with equality iff theta*u1 = 0.  `u2`
+    may be an array, and the result then has its shape.
     """
-    if not (0.0 <= u1 <= 1.0 and 0.0 <= u2 <= 1.0):
+    v = np.array(u2, dtype=float)
+    if not (0.0 <= u1 <= 1.0 and np.all((v >= 0.0) & (v <= 1.0))):
         raise DomainError("u1 and u2 must lie in [0, 1]")
-    g = 1.0 + bp.theta * u1
-    if g == 1.0 or u2 == 0.0:
+    out = _u21(bp, 1.0 + bp.theta * u1, v, cfg)
+    return out if out.ndim else float(out)
+
+
+def _u21(bp: BivariateParams, g: float, u2: np.ndarray,
+         cfg: NumericConfig) -> np.ndarray:
+    """u21 at g = 1 + theta*u1 on a private copy of u2, which may be overwritten."""
+    if g == 1.0:
         return u2
     m2 = bp.m2
     alpha, beta = m2.alpha, m2.beta
     if alpha > -1.0 and beta == 0.0:
         return u2 * g ** (-1.0 / (alpha + 1.0))
     if alpha == 0.0:
-        if beta == -1.0:
-            return -math.expm1(math.log1p(-u2) / g)
-        if u2 == 1.0 and beta < -1.0:
-            return 1.0
-        inner = 1.0 - (1.0 - (1.0 - u2) ** (beta + 1.0)) / g
-        return 1.0 - inner ** (1.0 / (beta + 1.0))
+        with np.errstate(divide="ignore"):  # u2 = 1 gives the limit 1
+            if beta == -1.0:
+                return -np.expm1(np.log1p(-u2) / g)
+            inner = 1.0 - (1.0 - (1.0 - u2) ** (beta + 1.0)) / g
+            return np.where((u2 == 1.0) & (beta < -1.0), 1.0,
+                            1.0 - inner ** (1.0 / (beta + 1.0)))
     if alpha > -1.0 and beta > -1.0:
         a, b = alpha + 1.0, beta + 1.0
-        return inv_reg_inc_beta(reg_inc_beta(u2, a, b) / g, a, b)
-    if u2 == 1.0:
-        return 1.0
-    # note: for median-anchored marginals (alpha <= -1) the negative
-    # half scales toward the anchor, so the solution can exceed u2
-    target = big_q1(m2, u2, cfg) / g
-    return f1_flagged(m2, target, cfg)[0]
+        return betaincinv(a, b, betainc(a, b, u2) / g)
+    if alpha > -1.0 and -2.0 < beta < -1.0:
+        return _u21_heavy_right(alpha + 1.0, beta + 1.0, g, u2, cfg)
+    # no closed form: invert the quantile function per element.  For
+    # median-anchored marginals (alpha <= -1) the negative half scales
+    # toward the anchor, so the solution can exceed u2
+    for i, u in np.ndenumerate(u2):
+        if 0.0 < u < 1.0:
+            u2[i] = f1_flagged(m2, big_q1(m2, float(u), cfg) / g, cfg)[0]
+    return u2
+
+
+def _u21_heavy_right(a: float, b: float, g: float, u2: np.ndarray,
+                     cfg: NumericConfig) -> np.ndarray:
+    """u21 for alpha > -1 and -2 < beta < -1, where Q2 diverges at 1.
+
+    With a = alpha+1 and b = beta+1 in (-1, 0), the recurrence
+    B_v(a, b) = [(a+b) B_v(a, b+1) - v^a (1-v)^b] / b reduces Q2 to the
+    regular incomplete beta.  log Q2 is solved for w = -log(1-v), in
+    which it is nearly linear near v = 1.
+    """
+    nb = complete_beta(a, b + 1.0)
+
+    def log_q(w: np.ndarray) -> np.ndarray:  # log Q2(v) / (c2 B(a, b+1))
+        v = -np.expm1(-w)
+        return np.log((v ** a * np.exp(-b * w) / nb
+                       - (a + b) * betainc(a, b + 1.0, v)) / -b)
+
+    def slope(w: np.ndarray) -> np.ndarray:
+        v = -np.expm1(-w)
+        return v ** (a - 1.0) * np.exp(-b * w - log_q(w)) / nb
+
+    inside = (u2 > 0.0) & (u2 < 1.0)
+    w_top = -np.log1p(-u2[inside])
+    target = log_q(w_top) - math.log(g)
+    w = _newton_bisect(lambda w: log_q(w) - target, slope, np.zeros_like(w_top),
+                       w_top, w_top * g ** (-1.0 / a), cfg)
+    u2[inside] = -np.expm1(-w)
+    return u2
 
 
 def q2_bar_conditional(bp: BivariateParams, u1: float, x2: float,

@@ -1,18 +1,19 @@
 """Special functions used by the quantile-density family.
 
-Scalar double-precision implementations of the log-gamma function, the
-(regularized) incomplete beta function and its inverse, and the Gauss
-hypergeometric function 2F1 restricted to non-positive argument.  The
-incomplete beta is evaluated by the standard continued fraction with the
-symmetry switch at x = (a+1)/(a+b+2); the inverse by Newton iteration
-with a bisection safeguard; 2F1 by its power series for |z| < 1 and by
-the Pfaff transformation z -> z/(z-1) for z <= -1.
+Scalar double-precision log-gamma, the (regularized) incomplete beta
+function and its inverse, and the Gauss hypergeometric function 2F1
+restricted to non-positive argument.  The incomplete beta and its
+inverse are checked wrappers over scipy.special.betainc and betaincinv;
+2F1 is summed by its power series for |z| < 1 and by the Pfaff
+transformation z -> z/(z-1) for z <= -1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from scipy.special import betainc as _betainc, betaincinv as _betaincinv
 
 from .errors import ConvergenceError, DomainError
 
@@ -31,17 +32,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpecFunConfig:
-    """Tolerances and iteration caps for the special-function kernels."""
+    """Tolerance and term cap of the 2F1 power series."""
 
     series_tol: float = 1e-14
     max_terms: int = 10000
-    inversion_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (self.series_tol > 0.0):
             raise DomainError("series_tol must be positive")
-        if not (self.inversion_tol > 0.0):
-            raise DomainError("inversion_tol must be positive")
         if self.max_terms < 1:
             raise DomainError("max_terms must be at least 1")
 
@@ -66,150 +64,34 @@ def complete_beta(a: float, b: float) -> float:
     return math.exp(log_beta(a, b))
 
 
-def _beta_cont_frac(x: float, a: float, b: float, cfg: SpecFunConfig) -> float:
-    """Continued fraction for the regularized incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, cfg.max_terms + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < cfg.series_tol:
-            return h
-    raise ConvergenceError(
-        f"incomplete beta continued fraction did not converge for "
-        f"x={x}, a={a}, b={b} within {cfg.max_terms} terms"
-    )
-
-
-def reg_inc_beta(x: float, a: float, b: float,
-                 cfg: SpecFunConfig = DEFAULT_SPECFUN_CONFIG) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
+def _check_shapes(name: str, a: float, b: float) -> None:
     if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
+        raise DomainError(f"{name} requires a, b > 0, got a={a}, b={b}")
+
+
+def reg_inc_beta(x: float, a: float, b: float) -> float:
+    """Regularized incomplete beta function I_x(a, b)."""
+    _check_shapes("reg_inc_beta", a, b)
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got x={x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    lfront = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
-    front = math.exp(lfront)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(x, a, b, cfg) / a
-    return 1.0 - front * _beta_cont_frac(1.0 - x, b, a, cfg) / b
+    if x == 0.0 or x == 1.0:
+        return float(x)
+    return float(_betainc(a, b, x))
 
 
-def inc_beta(x: float, a: float, b: float,
-             cfg: SpecFunConfig = DEFAULT_SPECFUN_CONFIG) -> float:
+def inc_beta(x: float, a: float, b: float) -> float:
     """Unnormalized incomplete beta B_x(a, b) = int_0^x t^(a-1) (1-t)^(b-1) dt."""
-    return reg_inc_beta(x, a, b, cfg) * complete_beta(a, b)
+    return reg_inc_beta(x, a, b) * complete_beta(a, b)
 
 
-def _inv_beta_guess(p: float, a: float, b: float) -> float:
-    """Classical starting point for the incomplete-beta inversion.
-
-    Normal approximation for a, b >= 1, otherwise the two-power-tails
-    split; only used to seed the safeguarded Newton iteration.
-    """
-    if a >= 1.0 and b >= 1.0:
-        pp = p if p < 0.5 else 1.0 - p
-        t = math.sqrt(-2.0 * math.log(pp))
-        x = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
-        if p < 0.5:
-            x = -x
-        al = (x * x - 3.0) / 6.0
-        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
-        w = (x * math.sqrt(al + h) / h
-             - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0))
-             * (al + 5.0 / 6.0 - 2.0 / (3.0 * h)))
-        return a / (a + b * math.exp(2.0 * w))
-    lna = math.log(a / (a + b))
-    lnb_ = math.log(b / (a + b))
-    t = math.exp(a * lna) / a
-    u = math.exp(b * lnb_) / b
-    w = t + u
-    if p < t / w:
-        return (a * w * p) ** (1.0 / a)
-    return 1.0 - (b * w * (1.0 - p)) ** (1.0 / b)
-
-
-def inv_reg_inc_beta(p: float, a: float, b: float,
-                     cfg: SpecFunConfig = DEFAULT_SPECFUN_CONFIG) -> float:
-    """Functional inverse of I_x(a, b): the x with I_x(a, b) = p.
-
-    Newton iteration on x with a maintained bisection bracket; falls back
-    to bisection whenever a Newton step leaves the bracket or the local
-    density is too small to be useful.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"inv_reg_inc_beta requires a, b > 0, got a={a}, b={b}")
+def inv_reg_inc_beta(p: float, a: float, b: float) -> float:
+    """Functional inverse of I_x(a, b): the x with I_x(a, b) = p."""
+    _check_shapes("inv_reg_inc_beta", a, b)
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"inv_reg_inc_beta requires 0 <= p <= 1, got p={p}")
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    if p > 0.5:
-        # invert the complementary tail, where small values keep their
-        # relative precision and the iteration stays well conditioned
-        return 1.0 - inv_reg_inc_beta(1.0 - p, b, a, cfg)
-
-    lnb = log_beta(a, b)
-    lo, hi = 0.0, 1.0
-    x = _inv_beta_guess(p, a, b)
-    if not (lo < x < hi):
-        x = 0.5
-    for _ in range(cfg.max_terms):
-        f = reg_inc_beta(x, a, b, cfg) - p
-        if f > 0.0:
-            hi = x
-        elif f < 0.0:
-            lo = x
-        else:
-            return x
-        # the Newton iterates keep updating the bracket, so requiring the
-        # bracket itself to collapse stays fast yet immune to the huge
-        # local-derivative cases where a tiny step is not convergence
-        if hi - lo < cfg.inversion_tol:
-            return 0.5 * (lo + hi)
-        lpdf = (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - lnb
-        xn = None
-        if lpdf > -690.0:  # exp would underflow below this
-            pdf = math.exp(lpdf)
-            if pdf > 0.0 and math.isfinite(pdf):
-                cand = x - f / pdf
-                if lo < cand < hi:
-                    xn = cand
-        x = xn if xn is not None else 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"inv_reg_inc_beta did not converge for p={p}, a={a}, b={b}"
-    )
+    if p == 0.0 or p == 1.0:
+        return float(p)
+    return float(_betaincinv(a, b, p))
 
 
 def _hyp2f1_series(a: float, b: float, c: float, z: float,

@@ -78,6 +78,44 @@ class TestExitCodes:
         assert code == 0
 
 
+def assert_one_line_usage_error(code, out, err, *fragments):
+    assert code == 64
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error: ")
+    for f in fragments:
+        assert f in err
+
+
+class TestUsageErrors:
+    def test_non_numeric_params(self, capsys):
+        res = run(["comoments", "--data", "cable", "--params", "a,b,1,1,0,0,0.5"],
+                  capsys)
+        assert_one_line_usage_error(*res, "--params", "'a'")
+
+    def test_catalog_case_missing_parameter(self, capsys):
+        res = run(["comoments", "--data", "cable", "--catalog", "pareto2",
+                   "--param", "c1=1"], capsys)
+        assert_one_line_usage_error(*res, "pareto2", "d1")
+
+    def test_negative_seed(self, capsys):
+        res = run(["sample", "--params", "1,0,0,1,0,0,0.5", "--n", "3",
+                   "--seed", "-1"], capsys)
+        assert_one_line_usage_error(*res, "--seed")
+
+    def test_out_in_missing_directory_fails_before_work(self, capsys, tmp_path,
+                                                         monkeypatch):
+        import bivqf.cli as cli
+
+        def no_work(*_args, **_kw):
+            raise AssertionError("reproduce ran before --out was checked")
+
+        monkeypatch.setattr(cli, "_reproduce_rows", no_work)
+        missing = tmp_path / "missing" / "x"
+        res = run(["reproduce", "--out", str(missing)], capsys)
+        assert_one_line_usage_error(*res, "--out", "missing")
+        assert not missing.parent.exists()
+
+
 class TestCommands:
     def test_fit_cable_report(self, capsys):
         code, out, _ = run(["fit", "--data", "cable"], capsys)

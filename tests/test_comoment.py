@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 from scipy.special import betainc, betaincinv
 
+from bivqf.catalog import make_case
 from bivqf.comoment import (
     population_lcomoments,
     power_case_lcov_closed_form,
@@ -12,8 +13,8 @@ from bivqf.comoment import (
     sample_lcomoments,
 )
 from bivqf.data import BUILTIN_DATASETS, PairedSample
-from bivqf.errors import DivergentMomentError, InsufficientDataError
-from bivqf.model import BivariateParams, MarginalParams
+from bivqf.errors import DivergentMomentError, InsufficientDataError, QuadratureError
+from bivqf.model import BivariateParams, MarginalParams, NumericConfig
 
 UNIF = MarginalParams(1.0, 0.0, 0.0)
 
@@ -44,7 +45,84 @@ def brute_lcomoment(bp, k, direction):
     return gam * val
 
 
+def u21_ref(bp, u1v, u2v):
+    """u21 for a power, exponential, log-logistic or incomplete-beta margin."""
+    g = 1.0 + bp.theta * u1v
+    m2 = bp.m2
+    if m2.beta == 0.0:
+        return u2v * g ** (-1.0 / (m2.alpha + 1.0))
+    if (m2.alpha, m2.beta) == (0.0, -1.0):
+        return 1.0 - (1.0 - u2v) ** (1.0 / g)
+    if math.isclose(m2.alpha + m2.beta, -2.0):
+        # log-logistic: Q2(u) is proportional to (u / (1-u))^(alpha+1)
+        r = u2v / (1.0 - u2v) * g ** (-1.0 / (m2.alpha + 1.0))
+        return r / (1.0 + r)
+    a, b = m2.alpha + 1.0, m2.beta + 1.0
+    return betaincinv(a, b, betainc(a, b, u2v) / g)
+
+
+def adaptive_lcomoments(bp):
+    """Nested adaptive quadrature of both defining double integrals.
+
+    The outer (1,2) weight u1^alpha1 (1-u1)^(beta1+1) goes to QUADPACK's
+    algebraic-weight rule; every other integral is plain adaptive QAGS.
+    Returns ((L2, L3, L4)(1,2), (L2, L3, L4)(2,1)).
+    """
+    m1, m2 = bp.m1, bp.m2
+    weights = ((2.0, lambda t: 1.0), (1.0, lambda t: 12.0 * t - 6.0),
+               (1.0, lambda t: 60.0 * t * t - 60.0 * t + 12.0))
+    tight = dict(epsabs=1e-13, epsrel=1e-11, limit=200)
+
+    def q2(u):
+        return m2.c * u ** m2.alpha * (1.0 - u) ** m2.beta
+
+    def inner_21(u1v):
+        return quad(lambda u: (u - u21_ref(bp, u1v, u)) * q2(u), 0.0, 1.0,
+                    **tight)[0]
+
+    l12, l21 = [], []
+    for gam, wf in weights:
+        def inner_12(u1v, wf=wf):
+            return quad(lambda u: (u - u21_ref(bp, u1v, u)) * wf(u), 0.0, 1.0,
+                        **tight)[0]
+        l12.append(gam * m1.c * quad(inner_12, 0.0, 1.0, weight="alg",
+                                     wvar=(m1.alpha, m1.beta + 1.0), **tight)[0])
+        l21.append(gam * quad(lambda u: (1.0 - u) * wf(u) * inner_21(u), 0.0, 1.0,
+                              **tight)[0])
+    return l12, l21
+
+
 class TestPopulation:
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("name", ["cable", "components", "power", "exponential",
+                                      "loglogistic"])
+    def test_fixed_rules_match_adaptive_reference(self, name):
+        bp = {
+            "cable": BivariateParams(MarginalParams(9.0819, -0.4864, -0.9946),
+                                     MarginalParams(29.2295, -0.3406, -0.3531), 0.6821),
+            "components": BivariateParams(MarginalParams(13.0499, 0.8856, -0.1844),
+                                          MarginalParams(5.9257, 0.3555, -0.6695),
+                                          0.5492),
+            "power": BivariateParams(MarginalParams(2.0, 1.0, 0.0),
+                                     MarginalParams(1.0, -0.5, 0.0), 0.75),
+            "exponential": BivariateParams(MarginalParams(1.0, 0.0, -1.0),
+                                           MarginalParams(2.0, 0.0, -1.0), 0.8),
+            "loglogistic": make_case("loglogistic", a1=0.5, b1=1.0, a2=0.4, b2=2.0,
+                                     theta=0.7).params,
+        }[name]
+        cm = population_lcomoments(bp)
+        l12, l21 = adaptive_lcomoments(bp)
+        got = (cm.l2_12, cm.l3_12, cm.l4_12, cm.l2_21, cm.l3_21, cm.l4_21)
+        for i, (v, ref) in enumerate(zip(got, l12 + l21)):
+            assert math.isclose(v, ref, rel_tol=1e-8, abs_tol=1e-12), (i, v, ref)
+
+    def test_unreachable_tolerance_raises(self):
+        bp = BivariateParams(MarginalParams(1.0, 0.4, 0.8),
+                             MarginalParams(2.0, -0.34, -0.35), 0.68)
+        cfg = NumericConfig(quad_abs_tol=1e-300, quad_rel_tol=1e-300)
+        with pytest.raises(QuadratureError):
+            population_lcomoments(bp, cfg)
+
     def test_independence_is_exactly_zero(self):
         bp = BivariateParams(MarginalParams(2.0, 0.5, 1.0), UNIF, 0.0)
         cm = population_lcomoments(bp)

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from bivqf.data import BUILTIN_DATASETS, PairedSample
-from bivqf.errors import BracketError, DomainError, InfeasibleRegionError
+from bivqf.errors import BracketError, DomainError, InfeasibleRegionError, QuadratureError
 from bivqf.fit import (
     MrqParams,
+    _mrq_lcov_12,
     fit_bivariate,
     fit_marginal,
     fit_mrq,
@@ -14,7 +17,14 @@ from bivqf.fit import (
     mrq_quantile,
 )
 from bivqf.lmom import population_lmoments, sample_lmoments
-from bivqf.model import BivariateParams, MarginalParams, big_q1, product_moment
+from bivqf.model import (
+    BivariateParams,
+    MarginalParams,
+    NumericConfig,
+    big_q1,
+    product_moment,
+)
+from bivqf.sampling import SamplerSpec, draw
 
 CABLE = BUILTIN_DATASETS["cable"]
 COMP = BUILTIN_DATASETS["components"]
@@ -120,13 +130,62 @@ class TestThetaFit:
         assert math.isclose(res.params.theta, 0.8919578247468086, rel_tol=1e-6)
         assert abs(res.residuals["product_moment"]) <= 1e-6
 
+    def test_extreme_tail_bootstrap_replicate(self):
+        # a replicate of the published components fit (n = 20, exact
+        # sampler) whose fitted second margin has beta near -1: the
+        # product moment inverts the incomplete beta within 1e-316 of 1
+        bp = BivariateParams(MarginalParams(13.0499, 0.8856, -0.1844),
+                             MarginalParams(5.9257, 0.3555, -0.6695), 0.5492)
+        s = draw(bp, SamplerSpec(297036, 20, "exact"))
+        res = fit_bivariate(s)
+        assert res.params.m2.beta < -0.98
+        assert res.params.theta > 0.0
+        target = float(np.mean(np.asarray(s.x1) * np.asarray(s.x2)))
+        assert abs(res.residuals["product_moment"]) <= 1e-9 * target
+
     def test_components_theta_zero(self):
         res = fit_bivariate(COMP)
         assert res.params.theta == 0.0
         assert res.warnings
 
 
+def mrq_lcov_nested_oracle(p):
+    """L2(1,2) of the competitor by nested adaptive quadrature and Brent."""
+    a_marg = p.a2 + p.c
+
+    def inner(u1v):
+        aa = a_marg + (p.b2 + p.d) * u1v
+        cc = p.c + p.d * u1v
+
+        def gap(u2v):
+            x2 = -a_marg * math.log1p(-u2v) - 2.0 * p.c * u2v
+            hi, step = 0.75, 0.25
+            while -aa * math.log1p(-hi) - 2.0 * cc * hi < x2:
+                step *= 0.5
+                hi = 1.0 - step
+            v = brentq(lambda w: -aa * math.log1p(-w) - 2.0 * cc * w - x2, 0.0, hi,
+                       xtol=1e-14)
+            return u2v - v
+
+        return quad(gap, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+    return 2.0 * quad(lambda u: ((p.a1 + p.b1) - 2.0 * p.b1 * (1.0 - u)) * inner(u),
+                      0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+
 class TestMrq:
+    @pytest.mark.parametrize("d", [-7.16, -3.0, 0.0, 2.0])
+    def test_lcov_fixed_rule_matches_nested_oracle(self, d):
+        p = MrqParams(a1=2.798, b1=0.159, a2=3.086, b2=4.628, c=0.086, d=d)
+        ref = mrq_lcov_nested_oracle(p)
+        assert math.isclose(_mrq_lcov_12(p, NumericConfig()), ref, rel_tol=1e-9)
+
+    def test_lcov_unreachable_tolerance_raises(self):
+        p = MrqParams(a1=2.798, b1=0.159, a2=3.086, b2=4.628, c=0.086, d=-7.16)
+        cfg = NumericConfig(quad_abs_tol=1e-300, quad_rel_tol=1e-300)
+        with pytest.raises(QuadratureError):
+            _mrq_lcov_12(p, cfg)
+
     def test_quantile_exponential_case(self):
         p = MrqParams(a1=1.0, b1=0.0, a2=1.0, b2=0.0, c=0.0, d=0.0)
         q1v, q21v = mrq_quantile(p, 0.5, 0.5)

@@ -183,6 +183,47 @@ class TestConditional:
                              xtol=1e-14)
                 assert math.isclose(u21(bp, u1v, u2v, cfg), ref, abs_tol=1e-9)
 
+    # one second margin per branch of u21: no dependence, power (beta = 0),
+    # alpha = 0 (three sub-cases), incomplete beta, the divergent right
+    # tail -2 < beta < -1, and the per-element inversion (median-anchored,
+    # and beta <= -2 with alpha != 0)
+    U21_BRANCHES = {
+        "identity": (CABLE2, 0.0),
+        "power": (MarginalParams(1.5, -0.5, 0.0), 1.3),
+        "alpha0-exponential": (EXP1, 0.7),
+        "alpha0-bounded": (MarginalParams(2.0, 0.0, 0.5), 0.9),
+        "alpha0-pareto": (MarginalParams(1.0, 0.0, -1.5), 0.9),
+        "incomplete-beta": (CABLE2, 0.6821),
+        "heavy-right-tail": (MarginalParams(1.0, 0.7, -1.3), 0.8),
+        "heavy-right-tail-loglogistic": (MarginalParams(0.8, -0.6, -1.4), 2.0),
+        "inversion-median-anchored": (T2, 1.0),
+        "inversion-right-tail": (LOGLOG, 0.8),
+    }
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("branch", list(U21_BRANCHES))
+    def test_u21_array_matches_scalar_and_oracle(self, branch):
+        m2, theta = self.U21_BRANCHES[branch]
+        bp = BivariateParams(UNIF, m2, theta)
+        u2 = np.array([0.0, 0.05, 0.3, 0.5, 0.77, 0.9, 1.0])
+        for u1v in (0.0, 0.35, 1.0):
+            arr = u21(bp, u1v, u2)
+            assert arr.shape == u2.shape
+            scalar = [u21(bp, u1v, float(x)) for x in u2]
+            assert all(type(v) is float for v in scalar)
+            # the same formula; vector and scalar pow may differ by an ulp
+            np.testing.assert_allclose(arr, scalar, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(u21(bp, u1v, u2.reshape(7, 1))[:, 0], arr,
+                                       rtol=1e-13, atol=1e-15)
+            assert arr[0] == 0.0
+            g = 1.0 + theta * u1v
+            lo, hi = (1e-9, 1.0 - 1e-9) if m2.alpha <= -1.0 else (0.0, None)
+            for x, v in zip(u2[1:-1], arr[1:-1]):
+                target = oracle_quantile(m2, x) / g
+                ref = brentq(lambda w: oracle_quantile(m2, w) - target, lo,
+                             hi if hi is not None else x, xtol=1e-14)
+                assert math.isclose(v, ref, abs_tol=1e-9), (u1v, x)
+
     def test_conditional_survival_exponential(self):
         # exp case: S(x2 | u1) = exp(-x2 / (c2 (1 + theta u1)))
         bp = self.BP

@@ -53,12 +53,11 @@ class TestIncBeta:
                       epsabs=1e-14, epsrel=1e-14)
         assert math.isclose(inc_beta(x, a, b), ref, rel_tol=1e-12)
 
-    def test_grid_against_scipy(self):
-        from scipy.special import betainc as scipy_betainc
+    def test_grid_against_mpmath(self):
         for a in (0.2, 0.5136, 1.3406, 2.0, 5.0):
             for b in (0.3, 1.0, 1.9946, 4.0):
                 for x in (0.01, 0.2, 0.5, 0.77, 0.99):
-                    ref = float(scipy_betainc(a, b, x))
+                    ref = float(mpmath.betainc(a, b, 0, x, regularized=True))
                     assert math.isclose(reg_inc_beta(x, a, b), ref,
                                         rel_tol=1e-12, abs_tol=1e-14)
 
@@ -147,6 +146,27 @@ class TestInverse:
                 hi = mid
         assert abs(inv_reg_inc_beta(p, a, b) - 0.5 * (lo + hi)) <= 1e-9
 
+    def test_round_trip_against_mpmath(self):
+        # x -> p by high-precision I_x, then back through the inverse; the
+        # grid includes a, b < 1, where the density is singular at an end
+        for a in (0.05, 0.3, 0.9912309793891165, 2.5):
+            for b in (0.012579709518141136, 0.2, 0.8, 3.0):
+                for x in (1e-6, 0.03, 0.4, 0.81, 0.999):
+                    p = float(mpmath.betainc(a, b, 0, x, regularized=True))
+                    back = inv_reg_inc_beta(p, a, b)
+                    # forward-map the result: I_back(a, b) must give back p
+                    # to the precision p carries (absolute 1e-14)
+                    p_back = float(mpmath.betainc(a, b, 0, back, regularized=True))
+                    assert math.isclose(p_back, p, rel_tol=1e-12,
+                                        abs_tol=1e-14), (a, b, x)
+
+    def test_extreme_tail_rounds_to_one(self):
+        # the root of this upper-tail case lies within 1e-316 of 1, so the
+        # correctly rounded double is 1.0 (a bootstrap replicate of the
+        # components fit used to overflow here)
+        p, a, b = 0.9999037544941405, 0.9912309793891165, 0.012579709518141136
+        assert inv_reg_inc_beta(p, a, b) == 1.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             inv_reg_inc_beta(-0.01, 1.0, 1.0)
@@ -206,4 +226,7 @@ class TestConfig:
         with pytest.raises(DomainError):
             SpecFunConfig(max_terms=0)
         with pytest.raises(DomainError):
-            SpecFunConfig(inversion_tol=-1e-9)
+            SpecFunConfig(series_tol=-1e-9)
+        # the beta kernels are scipy's: the config holds no inversion knob
+        with pytest.raises(TypeError):
+            SpecFunConfig(inversion_tol=1e-9)
