@@ -55,6 +55,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _numeric_config(args) -> NumericConfig:
+    for flag, val in (("--quad-tol", args.quad_tol), ("--root-tol", args.root_tol)):
+        if val is not None and not val > 0.0:
+            raise _UsageError(f"{flag} must be positive, got {val}")
     kw = {}
     if args.quad_tol is not None:
         kw["quad_rel_tol"] = args.quad_tol
@@ -127,7 +130,8 @@ def _params_from_args(args) -> BivariateParams:
     if args.params:
         vals = [_number("--params", v) for v in args.params.split(",")]
         if len(vals) != 7:
-            raise ParseError("--params expects c1,alpha1,beta1,c2,alpha2,beta2,theta")
+            raise _UsageError("--params expects 7 values c1,alpha1,beta1,c2,alpha2,beta2,"
+                              f"theta, got {len(vals)}")
         return BivariateParams(MarginalParams(*vals[0:3]),
                                MarginalParams(*vals[3:6]), vals[6])
     raise ParseError("specify a model with --catalog/--param or --params")
@@ -227,6 +231,8 @@ def _cmd_sample(args) -> int:
     cfg = _numeric_config(args)
     if args.seed < 0:
         raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
+    if args.n < 1:
+        raise _UsageError(f"--n must be at least 1, got {args.n}")
     bp = _params_from_args(args)
     spec = SamplerSpec(seed=args.seed, n=args.n, method=args.method)
     s = draw(bp, spec, cfg)

@@ -69,8 +69,9 @@ def kolmogorov_pvalue(d: float, n: int) -> float:
     return min(1.0, max(0.0, 2.0 * s))
 
 
-def _ks_from_pit(pit: np.ndarray, method: str, n_clamped: int,
+def _ks_from_pit(pit: np.ndarray, method: str, clamped,
                  cond_x1: float | None = None) -> GofResult:
+    """K-S statistics of PIT values; `clamped` holds their clamp flags (or 0)."""
     u = np.sort(pit)
     n = u.size
     i = np.arange(1, n + 1)
@@ -87,30 +88,47 @@ def _ks_from_pit(pit: np.ndarray, method: str, n_clamped: int,
         d_plus=d_plus,
         d_minus=d_minus,
         d_point=d_point,
-        n_clamped=n_clamped,
+        n_clamped=int(np.count_nonzero(clamped)),
         cond_x1=cond_x1,
     )
+
+
+def _ks_marginal(data, cdf) -> GofResult:
+    """K-S of univariate data against an array CDF returning (pit, clamped)."""
+    x = np.asarray(data, dtype=float)
+    if x.size < 1:
+        raise InsufficientDataError("empty sample")
+    pit, clamped = cdf(x)
+    return _ks_from_pit(pit, "marginal", clamped)
+
+
+def _ks_conditional(s: PairedSample, cdf1, cdf2, mode: str):
+    """The pooled and per-point conditional K-S drivers.
+
+    cdf1(x1) gives the first component's PIT; cdf2(u1, x2) gives the
+    conditional PIT of x2 given the level u1 (an array matching x2, or one
+    float), both as (pit, clamped).
+    """
+    if mode not in ("pooled", "per-point"):
+        raise DomainError(f"unknown mode {mode!r}; use 'pooled' or 'per-point'")
+    x1 = np.asarray(s.x1, dtype=float)
+    x2 = np.asarray(s.x2, dtype=float)
+    u1, _ = cdf1(x1)
+    if mode == "pooled":
+        pit, clamped = cdf2(u1, x2)
+        return _ks_from_pit(pit, "conditional-pooled", clamped)
+    out = []
+    for idx in np.argsort(x1):
+        pit, clamped = cdf2(float(u1[idx]), x2)
+        out.append(_ks_from_pit(pit, "conditional-per-point", clamped,
+                                cond_x1=float(x1[idx])))
+    return out
 
 
 def ks_marginal(data, p: MarginalParams,
                 cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> GofResult:
     """One-sample K-S of univariate data against a fitted marginal."""
-    x = np.asarray(data, dtype=float)
-    if x.size < 1:
-        raise InsufficientDataError("empty sample")
-    pit, clamped = _pit_marginal(x, p, cfg)
-    return _ks_from_pit(pit, "marginal", clamped)
-
-
-def _pit_marginal(x: np.ndarray, p: MarginalParams,
-                  cfg: NumericConfig) -> tuple[np.ndarray, int]:
-    vals = np.empty(x.size)
-    clamped = 0
-    for k, xv in enumerate(x):
-        u, flag = f1_flagged(p, float(xv), cfg)
-        vals[k] = u
-        clamped += flag
-    return vals, clamped
+    return _ks_marginal(data, lambda x: f1_flagged(p, x, cfg))
 
 
 def ks_conditional(s: PairedSample, bp: BivariateParams,
@@ -123,57 +141,34 @@ def ks_conditional(s: PairedSample, bp: BivariateParams,
     GofResults, one per conditioning pair (ordered by ascending x1), each
     testing the whole x2 sample against the conditional law at that x1.
     """
-    u1_vals, _ = _pit_marginal(np.asarray(s.x1, float), bp.m1, cfg)
-    x2 = np.asarray(s.x2, dtype=float)
-    if mode == "pooled":
-        vals = np.empty(s.n)
-        clamped = 0
-        for k in range(s.n):
-            scaled = bp.m2.scaled(1.0 + bp.theta * u1_vals[k])
-            u, flag = f1_flagged(scaled, float(x2[k]), cfg)
-            vals[k] = u
-            clamped += flag
-        return _ks_from_pit(vals, "conditional-pooled", clamped)
-    if mode == "per-point":
-        order = np.argsort(np.asarray(s.x1, float))
-        out = []
-        for idx in order:
-            scaled = bp.m2.scaled(1.0 + bp.theta * u1_vals[idx])
-            pit, clamped = _pit_marginal(x2, scaled, cfg)
-            out.append(_ks_from_pit(pit, "conditional-per-point", clamped,
-                                    cond_x1=float(s.x1[idx])))
-        return out
-    raise DomainError(f"unknown mode {mode!r}; use 'pooled' or 'per-point'")
+    return _ks_conditional(s, lambda x1: f1_flagged(bp.m1, x1, cfg),
+                           lambda u1, x2: f1_flagged(bp.m2, x2 / (1.0 + bp.theta * u1), cfg),
+                           mode)
+
+
+def _mrq_cdfs(p: MrqParams, cfg: NumericConfig):
+    """The competitor's marginal and conditional CDFs, element by element."""
+    def cdf1(x1):
+        return np.array([mrq_marginal1_cdf(p, float(v), cfg) for v in x1]), 0
+
+    def cdf2(u1, x2):
+        return np.array([mrq_conditional_cdf(p, float(a), float(b), cfg)
+                         for a, b in np.broadcast(u1, x2)]), 0
+
+    return cdf1, cdf2
 
 
 def mrq_ks_marginal(data, p: MrqParams,
                     cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> GofResult:
     """K-S of the first margin under the competitor model."""
-    x = np.asarray(data, dtype=float)
-    pit = np.array([mrq_marginal1_cdf(p, float(v), cfg) for v in x])
-    return _ks_from_pit(pit, "marginal", 0)
+    return _ks_marginal(data, _mrq_cdfs(p, cfg)[0])
 
 
 def mrq_ks_conditional(s: PairedSample, p: MrqParams,
                        cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG,
                        mode: str = "pooled"):
     """Conditional K-S under the competitor model (same modes)."""
-    u1_vals = np.array([mrq_marginal1_cdf(p, float(v), cfg) for v in s.x1])
-    x2 = np.asarray(s.x2, dtype=float)
-    if mode == "pooled":
-        pit = np.array([mrq_conditional_cdf(p, float(u1_vals[k]), float(x2[k]), cfg)
-                        for k in range(s.n)])
-        return _ks_from_pit(pit, "conditional-pooled", 0)
-    if mode == "per-point":
-        order = np.argsort(np.asarray(s.x1, float))
-        out = []
-        for idx in order:
-            pit = np.array([mrq_conditional_cdf(p, float(u1_vals[idx]), float(v), cfg)
-                            for v in x2])
-            out.append(_ks_from_pit(pit, "conditional-per-point", 0,
-                                    cond_x1=float(s.x1[idx])))
-        return out
-    raise DomainError(f"unknown mode {mode!r}; use 'pooled' or 'per-point'")
+    return _ks_conditional(s, *_mrq_cdfs(p, cfg), mode)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from scipy.special import betainc, betaincinv, roots_jacobi
 
 from .errors import (BracketError, ConvergenceError, DivergentMomentError, DomainError,
                      QuadratureError)
-from .specfun import complete_beta, inc_beta, inv_reg_inc_beta, log_gamma, reg_inc_beta
+from .specfun import complete_beta, log_gamma
 
 __all__ = [
     "MarginalParams",
@@ -148,7 +148,8 @@ def _beta_piece_left(f: Callable[[float], float], a_exp: float, b_exp: float,
     """int_lo^hi u^a (1-u)^b f(u) du on a piece not touching u = 1.
 
     When a_exp < 0 (and a_exp > -1) the substitution u = s^(1/(a+1))
-    flattens the left-endpoint singularity.
+    flattens the left-endpoint singularity.  When a_exp <= -1 (so lo > 0),
+    u = exp(-s) turns the spike near lo into the smooth exp(-(a+1) s).
     """
     if -1.0 < a_exp < 0.0:
         k = 1.0 / (a_exp + 1.0)
@@ -158,12 +159,23 @@ def _beta_piece_left(f: Callable[[float], float], a_exp: float, b_exp: float,
             return k * (1.0 - u) ** b_exp * f(u)
 
         return _quad(g, lo ** (a_exp + 1.0), hi ** (a_exp + 1.0), cfg)
+    if a_exp <= -1.0:
+        def g_log(s: float) -> float:
+            u = math.exp(-s)
+            return math.exp(-(a_exp + 1.0) * s) * (1.0 - u) ** b_exp * f(u)
+
+        return -_quad(g_log, -math.log(lo), -math.log(hi), cfg)
     return _quad(lambda u: u ** a_exp * (1.0 - u) ** b_exp * f(u), lo, hi, cfg)
 
 
 def _beta_piece_right(f: Callable[[float], float], a_exp: float, b_exp: float,
                       lo: float, hi: float, cfg: NumericConfig) -> float:
-    """int_lo^hi u^a (1-u)^b f(u) du on a piece not touching u = 0."""
+    """int_lo^hi u^a (1-u)^b f(u) du on a piece not touching u = 0.
+
+    When -1 < b_exp < 0 the substitution 1-u = s^(1/(b+1)) flattens the
+    singularity at u = 1.  When b_exp <= -1 (so hi < 1), 1-u = exp(-s)
+    turns the spike near hi into the smooth exp(-(b+1) s).
+    """
     if -1.0 < b_exp < 0.0:
         k = 1.0 / (b_exp + 1.0)
 
@@ -172,6 +184,12 @@ def _beta_piece_right(f: Callable[[float], float], a_exp: float, b_exp: float,
             return k * u ** a_exp * f(u)
 
         return _quad(g, (1.0 - hi) ** (b_exp + 1.0), (1.0 - lo) ** (b_exp + 1.0), cfg)
+    if b_exp <= -1.0:
+        def g_log(s: float) -> float:
+            u = -math.expm1(-s)
+            return u ** a_exp * math.exp(-(b_exp + 1.0) * s) * f(u)
+
+        return _quad(g_log, -math.log1p(-lo), -math.log1p(-hi), cfg)
     return _quad(lambda u: u ** a_exp * (1.0 - u) ** b_exp * f(u), lo, hi, cfg)
 
 
@@ -195,17 +213,6 @@ def quad_beta_kernel(f: Callable[[float], float], a_exp: float, b_exp: float,
         return _beta_piece_right(f, a_exp, b_exp, lo, hi, cfg)
     return (_beta_piece_left(f, a_exp, b_exp, lo, mid, cfg)
             + _beta_piece_right(f, a_exp, b_exp, mid, hi, cfg))
-
-
-def _beta_integral(alpha: float, beta: float, lo: float, hi: float,
-                   cfg: NumericConfig) -> float:
-    """Signed int_lo^hi t^alpha (1-t)^beta dt, endpoints possibly singular."""
-    if lo == hi:
-        return 0.0
-    sign = 1.0
-    if lo > hi:
-        lo, hi, sign = hi, lo, -1.0
-    return sign * quad_beta_kernel(lambda _u: 1.0, alpha, beta, cfg, lo, hi)
 
 
 # the fixed rules start at 16 nodes and give up with QuadratureError
@@ -243,10 +250,11 @@ def _newton_bisect(h: Callable[[np.ndarray], np.ndarray],
                    cfg: NumericConfig) -> np.ndarray:
     """Elementwise root of h with h(lo) <= 0 <= h(hi), for whole arrays.
 
-    Safeguarded Newton: a step that leaves the bracket, or a nonpositive
-    slope, is replaced by bisection, and every evaluation shrinks the
-    bracket on the sign of h.  Stops when no element moves by more than
-    root_tol.
+    Safeguarded Newton: a step that does not land strictly inside the
+    bracket (where h is down to rounding noise, steps onto its ends can
+    cycle between them) and is not zero, or a nonpositive slope, is
+    replaced by bisection, and every evaluation shrinks the bracket on
+    the sign of h.  Stops when no element moves by more than root_tol.
     """
     for _ in range(cfg.root_max_iter):
         hx = h(x)
@@ -255,7 +263,7 @@ def _newton_bisect(h: Callable[[np.ndarray], np.ndarray],
         slope = dh(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = x - hx / slope
-        newton = (slope > 0.0) & (xn >= lo) & (xn <= hi)
+        newton = (slope > 0.0) & (((xn > lo) & (xn < hi)) | (xn == x))
         xn = np.where(hx == 0.0, x, np.where(newton, xn, 0.5 * (lo + hi)))
         if np.all(np.abs(xn - x) <= cfg.root_tol):
             return xn
@@ -266,6 +274,9 @@ def _newton_bisect(h: Callable[[np.ndarray], np.ndarray],
 
 # ---------------------------------------------------------------------------
 # quantile density / quantile function / inversion
+#
+# big_q1 and f1_flagged take a float or an array; their branch kernels use
+# operators and ufuncs that accept both, so a float is never made a 0-d array.
 
 
 def support(p: MarginalParams, cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> SupportInfo:
@@ -293,92 +304,127 @@ def q1(p: MarginalParams, u: float) -> float:
     return p.c * u ** p.alpha * (1.0 - u) ** p.beta
 
 
-def big_q1(p: MarginalParams, u: float,
-           cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float:
-    """Quantile function Q(u), the anchored integral of the quantile density.
+def _per_element(fn: Callable[[float], float], x):
+    """fn on a float, or one element at a time on an array."""
+    if isinstance(x, float):
+        return fn(x)
+    return np.array([fn(float(v)) for v in x.ravel()]).reshape(x.shape)
 
-    Closed forms cover beta = 0, alpha = 0 (with the log limit at
-    beta = -1) and the incomplete-beta region alpha, beta > -1; all other
-    parameter corners fall back to adaptive quadrature with an
-    endpoint-flattening substitution.
+
+# the recurrence in _heavy_inc_beta loses about 4e-15/|beta+1| relative;
+# closer to beta = -1 than this, quadrature is the more accurate
+HEAVY_RIGHT_GAP = 1e-4
+
+
+def _heavy_inc_beta(a: float, b: float, v, tail):
+    """B_v(a, b) for a > 0, -1 < b < 0, given tail = (1-v)^b, by the
+    recurrence B_v(a,b) = [(a+b) B_v(a,b+1) - v^a (1-v)^b]/b."""
+    return (v ** a * tail
+            - (a + b) * complete_beta(a, b + 1.0) * betainc(a, b + 1.0, v)) / -b
+
+
+def _heavy_right_level(a: float, b: float, log_target, cfg: NumericConfig):
+    """w = -log(1-v) at which log B_v(a, b) = log_target, for -1 < b < 0.
+
+    In w the log quantile is nearly linear near v = 1.  The Newton solve
+    starts from the smaller of two upper bounds on the root, from
+    B_v(a, b) >= v^a / a (the small-v asymptote) and from
+    B_v(a, b) >= min(1, 2^(1-a)) ((1-v)^b - 2^-b) / -b.
     """
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"u must lie in [0, 1], got {u}")
-    c, alpha, beta = p.c, p.alpha, p.beta
+    def log_b(w):
+        return np.log(_heavy_inc_beta(a, b, -np.expm1(-w), np.exp(-b * w)))
 
+    def slope(w):
+        return (-np.expm1(-w)) ** (a - 1.0) * np.exp(-b * w - log_b(w))
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w_small = -np.log1p(-np.minimum(np.exp((log_target + math.log(a)) / a), 1.0))
+        w_large = np.log(2.0 ** -b - b * np.exp(log_target)
+                         / min(1.0, 2.0 ** (1.0 - a))) / -b
+        hi = np.minimum(w_small, w_large)
+        return _newton_bisect(lambda w: log_b(w) - log_target, slope,
+                              np.zeros_like(hi), hi, hi, cfg)
+
+
+def _quadrature_q(p: MarginalParams, u: float, cfg: NumericConfig) -> float:
+    """Q(u) by adaptive quadrature from the anchor, for 0 < u <= 1."""
+    anchor = 0.0 if p.alpha > -1.0 else 0.5
+    lo, hi, sign = (u, anchor, -1.0) if u < anchor else (anchor, u, 1.0)
+    return sign * p.c * quad_beta_kernel(lambda _u: 1.0, p.alpha, p.beta, cfg, lo, hi)
+
+
+def _q_top(p: MarginalParams, cfg: NumericConfig) -> float:
+    """Q(1), the upper end of the support."""
+    if p.beta <= -1.0:
+        return math.inf
+    if p.alpha > -1.0:
+        return p.c * complete_beta(p.alpha + 1.0, p.beta + 1.0)
+    return _quadrature_q(p, 1.0, cfg)
+
+
+def _big_q(p: MarginalParams, u, cfg: NumericConfig):
+    """The branch table of Q on 0 < u < 1."""
+    c, alpha, beta = p.c, p.alpha, p.beta
     if alpha > -1.0:
-        if u == 0.0:
-            return 0.0
         if beta == 0.0:
             return c * u ** (alpha + 1.0) / (alpha + 1.0)
         if alpha == 0.0:
+            log_s = np.log1p(-u)  # keeps 1 - (1-u)^(beta+1) accurate at small u
             if beta == -1.0:
-                return math.inf if u == 1.0 else -c * math.log1p(-u)
-            if u == 1.0:
-                return math.inf if beta < -1.0 else c / (beta + 1.0)
-            return c * (1.0 - (1.0 - u) ** (beta + 1.0)) / (beta + 1.0)
+                return -c * log_s
+            return -c * np.expm1((beta + 1.0) * log_s) / (beta + 1.0)
+        a = alpha + 1.0
         if beta > -1.0:
-            return c * inc_beta(u, alpha + 1.0, beta + 1.0)
-        if u == 1.0:
-            return math.inf
-        return c * _beta_integral(alpha, beta, 0.0, u, cfg)
-
-    # alpha <= -1: infinite left tail, anchored at the median
-    if u == 0.0:
-        return -math.inf
-    if u == 1.0:
-        if beta <= -1.0:
-            return math.inf
-        return c * _beta_integral(alpha, beta, 0.5, 1.0, cfg)
-    return c * _beta_integral(alpha, beta, 0.5, u, cfg)
+            return c * complete_beta(a, beta + 1.0) * betainc(a, beta + 1.0, u)
+        if -2.0 < beta < -1.0 - HEAVY_RIGHT_GAP:
+            return c * _heavy_inc_beta(a, beta + 1.0, u, (1.0 - u) ** (beta + 1.0))
+    # alpha <= -1, beta <= -2, or -1 - HEAVY_RIGHT_GAP <= beta <= -1 with alpha != 0
+    return _per_element(lambda v: _quadrature_q(p, v, cfg), u)
 
 
-def _f1_closed(p: MarginalParams, x: float) -> float | None:
-    """Closed-form inverse of Q where available, else None."""
-    c, alpha, beta = p.c, p.alpha, p.beta
-    if alpha > -1.0:
-        a1 = alpha + 1.0
-        if beta == 0.0:
-            return (a1 * x / c) ** (1.0 / a1)
-        if alpha == 0.0:
-            if beta == -1.0:
-                return -math.expm1(-x / c)
-            base = 1.0 - (beta + 1.0) * x / c
-            if base <= 0.0:
-                return 1.0
-            return 1.0 - base ** (1.0 / (beta + 1.0))
-        if beta > -1.0:
-            total = c * complete_beta(a1, beta + 1.0)
-            return inv_reg_inc_beta(min(max(x / total, 0.0), 1.0), a1, beta + 1.0)
-    return None
+def big_q1(p: MarginalParams, u: float | np.ndarray,
+           cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float | np.ndarray:
+    """Quantile function Q(u), the anchored integral of the quantile density.
 
-
-def f1_flagged(p: MarginalParams, x: float,
-               cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> tuple[float, bool]:
-    """Distribution function u = F(x) with an out-of-support clamp flag.
-
-    Inputs below (above) the support return 0 (1) with the flag set, so
-    goodness-of-fit routines degrade gracefully in the tails.
+    `u` may be a float or an array; the result has its shape.  Closed
+    forms cover beta = 0, alpha = 0 (with the log limit at beta = -1),
+    the incomplete-beta region alpha, beta > -1 and, through the
+    recurrence in b, alpha > -1 with -2 < beta < -1 - HEAVY_RIGHT_GAP.  The
+    remaining corners (alpha <= -1, beta <= -2, beta within HEAVY_RIGHT_GAP
+    below -1 with alpha != 0) fall back to adaptive quadrature with an
+    endpoint-flattening substitution, one element at a time.
     """
-    sup = support(p, cfg)
-    if x <= sup.lower:
-        return 0.0, x < sup.lower
-    if x >= sup.upper:
-        return 1.0, x > sup.upper
+    low = 0.0 if p.alpha > -1.0 else -math.inf
+    if isinstance(u, (float, int)):
+        if not 0.0 < u < 1.0:
+            if u == 0.0:
+                return low
+            if u != 1.0:
+                raise DomainError(f"u must lie in [0, 1], got {u}")
+            return _q_top(p, cfg)
+        return float(_big_q(p, u, cfg))
+    u = np.asarray(u, dtype=float)
+    if not np.all((u >= 0.0) & (u <= 1.0)):
+        raise DomainError("u must lie in [0, 1]")
+    out = np.where(u == 0.0, low, _q_top(p, cfg))
+    inside = (u > 0.0) & (u < 1.0)
+    out[inside] = _big_q(p, u[inside], cfg)
+    return out
 
-    u = _f1_closed(p, x)
-    if u is not None:
-        return min(max(u, 0.0), 1.0), False
 
-    # generic monotone inversion: bracket then Brent
+def _f1_search(p: MarginalParams, x: float, upper: float, cfg: NumericConfig) -> float:
+    """Invert Q at one x inside the support: bracket, then Brent.
+
+    Returns exactly 0 or 1 only when the bracket search gives up.
+    """
     lo = 0.0
     if p.alpha <= -1.0:
         lo = 0.5
         while big_q1(p, lo, cfg) > x:
             lo *= 0.5
             if lo < 1e-300:
-                return 0.0, True
-    if math.isfinite(sup.upper):
+                return 0.0
+    if math.isfinite(upper):
         hi = 1.0
     else:
         gap = 0.25
@@ -387,13 +433,65 @@ def f1_flagged(p: MarginalParams, x: float,
             gap *= 0.5
             hi = 1.0 - gap
             if gap < 1e-16:
-                return 1.0, True
-    u = _brentq(lambda v: big_q1(p, v, cfg) - x, lo, hi, cfg)
-    return u, False
+                return 1.0
+    return _brentq(lambda v: big_q1(p, v, cfg) - x, lo, hi, cfg)
 
 
-def f1(p: MarginalParams, x: float,
-       cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float:
+def _f1(p: MarginalParams, x, upper: float, cfg: NumericConfig):
+    """The branch table of F inside the support, with the clamp flag."""
+    c, alpha, beta = p.c, p.alpha, p.beta
+    if alpha > -1.0:
+        a = alpha + 1.0
+        # (beta + 1) x / c and friends as x / upper: below 1 whenever x < upper
+        if beta == 0.0:
+            return (x / upper) ** (1.0 / a), False
+        if alpha == 0.0:
+            if beta == -1.0:
+                return -np.expm1(-x / c), False
+            t = x / upper if beta > -1.0 else (beta + 1.0) * x / c
+            return -np.expm1(np.log1p(-t) / (beta + 1.0)), False
+        if beta > -1.0:
+            u = betaincinv(a, beta + 1.0, x / upper)
+            if alpha != beta:
+                return u, False
+            # betaincinv(a, a, p) is off by up to 1.4e-8 within ulps of p = 1/2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = (upper * betainc(a, a, u) - x) / (c * (u * (1.0 - u)) ** alpha)
+                return np.where(np.abs(step) < 0.5 * np.minimum(u, 1.0 - u), u - step, u), False
+        if -2.0 < beta < -1.0 - HEAVY_RIGHT_GAP:
+            return -np.expm1(-_heavy_right_level(a, beta + 1.0, np.log(x / c), cfg)), False
+    u = _per_element(lambda v: _f1_search(p, v, upper, cfg), x)
+    return u, (u == 0.0) | (u == 1.0)
+
+
+def f1_flagged(p: MarginalParams, x: float | np.ndarray,
+               cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG
+               ) -> tuple[float, bool] | tuple[np.ndarray, np.ndarray]:
+    """Distribution function u = F(x) with an out-of-support clamp flag.
+
+    Inputs below (above) the support return 0 (1) with the flag set, so
+    goodness-of-fit routines degrade gracefully in the tails.  `x` may be
+    a float or an array; for an array both results are arrays of its
+    shape.
+    """
+    sup = support(p, cfg)
+    if isinstance(x, (float, int)):
+        if x <= sup.lower:
+            return 0.0, x < sup.lower
+        if x >= sup.upper:
+            return 1.0, x > sup.upper
+        u, flag = _f1(p, float(x), sup.upper, cfg)
+        return float(u), bool(flag)
+    x = np.asarray(x, dtype=float)
+    u = np.where(x <= sup.lower, 0.0, 1.0)
+    flags = (x < sup.lower) | (x > sup.upper)
+    inside = (x > sup.lower) & (x < sup.upper)
+    u[inside], flags[inside] = _f1(p, x[inside], sup.upper, cfg)
+    return u, flags
+
+
+def f1(p: MarginalParams, x: float | np.ndarray,
+       cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float | np.ndarray:
     """Distribution function value F(x); out-of-support inputs clamp to 0/1."""
     return f1_flagged(p, x, cfg)[0]
 
@@ -418,76 +516,23 @@ def _brentq(f: Callable[[float], float], lo: float, hi: float,
 
 def u21(bp: BivariateParams, u1: float, u2: float | np.ndarray,
         cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float | np.ndarray:
-    """Solve Q2(v) = Q2(u2) / (1 + theta*u1) for v.
+    """Solve Q2(v) = Q2(u2) / (1 + theta*u1) for v, as F2(Q2(u2) / (1 + theta*u1)).
 
     This is the probability level of the second marginal reached by the
-    conditional quantile; v <= u2 with equality iff theta*u1 = 0.  `u2`
+    conditional quantile; v <= u2 with equality iff theta*u1 = 0 when
+    alpha2 > -1.  For median-anchored marginals (alpha2 <= -1) the
+    negative half scales toward the anchor, so v can exceed u2.  `u2`
     may be an array, and the result then has its shape.
     """
+    if not 0.0 <= u1 <= 1.0:
+        raise DomainError(f"u1 must lie in [0, 1], got {u1}")
+    g = 1.0 + bp.theta * u1
+    if g != 1.0:
+        return f1(bp.m2, big_q1(bp.m2, u2, cfg) / g, cfg)
     v = np.array(u2, dtype=float)
-    if not (0.0 <= u1 <= 1.0 and np.all((v >= 0.0) & (v <= 1.0))):
-        raise DomainError("u1 and u2 must lie in [0, 1]")
-    out = _u21(bp, 1.0 + bp.theta * u1, v, cfg)
-    return out if out.ndim else float(out)
-
-
-def _u21(bp: BivariateParams, g: float, u2: np.ndarray,
-         cfg: NumericConfig) -> np.ndarray:
-    """u21 at g = 1 + theta*u1 on a private copy of u2, which may be overwritten."""
-    if g == 1.0:
-        return u2
-    m2 = bp.m2
-    alpha, beta = m2.alpha, m2.beta
-    if alpha > -1.0 and beta == 0.0:
-        return u2 * g ** (-1.0 / (alpha + 1.0))
-    if alpha == 0.0:
-        with np.errstate(divide="ignore"):  # u2 = 1 gives the limit 1
-            if beta == -1.0:
-                return -np.expm1(np.log1p(-u2) / g)
-            inner = 1.0 - (1.0 - (1.0 - u2) ** (beta + 1.0)) / g
-            return np.where((u2 == 1.0) & (beta < -1.0), 1.0,
-                            1.0 - inner ** (1.0 / (beta + 1.0)))
-    if alpha > -1.0 and beta > -1.0:
-        a, b = alpha + 1.0, beta + 1.0
-        return betaincinv(a, b, betainc(a, b, u2) / g)
-    if alpha > -1.0 and -2.0 < beta < -1.0:
-        return _u21_heavy_right(alpha + 1.0, beta + 1.0, g, u2, cfg)
-    # no closed form: invert the quantile function per element.  For
-    # median-anchored marginals (alpha <= -1) the negative half scales
-    # toward the anchor, so the solution can exceed u2
-    for i, u in np.ndenumerate(u2):
-        if 0.0 < u < 1.0:
-            u2[i] = f1_flagged(m2, big_q1(m2, float(u), cfg) / g, cfg)[0]
-    return u2
-
-
-def _u21_heavy_right(a: float, b: float, g: float, u2: np.ndarray,
-                     cfg: NumericConfig) -> np.ndarray:
-    """u21 for alpha > -1 and -2 < beta < -1, where Q2 diverges at 1.
-
-    With a = alpha+1 and b = beta+1 in (-1, 0), the recurrence
-    B_v(a, b) = [(a+b) B_v(a, b+1) - v^a (1-v)^b] / b reduces Q2 to the
-    regular incomplete beta.  log Q2 is solved for w = -log(1-v), in
-    which it is nearly linear near v = 1.
-    """
-    nb = complete_beta(a, b + 1.0)
-
-    def log_q(w: np.ndarray) -> np.ndarray:  # log Q2(v) / (c2 B(a, b+1))
-        v = -np.expm1(-w)
-        return np.log((v ** a * np.exp(-b * w) / nb
-                       - (a + b) * betainc(a, b + 1.0, v)) / -b)
-
-    def slope(w: np.ndarray) -> np.ndarray:
-        v = -np.expm1(-w)
-        return v ** (a - 1.0) * np.exp(-b * w - log_q(w)) / nb
-
-    inside = (u2 > 0.0) & (u2 < 1.0)
-    w_top = -np.log1p(-u2[inside])
-    target = log_q(w_top) - math.log(g)
-    w = _newton_bisect(lambda w: log_q(w) - target, slope, np.zeros_like(w_top),
-                       w_top, w_top * g ** (-1.0 / a), cfg)
-    u2[inside] = -np.expm1(-w)
-    return u2
+    if not np.all((v >= 0.0) & (v <= 1.0)):
+        raise DomainError("u2 must lie in [0, 1]")
+    return v if v.ndim else float(v)
 
 
 def q2_bar_conditional(bp: BivariateParams, u1: float, x2: float,
@@ -533,9 +578,10 @@ def product_moment(bp: BivariateParams,
 
     The inner u2-integral reduces exactly, by the change of variable
     w = u21, to (1+theta*u1) * c2 * B_w*(alpha2+1, beta2+2) with
-    w* = I^-1(1/(1+theta*u1)); only a one-dimensional adaptive
-    integral remains.  Requires both marginals in the finite-mean region
-    with nonnegative support (alpha > -1, beta > -2).
+    w* = I^-1(1/(1+theta*u1)); the remaining one-dimensional integral
+    runs on a Gauss-Jacobi rule.
+    Requires both marginals in the finite-mean region with nonnegative
+    support (alpha > -1, beta > -2).
     """
     for label, m in (("m1", bp.m1), ("m2", bp.m2)):
         if m.alpha <= -1.0 or m.beta <= -2.0:
@@ -551,13 +597,25 @@ def product_moment(bp: BivariateParams,
         return _lambda1(m2) * (_lambda1(m1) + th * _lambda2(m1))
 
     a2, b2 = m2.alpha + 1.0, m2.beta + 1.0
-    norm2 = complete_beta(a2, b2 + 1.0)
+    scale2 = m2.c * complete_beta(a2, b2 + 1.0)
+    # where w* underflows (alpha2 near -1), g I_w*(a2, b2+1) has reached
+    # its limit B(a2, b2) / B(a2, b2+1), since w*^a2 -> a2 B(a2, b2) / g
+    limit = m2.c * complete_beta(a2, b2)
+    # u1 = s^k: the integrand has a (theta*u1)^(1 + 1/b2) kink at u1 = 0
+    # and changes on the scale u1 ~ 1/theta; k = max(3, log10 theta)
+    # smooths the kink and moves that scale to s >= 0.1, where the nodes
+    # resolve it
+    k = max(3.0, math.log10(th))
+    e = m1.beta + 1.0
 
-    def inner(u: float) -> float:
+    def inner(s: np.ndarray) -> np.ndarray:
+        u = s ** k
         g = 1.0 + th * u
-        w = inv_reg_inc_beta(1.0 / g, a2, b2)
-        return m2.c * g * norm2 * reg_inc_beta(w, a2, b2 + 1.0)
+        w = betaincinv(a2, b2, 1.0 / g)
+        second = np.where(w > 1e-300, scale2 * g * betainc(a2, b2 + 1.0, w), limit)
+        # (1 - u1)^e = (1-s)^e ((1 - s^k)/(1-s))^e, the ratio k at s = 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(s < 1.0, (1.0 - u) / (1.0 - s), k)
+        return k * m1.c * second * ratio ** e
 
-    val = quad_beta_kernel(lambda u: m1.c * inner(u),
-                           m1.alpha, m1.beta + 1.0, cfg)
-    return val
+    return float(_fixed_rule(inner, k * (m1.alpha + 1.0) - 1.0, e, cfg))

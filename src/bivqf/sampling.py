@@ -26,21 +26,13 @@ the two constructions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import PairedSample
 from .errors import ConvergenceError, DomainError
-from .model import (
-    BivariateParams,
-    DEFAULT_NUMERIC_CONFIG,
-    MarginalParams,
-    NumericConfig,
-    big_q1,
-    q1,
-)
+from .model import BivariateParams, DEFAULT_NUMERIC_CONFIG, NumericConfig, big_q1
 
 __all__ = ["SamplerSpec", "draw"]
 
@@ -63,28 +55,15 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _quantile_vec(p: MarginalParams, u: np.ndarray,
-                  cfg: NumericConfig) -> np.ndarray:
-    """Q(u) over an array, vectorized for the closed-form branches."""
-    c, alpha, beta = p.c, p.alpha, p.beta
-    if alpha > -1.0 and beta == 0.0:
-        return c * u ** (alpha + 1.0) / (alpha + 1.0)
-    if alpha == 0.0:
-        if beta == -1.0:
-            return -c * np.log1p(-u)
-        return c * (1.0 - (1.0 - u) ** (beta + 1.0)) / (beta + 1.0)
-    return np.array([big_q1(p, float(v), cfg) for v in u])
-
-
 def draw(bp: BivariateParams, spec: SamplerSpec,
          cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> PairedSample:
     """Generate a paired sample; identical specs reproduce bit-for-bit."""
     rng = _rng(spec.seed)
     u1 = rng.random(spec.n)
-    x1 = _quantile_vec(bp.m1, u1, cfg)
+    x1 = big_q1(bp.m1, u1, cfg)
     if spec.method == "transform":
         u2 = rng.random(spec.n)
-        x2 = (1.0 + bp.theta * u1) * _quantile_vec(bp.m2, u2, cfg)
+        x2 = (1.0 + bp.theta * u1) * big_q1(bp.m2, u2, cfg)
     else:
         v = rng.random(spec.n)
         x2 = _exact_conditional(bp, u1, v, cfg)
@@ -102,71 +81,33 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     g = 1.0 + th * u1
     k = (1.0 - u1) * th / g
     if th == 0.0:
-        return _quantile_vec(m2, v, cfg)
+        return big_q1(m2, v, cfg)
 
     if m2.beta == 0.0:
         # Q2/q2 = w/(alpha2+1): S is linear in w, closed-form inversion
         w = (1.0 - v) / (1.0 + k / (m2.alpha + 1.0))
-        return g * _quantile_vec(m2, w, cfg)
+        return g * big_q1(m2, w, cfg)
 
-    if m2.alpha == 0.0 and m2.beta == -1.0:
-        # y (1 + k ln y) = v with y = 1 - w, first crossing from y = 1 down
-        y = _solve_exponential_envelope(k, v)
-        return g * (-m2.c * np.log(y))
+    def surv(w: np.ndarray, k: np.ndarray) -> np.ndarray:  # (1 - w) - k Q2(w)/q2(w)
+        q2 = m2.c * w ** m2.alpha * (1.0 - w) ** m2.beta
+        return (1.0 - w) - k * big_q1(m2, w, cfg) / q2
 
-    out = np.empty(u1.size)
-    for i in range(u1.size):
-        w = _exact_scalar(m2, float(k[i]), float(v[i]), cfg)
-        out[i] = g[i] * big_q1(m2, w, cfg)
-    return out
-
-
-def _solve_exponential_envelope(k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized first-crossing solve of y (1 + k ln y) = v on (y0, 1]."""
-    # S is increasing in y above y* = exp(-(1+k)/k); bisect on [y*, 1]
-    lo = np.exp(-(1.0 + k) / np.maximum(k, 1e-300))
-    lo = np.where(k > 0.0, lo, 0.0)
-    hi = np.ones_like(v)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        s = mid * (1.0 + k * np.log(mid))
-        above = s > v
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if np.max(hi - lo) < 1e-15:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _exact_scalar(m2: MarginalParams, k: float, v: float,
-                  cfg: NumericConfig) -> float:
-    """First crossing of S(w) = v for one draw, general marginal."""
-
-    def surv(w: float) -> float:
-        ratio = big_q1(m2, w, cfg) / q1(m2, w)
-        return (1.0 - w) - k * ratio
-
-    lo = 0.0
-    m = 64
-    for j in range(1, m + 1):
-        w = j / (m + 1.0)
-        if surv(w) <= v:
-            return _bisect_scalar(surv, lo, w, v)
-        lo = w
-    # remaining crossing sits in the last cell near w = 1
-    hi = 1.0 - 1e-12
-    if surv(hi) > v:
+    # the first of 64 scan cells whose right end has S <= v holds the first
+    # crossing; the grid's Q2/q2 ratios are shared by all draws
+    grid = np.arange(1, 65) / 65.0
+    crossed = surv(grid, k[:, None]) <= v[:, None]
+    cell = np.argmax(crossed, axis=1)
+    found = crossed[np.arange(v.size), cell]
+    lo = np.where(found, np.concatenate(([0.0], grid))[cell], grid[-1])
+    # remaining crossings sit in the last cell near w = 1
+    hi = np.where(found, grid[cell], 1.0 - 1e-12)
+    if np.any(surv(hi, k) > v):
         raise ConvergenceError("conditional survival failed to cross the draw level")
-    return _bisect_scalar(surv, lo, hi, v)
-
-
-def _bisect_scalar(fn, lo: float, hi: float, v: float) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if fn(mid) > v:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
+        above = surv(mid, k) > v
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+        if np.max(hi - lo) < 1e-14:
             break
-    return 0.5 * (lo + hi)
+    return g * big_q1(m2, 0.5 * (lo + hi), cfg)

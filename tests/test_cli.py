@@ -86,6 +86,10 @@ def assert_one_line_usage_error(code, out, err, *fragments):
         assert f in err
 
 
+def no_work(*_args, **_kw):
+    raise AssertionError("work ran before the usage error was reported")
+
+
 class TestUsageErrors:
     def test_non_numeric_params(self, capsys):
         res = run(["comoments", "--data", "cable", "--params", "a,b,1,1,0,0,0.5"],
@@ -101,6 +105,28 @@ class TestUsageErrors:
         res = run(["sample", "--params", "1,0,0,1,0,0,0.5", "--n", "3",
                    "--seed", "-1"], capsys)
         assert_one_line_usage_error(*res, "--seed")
+
+    def test_zero_sample_size(self, capsys, monkeypatch):
+        import bivqf.cli as cli
+
+        monkeypatch.setattr(cli, "draw", no_work)
+        res = run(["sample", "--params", "1,0,0,1,0,0,0.5", "--n", "0",
+                   "--seed", "1"], capsys)
+        assert_one_line_usage_error(*res, "--n", "0")
+
+    def test_params_with_wrong_count(self, capsys, monkeypatch):
+        import bivqf.cli as cli
+
+        monkeypatch.setattr(cli, "population_lcomoments", no_work)
+        res = run(["comoments", "--data", "cable", "--params", "1,0,0,1,0,0"], capsys)
+        assert_one_line_usage_error(*res, "--params", "7 values", "got 6")
+
+    def test_negative_quadrature_tolerance(self, capsys, monkeypatch):
+        import bivqf.cli as cli
+
+        monkeypatch.setattr(cli, "fit_bivariate", no_work)
+        res = run(["fit", "--data", "cable", "--quad-tol", "-1"], capsys)
+        assert_one_line_usage_error(*res, "--quad-tol", "-1")
 
     def test_out_in_missing_directory_fails_before_work(self, capsys, tmp_path,
                                                          monkeypatch):

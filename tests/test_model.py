@@ -1,14 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 from scipy.optimize import brentq
+from scipy.special import betainc, betaincinv
 
 from bivqf.errors import BracketError, DivergentMomentError, DomainError
 from bivqf.model import (
     BivariateParams,
     MarginalParams,
+    HEAVY_RIGHT_GAP,
     NumericConfig,
     big_q1,
     f1,
@@ -16,10 +19,12 @@ from bivqf.model import (
     joint_survival,
     product_moment,
     q1,
+    quad_beta_kernel,
     q2_bar_conditional,
     support,
     u21,
 )
+from bivqf.specfun import complete_beta
 
 EXP1 = MarginalParams(1.0, 0.0, -1.0)
 UNIF = MarginalParams(1.0, 0.0, 0.0)
@@ -98,6 +103,122 @@ class TestQuantileFunction:
     def test_domain(self):
         with pytest.raises(DomainError):
             big_q1(UNIF, 1.2)
+
+
+def mpmath_quantile(p: MarginalParams, u: float) -> float:
+    """c B_u(alpha+1, beta+1) at the exact binary value of u, continued in b."""
+    with mpmath.workdps(40):
+        return float(p.c * mpmath.betainc(p.alpha + 1.0, p.beta + 1.0, 0, mpmath.mpf(u)))
+
+
+class TestHeavyRightTail:
+    """alpha > -1, -2 < beta < -1: Q diverges at 1 and has a closed form."""
+
+    U_TOP = 1.0 - 1e-9
+
+    @pytest.mark.parametrize("c, alpha, beta, true", [
+        (0.8, -0.6, -1.4, 7962.14),
+        (9.08, -0.48, -1.05, 342.248),
+        (9.08, -0.48, -1.001, 201.857),
+    ])
+    def test_near_one_against_mpmath(self, c, alpha, beta, true):
+        # these were 1.35e-6, -169.57 and -9068 by quadrature
+        p = MarginalParams(c, alpha, beta)
+        ref = mpmath_quantile(p, self.U_TOP)
+        assert math.isclose(ref, true, rel_tol=1e-5)
+        # the recurrence cancels as 1/|beta+1|
+        tol = 1e-14 / abs(beta + 1.0)
+        assert math.isclose(big_q1(p, self.U_TOP), ref, rel_tol=tol)
+        arr = big_q1(p, np.array([0.5, self.U_TOP]))
+        assert math.isclose(arr[1], ref, rel_tol=tol)
+
+    @pytest.mark.parametrize("beta", [-1.9, -1.5, -1.1, -1.01, -1.001, -1.0002])
+    def test_grid_toward_log_tail(self, beta):
+        # B_u(a,b) = [u^a (1-u)^b - (a+b) B_u(a,b+1)] / -b loses about
+        # 4e-15/|beta+1| relative to cancellation as beta -> -1-, hence
+        # the tolerance; closer than HEAVY_RIGHT_GAP quadrature takes over
+        tol = 1e-14 / abs(beta + 1.0)
+        for alpha in (-0.9, 0.3, 2.5):
+            p = MarginalParams(1.0, alpha, beta)
+            us = [1e-10, 1e-4, 0.3, 0.9, 1.0 - 1e-6, self.U_TOP]
+            arr = big_q1(p, np.array(us))
+            for u, a in zip(us, arr):
+                ref = mpmath_quantile(p, u)
+                assert math.isclose(big_q1(p, u), ref, rel_tol=tol), (alpha, u)
+                assert math.isclose(a, ref, rel_tol=tol), (alpha, u)
+
+    @pytest.mark.parametrize("beta", [-1.0, -1.0 - 1e-6, -1.0 - HEAVY_RIGHT_GAP / 2])
+    def test_quadrature_next_to_log_tail(self, beta):
+        # within HEAVY_RIGHT_GAP of -1 the log-substituted quadrature runs
+        # to its own relative tolerance, also next to u = 1
+        for alpha in (-0.5, 0.3):
+            p = MarginalParams(1.0, alpha, beta)
+            for u in (0.05, 0.5, 0.99, self.U_TOP, 1.0 - 2.0 ** -52):
+                ref = mpmath_quantile(p, u)
+                assert math.isclose(big_q1(p, u), ref, rel_tol=1e-8), (alpha, u)
+
+    @pytest.mark.parametrize("p", [MarginalParams(0.8, -0.6, -1.4),
+                                   MarginalParams(9.08, -0.48, -1.05),
+                                   MarginalParams(1.0, 0.7, -1.3),
+                                   MarginalParams(2.0, 2.5, -1.9)])
+    def test_round_trip_down_to_small_u(self, p):
+        us = np.array([1e-10, 1e-7, 1e-3, 0.2, 0.5, 0.8, 0.999, 1.0 - 1e-9])
+        back = f1(p, big_q1(p, us))
+        # relative in u below 1/2 and in 1-u above
+        scale = np.minimum(us, 1.0 - us)
+        np.testing.assert_array_less(np.abs(back - us) / scale, 1e-10)
+        for u, b in zip(us, back):
+            assert math.isclose(f1(p, big_q1(p, float(u))), b, rel_tol=1e-13)
+
+
+# one marginal per branch of big_q1 / f1_flagged
+BRANCHES = {
+    "power": MarginalParams(1.5, -0.5, 0.0),
+    "exponential": EXP1,
+    "alpha0-bounded": MarginalParams(2.0, 0.0, 0.5),
+    "alpha0-pareto": MarginalParams(1.0, 0.0, -1.5),
+    "incomplete-beta": CABLE2,
+    "heavy-right": MarginalParams(0.8, -0.6, -1.4),
+    "fallback-log-tail": MarginalParams(1.0, 0.3, -1.0),
+    "fallback-loglogistic": LOGLOG,
+    "fallback-median-anchored": T2,
+}
+
+
+class TestArrayMatchesScalar:
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    def test_big_q1(self, branch):
+        p = BRANCHES[branch]
+        u = np.array([0.0, 1e-9, 0.05, 0.3, 0.5, 0.77, 0.99, 1.0])
+        arr = big_q1(p, u)
+        assert arr.shape == u.shape
+        scalar = [big_q1(p, float(v)) for v in u]
+        assert all(type(v) is float for v in scalar)
+        # the same formula; vector and scalar pow may differ by an ulp
+        np.testing.assert_allclose(arr, scalar, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(big_q1(p, u.reshape(2, 4)), arr.reshape(2, 4),
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    def test_f1_flagged(self, branch):
+        p = BRANCHES[branch]
+        sup = support(p)
+        inside = big_q1(p, np.array([1e-9, 0.05, 0.3, 0.5, 0.77, 0.99]))
+        x = np.concatenate([inside, [sup.lower, sup.upper]])
+        if p.alpha > -1.0:
+            x = np.append(x, -1.0)  # below the support
+        if math.isfinite(sup.upper):
+            x = np.append(x, 2.0 * sup.upper)  # above it
+        u, flags = f1_flagged(p, x)
+        assert u.shape == flags.shape == x.shape
+        for xv, uv, fv in zip(x, u, flags):
+            su, sf = f1_flagged(p, float(xv))
+            assert type(su) is float and type(sf) is bool
+            assert math.isclose(uv, su, rel_tol=1e-13, abs_tol=1e-300), xv
+            assert fv == sf, xv
+        assert list(flags) == [x < sup.lower or x > sup.upper for x in x]
+        np.testing.assert_allclose(u[:6], [1e-9, 0.05, 0.3, 0.5, 0.77, 0.99],
+                                   rtol=1e-8, atol=1e-12)
 
 
 class TestSupport:
@@ -326,6 +447,41 @@ class TestProductMoment:
                    BivariateParams(MarginalParams(2.0, 0.5, 1.0),
                                    MarginalParams(1.0, -0.34, -0.35), 0.68)):
             assert math.isclose(product_moment(bp), oracle(bp), rel_tol=5e-6)
+
+    @pytest.mark.parametrize("m1, m2", [
+        (CABLE1, CABLE2),
+        (COMP1, MarginalParams(5.9257, 0.3555, -0.6695)),
+        (MarginalParams(9.08, -0.48, -1.05), CABLE2),  # beta1 < -1
+        # beta2 near -1: I^-1(1/g) rounds to 1 for moderate g
+        (COMP1, MarginalParams(5.9257, 0.3555, -0.99)),
+        # alpha1 near -1 with a large second shape: the inner integrand's
+        # (theta u1)^(1 + 1/b2) kink at u1 = 0 needs the u1 = s^k map
+        (MarginalParams(1.0, -0.95, 1.9), MarginalParams(1.0, 2.9, 1.9)),
+    ])
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 10.0, 1e5])
+    def test_fixed_rule_matches_adaptive(self, m1, m2, theta):
+        a2, b2 = m2.alpha + 1.0, m2.beta + 1.0
+        scale2 = m2.c * complete_beta(a2, b2 + 1.0)
+
+        def inner(u):
+            g = 1.0 + theta * u
+            return m1.c * scale2 * g * betainc(a2, b2 + 1.0, betaincinv(a2, b2, 1.0 / g))
+
+        tight = NumericConfig(quad_abs_tol=1e-13, quad_rel_tol=1e-12)
+        ref = quad_beta_kernel(inner, m1.alpha, m1.beta + 1.0, tight)
+        assert math.isclose(product_moment(BivariateParams(m1, m2, theta)), ref,
+                            rel_tol=1e-8)
+
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 10.0, 1e5])
+    def test_alpha2_near_minus_one_sits_at_the_cap(self, theta):
+        # I^-1(1/g) underflows once g > 1 + 1e-6 or so; by then
+        # g I_w(a2, b2+1) has reached B(a2, b2) / B(a2, b2+1), so E(X1 X2)
+        # equals its theta -> inf limit l1(X1) c2 B(a2, b2)
+        from bivqf.lmom import population_lmoments
+        m2 = MarginalParams(1.0, -0.999999, 0.5)
+        cap = population_lmoments(COMP1).l1 * m2.c * complete_beta(1e-6, 1.5)
+        assert math.isclose(product_moment(BivariateParams(COMP1, m2, theta)), cap,
+                            rel_tol=1e-10)
 
     def test_monotone_in_theta(self):
         bp0 = BivariateParams(UNIF, UNIF, 0.0)

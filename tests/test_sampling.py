@@ -5,8 +5,8 @@ import pytest
 
 from bivqf.catalog import make_case
 from bivqf.data import PairedSample
-from bivqf.errors import DomainError
-from bivqf.model import BivariateParams, MarginalParams, big_q1, joint_survival
+from bivqf.errors import ConvergenceError, DomainError
+from bivqf.model import BivariateParams, MarginalParams, big_q1, joint_survival, q1
 from bivqf.sampling import SamplerSpec, draw
 
 EXP_BP = BivariateParams(MarginalParams(1.0, 0.0, -1.0),
@@ -80,7 +80,55 @@ class TestMarginals:
         assert d > 3.0 * crit
 
 
+def exact_scalar(m2: MarginalParams, k: float, v: float) -> float:
+    """First crossing of S(w) = v for one draw: scan 64 cells, then bisect."""
+
+    def surv(w: float) -> float:
+        return (1.0 - w) - k * big_q1(m2, w) / q1(m2, w)
+
+    def bisect(lo: float, hi: float) -> float:
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if surv(mid) > v:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-14:
+                break
+        return 0.5 * (lo + hi)
+
+    lo = 0.0
+    for j in range(1, 65):
+        w = j / 65.0
+        if surv(w) <= v:
+            return bisect(lo, w)
+        lo = w
+    hi = 1.0 - 1e-12
+    if surv(hi) > v:
+        raise ConvergenceError("conditional survival failed to cross the draw level")
+    return bisect(lo, hi)
+
+
 class TestExactSampler:
+    @pytest.mark.parametrize("bp", [
+        BivariateParams(MarginalParams(9.0819, -0.4864, -0.9946),
+                        MarginalParams(29.2295, -0.3406, -0.3531), 0.6821),
+        BivariateParams(MarginalParams(13.0499, 0.8856, -0.1844),
+                        MarginalParams(5.9257, 0.3555, -0.6695), 0.5492),
+        BivariateParams(MarginalParams(2.0, 0.0, -1.0),
+                        MarginalParams(1.0, 0.0, -1.0), 0.5),
+    ], ids=["cable", "components", "exponential"])
+    def test_matches_scan_and_bisect_oracle(self, bp):
+        n = 300
+        s = draw(bp, SamplerSpec(seed=23, n=n, method="exact"))
+        rng = np.random.Generator(np.random.Philox(key=23))  # the sampler's stream
+        u1, v = rng.random(n), rng.random(n)
+        for a, b, x2 in zip(u1, v, s.x2):
+            g = 1.0 + bp.theta * a
+            w = exact_scalar(bp.m2, (1.0 - a) * bp.theta / g, b)
+            assert math.isclose(x2, g * big_q1(bp.m2, w), rel_tol=1e-12), (a, b)
+
+
     def test_joint_survival_grid(self):
         # power case with a small second shape: the clamped region is
         # negligible and the empirical joint survival must match the
