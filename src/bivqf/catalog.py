@@ -1,19 +1,25 @@
 """Named special cases of the bivariate family.
 
-Each entry maps natural parameters (rates, shapes, scales) to the
-(c, alpha, beta, theta) parameterization and, where tractable, attaches
-closed-form marginal distribution / survival functions and the joint
-survival, which double as oracles against the generic numeric machinery.
+Each case is one row of `_CASES`: the stems of its natural parameters
+(rates, shapes, scales; component i adds the suffix i, so the stems
+("a", "b") stand for a1, b1, a2, b2), the map from one component's
+natural parameters to (c, alpha, beta) and, where tractable, the closed
+marginal distribution function in the same parameters.  The closed forms
+double as oracles against the generic numeric machinery.
 
-The Pareto I marginals carry a location offset sigma_i (their support
-starts at sigma_i, not 0); the offset scales with (1 + theta*u1) in the
-conditional, consistent with multiplying the whole quantile function.
+The conditional quantile of X2 is g Q2 with g = 1 + theta*u1, so its
+closed survival is 1 - F2(x2 / g), and the joint survival is the product
+S1(x1) * (1 - F2(x2 / g)).  The Pareto I marginals carry a location
+offset sigma_i (their support starts at sigma_i, not 0); the offset
+scales with g in the conditional, consistent with multiplying the whole
+quantile function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import DomainError, UnsupportedCaseError
 from .model import (
@@ -30,10 +36,84 @@ __all__ = ["CatalogEntry", "CATALOG_NAMES", "make_case",
            "closed_conditional_survival", "closed_joint_survival",
            "generic_marginal_cdf", "generic_joint_survival"]
 
-CATALOG_NAMES = (
-    "complementary-beta", "power", "uniform", "exponential", "rescaled-beta",
-    "pareto2", "pareto1", "loglogistic", "govindarajulu", "sine", "scaled-t2",
-)
+
+@dataclass(frozen=True)
+class _Case:
+    """One catalog case; `marginal` and `cdf` take one component's parameters."""
+
+    stems: tuple[str, ...]
+    marginal: Callable[..., tuple[float, float, float]]  # -> (c, alpha, beta)
+    cdf: Callable[..., float] | None  # cdf(x, *natural), or None if not closed
+    joint: bool = True  # closed conditional and joint survival exist
+    loc: str | None = None  # stem of the location offset
+    fixed: dict = field(default_factory=dict)  # stems pinned to a value
+    low: dict = field(default_factory=dict)  # lower bounds other than 0
+    notes: tuple[str, ...] = ()
+
+
+def _beta_cdf(x: float, c: float, alpha: float, beta: float) -> float:
+    # Q(u) = c B_u(alpha+1, beta+1), so F(x) = I^-1(x / (c B(alpha+1, beta+1)))
+    a, b = alpha + 1.0, beta + 1.0
+    return inv_reg_inc_beta(min(max(x / (c * complete_beta(a, b)), 0.0), 1.0), a, b)
+
+
+def _power(a: float, b: float) -> tuple[float, float, float]:
+    return b / a, 1.0 / a - 1.0, 0.0
+
+
+def _power_cdf(x: float, a: float, b: float) -> float:
+    return min((x / b) ** a, 1.0) if x > 0.0 else 0.0
+
+
+_CASES: dict[str, _Case] = {
+    # q(u) = c u^alpha (1-u)^beta itself, alpha, beta > -1
+    "complementary-beta": _Case(
+        ("c", "alpha", "beta"), lambda c, alpha, beta: (c, alpha, beta),
+        _beta_cdf, low={"alpha": -1.0, "beta": -1.0}),
+    # F(x) = (x/b)^a
+    "power": _Case(("a", "b"), _power, _power_cdf),
+    # F(x) = x/b: a pinned to 1
+    "uniform": _Case(("a", "b"), _power, _power_cdf, fixed={"a": 1.0}),
+    # S(x) = exp(-x/c)
+    "exponential": _Case(
+        ("c",), lambda c: (c, 0.0, -1.0),
+        lambda x, c: -math.expm1(-x / c) if x > 0.0 else 0.0),
+    # S(x) = (1 - x/b)^a on (0, b)
+    "rescaled-beta": _Case(
+        ("a", "b"), lambda a, b: (b / a, 0.0, 1.0 / a - 1.0),
+        lambda x, a, b: (0.0 if x <= 0.0 else 1.0 if x >= b
+                         else 1.0 - (1.0 - x / b) ** a)),
+    # S(x) = (1 + x/b)^-d; Q(u) = b ((1-u)^(-1/d) - 1) has q = (b/d) (1-u)^(-1/d-1)
+    "pareto2": _Case(
+        ("d", "b"), lambda d, b: (b / d, 0.0, -1.0 - 1.0 / d),
+        lambda x, d, b: 1.0 - (1.0 + x / b) ** (-d) if x > 0.0 else 0.0),
+    # S(x) = (x/sigma)^-a for x > sigma
+    "pareto1": _Case(
+        ("sigma", "a"), lambda sigma, a: (sigma / a, 0.0, -1.0 - 1.0 / a),
+        lambda x, sigma, a: 1.0 - (x / sigma) ** (-a) if x > sigma else 0.0,
+        loc="sigma"),
+    # S(x) = 1 / (1 + (x/b)^(1/a))
+    "loglogistic": _Case(
+        ("a", "b"), lambda a, b: (a * b, a - 1.0, -(a + 1.0)),
+        lambda x, a, b: 1.0 - 1.0 / (1.0 + (x / b) ** (1.0 / a)) if x > 0.0 else 0.0),
+    # Q(u) = sigma ((b+1) u^b - b u^(b+1))
+    "govindarajulu": _Case(
+        ("sigma", "b"), lambda sigma, b: (sigma * b * (b + 1.0), b - 1.0, 1.0), None,
+        joint=False, notes=("no closed distribution function",)),
+    # f(x) = (pi/2s) sin(pi x / s) on (0, s)
+    "sine": _Case(
+        ("scale",), lambda s: (s / math.pi, -0.5, -0.5),
+        lambda x, s: (0.0 if x <= 0.0 else 1.0 if x >= s
+                      else 0.5 * (1.0 - math.cos(math.pi * x / s))),
+        joint=False, notes=("marginal-only entry",)),
+    # heavy-tailed, support the whole line
+    "scaled-t2": _Case(
+        ("c",), lambda c: (c, -1.5, -1.5),
+        lambda x, c: 0.5 * (1.0 + x / math.sqrt(16.0 * c * c + x * x)),
+        joint=False, notes=("marginal-only entry", "support is the whole line")),
+}
+
+CATALOG_NAMES = tuple(_CASES)
 
 
 @dataclass(frozen=True)
@@ -42,188 +122,64 @@ class CatalogEntry:
     natural: dict
     params: BivariateParams
     loc: tuple[float, float] = (0.0, 0.0)
-    has_marginal_cdf: bool = True
-    has_conditional_survival: bool = True
-    has_joint_survival: bool = True
-    notes: tuple[str, ...] = field(default=())
 
+    @property
+    def notes(self) -> tuple[str, ...]:
+        return _CASES[self.name].notes
 
-def _pos(natural: dict, *names: str) -> None:
-    for n in names:
-        v = natural[n]
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-            raise DomainError(f"parameter {n} must be a positive real, got {v!r}")
+    @property
+    def has_marginal_cdf(self) -> bool:
+        return _CASES[self.name].cdf is not None
 
+    @property
+    def has_conditional_survival(self) -> bool:
+        return _CASES[self.name].joint
 
-def _theta(natural: dict) -> float:
-    th = float(natural.get("theta", 0.0))
-    if not (math.isfinite(th) and th >= 0.0):
-        raise DomainError(f"theta must be >= 0, got {th}")
-    return th
+    @property
+    def has_joint_survival(self) -> bool:
+        return _CASES[self.name].joint
 
 
 def make_case(name: str, **natural: float) -> CatalogEntry:
-    """Build a catalog entry from natural parameters.
+    """Build a catalog entry from natural parameters and theta (default 0).
 
-    Parameter conventions per case:
-
-    - complementary-beta: c1, alpha1, beta1, c2, alpha2, beta2 (alpha, beta > -1)
-    - power:        a1, b1, a2, b2         F_i(x) = (x/b_i)^a_i
-    - uniform:      b1, b2                 power with a_i = 1
-    - exponential:  c1, c2                 S_i(x) = exp(-x/c_i)
-    - rescaled-beta: a1, b1, a2, b2        S_i(x) = (1 - x/b_i)^a_i
-    - pareto2:      d1, b1, d2, b2         S_i(x) = (1 + x/b_i)^-d_i
-    - pareto1:      sigma1, a1, sigma2, a2 S_i(x) = (x/sigma_i)^-a_i, x > sigma_i
-    - loglogistic:  a1, b1, a2, b2         S_i(x) = (1 + (x/b_i)^(1/a_i))^-1
-    - govindarajulu: sigma1, b1, sigma2, b2 (no closed distribution function)
-    - sine:         scale1, scale2         f_i(x) = (pi/2s) sin(pi x / s)
-    - scaled-t2:    c1, c2                 heavy-tailed, support the whole line
-
-    All cases accept theta (default 0).
+    The parameters of a case are the stems of its `_CASES` row with the
+    component suffix 1 or 2, for example c1, c2 for stems ("c",); each must
+    be a finite real above 0, or above the row's `low` bound.
+    The entry's `natural` holds them in that order, then theta.
     """
-    th = _theta(natural)
-
-    def bp(m1: MarginalParams, m2: MarginalParams) -> BivariateParams:
-        return BivariateParams(m1, m2, th)
-
-    if name == "complementary-beta":
-        _pos(natural, "c1", "c2")
-        for k in ("alpha1", "beta1", "alpha2", "beta2"):
-            if not natural[k] > -1.0:
-                raise DomainError(f"{k} must exceed -1 for the complementary-beta case")
-        m1 = MarginalParams(natural["c1"], natural["alpha1"], natural["beta1"])
-        m2 = MarginalParams(natural["c2"], natural["alpha2"], natural["beta2"])
-        return CatalogEntry(name, dict(natural), bp(m1, m2))
-
-    if name in ("power", "uniform"):
-        if name == "uniform":
-            natural = {"a1": 1.0, "b1": natural["b1"], "a2": 1.0,
-                       "b2": natural["b2"], "theta": th}
-        _pos(natural, "a1", "b1", "a2", "b2")
-        ms = [MarginalParams(natural[f"b{i}"] / natural[f"a{i}"],
-                             1.0 / natural[f"a{i}"] - 1.0, 0.0) for i in (1, 2)]
-        return CatalogEntry(name, dict(natural), bp(*ms))
-
-    if name == "exponential":
-        _pos(natural, "c1", "c2")
-        ms = [MarginalParams(natural[f"c{i}"], 0.0, -1.0) for i in (1, 2)]
-        return CatalogEntry(name, dict(natural), bp(*ms))
-
-    if name == "rescaled-beta":
-        _pos(natural, "a1", "b1", "a2", "b2")
-        ms = [MarginalParams(natural[f"b{i}"] / natural[f"a{i}"], 0.0,
-                             1.0 / natural[f"a{i}"] - 1.0) for i in (1, 2)]
-        return CatalogEntry(name, dict(natural), bp(*ms))
-
-    if name == "pareto2":
-        # Q(u) = b ((1-u)^(-1/d) - 1) differentiates to q = (b/d) (1-u)^(-1/d-1)
-        _pos(natural, "d1", "b1", "d2", "b2")
-        ms = [MarginalParams(natural[f"b{i}"] / natural[f"d{i}"], 0.0,
-                             -1.0 - 1.0 / natural[f"d{i}"]) for i in (1, 2)]
-        return CatalogEntry(name, dict(natural), bp(*ms))
-
-    if name == "pareto1":
-        _pos(natural, "sigma1", "a1", "sigma2", "a2")
-        ms = [MarginalParams(natural[f"sigma{i}"] / natural[f"a{i}"], 0.0,
-                             -1.0 - 1.0 / natural[f"a{i}"]) for i in (1, 2)]
-        return CatalogEntry(name, dict(natural), bp(*ms),
-                            loc=(natural["sigma1"], natural["sigma2"]))
-
-    if name == "loglogistic":
-        _pos(natural, "a1", "b1", "a2", "b2")
-        ms = [MarginalParams(natural[f"a{i}"] * natural[f"b{i}"],
-                             natural[f"a{i}"] - 1.0,
-                             -(natural[f"a{i}"] + 1.0)) for i in (1, 2)]
-        return CatalogEntry(name, dict(natural), bp(*ms))
-
-    if name == "govindarajulu":
-        _pos(natural, "sigma1", "b1", "sigma2", "b2")
-        ms = [MarginalParams(natural[f"sigma{i}"] * natural[f"b{i}"] * (natural[f"b{i}"] + 1.0),
-                             natural[f"b{i}"] - 1.0, 1.0) for i in (1, 2)]
-        return CatalogEntry(name, dict(natural), bp(*ms),
-                            has_marginal_cdf=False,
-                            has_conditional_survival=False,
-                            has_joint_survival=False,
-                            notes=("no closed distribution function",))
-
-    if name == "sine":
-        _pos(natural, "scale1", "scale2")
-        ms = [MarginalParams(natural[f"scale{i}"] / math.pi, -0.5, -0.5)
-              for i in (1, 2)]
-        return CatalogEntry(name, dict(natural), bp(*ms),
-                            has_conditional_survival=False,
-                            has_joint_survival=False,
-                            notes=("marginal-only entry",))
-
-    if name == "scaled-t2":
-        _pos(natural, "c1", "c2")
-        ms = [MarginalParams(natural[f"c{i}"], -1.5, -1.5) for i in (1, 2)]
-        return CatalogEntry(name, dict(natural), bp(*ms),
-                            has_conditional_survival=False,
-                            has_joint_survival=False,
-                            notes=("marginal-only entry", "support is the whole line"))
-
-    raise DomainError(f"unknown catalog case {name!r}; known: {', '.join(CATALOG_NAMES)}")
+    case = _CASES.get(name)
+    if case is None:
+        raise DomainError(f"unknown catalog case {name!r}; known: {', '.join(CATALOG_NAMES)}")
+    th = float(natural.get("theta", 0.0))
+    if not (math.isfinite(th) and th >= 0.0):
+        raise DomainError(f"theta must be >= 0, got {th}")
+    given = {**natural, **{f"{s}{i}": v for s, v in case.fixed.items() for i in (1, 2)}}
+    nat = {f"{s}{i}": given[f"{s}{i}"] for i in (1, 2) for s in case.stems}
+    for key, v in nat.items():
+        low = case.low.get(key[:-1], 0.0)
+        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > low):
+            raise DomainError(f"parameter {key} must be a finite real above {low:g}, "
+                              f"got {v!r}")
+    ms = [MarginalParams(*case.marginal(*(nat[f"{s}{i}"] for s in case.stems)))
+          for i in (1, 2)]
+    loc = (nat[f"{case.loc}1"], nat[f"{case.loc}2"]) if case.loc else (0.0, 0.0)
+    return CatalogEntry(name, {**nat, "theta": th}, BivariateParams(*ms, th), loc)
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 
 
-def _nat(entry: CatalogEntry, key: str, i: int) -> float:
-    return float(entry.natural[f"{key}{i}"])
-
-
 def closed_marginal_cdf(entry: CatalogEntry, i: int, x: float) -> float:
     """Closed-form marginal distribution function of component i (1 or 2)."""
     if i not in (1, 2):
         raise DomainError("component index must be 1 or 2")
-    if not entry.has_marginal_cdf:
+    case = _CASES[entry.name]
+    if case.cdf is None:
         raise UnsupportedCaseError(
             f"case {entry.name!r} has no closed distribution function")
-    name = entry.name
-    if name == "complementary-beta":
-        m = entry.params.m1 if i == 1 else entry.params.m2
-        a, b = m.alpha + 1.0, m.beta + 1.0
-        total = m.c * complete_beta(a, b)
-        return inv_reg_inc_beta(min(max(x / total, 0.0), 1.0), a, b)
-    if name in ("power", "uniform"):
-        a, b = _nat(entry, "a", i), _nat(entry, "b", i)
-        if x <= 0.0:
-            return 0.0
-        return min((x / b) ** a, 1.0)
-    if name == "exponential":
-        c = _nat(entry, "c", i)
-        return -math.expm1(-x / c) if x > 0.0 else 0.0
-    if name == "rescaled-beta":
-        a, b = _nat(entry, "a", i), _nat(entry, "b", i)
-        if x <= 0.0:
-            return 0.0
-        if x >= b:
-            return 1.0
-        return 1.0 - (1.0 - x / b) ** a
-    if name == "pareto2":
-        d, b = _nat(entry, "d", i), _nat(entry, "b", i)
-        return 1.0 - (1.0 + x / b) ** (-d) if x > 0.0 else 0.0
-    if name == "pareto1":
-        s, a = _nat(entry, "sigma", i), _nat(entry, "a", i)
-        return 1.0 - (x / s) ** (-a) if x > s else 0.0
-    if name == "loglogistic":
-        a, b = _nat(entry, "a", i), _nat(entry, "b", i)
-        if x <= 0.0:
-            return 0.0
-        return 1.0 - 1.0 / (1.0 + (x / b) ** (1.0 / a))
-    if name == "sine":
-        s = _nat(entry, "scale", i)
-        if x <= 0.0:
-            return 0.0
-        if x >= s:
-            return 1.0
-        return 0.5 * (1.0 - math.cos(math.pi * x / s))
-    if name == "scaled-t2":
-        c = _nat(entry, "c", i)
-        return 0.5 * (1.0 + x / math.sqrt(16.0 * c * c + x * x))
-    raise UnsupportedCaseError(f"no closed distribution function for {entry.name!r}")
+    return case.cdf(x, *(float(entry.natural[f"{s}{i}"]) for s in case.stems))
 
 
 def closed_marginal_survival(entry: CatalogEntry, i: int, x: float) -> float:
@@ -231,13 +187,11 @@ def closed_marginal_survival(entry: CatalogEntry, i: int, x: float) -> float:
 
 
 def closed_conditional_survival(entry: CatalogEntry, u1: float, x2: float) -> float:
-    """Closed-form survival of X2 given X1 beyond its u1-quantile."""
+    """Closed-form survival of X2 given X1 beyond its u1-quantile, 1 - F2(x2 / g)."""
     if not entry.has_conditional_survival:
         raise UnsupportedCaseError(
             f"case {entry.name!r} has no closed conditional survival")
-    g = 1.0 + entry.params.theta * u1
-    scaled = _scaled_entry(entry, g)
-    return 1.0 - closed_marginal_cdf(scaled, 2, x2)
+    return 1.0 - closed_marginal_cdf(entry, 2, x2 / (1.0 + entry.params.theta * u1))
 
 
 def closed_joint_survival(entry: CatalogEntry, x1: float, x2: float) -> float:
@@ -246,29 +200,6 @@ def closed_joint_survival(entry: CatalogEntry, x1: float, x2: float) -> float:
         raise UnsupportedCaseError(f"case {entry.name!r} has no closed joint survival")
     u1_val = closed_marginal_cdf(entry, 1, x1)
     return (1.0 - u1_val) * closed_conditional_survival(entry, u1_val, x2)
-
-
-def _scaled_entry(entry: CatalogEntry, g: float) -> CatalogEntry:
-    """Entry whose second marginal quantile function is multiplied by g."""
-    natural = dict(entry.natural)
-    name = entry.name
-    if name in ("power", "uniform", "rescaled-beta", "pareto2", "loglogistic"):
-        natural["b2"] = natural.get("b2", 1.0) * g
-    elif name == "exponential" or name == "scaled-t2":
-        natural["c2"] = natural["c2"] * g
-    elif name == "pareto1":
-        natural["sigma2"] = natural["sigma2"] * g
-    elif name == "sine":
-        natural["scale2"] = natural["scale2"] * g
-    elif name == "complementary-beta":
-        natural["c2"] = natural["c2"] * g
-    else:
-        raise UnsupportedCaseError(f"cannot scale case {entry.name!r}")
-    if name == "uniform":
-        # uniform entries re-enter make_case through the power mapping
-        return make_case("power", a1=1.0, b1=natural["b1"], a2=1.0,
-                         b2=natural["b2"], theta=natural.get("theta", 0.0))
-    return make_case(name, **natural)
 
 
 # ---------------------------------------------------------------------------

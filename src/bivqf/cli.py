@@ -15,14 +15,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .catalog import CATALOG_NAMES, CatalogEntry, make_case
 from .comoment import population_lcomoments, sample_lcomoments
 from .data import BUILTIN_DATASETS, PairedSample, ingest
 from .errors import BivqfError, ConvergenceError, ParseError
-from .fit import fit_bivariate, fit_mrq, mrq_quantile
+from .fit import MrqParams, fit_bivariate, fit_mrq
 from .gof import ks_conditional, ks_marginal, mrq_ks_conditional, mrq_ks_marginal, qq_data
 from .lmom import population_lmoments, sample_lmoments
 from .model import BivariateParams, MarginalParams, NumericConfig, big_q1
@@ -52,6 +50,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="override root-finding tolerance on u")
     p.add_argument("--out", type=str, default=None,
                    help="output stem for report files (default: print to stdout)")
+
+
+def _add_natural(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--param", action="append", metavar="NAME=VALUE",
+                   help="natural parameter for the catalog case, e.g. c1=1")
+    p.add_argument("--theta", type=float, default=0.0)
+
+
+def _add_model(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--params", help="c1,alpha1,beta1,c2,alpha2,beta2,theta")
+    p.add_argument("--catalog", choices=CATALOG_NAMES)
+    _add_natural(p)
 
 
 def _numeric_config(args) -> NumericConfig:
@@ -124,7 +134,8 @@ def _catalog_entry(name: str, pairs: list[str] | None, theta: float) -> CatalogE
             f"catalog case {name!r} needs --param {e.args[0]}=VALUE") from None
 
 
-def _params_from_args(args) -> BivariateParams:
+def _model(args) -> BivariateParams | None:
+    """The model given by --catalog/--param/--theta or --params, or None."""
     if args.catalog:
         return _catalog_entry(args.catalog, args.param, args.theta).params
     if args.params:
@@ -134,7 +145,7 @@ def _params_from_args(args) -> BivariateParams:
                               f"theta, got {len(vals)}")
         return BivariateParams(MarginalParams(*vals[0:3]),
                                MarginalParams(*vals[3:6]), vals[6])
-    raise ParseError("specify a model with --catalog/--param or --params")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +195,7 @@ def _gof_results(s: PairedSample, bp: BivariateParams, cfg: NumericConfig,
 def _cmd_gof(args) -> int:
     cfg = _numeric_config(args)
     s = ingest(args.data)
-    if args.params or args.catalog:
-        bp = _params_from_args(args)
-    else:
-        bp = fit_bivariate(s, cfg).params
+    bp = _model(args) or fit_bivariate(s, cfg).params
     results, files = _gof_results(s, bp, cfg, args.mode)
     results["model"] = {
         "marginal1": _marginal_dict(bp.m1),
@@ -206,8 +214,8 @@ def _cmd_lmoments(args) -> int:
         lm = sample_lmoments(col)
         results[label] = {**asdict(lm), "tau2": lm.tau2, "tau3": lm.tau3,
                           "tau4": lm.tau4}
-    if args.params or args.catalog:
-        bp = _params_from_args(args)
+    bp = _model(args)
+    if bp is not None:
         for label, m in (("model_x1", bp.m1), ("model_x2", bp.m2)):
             lm = population_lmoments(m)
             results[label] = {**asdict(lm), "tau2": lm.tau2, "tau3": lm.tau3,
@@ -220,8 +228,8 @@ def _cmd_comoments(args) -> int:
     cfg = _numeric_config(args)
     s = ingest(args.data)
     results = {"sample": asdict(sample_lcomoments(s))}
-    if args.params or args.catalog:
-        bp = _params_from_args(args)
+    bp = _model(args)
+    if bp is not None:
         results["population"] = asdict(population_lcomoments(bp, cfg))
     _emit(args, _report(args, s, cfg, results, []))
     return EXIT_OK
@@ -233,7 +241,9 @@ def _cmd_sample(args) -> int:
         raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
     if args.n < 1:
         raise _UsageError(f"--n must be at least 1, got {args.n}")
-    bp = _params_from_args(args)
+    bp = _model(args)
+    if bp is None:
+        raise _UsageError("specify a model with --catalog/--param or --params")
     spec = SamplerSpec(seed=args.seed, n=args.n, method=args.method)
     s = draw(bp, spec, cfg)
     csv_text = s.to_csv()
@@ -365,7 +375,6 @@ def _reproduce_rows(cfg: NumericConfig) -> list[dict]:
         note="comonotone pairs force a high sample value")
 
     # competitor on the components data, published coefficients
-    from .fit import MrqParams
     mrq_pub = MrqParams(a1=2.798, b1=0.159, a2=3.086, b2=4.628, c=0.086, d=-7.16)
     add("components", "MRQ D1", 0.126,
         mrq_ks_marginal(comp.x1, mrq_pub, cfg).d_point, 0.005,
@@ -427,25 +436,14 @@ def build_parser() -> _Parser:
     data_cmd("fit", _cmd_fit, help="fit the family by the method of L-moments")
 
     p = data_cmd("gof", _cmd_gof, help="K-S tests and Q-Q data")
-    p.add_argument("--params", help="c1,alpha1,beta1,c2,alpha2,beta2,theta")
-    p.add_argument("--catalog", choices=CATALOG_NAMES)
-    p.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p.add_argument("--theta", type=float, default=0.0)
+    _add_model(p)
     p.add_argument("--mode", choices=("pooled", "per-point"), default="pooled")
 
     for name, fn in (("lmoments", _cmd_lmoments), ("comoments", _cmd_comoments)):
-        p = data_cmd(name, fn, help=f"sample (and population) {name}")
-        p.add_argument("--params", help="c1,alpha1,beta1,c2,alpha2,beta2,theta")
-        p.add_argument("--catalog", choices=CATALOG_NAMES)
-        p.add_argument("--param", action="append", metavar="NAME=VALUE")
-        p.add_argument("--theta", type=float, default=0.0)
+        _add_model(data_cmd(name, fn, help=f"sample (and population) {name}"))
 
     p = sub.add_parser("sample", help="draw from the model")
-    p.add_argument("--params", help="c1,alpha1,beta1,c2,alpha2,beta2,theta")
-    p.add_argument("--catalog", choices=CATALOG_NAMES)
-    p.add_argument("--param", action="append", metavar="NAME=VALUE",
-                   help="natural parameter for the catalog case, e.g. c1=1")
-    p.add_argument("--theta", type=float, default=0.0)
+    _add_model(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--method", choices=("transform", "exact"), default="transform")
@@ -457,8 +455,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("catalog", help="list catalog cases or show one mapping")
     p.add_argument("name", nargs="?", choices=CATALOG_NAMES)
-    p.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p.add_argument("--theta", type=float, default=0.0)
+    _add_natural(p)
     p.set_defaults(fn=_cmd_catalog)
 
     p = sub.add_parser("reproduce",

@@ -189,33 +189,56 @@ def mrq_quantile(p: MrqParams, u1: float, u2: float) -> tuple[float, float]:
     return q1v, q21v
 
 
-def _invert_unit_quantile(qfun, x: float, cfg: NumericConfig) -> float:
-    """Invert a continuous q on [0,1) with q(0) = 0 and q(u) -> inf as u -> 1."""
-    if x <= 0.0:
-        return 0.0
-    gap, hi = 0.25, 0.75
-    while qfun(hi) < x:
-        gap *= 0.5
-        hi = 1.0 - gap
-        if gap < 1e-16:
-            return 1.0
-    return _brentq(lambda u: qfun(u) - x, 0.0, hi, cfg)
+# -expm1(-y) rounds to 1 for y beyond this, so a later root is reported as inf
+_Y_TOP = 40.0
 
 
-def mrq_marginal1_cdf(p: MrqParams, x: float,
-                      cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float:
-    """Invert the first marginal quantile function of the competitor."""
-    return _invert_unit_quantile(
-        lambda u: -(p.a1 + p.b1) * math.log1p(-u) - 2.0 * p.b1 * u, x, cfg)
+def _mrq_q(y, aa, cc):
+    """The competitor's quantile -aa log(1-v) - 2 cc v in y = -log(1-v)."""
+    return aa * y + 2.0 * cc * np.expm1(-y)
 
 
-def mrq_conditional_cdf(p: MrqParams, u1: float, x2: float,
-                        cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float:
-    """Invert Q21(. | u1) of the competitor at x2."""
-    aa = p.a2 + p.c + (p.b2 + p.d) * u1
-    cc = p.c + p.d * u1
-    return _invert_unit_quantile(
-        lambda v: -aa * math.log1p(-v) - 2.0 * cc * v, x2, cfg)
+def _mrq_root(aa, cc, x, cfg: NumericConfig) -> np.ndarray:
+    """First root y >= 0 of _mrq_q(y, aa, cc) = x, elementwise.
+
+    In y the quantile is nearly linear.  For cc >= 0 it is convex, so it
+    crosses a positive x at most once; for cc < 0 it rises while
+    aa > 2 cc e^(-y), so for aa < 0 it peaks at y* = log(2 cc / aa) and the
+    first crossing, if any, lies below y*.  Gives 0 where x <= 0 and inf
+    (v = 1) where the quantile stays below x up to y* or _Y_TOP.
+    """
+    aa, cc, x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (aa, cc, x)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        peak = np.where((aa < 0.0) & (cc < 0.0), np.log(2.0 * cc / aa), np.inf)
+        top = np.clip(peak, 0.0, _Y_TOP)
+        start = np.clip(x / aa, 0.0, top)
+    y = np.where(x > 0.0, np.inf, 0.0)
+    live = (x > 0.0) & (_mrq_q(top, aa, cc) >= x)
+    if np.any(live):
+        a, c, xl = aa[live], cc[live], x[live]
+        y[live] = _newton_bisect(lambda y: _mrq_q(y, a, c) - xl,
+                                 lambda y: a - 2.0 * c * np.exp(-y),
+                                 np.zeros_like(xl), top[live], start[live], cfg)
+    return y
+
+
+def _level(y: np.ndarray):
+    """v = 1 - exp(-y), a float for a 0-d y."""
+    v = -np.expm1(-y)
+    return v if v.ndim else float(v)
+
+
+def mrq_marginal1_cdf(p: MrqParams, x,
+                      cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG):
+    """F1 of the competitor at x (a float or an array): Q1 inverted at x."""
+    return _level(_mrq_root(p.a1 + p.b1, p.b1, x, cfg))
+
+
+def mrq_conditional_cdf(p: MrqParams, u1, x2,
+                        cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG):
+    """F21(x2 | u1) of the competitor: Q21(. | u1) inverted at x2 (floats or arrays)."""
+    u1 = np.asarray(u1)
+    return _level(_mrq_root(p.a2 + p.c + (p.b2 + p.d) * u1, p.c + p.d * u1, x2, cfg))
 
 
 @dataclass(frozen=True)
@@ -246,12 +269,7 @@ def _mrq_lcov_12(p: MrqParams, cfg: NumericConfig) -> float:
         k = 3.0 * np.maximum(1.0, aa / a_marg)
         sk = s ** k
         x2 = -a_marg * k * np.log(s) - 2.0 * p.c * (1.0 - sk)
-        # h(0) = -x2 <= 0 and h(y_max) >= aa > 0 bracket the root
-        y_max = (x2 + 2.0 * np.abs(cc)) / aa + 1.0
-        y = _newton_bisect(lambda y: aa * y + 2.0 * cc * np.expm1(-y) - x2,
-                           lambda y: aa - 2.0 * cc * np.exp(-y),
-                           np.zeros_like(x2), y_max, np.minimum(x2 / aa, y_max), cfg)
-        gap = np.exp(-y) - sk
+        gap = np.exp(-_mrq_root(aa, cc, x2, cfg)) - sk
         return ((p.a1 + p.b1) - 2.0 * p.b1 * (1.0 - u1)) * ((gap * k * s ** (k - 1.0)) @ ws)
 
     return 2.0 * float(_fixed_rule(inner, 0.0, 0.0, cfg))
@@ -265,8 +283,11 @@ def fit_mrq(s: PairedSample,
     margin (lambda1 = a1, lambda2 = (a1+b1)/2 - b1/3, and likewise a2, c
     from the u1 -> 0 marginal).  b2 follows exactly from the product
     moment, E(X1 X2) = a1 a2 + lambda2(X1) b2; d is matched to the sample
-    L-covariance of X1 toward X2 by monotone root-finding.  Constraint
-    violations are reported as warnings, not errors.
+    L-covariance of X1 toward X2 by monotone root-finding.  a2 + c =
+    6 l2 - 2 l1 of x2 must be positive (its L-CV above 1/3): otherwise
+    Q21(. | 0) turns down toward v = 1 and is no quantile function, so
+    InfeasibleRegionError is raised before the search for d.  The other
+    constraint violations are reported as warnings, not errors.
     """
     if s.n < 4:
         raise InsufficientDataError(f"need at least 4 pairs, got {s.n}")
@@ -276,6 +297,10 @@ def fit_mrq(s: PairedSample,
     b1 = 6.0 * lm1.l2 - 3.0 * a1
     a2 = lm2.l1
     c = 6.0 * lm2.l2 - 3.0 * a2
+    if not a2 + c > 0.0:
+        raise InfeasibleRegionError(
+            f"competitor needs a2 + c > 0, got a2 + c = {a2 + c:.6g} "
+            f"(L-CV of x2 {lm2.tau2:.6g} is not above 1/3)")
 
     target_pm = float(np.mean(np.asarray(s.x1) * np.asarray(s.x2)))
     b2 = (target_pm - a1 * a2) / lm1.l2

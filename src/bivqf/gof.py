@@ -147,15 +147,9 @@ def ks_conditional(s: PairedSample, bp: BivariateParams,
 
 
 def _mrq_cdfs(p: MrqParams, cfg: NumericConfig):
-    """The competitor's marginal and conditional CDFs, element by element."""
-    def cdf1(x1):
-        return np.array([mrq_marginal1_cdf(p, float(v), cfg) for v in x1]), 0
-
-    def cdf2(u1, x2):
-        return np.array([mrq_conditional_cdf(p, float(a), float(b), cfg)
-                         for a, b in np.broadcast(u1, x2)]), 0
-
-    return cdf1, cdf2
+    """The competitor's marginal and conditional array CDFs, as (pit, clamped)."""
+    return (lambda x1: (mrq_marginal1_cdf(p, x1, cfg), 0),
+            lambda u1, x2: (mrq_conditional_cdf(p, u1, x2, cfg), 0))
 
 
 def mrq_ks_marginal(data, p: MrqParams,

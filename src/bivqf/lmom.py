@@ -9,7 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergentMomentError, InsufficientDataError
-from .model import DEFAULT_NUMERIC_CONFIG, MarginalParams, NumericConfig, quad_beta_kernel
+from .model import (DEFAULT_NUMERIC_CONFIG, MarginalParams, NumericConfig, _lambda,
+                    quad_beta_kernel)
 from .specfun import log_gamma
 
 __all__ = ["LMomentVector", "population_lmoments",
@@ -56,8 +57,7 @@ def population_lmoments(p: MarginalParams) -> LMomentVector:
     if not p.in_lmoment_region():
         raise DivergentMomentError(
             f"L-moments require alpha > -1 and beta > -2, got ({a}, {b})")
-    l1 = c * math.exp(log_gamma(a + 1.0) + log_gamma(b + 2.0) - log_gamma(a + b + 3.0))
-    l2 = c * math.exp(log_gamma(a + 2.0) + log_gamma(b + 2.0) - log_gamma(a + b + 4.0))
+    l1, l2 = _lambda(p, 1), _lambda(p, 2)
     l3 = (a - b) * c * math.exp(
         log_gamma(a + 2.0) + log_gamma(b + 2.0) - log_gamma(a + b + 5.0))
     l4 = l2 * (a * a + b * b - 3.0 * a * b - a - b) / ((a + b + 4.0) * (a + b + 5.0))

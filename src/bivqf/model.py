@@ -558,17 +558,11 @@ def joint_survival(bp: BivariateParams, x1: float, x2: float,
 # product moment
 
 
-def _lambda1(p: MarginalParams) -> float:
+def _lambda(p: MarginalParams, r: int) -> float:
+    """l1 (r = 1) or l2 (r = 2) of a marginal: c G(alpha+r) G(beta+2) / G(alpha+beta+r+2)."""
     return p.c * math.exp(
-        log_gamma(p.alpha + 1.0) + log_gamma(p.beta + 2.0)
-        - log_gamma(p.alpha + p.beta + 3.0)
-    )
-
-
-def _lambda2(p: MarginalParams) -> float:
-    return p.c * math.exp(
-        log_gamma(p.alpha + 2.0) + log_gamma(p.beta + 2.0)
-        - log_gamma(p.alpha + p.beta + 4.0)
+        log_gamma(p.alpha + r) + log_gamma(p.beta + 2.0)
+        - log_gamma(p.alpha + p.beta + (r + 2.0))
     )
 
 
@@ -591,10 +585,10 @@ def product_moment(bp: BivariateParams,
     th = bp.theta
     m1, m2 = bp.m1, bp.m2
     if th == 0.0:
-        return _lambda1(m1) * _lambda1(m2)
+        return _lambda(m1, 1) * _lambda(m2, 1)
     if m2.beta <= -1.0:
         # u21 sweeps the whole unit interval: inner integral is exact
-        return _lambda1(m2) * (_lambda1(m1) + th * _lambda2(m1))
+        return _lambda(m2, 1) * (_lambda(m1, 1) + th * _lambda(m1, 2))
 
     a2, b2 = m2.alpha + 1.0, m2.beta + 1.0
     scale2 = m2.c * complete_beta(a2, b2 + 1.0)

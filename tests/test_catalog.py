@@ -182,3 +182,43 @@ class TestOracleAgreement:
             entry = make_case(name, **ENTRIES[name])
             with pytest.raises(UnsupportedCaseError):
                 closed_joint_survival(entry, 0.2, 0.2)
+
+
+# the natural parameter that scales Q2 in each case with a closed CDF
+SCALE_STEM = {"complementary-beta": "c", "power": "b", "uniform": "b",
+              "exponential": "c", "rescaled-beta": "b", "pareto2": "b",
+              "pareto1": "sigma", "loglogistic": "b", "sine": "scale",
+              "scaled-t2": "c"}
+
+
+class TestTable:
+    @pytest.mark.parametrize("name", list(SCALE_STEM))
+    def test_scaled_argument_is_scaled_parameter(self, name):
+        # the conditional survival reads F2 at x2 / g: multiplying Q2 by g
+        # is the same as multiplying the scale parameter by g
+        entry = make_case(name, **ENTRIES[name])
+        key = SCALE_STEM[name] + "2"
+        for g in (1.3, 2.7):
+            scaled = make_case(name, **{**ENTRIES[name], key: ENTRIES[name][key] * g})
+            for x in support_grid(scaled, 2, n=9):
+                assert math.isclose(closed_marginal_cdf(entry, 2, x / g),
+                                    closed_marginal_cdf(scaled, 2, x),
+                                    rel_tol=1e-14, abs_tol=1e-15), (g, x)
+
+    def test_closed_form_flags_and_notes(self):
+        gov = make_case("govindarajulu", sigma1=2.0, b1=3.0, sigma2=1.0, b2=2.0)
+        assert (gov.has_marginal_cdf, gov.has_joint_survival) == (False, False)
+        assert gov.notes == ("no closed distribution function",)
+        for name in ("sine", "scaled-t2"):
+            e = make_case(name, **ENTRIES[name])
+            assert e.has_marginal_cdf and not e.has_conditional_survival
+            assert e.notes[0] == "marginal-only entry"
+        e = make_case("pareto1", **ENTRIES["pareto1"])
+        assert e.has_conditional_survival and e.has_joint_survival and e.notes == ()
+        assert e.loc == (1.0, 0.5)
+
+    def test_natural_in_table_order_with_pinned_stems(self):
+        e = make_case("uniform", b2=2.0, b1=1.0, a1=5.0, theta=1.0)
+        assert list(e.natural.items()) == [("a1", 1.0), ("b1", 1.0), ("a2", 1.0),
+                                           ("b2", 2.0), ("theta", 1.0)]
+        assert e.params.m1.alpha == 0.0

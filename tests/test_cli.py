@@ -128,6 +128,13 @@ class TestUsageErrors:
         res = run(["fit", "--data", "cable", "--quad-tol", "-1"], capsys)
         assert_one_line_usage_error(*res, "--quad-tol", "-1")
 
+    def test_sample_without_model(self, capsys, monkeypatch):
+        import bivqf.cli as cli
+
+        monkeypatch.setattr(cli, "draw", no_work)
+        res = run(["sample", "--n", "3", "--seed", "1"], capsys)
+        assert_one_line_usage_error(*res, "--catalog", "--params")
+
     def test_out_in_missing_directory_fails_before_work(self, capsys, tmp_path,
                                                          monkeypatch):
         import bivqf.cli as cli
@@ -226,6 +233,13 @@ class TestCommands:
         res = rep["results"]
         assert res["smaller_marginal_ks"] == "proposed"
         assert res["proposed"]["d1"] < res["competitor"]["d1"]
+
+    def test_compare_cable_refuses_competitor_fit(self, capsys):
+        code, out, err = run(["compare", "--data", "cable"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "a2 + c" in err
 
     def test_reproduce_runs_offline_and_idempotent(self, capsys):
         code, out1, _ = run(["reproduce"], capsys)

@@ -14,6 +14,8 @@ from bivqf.fit import (
     fit_marginal,
     fit_mrq,
     fit_theta,
+    mrq_conditional_cdf,
+    mrq_marginal1_cdf,
     mrq_quantile,
 )
 from bivqf.lmom import population_lmoments, sample_lmoments
@@ -28,6 +30,7 @@ from bivqf.sampling import SamplerSpec, draw
 
 CABLE = BUILTIN_DATASETS["cable"]
 COMP = BUILTIN_DATASETS["components"]
+MRQ_PUB = MrqParams(a1=2.798, b1=0.159, a2=3.086, b2=4.628, c=0.086, d=-7.16)
 
 
 def sample_with_product_mean(value):
@@ -173,6 +176,57 @@ def mrq_lcov_nested_oracle(p):
                       0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
 
 
+def brent_inverse(aa, cc, x):
+    """Scalar inverse of -aa log(1-v) - 2 cc v at x: probes 0.75, 0.875, ... then Brent."""
+    def q(v):
+        return -aa * math.log1p(-v) - 2.0 * cc * v
+
+    if x <= 0.0:
+        return 0.0
+    gap, hi = 0.25, 0.75
+    while q(hi) < x:
+        gap *= 0.5
+        hi = 1.0 - gap
+        if gap < 1e-16:
+            return 1.0
+    return brentq(lambda v: q(v) - x, 0.0, hi, xtol=1e-12, maxiter=200)
+
+
+class TestMrqCdfs:
+    @pytest.mark.parametrize("fitted", [False, True])
+    def test_array_cdfs_match_brent_oracle(self, fitted):
+        p = fit_mrq(COMP).params if fitted else MRQ_PUB
+        x1, x2 = np.asarray(COMP.x1), np.asarray(COMP.x2)
+        u1 = mrq_marginal1_cdf(p, x1)
+        ref1 = [brent_inverse(p.a1 + p.b1, p.b1, x) for x in x1]
+        np.testing.assert_allclose(u1, ref1, rtol=0.0, atol=1e-12)
+        # each pair at its own level (pooled) and all at one level (per-point)
+        for levels in (u1, np.full_like(x2, float(u1[0]))):
+            ref2 = [brent_inverse(p.a2 + p.c + (p.b2 + p.d) * a, p.c + p.d * a, x)
+                    for a, x in zip(levels, x2)]
+            np.testing.assert_allclose(mrq_conditional_cdf(p, levels, x2), ref2,
+                                       rtol=0.0, atol=1e-12)
+        scalar = mrq_conditional_cdf(p, float(u1[3]), float(x2[3]))
+        assert isinstance(scalar, float)
+        assert math.isclose(scalar, mrq_conditional_cdf(p, u1, x2)[3], abs_tol=1e-12)
+
+    def test_first_crossing_between_old_probes(self):
+        # at u1 = 0, aa = -0.5 and cc = -1.5: Q21 peaks at v = 5/6 just above
+        # 1.6 and is below it at the probes 0.75 and 0.875
+        p = MrqParams(1.0, 0.2, 1.0, 0.5, -1.5, 0.0)
+        v = mrq_conditional_cdf(p, 0.0, 1.6)
+        assert brent_inverse(-0.5, -1.5, 1.6) == 1.0
+        assert abs(v - 0.811) < 1e-3
+        assert math.isclose(0.5 * math.log1p(-v) + 3.0 * v, 1.6, rel_tol=1e-12)
+
+    def test_levels_never_reached(self):
+        # above the peak of the same Q21, and where Q21 falls from 0 (aa < 0, cc = 0)
+        p = MrqParams(1.0, 0.2, 1.0, 0.5, -1.5, 0.0)
+        np.testing.assert_array_equal(
+            mrq_conditional_cdf(p, 0.0, np.array([-1.0, 0.0, 1.7])), [0.0, 0.0, 1.0])
+        assert mrq_conditional_cdf(MrqParams(1.0, 0.0, 1.0, -2.0, 0.0, 0.0), 1.0, 0.5) == 1.0
+
+
 class TestMrq:
     @pytest.mark.parametrize("d", [-7.16, -3.0, 0.0, 2.0])
     def test_lcov_fixed_rule_matches_nested_oracle(self, d):
@@ -219,6 +273,11 @@ class TestMrq:
         assert math.isclose(p.b2, -1.0731584821998444, rel_tol=1e-6)
         assert abs(res.residuals["product_moment"]) <= 1e-9
         assert abs(res.residuals["lcov_12"]) <= 1e-7
+
+    def test_fit_refuses_a2_plus_c_not_positive(self):
+        # cable: the L-CV of x2 is 0.286 < 1/3, so a2 + c = 6 l2 - 2 l1 < 0
+        with pytest.raises(InfeasibleRegionError, match=r"a2 \+ c"):
+            fit_mrq(CABLE)
 
     def test_fit_recovers_independent_exponentials(self):
         rng = np.random.Generator(np.random.Philox(key=99))

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bivqf.errors import QuadratureError
+from bivqf.lmom import sample_lmoments
 from bivqf.model import (BivariateParams, MarginalParams, big_q1, f1, f1_flagged,
                          product_moment, u21)
+from bivqf.sampling import SamplerSpec, draw
 
 ALPHA = st.floats(-1.0, 3.0, exclude_min=True, exclude_max=True)
 BETA = st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True)
@@ -74,6 +76,32 @@ def test_product_moment_increasing_in_theta(m1, m2, theta, step):
     # at its theta -> inf limit), and values 1e-13 apart may come out tied
     # or reversed
     assert low < high or math.isclose(low, high, rel_tol=1e-12), (low, high)
+
+
+@PROPERTY
+@given(st.lists(st.floats(-100.0, 100.0), min_size=4, max_size=40),
+       st.floats(-100.0, 100.0), st.floats(0.01, 100.0))
+def test_sample_lmoments_location_scale_equivariant(x, loc, scale):
+    x = np.array(x)
+    lm = sample_lmoments(x)
+    moved = sample_lmoments(loc + scale * x)
+    # rounding of loc + scale*x, amplified at most 63-fold by the l4 weights
+    tol = 1e-13 * (abs(loc) + scale * np.max(np.abs(x)))
+    assert abs(moved.l1 - (loc + scale * lm.l1)) <= tol
+    for r in ("l2", "l3", "l4"):
+        assert abs(getattr(moved, r) - scale * getattr(lm, r)) <= tol, r
+
+
+@PROPERTY
+@given(MARGINAL, MARGINAL, THETA, st.integers(0, 2**63 - 1), st.integers(1, 40),
+       st.sampled_from(("transform", "exact")))
+def test_draw_reproduces_bit_for_bit(m1, m2, theta, seed, n, method):
+    bp = BivariateParams(m1, m2, theta)
+    spec = SamplerSpec(seed=seed, n=n, method=method)
+    first = draw(bp, spec)
+    assert first.n == n
+    again = draw(bp, spec)
+    assert np.array(again.rows).tobytes() == np.array(first.rows).tobytes()
 
 
 @pytest.mark.xfail(strict=True, raises=QuadratureError,
