@@ -145,12 +145,18 @@ def make_case(name: str, **natural: float) -> CatalogEntry:
 
     The parameters of a case are the stems of its `_CASES` row with the
     component suffix 1 or 2, for example c1, c2 for stems ("c",); each must
-    be a finite real above 0, or above the row's `low` bound.
+    be a finite real above 0, or above the row's `low` bound.  Any other
+    name raises DomainError.
     The entry's `natural` holds them in that order, then theta.
     """
     case = _CASES.get(name)
     if case is None:
         raise DomainError(f"unknown catalog case {name!r}; known: {', '.join(CATALOG_NAMES)}")
+    names = [f"{s}{i}" for i in (1, 2) for s in case.stems] + ["theta"]
+    unknown = [k for k in natural if k not in names]
+    if unknown:
+        raise DomainError(f"catalog case {name!r} has no parameter {', '.join(unknown)}; "
+                          f"it takes {', '.join(names)}")
     th = float(natural.get("theta", 0.0))
     if not (math.isfinite(th) and th >= 0.0):
         raise DomainError(f"theta must be >= 0, got {th}")

@@ -19,7 +19,7 @@ from . import __version__
 from .catalog import CATALOG_NAMES, CatalogEntry, make_case
 from .comoment import population_lcomoments, sample_lcomoments
 from .data import BUILTIN_DATASETS, PairedSample, ingest
-from .errors import BivqfError, ConvergenceError, ParseError
+from .errors import BivqfError, ConvergenceError, DomainError, ParseError
 from .fit import MrqParams, fit_bivariate, fit_mrq
 from .gof import ks_conditional, ks_marginal, mrq_ks_conditional, mrq_ks_marginal, qq_data
 from .lmom import population_lmoments, sample_lmoments
@@ -125,6 +125,8 @@ def _catalog_entry(name: str, pairs: list[str] | None, theta: float) -> CatalogE
     natural = {}
     for kv in pairs or []:
         key, _, val = kv.partition("=")
+        if key == "theta":
+            raise _UsageError("give theta with --theta, not --param theta=VALUE")
         natural[key] = _number(f"--param {key}", val)
     natural["theta"] = theta
     try:
@@ -132,6 +134,8 @@ def _catalog_entry(name: str, pairs: list[str] | None, theta: float) -> CatalogE
     except KeyError as e:
         raise _UsageError(
             f"catalog case {name!r} needs --param {e.args[0]}=VALUE") from None
+    except DomainError as e:
+        raise _UsageError(str(e)) from None
 
 
 def _model(args) -> BivariateParams | None:
@@ -143,8 +147,11 @@ def _model(args) -> BivariateParams | None:
         if len(vals) != 7:
             raise _UsageError("--params expects 7 values c1,alpha1,beta1,c2,alpha2,beta2,"
                               f"theta, got {len(vals)}")
-        return BivariateParams(MarginalParams(*vals[0:3]),
-                               MarginalParams(*vals[3:6]), vals[6])
+        try:
+            return BivariateParams(MarginalParams(*vals[0:3]),
+                                   MarginalParams(*vals[3:6]), vals[6])
+        except DomainError as e:
+            raise _UsageError(f"--params: {e}") from None
     return None
 
 

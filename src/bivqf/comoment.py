@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, betaincinv, roots_jacobi
-from scipy.stats import rankdata
 
 from .data import PairedSample
 from .errors import DivergentMomentError, InsufficientDataError
@@ -233,7 +232,10 @@ def _sample_directed(lead: np.ndarray, cond: np.ndarray) -> tuple[float, float, 
     `lead` with the shifted Legendre polynomial of the mapped ranks.
     """
     n = lead.size
-    t = rankdata(cond, method="average") / (n + 1.0)
+    # a group of tied values has the average of its ranks: its last rank
+    # minus (count - 1)/2, exact in floating point
+    _, where, counts = np.unique(cond, return_inverse=True, return_counts=True)
+    t = (np.cumsum(counts) - (counts - 1) / 2.0)[where] / (n + 1.0)
     out = []
     for k in (1, 2, 3):
         p = _legendre(k, t)

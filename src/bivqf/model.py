@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
-from scipy.optimize import brentq as _scipy_brentq
 from scipy.special import betainc, betaincinv, roots_jacobi
 
 from .errors import (BracketError, ConvergenceError, DivergentMomentError, DomainError,
@@ -113,6 +111,9 @@ class NumericConfig:
 
 DEFAULT_NUMERIC_CONFIG = NumericConfig()
 
+# relative x tolerance of Brent's method: scipy.optimize.brentq's default
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+
 
 # ---------------------------------------------------------------------------
 # internal quadrature helpers
@@ -124,11 +125,14 @@ def _quad(f: Callable[[float], float], lo: float, hi: float,
 
     The engine is asked for a tenth of the target tolerance so the result
     carries margin; a result whose error estimate is far beyond target
-    raises QuadratureError.
+    raises QuadratureError.  scipy.integrate is imported here, on the
+    first call, so that importing the package does not load it.
     """
+    from scipy.integrate import quad
+
     if lo == hi:
         return 0.0
-    val, abserr = _scipy_quad(
+    val, abserr = quad(
         f, lo, hi,
         epsabs=0.1 * cfg.quad_abs_tol,
         epsrel=0.1 * cfg.quad_rel_tol,
@@ -498,16 +502,57 @@ def f1(p: MarginalParams, x: float | np.ndarray,
 
 def _brentq(f: Callable[[float], float], lo: float, hi: float,
             cfg: NumericConfig) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
+    """Root of f on [lo, hi] by Brent's method.
+
+    A transcription of scipy.optimize.brentq (its C `brentq`) with
+    xtol = cfg.root_tol, rtol = 4 eps and maxiter = cfg.root_max_iter:
+    the same iterates, the same function calls and the same result, without
+    importing scipy.optimize.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ConvergenceError(f"root search met a NaN function value at {x}")
+        return fx
+
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
         raise BracketError(f"root not bracketed on [{lo}, {hi}]")
-    return float(_scipy_brentq(f, lo, hi, xtol=cfg.root_tol,
-                               maxiter=cfg.root_max_iter))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(cfg.root_max_iter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (cfg.root_tol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise ConvergenceError(f"Brent's method did not converge in {cfg.root_max_iter} "
+                           f"iterations on [{lo}, {hi}]; last iterate {xcur}")
 
 
 # ---------------------------------------------------------------------------

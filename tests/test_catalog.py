@@ -217,6 +217,10 @@ class TestTable:
         assert e.has_conditional_survival and e.has_joint_survival and e.notes == ()
         assert e.loc == (1.0, 0.5)
 
+    def test_unknown_parameter_name(self):
+        with pytest.raises(DomainError, match="c3.*c1, c2, theta"):
+            make_case("exponential", c1=1.0, c2=2.5, c3=3.0)
+
     def test_natural_in_table_order_with_pinned_stems(self):
         e = make_case("uniform", b2=2.0, b1=1.0, a1=5.0, theta=1.0)
         assert list(e.natural.items()) == [("a1", 1.0), ("b1", 1.0), ("a2", 1.0),

@@ -135,6 +135,38 @@ class TestUsageErrors:
         res = run(["sample", "--n", "3", "--seed", "1"], capsys)
         assert_one_line_usage_error(*res, "--catalog", "--params")
 
+    def test_catalog_parameter_out_of_range(self, capsys):
+        res = run(["catalog", "power", "--param", "a1=-2", "--param", "b1=3",
+                   "--param", "a2=0.8", "--param", "b2=1"], capsys)
+        assert_one_line_usage_error(*res, "a1", "-2")
+
+    def test_params_with_negative_theta(self, capsys, monkeypatch):
+        import bivqf.cli as cli
+
+        monkeypatch.setattr(cli, "draw", no_work)
+        res = run(["sample", "--params", "1,0,0,1,0,0,-0.5", "--n", "2",
+                   "--seed", "1"], capsys)
+        assert_one_line_usage_error(*res, "--params", "theta", "-0.5")
+
+    def test_catalog_with_negative_theta(self, capsys, monkeypatch):
+        import bivqf.cli as cli
+
+        monkeypatch.setattr(cli, "draw", no_work)
+        res = run(["sample", "--catalog", "exponential", "--param", "c1=1",
+                   "--param", "c2=1", "--theta", "-1", "--n", "2", "--seed", "1"],
+                  capsys)
+        assert_one_line_usage_error(*res, "theta", "-1")
+
+    def test_catalog_unknown_parameter(self, capsys):
+        res = run(["catalog", "exponential", "--param", "c1=1", "--param", "c2=2.5",
+                   "--param", "c3=3"], capsys)
+        assert_one_line_usage_error(*res, "c3", "c1, c2, theta")
+
+    def test_theta_given_as_param(self, capsys):
+        res = run(["catalog", "exponential", "--param", "c1=1", "--param", "c2=1",
+                   "--param", "theta=0.5"], capsys)
+        assert_one_line_usage_error(*res, "--theta")
+
     def test_out_in_missing_directory_fails_before_work(self, capsys, tmp_path,
                                                          monkeypatch):
         import bivqf.cli as cli

@@ -7,6 +7,8 @@ from scipy.special import betainc, betaincinv
 
 from bivqf.catalog import make_case
 from bivqf.comoment import (
+    _legendre,
+    _sample_directed,
     population_lcomoments,
     power_case_lcov_closed_form,
     power_case_lcov_hypergeometric,
@@ -272,3 +274,17 @@ class TestSample:
     def test_insufficient(self):
         with pytest.raises(InsufficientDataError):
             sample_lcomoments(PairedSample(((1.0, 2.0), (2.0, 1.0))))
+
+    def test_ranks_match_rankdata_oracle(self):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(11)
+        lead = rng.normal(size=60)
+        cond = np.concatenate([rng.integers(0, 7, size=57).astype(float),
+                               [-0.0, 0.0, 3.5]])  # ties, signed zeros
+        t = rankdata(cond, method="average") / (cond.size + 1.0)
+        expected = []
+        for k in (1, 2, 3):
+            p = _legendre(k, t)
+            expected.append(float(np.mean((lead - lead.mean()) * (p - p.mean()))))
+        assert _sample_directed(lead, cond) == tuple(expected)

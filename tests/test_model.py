@@ -7,12 +7,17 @@ from scipy.integrate import dblquad, quad
 from scipy.optimize import brentq
 from scipy.special import betainc, betaincinv
 
-from bivqf.errors import BracketError, DivergentMomentError, DomainError
+import bivqf.fit as fit_module
+import bivqf.model as model_module
+from bivqf.data import BUILTIN_DATASETS
+from bivqf.errors import BracketError, ConvergenceError, DivergentMomentError, DomainError
+from bivqf.fit import fit_marginal, fit_mrq, fit_theta
 from bivqf.model import (
     BivariateParams,
     MarginalParams,
     HEAVY_RIGHT_GAP,
     NumericConfig,
+    _brentq,
     big_q1,
     f1,
     f1_flagged,
@@ -516,3 +521,88 @@ class TestParamValidation:
             NumericConfig(quad_abs_tol=0.0)
         with pytest.raises(DomainError):
             NumericConfig(root_max_iter=0)
+
+
+def _brent_pair(f, lo, hi, cfg=NumericConfig()):
+    """model._brentq and the scipy.optimize.brentq oracle on the same f.
+
+    Returns each one's root and the points at which it evaluated f.
+    """
+    def traced(points):
+        def g(x):
+            points.append(x)
+            return f(x)
+        return g
+
+    ours, theirs = [], []
+    got = _brentq(traced(ours), lo, hi, cfg)
+    ref = brentq(traced(theirs), lo, hi, xtol=cfg.root_tol, maxiter=cfg.root_max_iter)
+    return got, ours, ref, theirs
+
+
+class TestBrent:
+    """model._brentq reproduces scipy's brentq step for step."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Make every _brentq call in model and fit also run the oracle."""
+        calls = []
+
+        def both(f, lo, hi, cfg):
+            got, ours, ref, theirs = _brent_pair(f, lo, hi, cfg)
+            assert got == ref
+            assert ours == theirs
+            calls.append(len(ours))
+            return got
+
+        monkeypatch.setattr(model_module, "_brentq", both)
+        monkeypatch.setattr(fit_module, "_brentq", both)
+        return calls
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 2.0),
+        (lambda x: 1e-3 - math.exp(-x), 0.0, 40.0),
+        (lambda x: x - 1.0, 0.0, 1.0),  # root at the upper end
+        (lambda x: x, 0.0, 1.0),  # root at the lower end
+    ])
+    def test_scalar_functions(self, f, lo, hi):
+        got, ours, ref, theirs = _brent_pair(f, lo, hi)
+        assert got == ref
+        assert ours == theirs
+
+    # components: the sample product mean is below the independence value,
+    # so fit_theta returns theta = 0 without a root search
+    @pytest.mark.parametrize("name, searches", [("cable", 1), ("components", 0)])
+    def test_fit_theta(self, checked, name, searches):
+        s = BUILTIN_DATASETS[name]
+        fit_theta(s, fit_marginal(s.x1), fit_marginal(s.x2))
+        assert len(checked) == searches and all(n > 2 for n in checked)
+
+    def test_fit_mrq(self, checked):
+        fit_mrq(BUILTIN_DATASETS["components"])
+        assert len(checked) == 1 and checked[0] > 2
+
+    @pytest.mark.parametrize("m", [MarginalParams(1.0, -1.5, -1.5),
+                                   MarginalParams(2.0, 0.5, -2.5),
+                                   MarginalParams(1.0, 0.3, -1.00005)])
+    def test_f1_fallback(self, checked, m):
+        for u in (0.05, 0.5, 0.95):
+            f1(m, big_q1(m, u))
+        assert len(checked) == 3
+
+    def test_iteration_cap(self):
+        f = lambda x: x ** 3 - 2.0 * x - 5.0
+        with pytest.raises(RuntimeError):
+            brentq(f, 2.0, 3.0, xtol=1e-12, maxiter=3)
+        with pytest.raises(ConvergenceError):
+            _brentq(f, 2.0, 3.0, NumericConfig(root_max_iter=3))
+
+    def test_no_bracket(self):
+        with pytest.raises(BracketError):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, NumericConfig())
+
+    def test_nan_value(self):
+        with pytest.raises(ConvergenceError):
+            _brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0, NumericConfig())
