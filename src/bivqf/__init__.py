@@ -44,12 +44,7 @@ from .fit import (
     mrq_quantile,
 )
 from .gof import GofResult, QQData, kolmogorov_pvalue, ks_conditional, ks_marginal, qq_data
-from .lmom import (
-    LMomentVector,
-    population_lmoments,
-    population_lmoments_quadrature,
-    sample_lmoments,
-)
+from .lmom import LMomentVector, population_lmoments, sample_lmoments
 from .model import (
     BivariateParams,
     DEFAULT_NUMERIC_CONFIG,
@@ -68,7 +63,6 @@ from .model import (
 )
 from .sampling import SamplerSpec, draw
 from .specfun import (
-    SpecFunConfig,
     gauss_2f1,
     inc_beta,
     inv_reg_inc_beta,

@@ -216,8 +216,7 @@ def _mrq_root(aa, cc, x, cfg: NumericConfig) -> np.ndarray:
     live = (x > 0.0) & (_mrq_q(top, aa, cc) >= x)
     if np.any(live):
         a, c, xl = aa[live], cc[live], x[live]
-        y[live] = _newton_bisect(lambda y: _mrq_q(y, a, c) - xl,
-                                 lambda y: a - 2.0 * c * np.exp(-y),
+        y[live] = _newton_bisect(lambda y: (_mrq_q(y, a, c) - xl, a - 2.0 * c * np.exp(-y)),
                                  np.zeros_like(xl), top[live], start[live], cfg)
     return y
 

@@ -1,4 +1,4 @@
-"""Univariate L-moments: population formulas, quadrature oracle, sample estimator."""
+"""Univariate L-moments: population formulas and the sample estimator."""
 
 from __future__ import annotations
 
@@ -9,12 +9,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergentMomentError, InsufficientDataError
-from .model import (DEFAULT_NUMERIC_CONFIG, MarginalParams, NumericConfig, _lambda,
-                    quad_beta_kernel)
+from .model import MarginalParams, _lambda
 from .specfun import log_gamma
 
-__all__ = ["LMomentVector", "population_lmoments",
-           "population_lmoments_quadrature", "sample_lmoments"]
+__all__ = ["LMomentVector", "population_lmoments", "sample_lmoments"]
 
 
 @dataclass(frozen=True)
@@ -61,33 +59,6 @@ def population_lmoments(p: MarginalParams) -> LMomentVector:
     l3 = (a - b) * c * math.exp(
         log_gamma(a + 2.0) + log_gamma(b + 2.0) - log_gamma(a + b + 5.0))
     l4 = l2 * (a * a + b * b - 3.0 * a * b - a - b) / ((a + b + 4.0) * (a + b + 5.0))
-    return LMomentVector(l1, l2, l3, l4)
-
-
-# integrands are w_r(u) * q(u); each w_r carries a factor u^(r>1) and (1-u),
-# so the beta-kernel quadrature sees exponents (alpha [+1], beta + 1)
-_POLY3 = (2.0, -1.0)          # w3 = u (1-u) (2u - 1)
-_POLY4 = (5.0, -5.0, 1.0)     # w4 = u (1-u) (5u^2 - 5u + 1)
-
-
-def population_lmoments_quadrature(p: MarginalParams,
-                                   cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG
-                                   ) -> LMomentVector:
-    """Population L-moments by direct quadrature of the defining integrals.
-
-    l_r = int_0^1 w_r(u) q(u) du with w1 = 1-u, w2 = u-u^2,
-    w3 = 3u^2 - 2u^3 - u, w4 = u - 6u^2 + 10u^3 - 5u^4.  Serves as the
-    independent oracle for the gamma-function formulas.
-    """
-    a, b, c = p.alpha, p.beta, p.c
-    if not p.in_lmoment_region():
-        raise DivergentMomentError(
-            f"L-moments require alpha > -1 and beta > -2, got ({a}, {b})")
-    l1 = c * quad_beta_kernel(lambda u: 1.0, a, b + 1.0, cfg)
-    l2 = c * quad_beta_kernel(lambda u: 1.0, a + 1.0, b + 1.0, cfg)
-    l3 = c * quad_beta_kernel(lambda u: 2.0 * u - 1.0, a + 1.0, b + 1.0, cfg)
-    l4 = c * quad_beta_kernel(lambda u: (5.0 * u - 5.0) * u + 1.0,
-                              a + 1.0, b + 1.0, cfg)
     return LMomentVector(l1, l2, l3, l4)
 
 

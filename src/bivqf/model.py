@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc, betaincinv, roots_jacobi
+from scipy.special import betainc, betaincinv, exprel, hyp2f1, roots_jacobi
 
 from .errors import (BracketError, ConvergenceError, DivergentMomentError, DomainError,
                      QuadratureError)
@@ -97,7 +97,6 @@ class NumericConfig:
 
     quad_abs_tol: float = 1e-10
     quad_rel_tol: float = 1e-8
-    quad_max_depth: int = 50
     root_tol: float = 1e-12
     root_max_iter: int = 200
 
@@ -105,8 +104,8 @@ class NumericConfig:
         for name in ("quad_abs_tol", "quad_rel_tol", "root_tol"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be positive")
-        if self.quad_max_depth < 1 or self.root_max_iter < 1:
-            raise DomainError("iteration limits must be at least 1")
+        if self.root_max_iter < 1:
+            raise DomainError("root_max_iter must be at least 1")
 
 
 DEFAULT_NUMERIC_CONFIG = NumericConfig()
@@ -116,107 +115,7 @@ _BRENT_RTOL = 4.0 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
-# internal quadrature helpers
-
-
-def _quad(f: Callable[[float], float], lo: float, hi: float,
-          cfg: NumericConfig) -> float:
-    """Adaptive quadrature with the configured tolerances.
-
-    The engine is asked for a tenth of the target tolerance so the result
-    carries margin; a result whose error estimate is far beyond target
-    raises QuadratureError.  scipy.integrate is imported here, on the
-    first call, so that importing the package does not load it.
-    """
-    from scipy.integrate import quad
-
-    if lo == hi:
-        return 0.0
-    val, abserr = quad(
-        f, lo, hi,
-        epsabs=0.1 * cfg.quad_abs_tol,
-        epsrel=0.1 * cfg.quad_rel_tol,
-        limit=max(50, 4 * cfg.quad_max_depth),
-        full_output=0,
-    )
-    tol = max(cfg.quad_abs_tol, cfg.quad_rel_tol * abs(val))
-    if abserr > 1e3 * tol:
-        raise QuadratureError(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return val
-
-
-def _beta_piece_left(f: Callable[[float], float], a_exp: float, b_exp: float,
-                     lo: float, hi: float, cfg: NumericConfig) -> float:
-    """int_lo^hi u^a (1-u)^b f(u) du on a piece not touching u = 1.
-
-    When a_exp < 0 (and a_exp > -1) the substitution u = s^(1/(a+1))
-    flattens the left-endpoint singularity.  When a_exp <= -1 (so lo > 0),
-    u = exp(-s) turns the spike near lo into the smooth exp(-(a+1) s).
-    """
-    if -1.0 < a_exp < 0.0:
-        k = 1.0 / (a_exp + 1.0)
-
-        def g(s: float) -> float:
-            u = s ** k
-            return k * (1.0 - u) ** b_exp * f(u)
-
-        return _quad(g, lo ** (a_exp + 1.0), hi ** (a_exp + 1.0), cfg)
-    if a_exp <= -1.0:
-        def g_log(s: float) -> float:
-            u = math.exp(-s)
-            return math.exp(-(a_exp + 1.0) * s) * (1.0 - u) ** b_exp * f(u)
-
-        return -_quad(g_log, -math.log(lo), -math.log(hi), cfg)
-    return _quad(lambda u: u ** a_exp * (1.0 - u) ** b_exp * f(u), lo, hi, cfg)
-
-
-def _beta_piece_right(f: Callable[[float], float], a_exp: float, b_exp: float,
-                      lo: float, hi: float, cfg: NumericConfig) -> float:
-    """int_lo^hi u^a (1-u)^b f(u) du on a piece not touching u = 0.
-
-    When -1 < b_exp < 0 the substitution 1-u = s^(1/(b+1)) flattens the
-    singularity at u = 1.  When b_exp <= -1 (so hi < 1), 1-u = exp(-s)
-    turns the spike near hi into the smooth exp(-(b+1) s).
-    """
-    if -1.0 < b_exp < 0.0:
-        k = 1.0 / (b_exp + 1.0)
-
-        def g(s: float) -> float:
-            u = 1.0 - s ** k
-            return k * u ** a_exp * f(u)
-
-        return _quad(g, (1.0 - hi) ** (b_exp + 1.0), (1.0 - lo) ** (b_exp + 1.0), cfg)
-    if b_exp <= -1.0:
-        def g_log(s: float) -> float:
-            u = -math.expm1(-s)
-            return u ** a_exp * math.exp(-(b_exp + 1.0) * s) * f(u)
-
-        return _quad(g_log, -math.log1p(-lo), -math.log1p(-hi), cfg)
-    return _quad(lambda u: u ** a_exp * (1.0 - u) ** b_exp * f(u), lo, hi, cfg)
-
-
-def quad_beta_kernel(f: Callable[[float], float], a_exp: float, b_exp: float,
-                     cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG,
-                     lo: float = 0.0, hi: float = 1.0) -> float:
-    """int_lo^hi u^a_exp (1-u)^b_exp f(u) du with integrable endpoint powers.
-
-    Requires a_exp > -1 if lo = 0 and b_exp > -1 if hi = 1; f must be
-    bounded on (0, 1).  Used for every population integral against the
-    quantile density.
-    """
-    if lo == 0.0 and a_exp <= -1.0:
-        raise DivergentMomentError(f"u^{a_exp} is not integrable at 0")
-    if hi == 1.0 and b_exp <= -1.0:
-        raise DivergentMomentError(f"(1-u)^{b_exp} is not integrable at 1")
-    mid = 0.5
-    if hi <= mid:
-        return _beta_piece_left(f, a_exp, b_exp, lo, hi, cfg)
-    if lo >= mid:
-        return _beta_piece_right(f, a_exp, b_exp, lo, hi, cfg)
-    return (_beta_piece_left(f, a_exp, b_exp, lo, mid, cfg)
-            + _beta_piece_right(f, a_exp, b_exp, mid, hi, cfg))
+# fixed rules and the array root finder
 
 
 # the fixed rules start at 16 nodes and give up with QuadratureError
@@ -233,11 +132,28 @@ def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: floa
     `f` may size itself from the node count.  The count doubles until the
     n- and 2n-node results agree to the quadrature tolerances in every
     component; the 2n-node result is returned.
+
+    An exponent below -1/2 is raised by one, as the nodes turn NaN within
+    about 1e-14 of -1: f is also evaluated at that end (in the same call
+    as the nodes), the line through those end values (zero at an end not
+    raised) is integrated exactly, and the rule runs on the rest divided
+    by u or 1-u.
     """
+    lift_a, lift_b = a_exp < -0.5, b_exp < -0.5
+    ends = np.array([0.0] * lift_a + [1.0] * lift_b)
+    # the integrals of u^a_exp (1-u)^b_exp times 1-u and times u
+    end_w = np.array([complete_beta(a_exp + 1.0, b_exp + 2.0)] * lift_a
+                     + [complete_beta(a_exp + 2.0, b_exp + 1.0)] * lift_b)
     prev, n = None, 16
     while n <= MAX_RULE_NODES:
-        x, w = roots_jacobi(n, b_exp, a_exp)
-        val = f(0.5 * (x + 1.0)) @ w * 0.5 ** (a_exp + b_exp + 1.0)
+        x, w = roots_jacobi(n, b_exp + lift_b, a_exp + lift_a)
+        u = 0.5 * (x + 1.0)
+        vals = f(np.concatenate([u, ends]))
+        fe = vals[..., n:]
+        line = ((fe[..., :1] * (1.0 - u) if lift_a else 0.0)
+                + (fe[..., -1:] * u if lift_b else 0.0))
+        rest = (vals[..., :n] - line) / (u ** lift_a * (1.0 - u) ** lift_b)
+        val = fe @ end_w + rest @ w * 0.5 ** (a_exp + b_exp + lift_a + lift_b + 1.0)
         if prev is not None:
             err = np.abs(val - prev)
             if np.all(err <= np.maximum(cfg.quad_abs_tol, cfg.quad_rel_tol * np.abs(val))):
@@ -248,30 +164,42 @@ def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: floa
         f"{MAX_RULE_NODES} nodes (last change {np.max(err):.3e})")
 
 
-def _newton_bisect(h: Callable[[np.ndarray], np.ndarray],
-                   dh: Callable[[np.ndarray], np.ndarray],
+def _pick(cond, a, b):
+    """a where cond holds, else b, for finite a and b.
+
+    A blend with a 0/1 factor: exact, and on a float several times cheaper
+    than np.where, which makes it a 0-d array first.
+    """
+    m = np.float64(cond)  # 1.0 or 0.0, elementwise for an array
+    return m * a + (1.0 - m) * b
+
+
+def _newton_bisect(h: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                    lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
                    cfg: NumericConfig) -> np.ndarray:
-    """Elementwise root of h with h(lo) <= 0 <= h(hi), for whole arrays.
+    """Elementwise root of h with h(lo) <= 0 <= h(hi), for floats or arrays.
 
-    Safeguarded Newton: a step that does not land strictly inside the
-    bracket (where h is down to rounding noise, steps onto its ends can
-    cycle between them) and is not zero, or a nonpositive slope, is
-    replaced by bisection, and every evaluation shrinks the bracket on
+    `h` returns its value and slope in one call; lo, hi and the start x
+    are finite.  Safeguarded Newton: a step that does not land strictly
+    inside the bracket (where h is down to rounding noise, steps onto its
+    ends can cycle between them) and is not zero, or a nonpositive slope,
+    is replaced by bisection, and every evaluation shrinks the bracket on
     the sign of h.  Stops when no element moves by more than root_tol.
+    A float stays a numpy scalar throughout: np.where results are indexed
+    with [()], and finite values are selected by _pick.
     """
-    for _ in range(cfg.root_max_iter):
-        hx = h(x)
-        lo = np.where(hx < 0.0, x, lo)
-        hi = np.where(hx > 0.0, x, hi)
-        slope = dh(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(cfg.root_max_iter):
+            hx, slope = h(x)
+            lo = _pick(hx < 0.0, x, lo)
+            hi = _pick(hx > 0.0, x, hi)
             xn = x - hx / slope
-        newton = (slope > 0.0) & (((xn > lo) & (xn < hi)) | (xn == x))
-        xn = np.where(hx == 0.0, x, np.where(newton, xn, 0.5 * (lo + hi)))
-        if np.all(np.abs(xn - x) <= cfg.root_tol):
-            return xn
-        x = xn
+            newton = (slope > 0.0) & (((xn > lo) & (xn < hi)) | (xn == x))
+            # a rejected step may be NaN or infinite: np.where, not _pick
+            xn = _pick(hx == 0.0, x, np.where(newton, xn, 0.5 * (lo + hi))[()])
+            if (abs(xn - x) <= cfg.root_tol).all():
+                return xn
+            x = xn
     raise ConvergenceError(
         f"safeguarded Newton did not converge within {cfg.root_max_iter} steps")
 
@@ -308,65 +236,193 @@ def q1(p: MarginalParams, u: float) -> float:
     return p.c * u ** p.alpha * (1.0 - u) ** p.beta
 
 
-def _per_element(fn: Callable[[float], float], x):
-    """fn on a float, or one element at a time on an array."""
-    if isinstance(x, float):
-        return fn(x)
-    return np.array([fn(float(v)) for v in x.ravel()]).reshape(x.shape)
+# ---------------------------------------------------------------------------
+# the corners: alpha <= -1, and beta <= -1 with alpha != 0
+#
+# Q is split at u = 1/2.  On each half Q/c is an integral of
+# s^(p-1) (1-s)^(r-1) over [0, y] or [y, 1/2], with y = u on the left
+# (p, r = a, b) and y = 1 - u on the right (p, r = b, a), a = alpha + 1,
+# b = beta + 1.  A half is a function of mu = -log(2y) >= 0, so both tails
+# keep relative accuracy, and F is one safeguarded Newton in mu on the
+# half that holds x: mu is -logit(u) - log 2 in the far left tail and
+# w - log 2, w = -log(1-u), on the right.
+
+# exp(-_MU_MAX)/2 underflows, so no root in mu lies beyond it
+_MU_MAX = 745.0
+# next to a pole p + k = 0 of B_y(p, r) (k = 0, 1, ...) the difference
+# B_(1/2) - B_y loses about 5e-15/|p + k| relative; this close to one the
+# term-by-term series runs instead
+_POLE_BAND = 0.05
 
 
-# the recurrence in _heavy_inc_beta loses about 4e-15/|beta+1| relative;
-# closer to beta = -1 than this, quadrature is the more accurate
-HEAVY_RIGHT_GAP = 1e-4
+def _inc_beta_cont(p: float, r: float, y):
+    """B_y(p, r) = y^p/p 2F1(p, 1-r; p+1; y), continued to p < 0 (DLMF 8.17.7).
 
-
-def _heavy_inc_beta(a: float, b: float, v, tail):
-    """B_v(a, b) for a > 0, -1 < b < 0, given tail = (1-v)^b, by the
-    recurrence B_v(a,b) = [(a+b) B_v(a,b+1) - v^a (1-v)^b]/b."""
-    return (v ** a * tail
-            - (a + b) * complete_beta(a, b + 1.0) * betainc(a, b + 1.0, v)) / -b
-
-
-def _heavy_right_level(a: float, b: float, log_target, cfg: NumericConfig):
-    """w = -log(1-v) at which log B_v(a, b) = log_target, for -1 < b < 0.
-
-    In w the log quantile is nearly linear near v = 1.  The Newton solve
-    starts from the smaller of two upper bounds on the root, from
-    B_v(a, b) >= v^a / a (the small-v asymptote) and from
-    B_v(a, b) >= min(1, 2^(1-a)) ((1-v)^b - 2^-b) / -b.
+    Poles at p = 0, -1, -2, ...; called with y <= 1/2 only.
     """
-    def log_b(w):
-        return np.log(_heavy_inc_beta(a, b, -np.expm1(-w), np.exp(-b * w)))
-
-    def slope(w):
-        return (-np.expm1(-w)) ** (a - 1.0) * np.exp(-b * w - log_b(w))
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w_small = -np.log1p(-np.minimum(np.exp((log_target + math.log(a)) / a), 1.0))
-        w_large = np.log(2.0 ** -b - b * np.exp(log_target)
-                         / min(1.0, 2.0 ** (1.0 - a))) / -b
-        hi = np.minimum(w_small, w_large)
-        return _newton_bisect(lambda w: log_b(w) - log_target, slope,
-                              np.zeros_like(hi), hi, hi, cfg)
+    return y ** p / p * hyp2f1(p, 1.0 - r, p + 1.0, y)
 
 
-def _quadrature_q(p: MarginalParams, u: float, cfg: NumericConfig) -> float:
-    """Q(u) by adaptive quadrature from the anchor, for 0 < u <= 1."""
-    anchor = 0.0 if p.alpha > -1.0 else 0.5
-    lo, hi, sign = (u, anchor, -1.0) if u < anchor else (anchor, u, 1.0)
-    return sign * p.c * quad_beta_kernel(lambda _u: 1.0, p.alpha, p.beta, cfg, lo, hi)
+class _Half:
+    """One half of Q/c as G(mu); dG/dmu = `rising` y^p (1-y)^(r-1)."""
+
+    rising = 1.0
+
+    def __init__(self, p: float, r: float):
+        self.p, self.r = p, r
+
+    def value(self, mu):
+        return self._at(0.5 * np.exp(-mu), mu)
+
+    def solve(self, g, cfg: NumericConfig):
+        """mu at which G(mu) = g, elementwise, by safeguarded Newton on log G."""
+        lo, hi = self.bracket(g)
+        log_g, s, p, r = np.log(g), self.rising, self.p, self.r
+
+        def h(mu):
+            y = 0.5 * np.exp(-mu)
+            val = self._at(y, mu)
+            return s * (np.log(val) - log_g), y ** p * (1.0 - y) ** (r - 1.0) / val
+
+        return _newton_bisect(h, lo, hi, lo, cfg)
 
 
-def _q_top(p: MarginalParams, cfg: NumericConfig) -> float:
+class _FromZero(_Half):
+    """G = B_y(a, b), the integral over [0, y], for a > 0 and b <= 1."""
+
+    rising = -1.0
+
+    def _at(self, y, mu):
+        return _inc_beta_cont(self.p, self.r, y)
+
+    def bracket(self, g):
+        # y^p/p <= G <= 2^(1-r) y^p/p; the first, the tail asymptote, gives
+        # the lower end in mu, where Newton starts
+        lo = np.maximum(-math.log(2.0) - np.log(self.p * g) / self.p, 0.0)
+        return lo, lo + (1.0 - self.r) * math.log(2.0) / self.p
+
+
+class _ToHalf(_Half):
+    """G = B_(1/2)(p, r) - B_y(p, r), the integral over [y, 1/2]."""
+
+    def __init__(self, p: float, r: float):
+        super().__init__(p, r)
+        self.mid = _inc_beta_cont(p, r, 0.5)
+
+    def _at(self, y, mu):
+        return self.mid - _inc_beta_cont(self.p, self.r, y)
+
+    def solve(self, g, cfg: NumericConfig):
+        if self.p >= _POLE_BAND:
+            # G tends to B_(1/2)(p, r) as mu grows, and log G flattens: solve
+            # for the rest, B_y(p, r), which falls as y^p/p (next to p = 0
+            # the rest cancels, and log G stays steep up to mu ~ 1/p)
+            return _FromZero(self.p, self.r).solve(self.mid - g, cfg)
+        return super().solve(g, cfg)
+
+    def bracket(self, g):
+        # m E <= G <= M E, with m, M the extremes of (1-s)^(r-1) on [0, 1/2]
+        # and E = 2^-p mu exprel(-p mu) the integral of s^(p-1), so the root
+        # lies between the levels where E = g/M and E = g/m; Newton starts
+        # from the lower one (from the upper, where log G bends down, its
+        # first step overshoots the bracket)
+        p, f = self.p, 2.0 ** (1.0 - self.r)
+        lo, hi = g / max(1.0, f), g / min(1.0, f)
+        if p != 0.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # NaN where E stays below the level
+                lo, hi = (-np.log1p(-p * 2.0 ** p * v) / p for v in (lo, hi))
+        return np.fmin(lo, _MU_MAX), np.fmin(hi, _MU_MAX)
+
+
+class _ToHalfSeries(_ToHalf):
+    """_ToHalf next to a pole: the binomial series of (1-s)^(r-1) integrated
+    term by term, G = sum_k t_k (2^-e - y^e)/e, e = p + k, t_k = (1-r)_k/k!.
+
+    The term whose e is closest to 0 is 2^-e mu exprel(-e mu); the others
+    are d_k (1 - (2y)^e), d_k = t_k 2^-e/e.  The terms fall roughly as
+    k^-r 2^-k; 64 + 16 max(0, -r) of them past the pole reach 2^-56 of
+    the largest.
+    """
+
+    def __init__(self, p: float, r: float):
+        _Half.__init__(self, p, r)
+        pole = max(0, round(-p))
+        k = np.arange(pole + 64 + 16 * max(0, math.ceil(-r)), dtype=float)
+        t = np.cumprod(np.append(1.0, (k[:-1] + 1.0 - r) / (k[:-1] + 1.0)))
+        e = p + k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.d = t * 0.5 ** e / e
+        self.d[pole] = 0.0
+        self.pole = (e[pole], t[pole] * 0.5 ** e[pole])
+        self.total = self._poly(1.0)
+
+    def _poly(self, eta):
+        powers = np.expand_dims(eta, -1) ** np.arange(1.0, self.d.size)
+        return self.d[0] + (powers * self.d[1:]).sum(-1)
+
+    def _at(self, y, mu):
+        eta = 2.0 * y
+        e, t = self.pole
+        return self.total - eta ** self.p * self._poly(eta) + t * mu * exprel(-e * mu)
+
+
+def _to_half(p: float, r: float) -> _ToHalf:
+    near_pole = abs(p + max(0, round(-p))) < _POLE_BAND
+    return (_ToHalfSeries if near_pole else _ToHalf)(p, r)
+
+
+def _take(mask, v):
+    """v[mask] for a mask with a true element; a 0-d v stays a numpy scalar."""
+    return v[()] if v.ndim == 0 else v[mask]
+
+
+def _corner(p: MarginalParams) -> tuple[_Half, float, _Half, float]:
+    """(left half, its sign in Q/c, right half, Q(1/2)/c) of a corner margin."""
+    a, b = p.alpha + 1.0, p.beta + 1.0
+    right = _to_half(b, a)
+    if p.alpha > -1.0:
+        return _FromZero(a, b), 1.0, right, float(_inc_beta_cont(a, b, 0.5))
+    return _to_half(a, b), -1.0, right, 0.0
+
+
+def _corner_q(p: MarginalParams, u):
+    """Q on 0 < u < 1 for a corner margin."""
+    left, sign, right, mid = _corner(p)
+    u = np.asarray(u)
+    out = np.full(u.shape, mid)
+    low, high = u < 0.5, u > 0.5
+    if low.any():
+        out[low] = sign * left.value(-np.log(2.0 * _take(low, u)))
+    if high.any():
+        out[high] = mid + right.value(-np.log(2.0 * (1.0 - _take(high, u))))
+    return p.c * out[()]
+
+
+def _corner_f(p: MarginalParams, x, cfg: NumericConfig):
+    """F inside the support of a corner margin."""
+    left, sign, right, mid = _corner(p)
+    xc = np.asarray(x) / p.c
+    u = np.full(xc.shape, 0.5)
+    low, high = xc < mid, xc > mid
+    if low.any():
+        u[low] = 0.5 * np.exp(-left.solve(sign * _take(low, xc), cfg))
+    if high.any():
+        u[high] = 1.0 - 0.5 * np.exp(-right.solve(_take(high, xc) - mid, cfg))
+    return u[()]
+
+
+def _q_top(p: MarginalParams) -> float:
     """Q(1), the upper end of the support."""
     if p.beta <= -1.0:
         return math.inf
+    a, b = p.alpha + 1.0, p.beta + 1.0
     if p.alpha > -1.0:
-        return p.c * complete_beta(p.alpha + 1.0, p.beta + 1.0)
-    return _quadrature_q(p, 1.0, cfg)
+        return p.c * complete_beta(a, b)
+    return p.c * float(_inc_beta_cont(b, a, 0.5))
 
 
-def _big_q(p: MarginalParams, u, cfg: NumericConfig):
+def _big_q(p: MarginalParams, u):
     """The branch table of Q on 0 < u < 1."""
     c, alpha, beta = p.c, p.alpha, p.beta
     if alpha > -1.0:
@@ -377,13 +433,10 @@ def _big_q(p: MarginalParams, u, cfg: NumericConfig):
             if beta == -1.0:
                 return -c * log_s
             return -c * np.expm1((beta + 1.0) * log_s) / (beta + 1.0)
-        a = alpha + 1.0
         if beta > -1.0:
+            a = alpha + 1.0
             return c * complete_beta(a, beta + 1.0) * betainc(a, beta + 1.0, u)
-        if -2.0 < beta < -1.0 - HEAVY_RIGHT_GAP:
-            return c * _heavy_inc_beta(a, beta + 1.0, u, (1.0 - u) ** (beta + 1.0))
-    # alpha <= -1, beta <= -2, or -1 - HEAVY_RIGHT_GAP <= beta <= -1 with alpha != 0
-    return _per_element(lambda v: _quadrature_q(p, v, cfg), u)
+    return _corner_q(p, u)
 
 
 def big_q1(p: MarginalParams, u: float | np.ndarray,
@@ -391,12 +444,12 @@ def big_q1(p: MarginalParams, u: float | np.ndarray,
     """Quantile function Q(u), the anchored integral of the quantile density.
 
     `u` may be a float or an array; the result has its shape.  Closed
-    forms cover beta = 0, alpha = 0 (with the log limit at beta = -1),
-    the incomplete-beta region alpha, beta > -1 and, through the
-    recurrence in b, alpha > -1 with -2 < beta < -1 - HEAVY_RIGHT_GAP.  The
-    remaining corners (alpha <= -1, beta <= -2, beta within HEAVY_RIGHT_GAP
-    below -1 with alpha != 0) fall back to adaptive quadrature with an
-    endpoint-flattening substitution, one element at a time.
+    forms cover beta = 0, alpha = 0 (with the log limit at beta = -1) and
+    the incomplete-beta region alpha, beta > -1.  The corners alpha <= -1
+    and beta <= -1 (alpha != 0) split at u = 1/2 into B_u(alpha+1, beta+1)
+    continued through 2F1 and its mirror in 1-u, with a term-by-term
+    series next to the poles at integer exponents.  `cfg` is unused and
+    kept for symmetry with f1.
     """
     low = 0.0 if p.alpha > -1.0 else -math.inf
     if isinstance(u, (float, int)):
@@ -405,67 +458,39 @@ def big_q1(p: MarginalParams, u: float | np.ndarray,
                 return low
             if u != 1.0:
                 raise DomainError(f"u must lie in [0, 1], got {u}")
-            return _q_top(p, cfg)
-        return float(_big_q(p, u, cfg))
+            return _q_top(p)
+        return float(_big_q(p, u))
     u = np.asarray(u, dtype=float)
     if not np.all((u >= 0.0) & (u <= 1.0)):
         raise DomainError("u must lie in [0, 1]")
-    out = np.where(u == 0.0, low, _q_top(p, cfg))
+    out = np.where(u == 0.0, low, _q_top(p))
     inside = (u > 0.0) & (u < 1.0)
-    out[inside] = _big_q(p, u[inside], cfg)
+    out[inside] = _big_q(p, u[inside])
     return out
 
 
-def _f1_search(p: MarginalParams, x: float, upper: float, cfg: NumericConfig) -> float:
-    """Invert Q at one x inside the support: bracket, then Brent.
-
-    Returns exactly 0 or 1 only when the bracket search gives up.
-    """
-    lo = 0.0
-    if p.alpha <= -1.0:
-        lo = 0.5
-        while big_q1(p, lo, cfg) > x:
-            lo *= 0.5
-            if lo < 1e-300:
-                return 0.0
-    if math.isfinite(upper):
-        hi = 1.0
-    else:
-        gap = 0.25
-        hi = 0.75
-        while big_q1(p, hi, cfg) < x:
-            gap *= 0.5
-            hi = 1.0 - gap
-            if gap < 1e-16:
-                return 1.0
-    return _brentq(lambda v: big_q1(p, v, cfg) - x, lo, hi, cfg)
-
-
 def _f1(p: MarginalParams, x, upper: float, cfg: NumericConfig):
-    """The branch table of F inside the support, with the clamp flag."""
+    """The branch table of F inside the support."""
     c, alpha, beta = p.c, p.alpha, p.beta
     if alpha > -1.0:
         a = alpha + 1.0
         # (beta + 1) x / c and friends as x / upper: below 1 whenever x < upper
         if beta == 0.0:
-            return (x / upper) ** (1.0 / a), False
+            return (x / upper) ** (1.0 / a)
         if alpha == 0.0:
             if beta == -1.0:
-                return -np.expm1(-x / c), False
+                return -np.expm1(-x / c)
             t = x / upper if beta > -1.0 else (beta + 1.0) * x / c
-            return -np.expm1(np.log1p(-t) / (beta + 1.0)), False
+            return -np.expm1(np.log1p(-t) / (beta + 1.0))
         if beta > -1.0:
             u = betaincinv(a, beta + 1.0, x / upper)
             if alpha != beta:
-                return u, False
+                return u
             # betaincinv(a, a, p) is off by up to 1.4e-8 within ulps of p = 1/2
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = (upper * betainc(a, a, u) - x) / (c * (u * (1.0 - u)) ** alpha)
-                return np.where(np.abs(step) < 0.5 * np.minimum(u, 1.0 - u), u - step, u), False
-        if -2.0 < beta < -1.0 - HEAVY_RIGHT_GAP:
-            return -np.expm1(-_heavy_right_level(a, beta + 1.0, np.log(x / c), cfg)), False
-    u = _per_element(lambda v: _f1_search(p, v, upper, cfg), x)
-    return u, (u == 0.0) | (u == 1.0)
+                return np.where(np.abs(step) < 0.5 * np.minimum(u, 1.0 - u), u - step, u)
+    return _corner_f(p, x, cfg)
 
 
 def f1_flagged(p: MarginalParams, x: float | np.ndarray,
@@ -484,13 +509,12 @@ def f1_flagged(p: MarginalParams, x: float | np.ndarray,
             return 0.0, x < sup.lower
         if x >= sup.upper:
             return 1.0, x > sup.upper
-        u, flag = _f1(p, float(x), sup.upper, cfg)
-        return float(u), bool(flag)
+        return float(_f1(p, float(x), sup.upper, cfg)), False
     x = np.asarray(x, dtype=float)
     u = np.where(x <= sup.lower, 0.0, 1.0)
     flags = (x < sup.lower) | (x > sup.upper)
     inside = (x > sup.lower) & (x < sup.upper)
-    u[inside], flags[inside] = _f1(p, x[inside], sup.upper, cfg)
+    u[inside] = _f1(p, x[inside], sup.upper, cfg)
     return u, flags
 
 

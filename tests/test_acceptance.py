@@ -25,7 +25,6 @@ from bivqf.fit import MrqParams, fit_bivariate, fit_marginal, fit_theta
 from bivqf.gof import ks_conditional, ks_marginal, mrq_ks_conditional, mrq_ks_marginal
 from bivqf.lmom import (
     population_lmoments,
-    population_lmoments_quadrature,
     sample_lmoments,
 )
 from bivqf.model import (
@@ -36,6 +35,7 @@ from bivqf.model import (
     product_moment,
 )
 from bivqf.sampling import SamplerSpec, draw
+from quad_oracles import population_lmoments_quadrature
 
 CABLE = BUILTIN_DATASETS["cable"]
 COMP = BUILTIN_DATASETS["components"]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -159,6 +160,15 @@ class TestPopulation:
             closed = power_case_lcov_hypergeometric(bp)
             quadr = population_lcomoments(bp).l2_12
             assert math.isclose(closed, quadr, rel_tol=1e-9, abs_tol=1e-12)
+
+    def test_hypergeometric_oracle_at_large_theta(self):
+        # the 2F1 power series behind gauss_2f1 raised ConvergenceError here
+        bp = BivariateParams(MarginalParams(2.0, 0.0, 0.0), MarginalParams(1.0, 0.0, 0.0), 500.0)
+        th = mpmath.mpf(500)
+        ref = 2 * (mpmath.mpf(1) / 2 - mpmath.hyp2f1(1, 1, 2, -th) + mpmath.hyp2f1(1, 2, 3, -th) / 2)
+        closed = power_case_lcov_hypergeometric(bp)
+        assert math.isclose(closed, float(ref), rel_tol=1e-13)
+        assert math.isclose(closed, population_lcomoments(bp).l2_12, rel_tol=1e-9)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_brute_double_quadrature_oracle(self):

@@ -42,14 +42,18 @@ assert not loaded(), "reproduce loaded " + ", ".join(loaded())
     assert (tmp_path / "rep.report.json").is_file()
 
 
-def test_quadrature_fallback_works_after_a_fresh_import():
+def test_every_corner_loads_no_heavy_scipy_module():
+    # one margin per branch of big_q1 / f1, the corners that once fell back
+    # to adaptive quadrature and Brent included
     res = run_fresh("""
-from bivqf.lmom import population_lmoments, population_lmoments_quadrature
-from bivqf.model import MarginalParams
-m = MarginalParams(2.0, 0.5, -0.5)
-assert not loaded()
-got, ref = population_lmoments_quadrature(m), population_lmoments(m)
-assert abs(got.l2 - ref.l2) <= 1e-8 * ref.l2, (got, ref)
-assert "scipy.integrate" in loaded()
+import numpy as np
+from bivqf.model import MarginalParams, big_q1, f1
+for shape in ((0.0, 0.0), (0.5, -0.3), (-0.4, -1.6), (-1.5, -1.5), (-1.0, -1.0),
+              (0.3, -1.00005), (0.2, -1.0), (0.5, -2.5), (-2.0, 0.5)):
+    m = MarginalParams(1.0, *shape)
+    u = np.array([0.01, 0.5, 0.99])
+    assert np.allclose(f1(m, big_q1(m, u)), u, rtol=1e-9), shape
+    assert abs(f1(m, big_q1(m, 0.3)) - 0.3) < 1e-9, shape
+assert not loaded(), "the model functions loaded " + ", ".join(loaded())
 """)
     assert res.returncode == 0, res.stderr

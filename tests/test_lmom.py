@@ -8,11 +8,11 @@ from bivqf.data import BUILTIN_DATASETS
 from bivqf.errors import DivergentMomentError, InsufficientDataError
 from bivqf.lmom import (
     population_lmoments,
-    population_lmoments_quadrature,
     sample_lmoments,
 )
 from bivqf.model import MarginalParams
 from bivqf.specfun import complete_beta
+from quad_oracles import population_lmoments_quadrature
 
 
 def combinatorial_lmoments(x):

@@ -15,7 +15,6 @@ from bivqf.fit import fit_marginal, fit_mrq, fit_theta
 from bivqf.model import (
     BivariateParams,
     MarginalParams,
-    HEAVY_RIGHT_GAP,
     NumericConfig,
     _brentq,
     big_q1,
@@ -24,12 +23,12 @@ from bivqf.model import (
     joint_survival,
     product_moment,
     q1,
-    quad_beta_kernel,
     q2_bar_conditional,
     support,
     u21,
 )
 from bivqf.specfun import complete_beta
+from quad_oracles import quad_beta_kernel
 
 EXP1 = MarginalParams(1.0, 0.0, -1.0)
 UNIF = MarginalParams(1.0, 0.0, 0.0)
@@ -116,6 +115,69 @@ def mpmath_quantile(p: MarginalParams, u: float) -> float:
         return float(p.c * mpmath.betainc(p.alpha + 1.0, p.beta + 1.0, 0, mpmath.mpf(u)))
 
 
+def mpmath_corner_quantile(p: MarginalParams, u: float) -> float:
+    """Q(u) from its anchor by mpmath quadrature on the half of (0, 1) holding u.
+
+    On each half the integral of t^alpha (1-t)^beta runs in m = -log(2y),
+    y = u or 1 - u, where the integrand is smooth; any exponent works,
+    the integer ones included.
+    """
+    with mpmath.workdps(30):
+        u = mpmath.mpf(u)
+
+        def half(y, p_exp, r_exp):
+            """int_y^(1/2) s^(p-1) (1-s)^(r-1) ds."""
+            top = -mpmath.log(2 * y)
+            s = lambda m: mpmath.exp(-m) / 2  # noqa: E731
+            pts = [0] + [x for x in (1, 4, 16, 64) if x < top] + [top]
+            return mpmath.quad(lambda m: s(m) ** p_exp * (1 - s(m)) ** (r_exp - 1), pts)
+
+        a, b = p.alpha + 1, p.beta + 1
+        if u <= 0.5:
+            if p.alpha > -1.0:
+                return float(p.c * mpmath.betainc(a, b, 0, u))
+            return float(-p.c * half(u, a, b))
+        mid = mpmath.betainc(a, b, 0, 0.5) if p.alpha > -1.0 else 0
+        return float(p.c * (mid + half(1 - u, b, a)))
+
+
+class TestCorners:
+    """alpha <= -1, or beta <= -1 with alpha != 0: Q against mpmath on both
+    halves and both tails, the integer and near-integer exponents included."""
+
+    MARGINS = [(-1.5, -1.5), (-2.5, -0.7), (-1.5, -2.5), (0.5, -2.5), (-0.2, -3.3),
+               (0.3, -1.00005), (0.2, -1.0), (-1.0, -1.0), (-2.0, 0.5), (-2.0, -1.0),
+               (-1.0, 0.5), (-1.0 - 1e-5, 0.3), (-2.0 + 1e-9, -0.4), (0.5, -2.0),
+               (2.5, -3.9), (-2.9, 1.9), (-0.9999, -1.5), (-1.0, -1.0 - 1e-5),
+               (-0.5, -1.9999), (1.0, -3.0), (-1.2, 0.7), (-1.7, -0.95)]
+    LEVELS = [1e-30, 1e-6, 0.1, 0.4999, 0.5001, 0.9, 1.0 - 1e-6, 1.0 - 2.0 ** -52]
+
+    @pytest.mark.parametrize("alpha, beta", MARGINS)
+    def test_quantile_against_mpmath(self, alpha, beta):
+        p = MarginalParams(1.3, alpha, beta)
+        got = big_q1(p, np.array(self.LEVELS))
+        for u, g in zip(self.LEVELS, got):
+            ref = mpmath_corner_quantile(p, u)
+            # relative, or absolute next to the median anchor
+            assert abs(g - ref) <= 1e-13 * max(abs(ref), 1.0), (u, g, ref)
+        assert big_q1(p, 0.5) == (0.0 if alpha <= -1.0 else big_q1(p, np.array([0.5]))[0])
+
+    @pytest.mark.parametrize("alpha, beta", MARGINS)
+    def test_round_trip_in_both_tails(self, alpha, beta):
+        p = MarginalParams(1.3, alpha, beta)
+        us = np.array(self.LEVELS[:-1])
+        x = big_q1(p, us)
+        back = f1(p, x)
+        # relative in u below 1/2 and in 1-u above; toward a finite upper
+        # end (beta > -1) Q resolves u only to about eps |x| / q(u)
+        tol = 1e-10 * np.minimum(us, 1.0 - us)
+        if beta > -1.0:
+            q = p.c * us ** alpha * (1.0 - us) ** beta
+            tol = np.where(us > 0.5, 1e-10 + 4e-16 * np.abs(x) / q, tol)
+        finite = np.isfinite(x) & (x != 0.0)
+        np.testing.assert_array_less(np.abs(back - us)[finite], tol[finite])
+
+
 class TestHeavyRightTail:
     """alpha > -1, -2 < beta < -1: Q diverges at 1 and has a closed form."""
 
@@ -139,9 +201,8 @@ class TestHeavyRightTail:
 
     @pytest.mark.parametrize("beta", [-1.9, -1.5, -1.1, -1.01, -1.001, -1.0002])
     def test_grid_toward_log_tail(self, beta):
-        # B_u(a,b) = [u^a (1-u)^b - (a+b) B_u(a,b+1)] / -b loses about
-        # 4e-15/|beta+1| relative to cancellation as beta -> -1-, hence
-        # the tolerance; closer than HEAVY_RIGHT_GAP quadrature takes over
+        # the tolerance of the recurrence in b this branch once used, which
+        # lost about 4e-15/|beta+1| relative as beta -> -1-
         tol = 1e-14 / abs(beta + 1.0)
         for alpha in (-0.9, 0.3, 2.5):
             p = MarginalParams(1.0, alpha, beta)
@@ -152,15 +213,16 @@ class TestHeavyRightTail:
                 assert math.isclose(big_q1(p, u), ref, rel_tol=tol), (alpha, u)
                 assert math.isclose(a, ref, rel_tol=tol), (alpha, u)
 
-    @pytest.mark.parametrize("beta", [-1.0, -1.0 - 1e-6, -1.0 - HEAVY_RIGHT_GAP / 2])
+    @pytest.mark.parametrize("beta", [-1.0, -1.0 - 1e-6, -1.00005])
     def test_quadrature_next_to_log_tail(self, beta):
-        # within HEAVY_RIGHT_GAP of -1 the log-substituted quadrature runs
-        # to its own relative tolerance, also next to u = 1
+        # at and just below beta = -1 the right half runs on the series
+        # next to the pole of B_y(beta+1, alpha+1); it holds the 1e-8 of the
+        # quadrature it replaced with room to spare, also next to u = 1
         for alpha in (-0.5, 0.3):
             p = MarginalParams(1.0, alpha, beta)
             for u in (0.05, 0.5, 0.99, self.U_TOP, 1.0 - 2.0 ** -52):
                 ref = mpmath_quantile(p, u)
-                assert math.isclose(big_q1(p, u), ref, rel_tol=1e-8), (alpha, u)
+                assert math.isclose(big_q1(p, u), ref, rel_tol=1e-13), (alpha, u)
 
     @pytest.mark.parametrize("p", [MarginalParams(0.8, -0.6, -1.4),
                                    MarginalParams(9.08, -0.48, -1.05),
@@ -488,6 +550,17 @@ class TestProductMoment:
         assert math.isclose(product_moment(BivariateParams(COMP1, m2, theta)), cap,
                             rel_tol=1e-10)
 
+    @pytest.mark.parametrize("alpha, beta", [(-0.9, -1.9), (-0.99, -1.6), (-1.0 + 1e-15, -1.7),
+                                             (0.5, -2.0 + 1e-15), (-0.3, -1.2)])
+    def test_weight_exponents_next_to_minus_one(self, alpha, beta):
+        # with u2 uniform and theta = 1 the inner integral is 1 - 1/(2(1+u1)),
+        # so E(X1 X2) = B(a, c) (1 - 2F1(1, a; a+c; -1)/2), a = alpha+1, c = beta+2;
+        # exponents below -1/2 of the rule's weight are raised by one first
+        a, c = mpmath.mpf(alpha) + 1, mpmath.mpf(beta) + 2
+        ref = mpmath.beta(a, c) * (1 - mpmath.hyp2f1(1, a, a + c, -1) / 2)
+        got = product_moment(BivariateParams(MarginalParams(1.0, alpha, beta), UNIF, 1.0))
+        assert math.isclose(got, float(ref), rel_tol=1e-10)
+
     def test_monotone_in_theta(self):
         bp0 = BivariateParams(UNIF, UNIF, 0.0)
         bp1 = BivariateParams(UNIF, UNIF, 1.0)
@@ -584,13 +657,16 @@ class TestBrent:
         fit_mrq(BUILTIN_DATASETS["components"])
         assert len(checked) == 1 and checked[0] > 2
 
+    # the margins that once fell back to Brent over adaptive quadrature:
+    # F now inverts mpmath's Q with no Brent search
     @pytest.mark.parametrize("m", [MarginalParams(1.0, -1.5, -1.5),
                                    MarginalParams(2.0, 0.5, -2.5),
                                    MarginalParams(1.0, 0.3, -1.00005)])
     def test_f1_fallback(self, checked, m):
-        for u in (0.05, 0.5, 0.95):
-            f1(m, big_q1(m, u))
-        assert len(checked) == 3
+        for u in (1e-8, 0.05, 0.5, 0.95, 1.0 - 1e-8):
+            back = f1(m, mpmath_corner_quantile(m, u))
+            assert abs(back - u) <= 1e-12 * min(u, 1.0 - u), (u, back)
+        assert checked == []
 
     def test_iteration_cap(self):
         f = lambda x: x ** 3 - 2.0 * x - 5.0
