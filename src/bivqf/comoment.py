@@ -14,10 +14,11 @@ The (2,1) direction reduces exactly to a one-dimensional integral: the
 inner u2-integral against q2 equals the difference between conditional
 and marginal partial means,
 
-    J(u1) = theta*u1*l1_2 - g*(l1_2 - c2 B_w(alpha2+1, beta2+2)),
+    J(u1) = g c2 B_w(alpha2+1, beta2+2) - l1_2,
 
-with g = 1 + theta*u1 and Q2(w) = Q2(1)/g; for beta2 <= -1 the second
-term vanishes and J is exactly linear in u1.
+with g = 1 + theta*u1 and Q2(w) = Q2(1)/g, the partial mean that
+E(X1 X2) shares (model._partial_mean2); for beta2 <= -1 the partial mean
+is g l1_2 and J = theta*u1*l1_2 is exactly linear in u1.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv, roots_jacobi
+from scipy.special import roots_jacobi
 
 from .data import PairedSample
 from .errors import DivergentMomentError, InsufficientDataError
@@ -35,9 +36,10 @@ from .model import (
     DEFAULT_NUMERIC_CONFIG,
     NumericConfig,
     _fixed_rule,
+    _partial_mean2,
     u21,
 )
-from .specfun import complete_beta, gauss_2f1
+from .specfun import gauss_2f1
 
 __all__ = ["LComomentSet", "PowerLcovComparison", "population_lcomoments",
            "power_case_lcov_closed_form", "power_case_lcov_hypergeometric",
@@ -134,14 +136,8 @@ def population_lcomoments(bp: BivariateParams,
         def jfun(u1: np.ndarray) -> np.ndarray:
             return th * u1 * lam1_2
     else:
-        a2, b2 = m2.alpha + 1.0, m2.beta + 1.0
-        norm2 = complete_beta(a2, b2 + 1.0)
-
         def jfun(u1: np.ndarray) -> np.ndarray:
-            g = 1.0 + th * u1
-            w = betaincinv(a2, b2, 1.0 / g)
-            partial = m2.c * norm2 * betainc(a2, b2 + 1.0, w)
-            return th * u1 * lam1_2 - g * (lam1_2 - partial)
+            return _partial_mean2(m2, 1.0 + th * u1) - lam1_2
 
     l21 = _GAMMA * _fixed_rule(lambda u: _weights(u) * jfun(u), 0.0, 1.0, cfg)
 

@@ -42,9 +42,9 @@ from .model import (
     DEFAULT_NUMERIC_CONFIG,
     MarginalParams,
     NumericConfig,
-    _brentq,
     _fixed_rule,
     _newton_bisect,
+    _secant,
     product_moment,
 )
 from .specfun import log_gamma
@@ -116,14 +116,19 @@ def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
             f"independence value {e0:.6g}; theta set to 0")
         return 0.0, (0.0, 0.0), warnings
 
-    hi = 1.0
-    while pm(hi) < target:
-        hi *= 2.0
+    # the last two ends of the doubling loop bracket the root; the reported
+    # bracket stays (0, hi)
+    lo, f_lo = 0.0, e0 - target
+    hi, f_hi = 1.0, pm(1.0) - target
+    while f_hi < 0.0:
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
         if hi > _THETA_CAP:
             raise BracketError(
                 f"product moment never reaches {target:.6g} for theta up to "
                 f"{_THETA_CAP:.0e}")
-    theta = _brentq(lambda th: pm(th) - target, 0.0, hi, cfg)
+        f_hi = pm(hi) - target
+    h = _secant(lambda th: pm(th) - target, hi, f_hi)
+    theta = float(_newton_bisect(h, lo, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo), cfg))
     return theta, (0.0, hi), warnings
 
 
@@ -315,21 +320,20 @@ def fit_mrq(s: PairedSample,
         trial = MrqParams(a1, b1, a2, b2, c, d)
         return _mrq_lcov_12(trial, cfg) - target_l12
 
-    # L2(1,2) is decreasing in d; expand a bracket around 0
-    lo, hi = -1.0, 1.0
-    span = 0
-    while resid(lo) < 0.0:
-        lo *= 2.0
-        span += 1
-        if span > 40:
-            raise BracketError("could not bracket d from below")
-    span = 0
-    while resid(hi) > 0.0:
-        hi *= 2.0
-        span += 1
-        if span > 40:
-            raise BracketError("could not bracket d from above")
-    d = _brentq(resid, lo, hi, cfg)
+    # L2(1,2) is decreasing in d; expand a bracket around 0, one end at a time
+    ends = []
+    for x, sign, side in ((-1.0, 1.0, "below"), (1.0, -1.0, "above")):
+        for _ in range(41):
+            r = resid(x)
+            if sign * r >= 0.0:
+                break
+            x *= 2.0
+        else:
+            raise BracketError(f"could not bracket d from {side}")
+        ends.append((x, r))
+    (lo, r_lo), (hi, r_hi) = ends
+    h = _secant(lambda d: -resid(d), hi, -r_hi)
+    d = float(_newton_bisect(h, lo, hi, lo + r_lo * (hi - lo) / (r_lo - r_hi), cfg))
 
     params = MrqParams(a1, b1, a2, b2, c, d)
     warnings = tuple(params.constraint_violations())

@@ -22,8 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betainc, betaincinv, exprel, hyp2f1, roots_jacobi
 
-from .errors import (BracketError, ConvergenceError, DivergentMomentError, DomainError,
-                     QuadratureError)
+from .errors import ConvergenceError, DivergentMomentError, DomainError, QuadratureError
 from .specfun import complete_beta, log_gamma
 
 __all__ = [
@@ -109,9 +108,6 @@ class NumericConfig:
 
 
 DEFAULT_NUMERIC_CONFIG = NumericConfig()
-
-# relative x tolerance of Brent's method: scipy.optimize.brentq's default
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +198,28 @@ def _newton_bisect(h: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
             x = xn
     raise ConvergenceError(
         f"safeguarded Newton did not converge within {cfg.root_max_iter} steps")
+
+
+def _secant(f: Callable[[float], float], x0: float, f0: float
+            ) -> Callable[[float], tuple[float, float]]:
+    """A scalar f with no slope as an h for _newton_bisect.
+
+    h(x) returns f(x) and the secant slope through the previous
+    evaluation, the first time through (x0, f0), a point the caller has
+    already evaluated.  A NaN value raises ConvergenceError: its sign
+    tests would all be false, and the bracket would stop shrinking.
+    """
+    last = [x0, f0]
+
+    def h(x):
+        fx = float(f(float(x)))
+        if math.isnan(fx):
+            raise ConvergenceError(f"root search met a NaN function value at {x}")
+        slope = np.divide(fx - last[1], x - last[0])
+        last[:] = x, fx
+        return fx, slope
+
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -524,61 +542,6 @@ def f1(p: MarginalParams, x: float | np.ndarray,
     return f1_flagged(p, x, cfg)[0]
 
 
-def _brentq(f: Callable[[float], float], lo: float, hi: float,
-            cfg: NumericConfig) -> float:
-    """Root of f on [lo, hi] by Brent's method.
-
-    A transcription of scipy.optimize.brentq (its C `brentq`) with
-    xtol = cfg.root_tol, rtol = 4 eps and maxiter = cfg.root_max_iter:
-    the same iterates, the same function calls and the same result, without
-    importing scipy.optimize.
-    """
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ConvergenceError(f"root search met a NaN function value at {x}")
-        return fx
-
-    xpre, xcur = float(lo), float(hi)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise BracketError(f"root not bracketed on [{lo}, {hi}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(cfg.root_max_iter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (cfg.root_tol + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = value(xcur)
-    raise ConvergenceError(f"Brent's method did not converge in {cfg.root_max_iter} "
-                           f"iterations on [{lo}, {hi}]; last iterate {xcur}")
-
-
 # ---------------------------------------------------------------------------
 # conditional structure
 
@@ -635,6 +598,22 @@ def _lambda(p: MarginalParams, r: int) -> float:
     )
 
 
+def _partial_mean2(m2: MarginalParams, g: np.ndarray) -> np.ndarray:
+    """int_0^1 (1 - u21) q2(u2) du2 at g = 1 + theta*u1, for beta2 > -1.
+
+    The partial mean of X2 given X1 beyond its u1-quantile, up to the top
+    of the X2 support, that E(X1 X2) and L_k(2,1) share.  The change of
+    variable w = u21 makes it g c2 B_w*(alpha2+1, beta2+2) with
+    w* = I^-1(1/g).  Where w* underflows (alpha2 near -1),
+    g I_w*(a2, b2+1) has reached its limit B(a2, b2) / B(a2, b2+1), since
+    w*^a2 -> a2 B(a2, b2) / g.
+    """
+    a2, b2 = m2.alpha + 1.0, m2.beta + 1.0
+    w = betaincinv(a2, b2, 1.0 / g)
+    return np.where(w > 1e-300, m2.c * complete_beta(a2, b2 + 1.0) * g * betainc(a2, b2 + 1.0, w),
+                    m2.c * complete_beta(a2, b2))
+
+
 def product_moment(bp: BivariateParams,
                    cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float:
     """E(X1 X2) = double integral of (1-u1)(1-u21) q1(u1) q2(u2).
@@ -659,11 +638,6 @@ def product_moment(bp: BivariateParams,
         # u21 sweeps the whole unit interval: inner integral is exact
         return _lambda(m2, 1) * (_lambda(m1, 1) + th * _lambda(m1, 2))
 
-    a2, b2 = m2.alpha + 1.0, m2.beta + 1.0
-    scale2 = m2.c * complete_beta(a2, b2 + 1.0)
-    # where w* underflows (alpha2 near -1), g I_w*(a2, b2+1) has reached
-    # its limit B(a2, b2) / B(a2, b2+1), since w*^a2 -> a2 B(a2, b2) / g
-    limit = m2.c * complete_beta(a2, b2)
     # u1 = s^k: the integrand has a (theta*u1)^(1 + 1/b2) kink at u1 = 0
     # and changes on the scale u1 ~ 1/theta; k = max(3, log10 theta)
     # smooths the kink and moves that scale to s >= 0.1, where the nodes
@@ -673,9 +647,7 @@ def product_moment(bp: BivariateParams,
 
     def inner(s: np.ndarray) -> np.ndarray:
         u = s ** k
-        g = 1.0 + th * u
-        w = betaincinv(a2, b2, 1.0 / g)
-        second = np.where(w > 1e-300, scale2 * g * betainc(a2, b2 + 1.0, w), limit)
+        second = _partial_mean2(m2, 1.0 + th * u)
         # (1 - u1)^e = (1-s)^e ((1 - s^k)/(1-s))^e, the ratio k at s = 1
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(s < 1.0, (1.0 - u) / (1.0 - s), k)

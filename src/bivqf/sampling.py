@@ -32,7 +32,8 @@ import numpy as np
 
 from .data import PairedSample
 from .errors import ConvergenceError, DomainError
-from .model import BivariateParams, DEFAULT_NUMERIC_CONFIG, NumericConfig, big_q1
+from .model import (BivariateParams, DEFAULT_NUMERIC_CONFIG, NumericConfig, _newton_bisect,
+                    big_q1)
 
 __all__ = ["SamplerSpec", "draw"]
 
@@ -88,26 +89,24 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
         w = (1.0 - v) / (1.0 + k / (m2.alpha + 1.0))
         return g * big_q1(m2, w, cfg)
 
-    def surv(w: np.ndarray, k: np.ndarray) -> np.ndarray:  # (1 - w) - k Q2(w)/q2(w)
-        q2 = m2.c * w ** m2.alpha * (1.0 - w) ** m2.beta
-        return (1.0 - w) - k * big_q1(m2, w, cfg) / q2
+    def ratio(w: np.ndarray) -> np.ndarray:  # Q2/q2, so that S = (1 - w) - k ratio
+        return big_q1(m2, w, cfg) / (m2.c * w ** m2.alpha * (1.0 - w) ** m2.beta)
 
     # the first of 64 scan cells whose right end has S <= v holds the first
     # crossing; the grid's Q2/q2 ratios are shared by all draws
     grid = np.arange(1, 65) / 65.0
-    crossed = surv(grid, k[:, None]) <= v[:, None]
+    crossed = (1.0 - grid) - k[:, None] * ratio(grid) <= v[:, None]
     cell = np.argmax(crossed, axis=1)
     found = crossed[np.arange(v.size), cell]
     lo = np.where(found, np.concatenate(([0.0], grid))[cell], grid[-1])
     # remaining crossings sit in the last cell near w = 1
     hi = np.where(found, grid[cell], 1.0 - 1e-12)
-    if np.any(surv(hi, k) > v):
+    if np.any((1.0 - hi) - k * ratio(hi) > v):
         raise ConvergenceError("conditional survival failed to cross the draw level")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        above = surv(mid, k) > v
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-        if np.max(hi - lo) < 1e-14:
-            break
-    return g * big_q1(m2, 0.5 * (lo + hi), cfg)
+
+    def h(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # v - S and its slope -dS/dw = 1 + k - k ratio d(log q2)/dw
+        r = ratio(w)
+        return v - (1.0 - w) + k * r, 1.0 + k - k * r * (m2.alpha / w - m2.beta / (1.0 - w))
+
+    return g * big_q1(m2, _newton_bisect(h, lo, hi, 0.5 * (lo + hi), cfg), cfg)

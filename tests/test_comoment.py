@@ -95,6 +95,19 @@ def adaptive_lcomoments(bp):
     return l12, l21
 
 
+def power_l2_21(c2, alpha2, theta):
+    """L2(2,1) for X1 uniform and X2 the power margin (c2, alpha2, 0).
+
+    With A = alpha2 + 1 it is 2 c2/(A+1) int_0^1 (1-u)(1 - (1+theta u)^(-1/A)) du;
+    the integral is taken in closed form through t = 1 + theta u, at 40 digits.
+    """
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha2) + 1
+        p, top, th = 1 / a, 1 + mpmath.mpf(theta), mpmath.mpf(theta)
+        rest = (top * (top ** (1 - p) - 1) / (1 - p) - (top ** (2 - p) - 1) / (2 - p)) / th ** 2
+        return float(2 * c2 / (a + 1) * (mpmath.mpf(1) / 2 - rest))
+
+
 class TestPopulation:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("name", ["cable", "components", "power", "exponential",
@@ -192,6 +205,18 @@ class TestPopulation:
         assert math.isclose(cm.l2_21, 0.8 * 2.0 / 3.0, rel_tol=1e-10)
         assert abs(cm.l3_21) <= 1e-12
         assert abs(cm.l4_21) <= 1e-12
+
+    # next to alpha2 = -1 the partial mean's w* underflows and takes its
+    # limit; below about -0.99999 the rule still misses a boundary layer
+    # of width (alpha2 + 1)/theta at u1 = 0
+    @pytest.mark.parametrize("alpha2, rel_tol", [
+        (-0.9, 1e-12), (-0.999, 1e-12), (-0.999999, 1e-5),
+        pytest.param(-0.99999, 1e-8, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason="2e-5 off: unresolved boundary layer"))])
+    def test_power_l2_21_next_to_alpha2_minus_one(self, alpha2, rel_tol):
+        bp = BivariateParams(UNIF, MarginalParams(1.0, alpha2, 0.0), 1.0)
+        got = population_lcomoments(bp).l2_21
+        assert math.isclose(got, power_l2_21(1.0, alpha2, 1.0), rel_tol=rel_tol)
 
     def test_population_rho_scale_invariant(self):
         base = BivariateParams(MarginalParams(2.0, 1.0, 0.0),

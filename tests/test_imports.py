@@ -2,8 +2,9 @@
 
 scipy.stats, scipy.integrate and scipy.optimize together take longer to
 import than everything `bivqf reproduce` computes, so none of them may be
-loaded by importing the CLI or by running `reproduce`.  Each check runs in
-a fresh interpreter, where no other test has imported them.
+loaded by importing the CLI, by running `reproduce`, or by the root
+searches of `fit` and the exact sampler.  Each check runs in a fresh
+interpreter, where no other test has imported them.
 """
 
 import os
@@ -40,6 +41,20 @@ assert not loaded(), "reproduce loaded " + ", ".join(loaded())
     assert res.returncode == 0, res.stderr
     assert "24/29 reference values reproduced" in res.stdout
     assert (tmp_path / "rep.report.json").is_file()
+
+
+def test_fit_and_exact_sampler_load_no_heavy_scipy_module(tmp_path):
+    res = run_fresh(f"""
+import bivqf.cli
+for argv in (["sample", "--catalog", "exponential", "--param", "c1=1", "--param", "c2=2",
+              "--theta", "0.5", "--n", "50", "--seed", "3", "--method", "exact",
+              "--out", {str(tmp_path / "s")!r}],
+             ["fit", "--data", "cable", "--out", {str(tmp_path / "f")!r}]):
+    assert bivqf.cli.main(argv) == 0, argv
+    assert not loaded(), argv[0] + " loaded " + ", ".join(loaded())
+""")
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "f.report.json").is_file()
 
 
 def test_every_corner_loads_no_heavy_scipy_module():

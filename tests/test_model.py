@@ -7,16 +7,16 @@ from scipy.integrate import dblquad, quad
 from scipy.optimize import brentq
 from scipy.special import betainc, betaincinv
 
-import bivqf.fit as fit_module
-import bivqf.model as model_module
+from bivqf.comoment import sample_lcomoments
 from bivqf.data import BUILTIN_DATASETS
-from bivqf.errors import BracketError, ConvergenceError, DivergentMomentError, DomainError
-from bivqf.fit import fit_marginal, fit_mrq, fit_theta
+from bivqf.errors import ConvergenceError, DivergentMomentError, DomainError
+from bivqf.fit import MrqParams, _mrq_lcov_12, fit_marginal, fit_mrq, fit_theta
 from bivqf.model import (
     BivariateParams,
     MarginalParams,
     NumericConfig,
-    _brentq,
+    _newton_bisect,
+    _secant,
     big_q1,
     f1,
     f1_flagged,
@@ -176,6 +176,15 @@ class TestCorners:
             tol = np.where(us > 0.5, 1e-10 + 4e-16 * np.abs(x) / q, tol)
         finite = np.isfinite(x) & (x != 0.0)
         np.testing.assert_array_less(np.abs(back - us)[finite], tol[finite])
+
+    # the margins that once fell back to Brent over adaptive quadrature
+    @pytest.mark.parametrize("m", [MarginalParams(1.0, -1.5, -1.5),
+                                   MarginalParams(2.0, 0.5, -2.5),
+                                   MarginalParams(1.0, 0.3, -1.00005)])
+    def test_f1_fallback(self, m):
+        for u in (1e-8, 0.05, 0.5, 0.95, 1.0 - 1e-8):
+            back = f1(m, mpmath_corner_quantile(m, u))
+            assert abs(back - u) <= 1e-12 * min(u, 1.0 - u), (u, back)
 
 
 class TestHeavyRightTail:
@@ -596,89 +605,43 @@ class TestParamValidation:
             NumericConfig(root_max_iter=0)
 
 
-def _brent_pair(f, lo, hi, cfg=NumericConfig()):
-    """model._brentq and the scipy.optimize.brentq oracle on the same f.
+class TestRootSearch:
+    """fit_theta and fit_mrq solve by _newton_bisect on secant slopes; their
+    roots agree with scipy's brentq on the same residual."""
 
-    Returns each one's root and the points at which it evaluated f.
-    """
-    def traced(points):
-        def g(x):
-            points.append(x)
-            return f(x)
-        return g
+    @staticmethod
+    def close_to_brentq(x, f, lo, hi, cfg=NumericConfig()):
+        ref = brentq(f, lo, hi, xtol=cfg.root_tol, maxiter=cfg.root_max_iter)
+        assert abs(x - ref) <= 2.0 * (cfg.root_tol + 4.0 * np.finfo(float).eps * abs(ref)), \
+            (x, ref)
 
-    ours, theirs = [], []
-    got = _brentq(traced(ours), lo, hi, cfg)
-    ref = brentq(traced(theirs), lo, hi, xtol=cfg.root_tol, maxiter=cfg.root_max_iter)
-    return got, ours, ref, theirs
+    def test_fit_theta(self):
+        s = BUILTIN_DATASETS["cable"]
+        m1, m2 = fit_marginal(s.x1), fit_marginal(s.x2)
+        theta, (lo, hi), _ = fit_theta(s, m1, m2)
+        assert theta > 0.0 and lo == 0.0
+        target = float(np.mean(np.asarray(s.x1) * np.asarray(s.x2)))
+        self.close_to_brentq(
+            theta, lambda th: product_moment(BivariateParams(m1, m2, th)) - target, lo, hi)
 
+    def test_fit_mrq(self):
+        s = BUILTIN_DATASETS["components"]
+        p = fit_mrq(s).params
+        target = sample_lcomoments(s).l2_12
 
-class TestBrent:
-    """model._brentq reproduces scipy's brentq step for step."""
+        def resid(d):
+            trial = MrqParams(p.a1, p.b1, p.a2, p.b2, p.c, d)
+            return _mrq_lcov_12(trial, NumericConfig()) - target
 
-    @pytest.fixture
-    def checked(self, monkeypatch):
-        """Make every _brentq call in model and fit also run the oracle."""
-        calls = []
-
-        def both(f, lo, hi, cfg):
-            got, ours, ref, theirs = _brent_pair(f, lo, hi, cfg)
-            assert got == ref
-            assert ours == theirs
-            calls.append(len(ours))
-            return got
-
-        monkeypatch.setattr(model_module, "_brentq", both)
-        monkeypatch.setattr(fit_module, "_brentq", both)
-        return calls
-
-    @pytest.mark.parametrize("f, lo, hi", [
-        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-        (lambda x: math.cos(x) - x, 0.0, 1.0),
-        (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 2.0),
-        (lambda x: 1e-3 - math.exp(-x), 0.0, 40.0),
-        (lambda x: x - 1.0, 0.0, 1.0),  # root at the upper end
-        (lambda x: x, 0.0, 1.0),  # root at the lower end
-    ])
-    def test_scalar_functions(self, f, lo, hi):
-        got, ours, ref, theirs = _brent_pair(f, lo, hi)
-        assert got == ref
-        assert ours == theirs
-
-    # components: the sample product mean is below the independence value,
-    # so fit_theta returns theta = 0 without a root search
-    @pytest.mark.parametrize("name, searches", [("cable", 1), ("components", 0)])
-    def test_fit_theta(self, checked, name, searches):
-        s = BUILTIN_DATASETS[name]
-        fit_theta(s, fit_marginal(s.x1), fit_marginal(s.x2))
-        assert len(checked) == searches and all(n > 2 for n in checked)
-
-    def test_fit_mrq(self, checked):
-        fit_mrq(BUILTIN_DATASETS["components"])
-        assert len(checked) == 1 and checked[0] > 2
-
-    # the margins that once fell back to Brent over adaptive quadrature:
-    # F now inverts mpmath's Q with no Brent search
-    @pytest.mark.parametrize("m", [MarginalParams(1.0, -1.5, -1.5),
-                                   MarginalParams(2.0, 0.5, -2.5),
-                                   MarginalParams(1.0, 0.3, -1.00005)])
-    def test_f1_fallback(self, checked, m):
-        for u in (1e-8, 0.05, 0.5, 0.95, 1.0 - 1e-8):
-            back = f1(m, mpmath_corner_quantile(m, u))
-            assert abs(back - u) <= 1e-12 * min(u, 1.0 - u), (u, back)
-        assert checked == []
+        # (-1, 1) is the bracket fit_mrq's expansion stops at on this sample
+        self.close_to_brentq(p.d, resid, -1.0, 1.0)
 
     def test_iteration_cap(self):
-        f = lambda x: x ** 3 - 2.0 * x - 5.0
-        with pytest.raises(RuntimeError):
-            brentq(f, 2.0, 3.0, xtol=1e-12, maxiter=3)
+        s = BUILTIN_DATASETS["cable"]
         with pytest.raises(ConvergenceError):
-            _brentq(f, 2.0, 3.0, NumericConfig(root_max_iter=3))
-
-    def test_no_bracket(self):
-        with pytest.raises(BracketError):
-            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, NumericConfig())
+            fit_theta(s, fit_marginal(s.x1), fit_marginal(s.x2), NumericConfig(root_max_iter=3))
 
     def test_nan_value(self):
+        h = _secant(lambda x: math.nan if x > 0.5 else -1.0, 0.0, -1.0)
         with pytest.raises(ConvergenceError):
-            _brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0, NumericConfig())
+            _newton_bisect(h, 0.0, 1.0, 0.75, NumericConfig())

@@ -9,13 +9,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bivqf.errors import DivergentMomentError, DomainError
+from bivqf.comoment import population_lcomoments
+from bivqf.errors import DivergentMomentError, DomainError, QuadratureError
 from bivqf.lmom import sample_lmoments
-from bivqf.model import (BivariateParams, MarginalParams, big_q1, f1, f1_flagged,
-                         product_moment, support, u21)
+from bivqf.model import (DEFAULT_NUMERIC_CONFIG, BivariateParams, MarginalParams, big_q1, f1,
+                         f1_flagged, product_moment, support, u21)
 from bivqf.sampling import SamplerSpec, draw
 
 SPECIAL = st.sampled_from((-2.0, -1.0, 0.0))
@@ -34,6 +35,10 @@ THETA = st.floats(0.0, 10.0)
 UNIT = st.floats(0.0, 1.0)
 MARGINAL = st.builds(MarginalParams, SCALE, ALPHA, BETA)
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None)
+# the finite-mean region of the L-comoments
+LMOM_MARGINAL = st.builds(MarginalParams, SCALE,
+                          st.floats(-1.0, 3.0, exclude_min=True, exclude_max=True),
+                          st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True))
 
 LEVELS = np.array([1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6])
 
@@ -131,6 +136,37 @@ def test_draw_reproduces_bit_for_bit(m1, m2, theta, seed, n, method):
     assert first.n == n
     again = draw(bp, spec)
     assert np.array(again.rows).tobytes() == np.array(first.rows).tobytes()
+
+
+def l12(m1, m2, theta):
+    cm = population_lcomoments(BivariateParams(m1, m2, theta))
+    return np.array([cm.l2_12, cm.l3_12, cm.l4_12])
+
+
+@settings(PROPERTY, max_examples=20)  # three population_lcomoments calls each
+@given(LMOM_MARGINAL, LMOM_MARGINAL, st.floats(0.01, 10.0), SCALE)
+def test_l12_linear_in_c1_free_of_c2(m1, m2, theta, f):
+    # u21 does not depend on c2, and c1 enters L_k(1,2) only through q1
+    try:
+        base = l12(m1, m2, theta)
+    except QuadratureError:
+        # the defect pinned by test_l12_alpha1_below_zero_beta2_above_zero
+        assume(False)
+    cfg = DEFAULT_NUMERIC_CONFIG
+    # each is the 2n-node value of a rule stopped on its own n-to-2n change
+    np.testing.assert_allclose(l12(m1.scaled(f), m2, theta), f * base,
+                               rtol=cfg.quad_rel_tol, atol=2.0 * cfg.quad_abs_tol * max(1.0, f))
+    np.testing.assert_allclose(l12(m1, m2.scaled(f), theta), base, rtol=1e-12, atol=0.0)
+
+
+# 1 - u21 ~ ((1-u2)^(beta2+1) + C theta u1)^(1/(beta2+1)) near u2 = 1, so the
+# inner integral has a u1^(1 + 1/(beta2+1)) term at u1 = 0 (u1 log u1 at
+# beta2 = 1), which the outer weight u1^alpha1 with alpha1 < 0 makes too
+# steep for 512 nodes
+@pytest.mark.xfail(strict=True, raises=QuadratureError,
+                   reason="outer (1,2) rule does not resolve the u1 = 0 end for beta2 > 0")
+def test_l12_alpha1_below_zero_beta2_above_zero():
+    l12(MarginalParams(1.0, -0.5, 0.0), MarginalParams(1.0, 0.0, 1.0), 1.0)
 
 
 def test_product_moment_one_ulp_above_beta_minus_two():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -80,33 +81,37 @@ class TestMarginals:
         assert d > 3.0 * crit
 
 
-def exact_scalar(m2: MarginalParams, k: float, v: float) -> float:
-    """First crossing of S(w) = v for one draw: scan 64 cells, then bisect."""
+def exact_mpmath(m2: MarginalParams, k: float, v: float) -> float:
+    """First crossing of S(w) = v for one draw: a scan of 64 cells, then
+    mpmath's root of S in the cell that first crosses, at 30 digits.
 
+    Returns Q2 at the root.
+    """
     def surv(w: float) -> float:
         return (1.0 - w) - k * big_q1(m2, w) / q1(m2, w)
 
-    def bisect(lo: float, hi: float) -> float:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if surv(mid) > v:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14:
-                break
-        return 0.5 * (lo + hi)
-
     lo = 0.0
     for j in range(1, 65):
-        w = j / 65.0
-        if surv(w) <= v:
-            return bisect(lo, w)
-        lo = w
-    hi = 1.0 - 1e-12
-    if surv(hi) > v:
-        raise ConvergenceError("conditional survival failed to cross the draw level")
-    return bisect(lo, hi)
+        hi = j / 65.0
+        if surv(hi) <= v:
+            break
+        lo = hi
+    else:
+        hi = 1.0 - 1e-12
+        if surv(hi) > v:
+            raise ConvergenceError("conditional survival failed to cross the draw level")
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(m2.alpha) + 1, mpmath.mpf(m2.beta) + 1
+
+        def big_q(w):
+            return m2.c * mpmath.betainc(a, b, 0, w)
+
+        def s_minus_v(w):  # Q2/q2 -> 0 as w -> 0
+            ratio = big_q(w) / (m2.c * w ** m2.alpha * (1 - w) ** m2.beta) if w else 0
+            return (1 - w) - k * ratio - v
+
+        w = mpmath.findroot(s_minus_v, (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson")
+        return float(big_q(w))
 
 
 class TestExactSampler:
@@ -118,15 +123,15 @@ class TestExactSampler:
         BivariateParams(MarginalParams(2.0, 0.0, -1.0),
                         MarginalParams(1.0, 0.0, -1.0), 0.5),
     ], ids=["cable", "components", "exponential"])
-    def test_matches_scan_and_bisect_oracle(self, bp):
+    def test_matches_mpmath_roots(self, bp):
         n = 300
         s = draw(bp, SamplerSpec(seed=23, n=n, method="exact"))
         rng = np.random.Generator(np.random.Philox(key=23))  # the sampler's stream
         u1, v = rng.random(n), rng.random(n)
         for a, b, x2 in zip(u1, v, s.x2):
             g = 1.0 + bp.theta * a
-            w = exact_scalar(bp.m2, (1.0 - a) * bp.theta / g, b)
-            assert math.isclose(x2, g * big_q1(bp.m2, w), rel_tol=1e-12), (a, b)
+            ref = g * exact_mpmath(bp.m2, (1.0 - a) * bp.theta / g, b)
+            assert math.isclose(x2, ref, rel_tol=1e-13), (a, b)
 
 
     def test_joint_survival_grid(self):
