@@ -3,7 +3,8 @@
 Subcommands: fit, gof, lmoments, comoments, sample, compare, catalog,
 reproduce.  Reports are JSON with a fixed field order (floats round-trip
 losslessly); Q-Q data goes to tab-separated files.  Exit codes: 0 ok,
-2 data error, 3 numeric failure, 64 usage error.
+2 data error, 3 numeric failure, 64 usage error, 141 standard output
+closed early.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -30,6 +32,8 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 64
+# as the shell reports a process ended by SIGPIPE (128 + 13)
+EXIT_PIPE = 141
 
 
 class _UsageError(ValueError):
@@ -473,6 +477,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone; send what is still buffered to the
+        # null device, or the flush at interpreter exit raises again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+
+
+def _run(argv: list[str] | None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

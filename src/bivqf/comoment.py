@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .data import PairedSample
 from .errors import DivergentMomentError, InsufficientDataError
@@ -36,6 +35,7 @@ from .model import (
     DEFAULT_NUMERIC_CONFIG,
     NumericConfig,
     _fixed_rule,
+    _gauss_jacobi,
     _partial_mean2,
     u21,
 )
@@ -120,7 +120,7 @@ def population_lcomoments(bp: BivariateParams,
         k = 2.0 / min(m2.beta + 1.0, 1.0)
 
     def inner_12(u1: np.ndarray) -> np.ndarray:
-        s, ws = roots_jacobi(u1.size, 0.0, k - 1.0)
+        s, ws = _gauss_jacobi(u1.size, 0.0, k - 1.0)
         s = 0.5 * (s + 1.0)
         t = 1.0 - s ** k
         w_inner = _weights(t) * (k * 0.5 ** k * ws)

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .comoment import sample_lcomoments
 from .data import PairedSample
@@ -43,6 +42,7 @@ from .model import (
     MarginalParams,
     NumericConfig,
     _fixed_rule,
+    _gauss_jacobi,
     _newton_bisect,
     _secant,
     product_moment,
@@ -266,7 +266,7 @@ def _mrq_lcov_12(p: MrqParams, cfg: NumericConfig) -> float:
     a_marg = p.a2 + p.c
 
     def inner(u1: np.ndarray) -> np.ndarray:
-        x, w = roots_legendre(u1.size)
+        x, w = _gauss_jacobi(u1.size, 0.0, 0.0)
         s, ws = 0.5 * (x + 1.0), 0.5 * w
         aa = (a_marg + (p.b2 + p.d) * u1)[:, None]
         cc = (p.c + p.d * u1)[:, None]

@@ -15,6 +15,7 @@ against that definition.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -119,6 +120,19 @@ DEFAULT_NUMERIC_CONFIG = NumericConfig()
 MAX_RULE_NODES = 512
 
 
+@functools.lru_cache(maxsize=256)
+def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """roots_jacobi(n, a, b): nodes and weights for (1-x)^a (1+x)^b on [-1, 1].
+
+    A rule depends only on (n, a, b), and the fits ask for the same few
+    many times, so each is built (by Golub-Welsch) on first use, kept, and
+    returned read-only.  (n, 0, 0) is Gauss-Legendre.
+    """
+    x, w = roots_jacobi(n, a, b)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
                 cfg: NumericConfig) -> np.ndarray:
     """int_0^1 u^a_exp (1-u)^b_exp f(u) du on Gauss-Jacobi nodes (Golub-Welsch).
@@ -142,7 +156,7 @@ def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: floa
                      + [complete_beta(a_exp + 2.0, b_exp + 1.0)] * lift_b)
     prev, n = None, 16
     while n <= MAX_RULE_NODES:
-        x, w = roots_jacobi(n, b_exp + lift_b, a_exp + lift_a)
+        x, w = _gauss_jacobi(n, b_exp + lift_b, a_exp + lift_a)
         u = 0.5 * (x + 1.0)
         vals = f(np.concatenate([u, ends]))
         fe = vals[..., n:]
@@ -323,19 +337,23 @@ class _FromZero(_Half):
 class _ToHalf(_Half):
     """G = B_(1/2)(p, r) - B_y(p, r), the integral over [y, 1/2]."""
 
+    rest = None
+
     def __init__(self, p: float, r: float):
         super().__init__(p, r)
         self.mid = _inc_beta_cont(p, r, 0.5)
+        if p >= _POLE_BAND:
+            # G tends to B_(1/2)(p, r) as mu grows, and log G flattens: solve
+            # for the rest, B_y(p, r), which falls as y^p/p (next to p = 0
+            # the rest cancels, and log G stays steep up to mu ~ 1/p)
+            self.rest = _FromZero(p, r)
 
     def _at(self, y, mu):
         return self.mid - _inc_beta_cont(self.p, self.r, y)
 
     def solve(self, g, cfg: NumericConfig):
-        if self.p >= _POLE_BAND:
-            # G tends to B_(1/2)(p, r) as mu grows, and log G flattens: solve
-            # for the rest, B_y(p, r), which falls as y^p/p (next to p = 0
-            # the rest cancels, and log G stays steep up to mu ~ 1/p)
-            return _FromZero(self.p, self.r).solve(self.mid - g, cfg)
+        if self.rest is not None:
+            return self.rest.solve(self.mid - g, cfg)
         return super().solve(g, cfg)
 
     def bracket(self, g):
@@ -372,6 +390,7 @@ class _ToHalfSeries(_ToHalf):
         with np.errstate(divide="ignore", invalid="ignore"):
             self.d = t * 0.5 ** e / e
         self.d[pole] = 0.0
+        self.d.flags.writeable = False
         self.pole = (e[pole], t[pole] * 0.5 ** e[pole])
         self.total = self._poly(1.0)
 
@@ -395,18 +414,34 @@ def _take(mask, v):
     return v[()] if v.ndim == 0 else v[mask]
 
 
-def _corner(p: MarginalParams) -> tuple[_Half, float, _Half, float]:
-    """(left half, its sign in Q/c, right half, Q(1/2)/c) of a corner margin."""
-    a, b = p.alpha + 1.0, p.beta + 1.0
+@functools.lru_cache(maxsize=256)
+def _shape_plan(alpha: float, beta: float
+                ) -> tuple[float, tuple[_Half, float, _Half, float] | None]:
+    """(Q(1)/c, corner plan) of the shape (alpha, beta), built once and kept.
+
+    The corner plan is (left half, its sign in Q/c, right half, Q(1/2)/c),
+    and None off the corners.  Neither part depends on c, so a rescaled
+    margin (the conditional survival rescales the second at every point)
+    reuses the shape's entry.
+    """
+    a, b = alpha + 1.0, beta + 1.0
+    if beta <= -1.0:
+        top = math.inf
+    elif alpha > -1.0:
+        top = complete_beta(a, b)
+    else:
+        top = float(_inc_beta_cont(b, a, 0.5))
+    if alpha > -1.0 and (beta > -1.0 or alpha == 0.0):  # a closed form covers it
+        return top, None
     right = _to_half(b, a)
-    if p.alpha > -1.0:
-        return _FromZero(a, b), 1.0, right, float(_inc_beta_cont(a, b, 0.5))
-    return _to_half(a, b), -1.0, right, 0.0
+    if alpha > -1.0:
+        return top, (_FromZero(a, b), 1.0, right, float(_inc_beta_cont(a, b, 0.5)))
+    return top, (_to_half(a, b), -1.0, right, 0.0)
 
 
-def _corner_q(p: MarginalParams, u):
+def _corner_q(p: MarginalParams, corner, u):
     """Q on 0 < u < 1 for a corner margin."""
-    left, sign, right, mid = _corner(p)
+    left, sign, right, mid = corner
     u = np.asarray(u)
     out = np.full(u.shape, mid)
     low, high = u < 0.5, u > 0.5
@@ -417,9 +452,9 @@ def _corner_q(p: MarginalParams, u):
     return p.c * out[()]
 
 
-def _corner_f(p: MarginalParams, x, cfg: NumericConfig):
+def _corner_f(p: MarginalParams, corner, x, cfg: NumericConfig):
     """F inside the support of a corner margin."""
-    left, sign, right, mid = _corner(p)
+    left, sign, right, mid = corner
     xc = np.asarray(x) / p.c
     u = np.full(xc.shape, 0.5)
     low, high = xc < mid, xc > mid
@@ -432,29 +467,24 @@ def _corner_f(p: MarginalParams, x, cfg: NumericConfig):
 
 def _q_top(p: MarginalParams) -> float:
     """Q(1), the upper end of the support."""
-    if p.beta <= -1.0:
-        return math.inf
-    a, b = p.alpha + 1.0, p.beta + 1.0
-    if p.alpha > -1.0:
-        return p.c * complete_beta(a, b)
-    return p.c * float(_inc_beta_cont(b, a, 0.5))
+    return p.c * _shape_plan(p.alpha, p.beta)[0]
 
 
 def _big_q(p: MarginalParams, u):
     """The branch table of Q on 0 < u < 1."""
+    corner = _shape_plan(p.alpha, p.beta)[1]
+    if corner is not None:
+        return _corner_q(p, corner, u)
     c, alpha, beta = p.c, p.alpha, p.beta
-    if alpha > -1.0:
-        if beta == 0.0:
-            return c * u ** (alpha + 1.0) / (alpha + 1.0)
-        if alpha == 0.0:
-            log_s = np.log1p(-u)  # keeps 1 - (1-u)^(beta+1) accurate at small u
-            if beta == -1.0:
-                return -c * log_s
-            return -c * np.expm1((beta + 1.0) * log_s) / (beta + 1.0)
-        if beta > -1.0:
-            a = alpha + 1.0
-            return c * complete_beta(a, beta + 1.0) * betainc(a, beta + 1.0, u)
-    return _corner_q(p, u)
+    if beta == 0.0:
+        return c * u ** (alpha + 1.0) / (alpha + 1.0)
+    if alpha == 0.0:
+        log_s = np.log1p(-u)  # keeps 1 - (1-u)^(beta+1) accurate at small u
+        if beta == -1.0:
+            return -c * log_s
+        return -c * np.expm1((beta + 1.0) * log_s) / (beta + 1.0)
+    a = alpha + 1.0
+    return c * complete_beta(a, beta + 1.0) * betainc(a, beta + 1.0, u)
 
 
 def big_q1(p: MarginalParams, u: float | np.ndarray,
@@ -489,26 +519,26 @@ def big_q1(p: MarginalParams, u: float | np.ndarray,
 
 def _f1(p: MarginalParams, x, upper: float, cfg: NumericConfig):
     """The branch table of F inside the support."""
+    corner = _shape_plan(p.alpha, p.beta)[1]
+    if corner is not None:
+        return _corner_f(p, corner, x, cfg)
     c, alpha, beta = p.c, p.alpha, p.beta
-    if alpha > -1.0:
-        a = alpha + 1.0
-        # (beta + 1) x / c and friends as x / upper: below 1 whenever x < upper
-        if beta == 0.0:
-            return (x / upper) ** (1.0 / a)
-        if alpha == 0.0:
-            if beta == -1.0:
-                return -np.expm1(-x / c)
-            t = x / upper if beta > -1.0 else (beta + 1.0) * x / c
-            return -np.expm1(np.log1p(-t) / (beta + 1.0))
-        if beta > -1.0:
-            u = betaincinv(a, beta + 1.0, x / upper)
-            if alpha != beta:
-                return u
-            # betaincinv(a, a, p) is off by up to 1.4e-8 within ulps of p = 1/2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = (upper * betainc(a, a, u) - x) / (c * (u * (1.0 - u)) ** alpha)
-                return np.where(np.abs(step) < 0.5 * np.minimum(u, 1.0 - u), u - step, u)
-    return _corner_f(p, x, cfg)
+    a = alpha + 1.0
+    # (beta + 1) x / c and friends as x / upper: below 1 whenever x < upper
+    if beta == 0.0:
+        return (x / upper) ** (1.0 / a)
+    if alpha == 0.0:
+        if beta == -1.0:
+            return -np.expm1(-x / c)
+        t = x / upper if beta > -1.0 else (beta + 1.0) * x / c
+        return -np.expm1(np.log1p(-t) / (beta + 1.0))
+    u = betaincinv(a, beta + 1.0, x / upper)
+    if alpha != beta:
+        return u
+    # betaincinv(a, a, p) is off by up to 1.4e-8 within ulps of p = 1/2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = (upper * betainc(a, a, u) - x) / (c * (u * (1.0 - u)) ** alpha)
+        return np.where(np.abs(step) < 0.5 * np.minimum(u, 1.0 - u), u - step, u)
 
 
 def f1_flagged(p: MarginalParams, x: float | np.ndarray,

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +80,23 @@ class TestExitCodes:
     def test_ok_is_0(self, capsys):
         code, _, _ = run(["catalog"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [["fit", "--data", "cable"], ["catalog"]])
+    def test_closed_stdout_is_141_without_traceback(self, argv):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails, as when the reader of a pipe has exited
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            res = subprocess.run([sys.executable, "-m", "bivqf.cli", *argv], stdout=w,
+                                 stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(w)
+        assert res.returncode == 141
+        assert res.stderr == ""
 
 
 def assert_one_line_usage_error(code, out, err, *fragments):

@@ -48,6 +48,23 @@ def brute_lcomoment(bp, k, direction):
     return gam * val
 
 
+def random_models(seed, count):
+    """Seeded models in the brute oracle's domain (beta2 > -1, where its u21
+    is defined), minus the region alpha1 < 0 < beta2 that the strict xfail
+    tests/test_properties.py::test_l12_alpha1_below_zero_beta2_above_zero pins."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        a1, b1 = rng.uniform(-0.9, 2.0), rng.uniform(-1.5, 1.5)
+        a2, b2 = rng.uniform(-0.9, 2.0), rng.uniform(-0.9, 1.5)
+        if a1 < 0.0 and b2 > 0.0:
+            continue
+        out.append(BivariateParams(MarginalParams(rng.uniform(0.5, 3.0), a1, b1),
+                                   MarginalParams(rng.uniform(0.5, 3.0), a2, b2),
+                                   rng.uniform(0.1, 2.0)))
+    return out
+
+
 def u21_ref(bp, u1v, u2v):
     """u21 for a power, exponential, log-logistic or incomplete-beta margin."""
     g = 1.0 + bp.theta * u1v
@@ -196,6 +213,16 @@ class TestPopulation:
         for k, got in ((2, cm.l2_21), (3, cm.l3_21), (4, cm.l4_21)):
             ref = brute_lcomoment(bp, k, "21")
             assert math.isclose(got, ref, rel_tol=1e-5, abs_tol=1e-8), k
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("bp", random_models(1, 3))
+    def test_brute_oracle_on_random_models(self, bp):
+        cm = population_lcomoments(bp)
+        for direction in ("12", "21"):
+            for k in (2, 3, 4):
+                got = getattr(cm, f"l{k}_{direction}")
+                ref = brute_lcomoment(bp, k, direction)
+                assert math.isclose(got, ref, rel_tol=1e-5, abs_tol=1e-8), (direction, k)
 
     def test_exponential_second_margin_reduction(self):
         # for beta2 <= -1 the (2,1) direction is exactly linear in u1:

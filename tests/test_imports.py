@@ -3,8 +3,11 @@
 scipy.stats, scipy.integrate and scipy.optimize together take longer to
 import than everything `bivqf reproduce` computes, so none of them may be
 loaded by importing the CLI, by running `reproduce`, or by the root
-searches of `fit` and the exact sampler.  Each check runs in a fresh
-interpreter, where no other test has imported them.
+searches of `fit` and the exact sampler.  scipy.linalg, which scipy's
+Gauss-Jacobi rules load on first use, costs about 70 ms more: the model
+builds its rules lazily, so commands that integrate nothing never load
+it.  Each check runs in a fresh interpreter, where no other test has
+imported them.
 """
 
 import os
@@ -70,5 +73,26 @@ for shape in ((0.0, 0.0), (0.5, -0.3), (-0.4, -1.6), (-1.5, -1.5), (-1.0, -1.0),
     assert np.allclose(f1(m, big_q1(m, u)), u, rtol=1e-9), shape
     assert abs(f1(m, big_q1(m, 0.3)) - 0.3) < 1e-9, shape
 assert not loaded(), "the model functions loaded " + ", ".join(loaded())
+""")
+    assert res.returncode == 0, res.stderr
+
+
+def test_commands_without_a_rule_load_no_scipy_linalg(tmp_path):
+    res = run_fresh(f"""
+import bivqf.cli
+from bivqf import model
+assert "scipy.linalg" not in sys.modules, "import bivqf.cli loaded scipy.linalg"
+# nothing is built at import time
+assert model._gauss_jacobi.cache_info().currsize == 0
+assert model._shape_plan.cache_info().currsize == 0
+for argv in (["catalog"],
+             ["catalog", "loglogistic", "--param", "a1=2", "--param", "b1=3",
+              "--param", "a2=2", "--param", "b2=3"],
+             ["sample", "--catalog", "exponential", "--param", "c1=1", "--param", "c2=2",
+              "--theta", "0.5", "--n", "50", "--seed", "3", "--method", "exact",
+              "--out", {str(tmp_path / "s")!r}],
+             ["lmoments", "--data", "cable"]):
+    assert bivqf.cli.main(argv) == 0, argv
+    assert "scipy.linalg" not in sys.modules, argv[0] + " loaded scipy.linalg"
 """)
     assert res.returncode == 0, res.stderr

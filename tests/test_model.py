@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 from scipy.optimize import brentq
-from scipy.special import betainc, betaincinv
+from scipy.special import betainc, betaincinv, roots_jacobi, roots_legendre
 
-from bivqf.comoment import sample_lcomoments
+from bivqf.comoment import population_lcomoments, sample_lcomoments
 from bivqf.data import BUILTIN_DATASETS
 from bivqf.errors import ConvergenceError, DivergentMomentError, DomainError
-from bivqf.fit import MrqParams, _mrq_lcov_12, fit_marginal, fit_mrq, fit_theta
+from bivqf.fit import MrqParams, _mrq_lcov_12, fit_bivariate, fit_marginal, fit_mrq, fit_theta
 from bivqf.model import (
     BivariateParams,
     MarginalParams,
     NumericConfig,
+    _gauss_jacobi,
     _newton_bisect,
     _secant,
+    _shape_plan,
     big_q1,
     f1,
     f1_flagged,
@@ -645,3 +647,64 @@ class TestRootSearch:
         h = _secant(lambda x: math.nan if x > 0.5 else -1.0, 0.0, -1.0)
         with pytest.raises(ConvergenceError):
             _newton_bisect(h, 0.0, 1.0, 0.75, NumericConfig())
+
+
+# one margin per branch of big_q1 / f1, as in
+# tests/test_imports.py::test_every_corner_loads_no_heavy_scipy_module
+BRANCH_SHAPES = ((0.0, 0.0), (0.5, -0.3), (-0.4, -1.6), (-1.5, -1.5), (-1.0, -1.0),
+                 (0.3, -1.00005), (0.2, -1.0), (0.5, -2.5), (-2.0, 0.5))
+
+
+class TestShapeCaches:
+    """Gauss rules and corner plans are built once per shape and kept."""
+
+    @pytest.mark.parametrize("n, a, b", [
+        (16, 0.0, 0.0), (128, 0.0, 0.0), (32, 0.5, -0.3), (16, 0.0, 5.0),
+        # exponents below -1/2 that _fixed_rule raises by one
+        (16, -0.9 + 1.0, 0.2), (64, 1.0, -1.0 + 2.0 ** -52 + 1.0), (32, -0.75 + 1.0, -0.6 + 1.0)])
+    def test_rule_is_scipys_bit_for_bit(self, n, a, b):
+        x, w = _gauss_jacobi(n, a, b)
+        rx, rw = roots_legendre(n) if a == b == 0.0 else roots_jacobi(n, a, b)
+        assert x.tobytes() == rx.tobytes()
+        assert w.tobytes() == rw.tobytes()
+
+    def test_kept_arrays_are_read_only(self):
+        x, w = _gauss_jacobi(16, 0.5, 0.5)
+        # (-1, -1): the right half is the term-by-term series with its table
+        series = _shape_plan(-1.0, -1.0)[1][2]
+        for arr in (x, w, series.d):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_caches_are_bounded(self):
+        for cache in (_gauss_jacobi, _shape_plan):
+            assert cache.cache_info().maxsize is not None
+
+    def test_plan_is_keyed_by_shape_not_scale(self):
+        _shape_plan.cache_clear()
+        m = MarginalParams(1.0, -1.5, -1.5)
+        for c in (1.0, 2.5, 0.3):
+            f1(m.scaled(c), 0.7)
+        info = _shape_plan.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_cold_and_warm_caches_agree_bit_for_bit(self):
+        def results():
+            cable = BivariateParams(CABLE1, CABLE2, 0.9)
+            out = [product_moment(cable), product_moment(BivariateParams(COMP1, UNIF, 2.0)),
+                   population_lcomoments(cable), fit_bivariate(BUILTIN_DATASETS["cable"])]
+            for shape in BRANCH_SHAPES:
+                m = MarginalParams(1.0, *shape)
+                out.append(f1(m, big_q1(m, np.array([0.01, 0.5, 0.99]))).tobytes())
+                out.append(f1(m, big_q1(m, 0.3)))
+            # repr round-trips every float exactly
+            return [repr(v) for v in out]
+
+        _gauss_jacobi.cache_clear()
+        _shape_plan.cache_clear()
+        cold = results()
+        hits = _gauss_jacobi.cache_info().hits, _shape_plan.cache_info().hits
+        warm = results()
+        assert _gauss_jacobi.cache_info().hits > hits[0]
+        assert _shape_plan.cache_info().hits > hits[1]
+        assert cold == warm
