@@ -24,7 +24,7 @@ from .data import BUILTIN_DATASETS, PairedSample, ingest
 from .errors import BivqfError, ConvergenceError, DomainError, ParseError
 from .fit import MrqParams, fit_bivariate, fit_mrq
 from .gof import ks_conditional, ks_marginal, mrq_ks_conditional, mrq_ks_marginal, qq_data
-from .lmom import population_lmoments, sample_lmoments
+from .lmom import LMomentVector, population_lmoments, sample_lmoments
 from .model import BivariateParams, MarginalParams, NumericConfig, big_q1
 from .sampling import SamplerSpec, draw
 
@@ -88,7 +88,7 @@ def _digest(s: PairedSample) -> str:
     return h.hexdigest()[:16]
 
 
-def _report(args, s: PairedSample | None, cfg: NumericConfig, results: dict,
+def _report(s: PairedSample | None, cfg: NumericConfig, results: dict,
             warnings: list[str]) -> dict:
     rep = {"command": " ".join(sys.argv[1:]), "version": __version__}
     if s is not None:
@@ -99,23 +99,33 @@ def _report(args, s: PairedSample | None, cfg: NumericConfig, results: dict,
     return rep
 
 
-def _emit(args, rep: dict, extra_files: dict[str, str] | None = None) -> None:
+def _write(path: str, text: str) -> None:
+    """Write one output file and say so on stdout."""
+    p = Path(path)
+    try:
+        p.write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise _UsageError(f"cannot write {p}: {e.strerror or e}") from None
+    print(f"wrote {p}")
+
+
+def _emit(args, rep: dict, files: dict[str, str]) -> None:
+    """Print the report, or write it and the extra files under --out."""
     text = json.dumps(rep, indent=2)
-    if args.out:
-        path = Path(f"{args.out}.report.json")
-        path.write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {path}")
-    else:
+    if not args.out:
         print(text)
-    for suffix, content in (extra_files or {}).items():
-        if args.out:
-            p = Path(f"{args.out}.{suffix}")
-            p.write_text(content, encoding="utf-8")
-            print(f"wrote {p}")
+        return
+    _write(f"{args.out}.report.json", text + "\n")
+    for suffix, content in files.items():
+        _write(f"{args.out}.{suffix}", content)
 
 
-def _marginal_dict(m: MarginalParams) -> dict:
-    return {"c": m.c, "alpha": m.alpha, "beta": m.beta}
+def _model_dict(bp: BivariateParams) -> dict:
+    return {"marginal1": asdict(bp.m1), "marginal2": asdict(bp.m2), "theta": bp.theta}
+
+
+def _lmoments_dict(lm: LMomentVector) -> dict:
+    return {**asdict(lm), "tau2": lm.tau2, "tau3": lm.tau3, "tau4": lm.tau4}
 
 
 def _number(flag: str, text: str) -> float:
@@ -160,90 +170,67 @@ def _model(args) -> BivariateParams | None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; those that read --data are bodies (args, s, cfg) ->
+# (results, warnings, files) under _run_data
 
 
-def _cmd_fit(args) -> int:
+def _run_data(args) -> int:
     cfg = _numeric_config(args)
     s = ingest(args.data)
+    results, warnings, files = args.body(args, s, cfg)
+    _emit(args, _report(s, cfg, results, warnings), files)
+    return EXIT_OK
+
+
+def _cmd_fit(args, s: PairedSample, cfg: NumericConfig):
     res = fit_bivariate(s, cfg)
     results = {
-        "marginal1": _marginal_dict(res.params.m1),
-        "marginal2": _marginal_dict(res.params.m2),
-        "theta": res.params.theta,
+        **_model_dict(res.params),
         "theta_bracket": list(res.theta_bracket),
         "sample_lmoments_x1": asdict(res.sample_lmoments[0]),
         "sample_lmoments_x2": asdict(res.sample_lmoments[1]),
         "residuals": res.residuals,
     }
-    _emit(args, _report(args, s, cfg, results, list(res.warnings)))
-    return EXIT_OK
+    return results, list(res.warnings), {}
 
 
-def _gof_results(s: PairedSample, bp: BivariateParams, cfg: NumericConfig,
-                 mode: str) -> tuple[dict, dict[str, str]]:
-    g1 = ks_marginal(s.x1, bp.m1, cfg)
-    out = {
-        "marginal1": {"d_stat": g1.d_stat, "d_point": g1.d_point,
-                      "p_value_approx": g1.p_value, "n_clamped": g1.n_clamped},
-    }
-    if mode == "per-point":
-        per = ks_conditional(s, bp, cfg, mode="per-point")
-        out["conditional_per_point"] = [
+def _ks_dict(g) -> dict:
+    return {"d_stat": g.d_stat, "d_point": g.d_point, "p_value_approx": g.p_value,
+            "n_clamped": g.n_clamped}
+
+
+def _cmd_gof(args, s: PairedSample, cfg: NumericConfig):
+    bp = _model(args) or fit_bivariate(s, cfg).params
+    results = {"marginal1": _ks_dict(ks_marginal(s.x1, bp.m1, cfg))}
+    if args.mode == "per-point":
+        results["conditional_per_point"] = [
             {"x1": g.cond_x1, "d_stat": g.d_stat, "d_point": g.d_point}
-            for g in per
+            for g in ks_conditional(s, bp, cfg, mode="per-point")
         ]
     else:
-        g2 = ks_conditional(s, bp, cfg, mode="pooled")
-        out["conditional_pooled"] = {"d_stat": g2.d_stat, "d_point": g2.d_point,
-                                     "p_value_approx": g2.p_value,
-                                     "n_clamped": g2.n_clamped}
-    qq1 = qq_data(s.x1, lambda p: big_q1(bp.m1, p, cfg))
-    qq2 = qq_data(s.x2, lambda p: big_q1(bp.m2, p, cfg))
-    return out, {"qq1.tsv": qq1.to_tsv(), "qq2.tsv": qq2.to_tsv()}
+        results["conditional_pooled"] = _ks_dict(ks_conditional(s, bp, cfg, mode="pooled"))
+    results["model"] = _model_dict(bp)
+    files = {f"qq{i}.tsv": qq_data(x, lambda p, m=m: big_q1(m, p, cfg)).to_tsv()
+             for i, (x, m) in enumerate(((s.x1, bp.m1), (s.x2, bp.m2)), 1)}
+    return results, [], files
 
 
-def _cmd_gof(args) -> int:
-    cfg = _numeric_config(args)
-    s = ingest(args.data)
-    bp = _model(args) or fit_bivariate(s, cfg).params
-    results, files = _gof_results(s, bp, cfg, args.mode)
-    results["model"] = {
-        "marginal1": _marginal_dict(bp.m1),
-        "marginal2": _marginal_dict(bp.m2),
-        "theta": bp.theta,
-    }
-    _emit(args, _report(args, s, cfg, results, []), files)
-    return EXIT_OK
-
-
-def _cmd_lmoments(args) -> int:
-    cfg = _numeric_config(args)
-    s = ingest(args.data)
-    results = {}
-    for label, col in (("x1", s.x1), ("x2", s.x2)):
-        lm = sample_lmoments(col)
-        results[label] = {**asdict(lm), "tau2": lm.tau2, "tau3": lm.tau3,
-                          "tau4": lm.tau4}
+def _cmd_lmoments(args, s: PairedSample, cfg: NumericConfig):
+    results = {"x1": _lmoments_dict(sample_lmoments(s.x1)),
+               "x2": _lmoments_dict(sample_lmoments(s.x2))}
     bp = _model(args)
     if bp is not None:
-        for label, m in (("model_x1", bp.m1), ("model_x2", bp.m2)):
-            lm = population_lmoments(m)
-            results[label] = {**asdict(lm), "tau2": lm.tau2, "tau3": lm.tau3,
-                              "tau4": lm.tau4}
-    _emit(args, _report(args, s, cfg, results, []))
-    return EXIT_OK
+        results["model_x1"] = _lmoments_dict(population_lmoments(bp.m1))
+        results["model_x2"] = _lmoments_dict(population_lmoments(bp.m2))
+    return results, [], {}
 
 
-def _cmd_comoments(args) -> int:
-    cfg = _numeric_config(args)
-    s = ingest(args.data)
+def _cmd_comoments(args, s: PairedSample, cfg: NumericConfig):
     results = {"sample": asdict(sample_lcomoments(s))}
     bp = _model(args)
     if bp is not None:
         results["population"] = asdict(population_lcomoments(bp, cfg))
-    _emit(args, _report(args, s, cfg, results, []))
-    return EXIT_OK
+    return results, [], {}
 
 
 def _cmd_sample(args) -> int:
@@ -256,20 +243,15 @@ def _cmd_sample(args) -> int:
     if bp is None:
         raise _UsageError("specify a model with --catalog/--param or --params")
     spec = SamplerSpec(seed=args.seed, n=args.n, method=args.method)
-    s = draw(bp, spec, cfg)
-    csv_text = s.to_csv()
+    csv_text = draw(bp, spec, cfg).to_csv()
     if args.out:
-        path = Path(f"{args.out}.csv" if not args.out.endswith(".csv") else args.out)
-        path.write_text(csv_text, encoding="utf-8")
-        print(f"wrote {path}")
+        _write(args.out if args.out.endswith(".csv") else f"{args.out}.csv", csv_text)
     else:
         sys.stdout.write(csv_text)
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    cfg = _numeric_config(args)
-    s = ingest(args.data)
+def _cmd_compare(args, s: PairedSample, cfg: NumericConfig):
     res = fit_bivariate(s, cfg)
     mrq = fit_mrq(s, cfg)
     g_prop = ks_marginal(s.x1, res.params.m1, cfg)
@@ -279,9 +261,7 @@ def _cmd_compare(args) -> int:
     verdict = ("proposed" if g_prop.d_point < g_mrq.d_point else "competitor")
     results = {
         "proposed": {
-            "marginal1": _marginal_dict(res.params.m1),
-            "marginal2": _marginal_dict(res.params.m2),
-            "theta": res.params.theta,
+            **_model_dict(res.params),
             "d1": g_prop.d_point, "d1_two_sided": g_prop.d_stat,
             "d21_pooled": c_prop.d_point,
         },
@@ -293,8 +273,7 @@ def _cmd_compare(args) -> int:
         "smaller_marginal_ks": verdict,
     }
     warnings = list(res.warnings) + [f"competitor: {w}" for w in mrq.warnings]
-    _emit(args, _report(args, s, cfg, results, warnings))
-    return EXIT_OK
+    return results, warnings, {}
 
 
 def _cmd_catalog(args) -> int:
@@ -303,11 +282,7 @@ def _cmd_catalog(args) -> int:
         out = {
             "name": entry.name,
             "natural": entry.natural,
-            "mapped": {
-                "marginal1": _marginal_dict(entry.params.m1),
-                "marginal2": _marginal_dict(entry.params.m2),
-                "theta": entry.params.theta,
-            },
+            "mapped": _model_dict(entry.params),
             "loc": list(entry.loc),
             "closed_forms": {
                 "marginal_cdf": entry.has_marginal_cdf,
@@ -337,36 +312,34 @@ def _reproduce_rows(cfg: NumericConfig) -> list[dict]:
 
     cable = BUILTIN_DATASETS["cable"]
     comp = BUILTIN_DATASETS["components"]
+    # the published fits; the cable shapes carry corrected signs (the
+    # published table dropped the minus signs; see README)
+    bp_c = BivariateParams(MarginalParams(9.0819, -0.4864, -0.9946),
+                           MarginalParams(29.2295, -0.3406, -0.3531), 0.6821)
+    bp_k = BivariateParams(MarginalParams(13.0499, 0.8856, -0.1844),
+                           MarginalParams(5.9257, 0.3555, -0.6695), 0.5492)
 
     # sample means
     add("cable", "l1(x1)", 17.622, sample_lmoments(cable.x1).l1, 0.001)
     add("components", "l1(x1)", 2.7975, sample_lmoments(comp.x1).l1, 0.0005)
 
-    # marginal fits; the cable reference shapes carry corrected signs
-    # (the published table dropped the minus signs; see README)
+    # marginal fits
     fit_c = fit_bivariate(cable, cfg)
     fit_k = fit_bivariate(comp, cfg)
-    for case, fit_res, refs in (
-        ("cable", fit_c, ((9.0819, -0.4864, -0.9946), (29.2295, -0.3406, -0.3531))),
-        ("components", fit_k, ((13.0499, 0.8856, -0.1844), (5.9257, 0.3555, -0.6695))),
-    ):
-        for i, (m, ref) in enumerate(zip((fit_res.params.m1, fit_res.params.m2), refs), 1):
-            for name, rv, cv in zip(("c", "alpha", "beta"), ref,
-                                    (m.c, m.alpha, m.beta)):
-                add(case, f"{name}{i}", rv, cv, abs(rv) * 0.05)
+    for case, fitted, ref in (("cable", fit_c.params, bp_c),
+                              ("components", fit_k.params, bp_k)):
+        for i, (m, m_ref) in enumerate(((fitted.m1, ref.m1), (fitted.m2, ref.m2)), 1):
+            for name, rv in asdict(m_ref).items():
+                add(case, f"{name}{i}", rv, getattr(m, name), abs(rv) * 0.05)
 
     # dependence fits: not reproducible from the stated moment equation
-    add("cable", "theta", 0.6821, fit_c.params.theta, 0.05,
+    add("cable", "theta", bp_c.theta, fit_c.params.theta, 0.05,
         note="product-moment equation gives a different root")
-    add("components", "theta", 0.5492, fit_k.params.theta, 0.05,
+    add("components", "theta", bp_k.theta, fit_k.params.theta, 0.05,
         note="sample product mean is below the independence value")
 
-    # K-S with published parameters (signs corrected for cable); the
-    # reference convention is the supremum over sample points only
-    bp_c = BivariateParams(MarginalParams(9.0819, -0.4864, -0.9946),
-                           MarginalParams(29.2295, -0.3406, -0.3531), 0.6821)
-    bp_k = BivariateParams(MarginalParams(13.0499, 0.8856, -0.1844),
-                           MarginalParams(5.9257, 0.3555, -0.6695), 0.5492)
+    # K-S with the published parameters; the reference convention is the
+    # supremum over sample points only
     add("cable", "D1", 0.097, ks_marginal(cable.x1, bp_c.m1, cfg).d_point, 0.005)
     add("cable", "D21,1", 0.155,
         ks_conditional(cable, bp_c, cfg, mode="per-point")[0].d_point, 0.01)
@@ -421,10 +394,8 @@ def _cmd_reproduce(args) -> int:
         print("known irreproducible reference values:")
         print("\n".join(out_notes))
     if args.out:
-        Path(f"{args.out}.report.json").write_text(
-            json.dumps(_report(args, None, cfg, {"rows": rows}, []), indent=2) + "\n",
-            encoding="utf-8")
-        print(f"wrote {args.out}.report.json")
+        _write(f"{args.out}.report.json",
+               json.dumps(_report(None, cfg, {"rows": rows}, []), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -441,7 +412,7 @@ def build_parser() -> _Parser:
         p.add_argument("--data", required=True,
                        help="CSV path or builtin dataset (cable, components)")
         _add_common(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_run_data, body=fn)
         return p
 
     data_cmd("fit", _cmd_fit, help="fit the family by the method of L-moments")

@@ -5,7 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ParseError
@@ -31,11 +32,11 @@ class PairedSample:
     def n(self) -> int:
         return len(self.rows)
 
-    @property
+    @cached_property
     def x1(self) -> tuple[float, ...]:
         return tuple(r[0] for r in self.rows)
 
-    @property
+    @cached_property
     def x2(self) -> tuple[float, ...]:
         return tuple(r[1] for r in self.rows)
 
@@ -102,4 +103,10 @@ def ingest(path_or_name: str | Path) -> PairedSample:
     p = Path(path_or_name)
     if not p.exists():
         raise ParseError(f"no such dataset or file: {key}")
-    return _parse_csv_text(p.read_text(encoding="utf-8"), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as e:
+        raise ParseError(f"cannot read {key}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{key}: not UTF-8 text ({e.reason} at offset {e.start})") from None
+    return _parse_csv_text(text, source=str(p))

@@ -14,7 +14,7 @@ class ConvergenceError(BivqfError, RuntimeError):
 
 
 class QuadratureError(ConvergenceError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A fixed Gauss rule gave up past MAX_RULE_NODES nodes short of the tolerance."""
 
 
 class BracketError(ConvergenceError):

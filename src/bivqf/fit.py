@@ -74,7 +74,11 @@ def fit_marginal(data) -> MarginalParams:
 
     and c = l1 * G(alpha+beta+3) / (G(alpha+1) G(beta+2)).
     """
-    lm = sample_lmoments(data, r_max=3)
+    return _fit_lmoments(sample_lmoments(data, r_max=3))
+
+
+def _fit_lmoments(lm: LMomentVector) -> MarginalParams:
+    """fit_marginal from the sample L-moments l1, l2, l3."""
     if not lm.l2 > 0.0:
         raise InsufficientDataError("sample L-scale must be positive to fit")
     t2, t3 = lm.tau2, lm.tau3
@@ -135,11 +139,10 @@ def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
 def fit_bivariate(s: PairedSample,
                   cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> FitResult:
     """Fit both marginals, then the dependence parameter."""
-    m1 = fit_marginal(s.x1)
-    m2 = fit_marginal(s.x2)
+    lm1, lm2 = sample_lmoments(s.x1), sample_lmoments(s.x2)
+    m1, m2 = _fit_lmoments(lm1), _fit_lmoments(lm2)
     theta, bracket, warnings = fit_theta(s, m1, m2, cfg)
     bp = BivariateParams(m1, m2, theta)
-    lm1, lm2 = sample_lmoments(s.x1), sample_lmoments(s.x2)
     residuals = {
         "l1_m1": population_lmoments(m1).l1 - lm1.l1,
         "l1_m2": population_lmoments(m2).l1 - lm2.l1,

@@ -182,14 +182,12 @@ class QQData:
         return "\n".join(lines) + "\n"
 
 
-def qq_data(data, quantile_fn, positions: str = "mean-rank") -> QQData:
+def qq_data(data, quantile_fn) -> QQData:
     """Q-Q rows: sorted data against model quantiles at i/(n+1)."""
     x = np.sort(np.asarray(data, dtype=float))
     n = x.size
     if n < 2:
         raise InsufficientDataError("Q-Q data needs at least two observations")
-    if positions != "mean-rank":
-        raise DomainError(f"unknown plotting rule {positions!r}")
     ps = np.arange(1, n + 1) / (n + 1.0)
     rows = tuple((float(p), float(e), float(quantile_fn(float(p))))
                  for p, e in zip(ps, x))

@@ -77,6 +77,20 @@ class TestExitCodes:
         code, _, err = run(["lmoments", "--data", str(p)], capsys)
         assert code == 2
 
+    def test_data_directory_is_2(self, capsys, tmp_path):
+        code, out, err = run(["fit", "--data", str(tmp_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("data error: ")
+        assert str(tmp_path) in err
+
+    def test_data_not_utf8_is_2(self, capsys, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("x1,x2\n1,2\n3,4\n# caf\u00e9\n".encode("latin-1"))
+        code, out, err = run(["lmoments", "--data", str(p)], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("data error: ")
+        assert str(p) in err and "UTF-8" in err
+
     def test_ok_is_0(self, capsys):
         code, _, _ = run(["catalog"], capsys)
         assert code == 0
@@ -200,6 +214,42 @@ class TestUsageErrors:
         res = run(["reproduce", "--out", str(missing)], capsys)
         assert_one_line_usage_error(*res, "--out", "missing")
         assert not missing.parent.exists()
+
+
+    def test_report_target_is_directory(self, capsys, tmp_path):
+        (tmp_path / "x.report.json").mkdir()
+        res = run(["fit", "--data", "cable", "--out", str(tmp_path / "x")], capsys)
+        assert_one_line_usage_error(*res, "cannot write", "x.report.json")
+
+    def test_sample_target_is_directory(self, capsys, tmp_path):
+        (tmp_path / "d.csv").mkdir()
+        res = run(["sample", "--params", "1,0,0,1,0,0,0", "--n", "3", "--seed", "1",
+                   "--out", str(tmp_path / "d.csv")], capsys)
+        assert_one_line_usage_error(*res, "cannot write", "d.csv")
+
+
+P_CABLE = "9.0819,-0.4864,-0.9946,29.2295,-0.3406,-0.3531,0.6821"
+
+
+@pytest.mark.parametrize("argv, result_keys", [
+    (["fit", "--data", "cable"],
+     ["marginal1", "marginal2", "theta", "theta_bracket", "sample_lmoments_x1",
+      "sample_lmoments_x2", "residuals"]),
+    (["gof", "--data", "cable", "--params", P_CABLE],
+     ["marginal1", "conditional_pooled", "model"]),
+    (["lmoments", "--data", "cable", "--params", P_CABLE],
+     ["x1", "x2", "model_x1", "model_x2"]),
+    (["comoments", "--data", "cable", "--params", P_CABLE], ["sample", "population"]),
+    (["compare", "--data", "components"],
+     ["proposed", "competitor", "smaller_marginal_ks"]),
+], ids=["fit", "gof", "lmoments", "comoments", "compare"])
+def test_report_layout(capsys, argv, result_keys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert list(rep) == ["command", "version", "input", "numeric_config", "results",
+                         "warnings"]
+    assert list(rep["results"]) == result_keys
 
 
 class TestCommands:

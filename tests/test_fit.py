@@ -95,6 +95,10 @@ class TestMarginalFit:
         assert math.isclose(m2.alpha, 0.3555358208519454, rel_tol=1e-9)
         assert math.isclose(m2.beta, -0.6694767698268358, rel_tol=1e-9)
 
+    def test_three_point_margin(self):
+        m = fit_marginal([1.0, 2.0, 4.0])
+        assert m.c > 0.0
+
     def test_infeasible_region(self):
         # strongly left-skewed data pushes the solution out of the
         # existence region
@@ -150,6 +154,22 @@ class TestThetaFit:
         res = fit_bivariate(COMP)
         assert res.params.theta == 0.0
         assert res.warnings
+
+    def test_sample_lmoments_once_per_column(self, monkeypatch):
+        import bivqf.fit
+
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return sample_lmoments(*args, **kw)
+
+        monkeypatch.setattr(bivqf.fit, "sample_lmoments", counted)
+        res = fit_bivariate(CABLE)
+        assert len(calls) == 2
+        # the margins are those fit_marginal gives from r_max = 3
+        assert (res.params.m1, res.params.m2) == (fit_marginal(CABLE.x1),
+                                                  fit_marginal(CABLE.x2))
 
 
 def mrq_lcov_nested_oracle(p):
