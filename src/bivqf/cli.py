@@ -210,8 +210,10 @@ def _cmd_gof(args, s: PairedSample, cfg: NumericConfig):
     else:
         results["conditional_pooled"] = _ks_dict(ks_conditional(s, bp, cfg, mode="pooled"))
     results["model"] = _model_dict(bp)
-    files = {f"qq{i}.tsv": qq_data(x, lambda p, m=m: big_q1(m, p, cfg)).to_tsv()
-             for i, (x, m) in enumerate(((s.x1, bp.m1), (s.x2, bp.m2)), 1)}
+    files = {}
+    if args.out:  # the Q-Q tables go to files only; stdout gets the report alone
+        files = {f"qq{i}.tsv": qq_data(x, lambda p, m=m: big_q1(m, p, cfg)).to_tsv()
+                 for i, (x, m) in enumerate(((s.x1, bp.m1), (s.x2, bp.m2)), 1)}
     return results, [], files
 
 

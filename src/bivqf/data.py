@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ParseError
 
 __all__ = ["PairedSample", "BUILTIN_DATASETS", "ingest"]
@@ -39,6 +41,11 @@ class PairedSample:
     @cached_property
     def x2(self) -> tuple[float, ...]:
         return tuple(r[1] for r in self.rows)
+
+    @cached_property
+    def product_mean(self) -> float:
+        """mean(x1 * x2), the target of the product-moment fits."""
+        return float(np.mean(np.asarray(self.x1) * np.asarray(self.x2)))
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -107,7 +107,7 @@ def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
     Returns (theta_hat, bracket, warnings).  A sample product mean at or
     below the independence value yields theta = 0 with a warning.
     """
-    target = float(np.mean(np.asarray(s.x1) * np.asarray(s.x2)))
+    target = s.product_mean
     warnings: list[str] = []
 
     def pm(th: float) -> float:
@@ -146,8 +146,7 @@ def fit_bivariate(s: PairedSample,
     residuals = {
         "l1_m1": population_lmoments(m1).l1 - lm1.l1,
         "l1_m2": population_lmoments(m2).l1 - lm2.l1,
-        "product_moment": product_moment(bp, cfg)
-        - float(np.mean(np.asarray(s.x1) * np.asarray(s.x2))),
+        "product_moment": product_moment(bp, cfg) - s.product_mean,
     }
     return FitResult(bp, (lm1, lm2), bracket, residuals, tuple(warnings))
 
@@ -309,7 +308,7 @@ def fit_mrq(s: PairedSample,
             f"competitor needs a2 + c > 0, got a2 + c = {a2 + c:.6g} "
             f"(L-CV of x2 {lm2.tau2:.6g} is not above 1/3)")
 
-    target_pm = float(np.mean(np.asarray(s.x1) * np.asarray(s.x2)))
+    target_pm = s.product_mean
     b2 = (target_pm - a1 * a2) / lm1.l2
 
     lcov = sample_lcomoments(s)

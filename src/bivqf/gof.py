@@ -183,12 +183,14 @@ class QQData:
 
 
 def qq_data(data, quantile_fn) -> QQData:
-    """Q-Q rows: sorted data against model quantiles at i/(n+1)."""
+    """Q-Q rows: sorted data against model quantiles at i/(n+1).
+
+    `quantile_fn` is called once, on the array of positions.
+    """
     x = np.sort(np.asarray(data, dtype=float))
     n = x.size
     if n < 2:
         raise InsufficientDataError("Q-Q data needs at least two observations")
     ps = np.arange(1, n + 1) / (n + 1.0)
-    rows = tuple((float(p), float(e), float(quantile_fn(float(p))))
-                 for p, e in zip(ps, x))
-    return QQData(rows)
+    model = np.asarray(quantile_fn(ps), dtype=float)
+    return QQData(tuple(zip(ps.tolist(), x.tolist(), model.tolist())))

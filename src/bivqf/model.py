@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc, betaincinv, exprel, hyp2f1, roots_jacobi
+from scipy.special import betainc, betaincinv, expit, exprel, hyp2f1, logit, roots_jacobi
 
 from .errors import ConvergenceError, DivergentMomentError, DomainError, QuadratureError
 from .specfun import complete_beta, log_gamma
@@ -249,12 +249,7 @@ def support(p: MarginalParams, cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> S
     Q(0) = 0 when alpha > -1; otherwise the left tail is infinite and the
     quantile function is anchored at the median, Q(1/2) = 0.
     """
-    if p.alpha > -1.0:
-        lower, anchor = 0.0, 0.0
-    else:
-        lower, anchor = -math.inf, 0.5
-    upper = big_q1(p, 1.0, cfg) if p.beta > -1.0 else math.inf
-    return SupportInfo(lower, upper, anchor)
+    return SupportInfo(_q_low(p), _q_top(p), 0.0 if p.alpha > -1.0 else 0.5)
 
 
 def q1(p: MarginalParams, u: float) -> float:
@@ -269,7 +264,8 @@ def q1(p: MarginalParams, u: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the corners: alpha <= -1, and beta <= -1 with alpha != 0
+# the corners: alpha <= -1, and beta <= -1 with alpha != 0, off the
+# log-logistic line alpha + beta = -2
 #
 # Q is split at u = 1/2.  On each half Q/c is an integral of
 # s^(p-1) (1-s)^(r-1) over [0, y] or [y, 1/2], with y = u on the left
@@ -420,7 +416,8 @@ def _shape_plan(alpha: float, beta: float
     """(Q(1)/c, corner plan) of the shape (alpha, beta), built once and kept.
 
     The corner plan is (left half, its sign in Q/c, right half, Q(1/2)/c),
-    and None off the corners.  Neither part depends on c, so a rescaled
+    and None off the corners and on the line alpha + beta = -2, where Q
+    is closed in logit(u).  Neither part depends on c, so a rescaled
     margin (the conditional survival rescales the second at every point)
     reuses the shape's entry.
     """
@@ -431,8 +428,8 @@ def _shape_plan(alpha: float, beta: float
         top = complete_beta(a, b)
     else:
         top = float(_inc_beta_cont(b, a, 0.5))
-    if alpha > -1.0 and (beta > -1.0 or alpha == 0.0):  # a closed form covers it
-        return top, None
+    if (alpha > -1.0 and (beta > -1.0 or alpha == 0.0)) or alpha + beta == -2.0:
+        return top, None  # a closed form covers it
     right = _to_half(b, a)
     if alpha > -1.0:
         return top, (_FromZero(a, b), 1.0, right, float(_inc_beta_cont(a, b, 0.5)))
@@ -465,6 +462,11 @@ def _corner_f(p: MarginalParams, corner, x, cfg: NumericConfig):
     return u[()]
 
 
+def _q_low(p: MarginalParams) -> float:
+    """Q(0), the lower end of the support."""
+    return 0.0 if p.alpha > -1.0 else -math.inf
+
+
 def _q_top(p: MarginalParams) -> float:
     """Q(1), the upper end of the support."""
     return p.c * _shape_plan(p.alpha, p.beta)[0]
@@ -476,6 +478,11 @@ def _big_q(p: MarginalParams, u):
     if corner is not None:
         return _corner_q(p, corner, u)
     c, alpha, beta = p.c, p.alpha, p.beta
+    if alpha + beta == -2.0:
+        # q du = c exp(a t) dt in t = logit(u); anchored at 0 for a > 0,
+        # at the median otherwise (before beta = 0, which anchors (-2, 0) at 0)
+        a, t = alpha + 1.0, logit(u)
+        return c * np.exp(a * t) / a if a > 0.0 else c * t * exprel(a * t)
     if beta == 0.0:
         return c * u ** (alpha + 1.0) / (alpha + 1.0)
     if alpha == 0.0:
@@ -492,14 +499,15 @@ def big_q1(p: MarginalParams, u: float | np.ndarray,
     """Quantile function Q(u), the anchored integral of the quantile density.
 
     `u` may be a float or an array; the result has its shape.  Closed
-    forms cover beta = 0, alpha = 0 (with the log limit at beta = -1) and
-    the incomplete-beta region alpha, beta > -1.  The corners alpha <= -1
-    and beta <= -1 (alpha != 0) split at u = 1/2 into B_u(alpha+1, beta+1)
-    continued through 2F1 and its mirror in 1-u, with a term-by-term
-    series next to the poles at integer exponents.  `cfg` is unused and
-    kept for symmetry with f1.
+    forms cover the log-logistic line alpha + beta = -2 (in logit(u)),
+    beta = 0, alpha = 0 (with the log limit at beta = -1) and the
+    incomplete-beta region alpha, beta > -1.  The other corners
+    alpha <= -1 and beta <= -1 (alpha != 0) split at u = 1/2 into
+    B_u(alpha+1, beta+1) continued through 2F1 and its mirror in 1-u,
+    with a term-by-term series next to the poles at integer exponents.
+    `cfg` is unused and kept for symmetry with f1.
     """
-    low = 0.0 if p.alpha > -1.0 else -math.inf
+    low = _q_low(p)
     if isinstance(u, (float, int)):
         if not 0.0 < u < 1.0:
             if u == 0.0:
@@ -524,6 +532,13 @@ def _f1(p: MarginalParams, x, upper: float, cfg: NumericConfig):
         return _corner_f(p, corner, x, cfg)
     c, alpha, beta = p.c, p.alpha, p.beta
     a = alpha + 1.0
+    if alpha + beta == -2.0:  # t = logit(u), inverted from Q in _big_q
+        if a > 0.0:
+            t = np.log(a * x / c) / a
+        else:
+            t = x / c if a == 0.0 else np.log1p(a * x / c) / a
+        # 1 - expit(-t) rounds once above 1/2, where expit(t) rounds twice
+        return _pick(t < 0.0, expit(t), 1.0 - expit(-t))
     # (beta + 1) x / c and friends as x / upper: below 1 whenever x < upper
     if beta == 0.0:
         return (x / upper) ** (1.0 / a)
@@ -551,18 +566,18 @@ def f1_flagged(p: MarginalParams, x: float | np.ndarray,
     a float or an array; for an array both results are arrays of its
     shape.
     """
-    sup = support(p, cfg)
+    lower, upper = _q_low(p), _q_top(p)
     if isinstance(x, (float, int)):
-        if x <= sup.lower:
-            return 0.0, x < sup.lower
-        if x >= sup.upper:
-            return 1.0, x > sup.upper
-        return float(_f1(p, float(x), sup.upper, cfg)), False
+        if x <= lower:
+            return 0.0, x < lower
+        if x >= upper:
+            return 1.0, x > upper
+        return float(_f1(p, float(x), upper, cfg)), False
     x = np.asarray(x, dtype=float)
-    u = np.where(x <= sup.lower, 0.0, 1.0)
-    flags = (x < sup.lower) | (x > sup.upper)
-    inside = (x > sup.lower) & (x < sup.upper)
-    u[inside] = _f1(p, x[inside], sup.upper, cfg)
+    u = np.where(x <= lower, 0.0, 1.0)
+    flags = (x < lower) | (x > upper)
+    inside = (x > lower) & (x < upper)
+    u[inside] = _f1(p, x[inside], upper, cfg)
     return u, flags
 
 

@@ -284,6 +284,15 @@ class TestCommands:
         assert qq[0] == "position\tempirical\tmodel"
         assert len(qq) == 10
 
+    def test_gof_to_stdout_builds_no_qq_table(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Q-Q table built for a report on stdout")
+
+        monkeypatch.setattr("bivqf.cli.qq_data", refuse)
+        code, out, _ = run(["gof", "--data", "cable"], capsys)
+        assert code == 0
+        assert "marginal1" in json.loads(out)["results"]
+
     def test_gof_per_point_mode(self, capsys):
         code, out, _ = run(
             ["gof", "--data", "components", "--mode", "per-point",

@@ -120,6 +120,15 @@ class TestThetaFit:
             assert not warnings
             assert bracket[1] >= theta_true
 
+    @pytest.mark.parametrize("s", [CABLE, COMP])
+    def test_product_mean_is_kept_and_feeds_the_residual(self, s):
+        s = PairedSample(s.rows)  # a fresh cache
+        target = s.product_mean
+        assert target == float(np.mean(np.asarray(s.x1) * np.asarray(s.x2)))
+        assert s.product_mean is target
+        fit = fit_bivariate(s)
+        assert fit.residuals["product_moment"] == product_moment(fit.params) - target
+
     def test_independence_returns_zero(self):
         e0 = product_moment(BivariateParams(self.M1, self.M2, 0.0))
         s = sample_with_product_mean(e0 * 0.9)

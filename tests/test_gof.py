@@ -128,6 +128,20 @@ class TestQQ:
         pos = [r[0] for r in qq.rows]
         assert all(0.0 < a < b < 1.0 for a, b in zip(pos, pos[1:]))
 
+    @pytest.mark.parametrize("data, m", [(CABLE.x1, BP_CABLE.m1), (CABLE.x2, BP_CABLE.m2),
+                                         (BUILTIN_DATASETS["components"].x1,
+                                          MarginalParams(13.0499, 0.8856, -0.1844))])
+    def test_one_array_call_matches_pointwise(self, data, m):
+        calls = []
+
+        def quantile(p):
+            calls.append(p)
+            return big_q1(m, p)
+
+        qq = qq_data(data, quantile)
+        assert len(calls) == 1 and calls[0].shape == (len(data),)
+        assert [r[2] for r in qq.rows] == [big_q1(m, float(p)) for p in calls[0]]
+
     def test_tsv_round_trip(self):
         qq = qq_data(CABLE.x1, lambda p: big_q1(BP_CABLE.m1, p))
         text = qq.to_tsv()

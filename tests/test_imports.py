@@ -62,12 +62,20 @@ for argv in (["sample", "--catalog", "exponential", "--param", "c1=1", "--param"
 
 def test_every_corner_loads_no_heavy_scipy_module():
     # one margin per branch of big_q1 / f1, the corners that once fell back
-    # to adaptive quadrature and Brent included
+    # to adaptive quadrature and Brent included; the three on the
+    # log-logistic line alpha + beta = -2 come with twins whose beta is
+    # moved down by ulps until they leave it and take the corner path
     res = run_fresh("""
 import numpy as np
 from bivqf.model import MarginalParams, big_q1, f1
-for shape in ((0.0, 0.0), (0.5, -0.3), (-0.4, -1.6), (-1.5, -1.5), (-1.0, -1.0),
-              (0.3, -1.00005), (0.2, -1.0), (0.5, -2.5), (-2.0, 0.5)):
+shapes = [(0.0, 0.0), (0.5, -0.3), (-0.4, -1.6), (-1.5, -1.5), (-1.0, -1.0),
+          (0.3, -1.00005), (0.2, -1.0), (0.5, -2.5), (-2.0, 0.5)]
+for alpha, beta in [s for s in shapes if sum(s) == -2.0]:
+    while alpha + beta == -2.0:
+        beta = float(np.nextafter(beta, -np.inf))
+    shapes.append((alpha, beta))
+assert len(shapes) == 12
+for shape in shapes:
     m = MarginalParams(1.0, *shape)
     u = np.array([0.01, 0.5, 0.99])
     assert np.allclose(f1(m, big_q1(m, u)), u, rtol=1e-9), shape

@@ -7,6 +7,7 @@ from scipy.integrate import dblquad, quad
 from scipy.optimize import brentq
 from scipy.special import betainc, betaincinv, roots_jacobi, roots_legendre
 
+from bivqf import model
 from bivqf.comoment import population_lcomoments, sample_lcomoments
 from bivqf.data import BUILTIN_DATASETS
 from bivqf.errors import ConvergenceError, DivergentMomentError, DomainError
@@ -40,6 +41,31 @@ COMP1 = MarginalParams(13.0499, 0.8856, -0.1844)
 SINE = MarginalParams(1.0 / math.pi, -0.5, -0.5)
 T2 = MarginalParams(1.0, -1.5, -1.5)
 LOGLOG = MarginalParams(6.0, 1.0, -3.0)
+
+
+def off_line(alpha: float, beta: float) -> tuple[float, float]:
+    """The shape moved down by ulps until alpha + beta rounds off -2.
+
+    A shape on the log-logistic line alpha + beta = -2 takes the closed
+    row of the branch table; its twin one or two ulps off it takes the
+    corner path, which the twin keeps covered against the same oracles.
+    beta moves, or alpha where it is the larger in size (at (-2, 0) an
+    ulp of beta is far below an ulp of the sum).
+    """
+    while alpha + beta == -2.0:
+        if abs(beta) >= abs(alpha):
+            beta = float(np.nextafter(beta, -np.inf))
+        else:
+            alpha = float(np.nextafter(alpha, -np.inf))
+    return alpha, beta
+
+
+def twin(p: MarginalParams) -> MarginalParams:
+    return MarginalParams(p.c, *off_line(p.alpha, p.beta))
+
+
+LOGLOG_CORNER = twin(LOGLOG)
+HEAVY_LL = MarginalParams(0.8, -0.6, -1.4)
 
 
 def oracle_quantile(p: MarginalParams, u: float) -> float:
@@ -90,7 +116,8 @@ class TestQuantileFunction:
 
     def test_generic_matches_direct_quadrature(self):
         cases = [CABLE1, CABLE2, COMP1, LOGLOG, SINE,
-                 MarginalParams(1.0, 0.3, -1.7), MarginalParams(2.0, 1.0, -3.0)]
+                 MarginalParams(1.0, 0.3, -1.7), MarginalParams(2.0, 1.0, -3.0),
+                 LOGLOG_CORNER, twin(MarginalParams(2.0, 1.0, -3.0))]
         for p in cases:
             for u in (0.1, 0.35, 0.5, 0.8, 0.97):
                 ref = oracle_quantile(p, u)
@@ -152,6 +179,9 @@ class TestCorners:
                (-1.0, 0.5), (-1.0 - 1e-5, 0.3), (-2.0 + 1e-9, -0.4), (0.5, -2.0),
                (2.5, -3.9), (-2.9, 1.9), (-0.9999, -1.5), (-1.0, -1.0 - 1e-5),
                (-0.5, -1.9999), (1.0, -3.0), (-1.2, 0.7), (-1.7, -0.95)]
+    # (0.5, -2.5), (-1, -1) and (1, -3) lie on the log-logistic line; their
+    # twins off it keep the corner path on the same checks
+    MARGINS += [off_line(a, b) for a, b in MARGINS if a + b == -2.0]
     LEVELS = [1e-30, 1e-6, 0.1, 0.4999, 0.5001, 0.9, 1.0 - 1e-6, 1.0 - 2.0 ** -52]
 
     @pytest.mark.parametrize("alpha, beta", MARGINS)
@@ -182,11 +212,94 @@ class TestCorners:
     # the margins that once fell back to Brent over adaptive quadrature
     @pytest.mark.parametrize("m", [MarginalParams(1.0, -1.5, -1.5),
                                    MarginalParams(2.0, 0.5, -2.5),
-                                   MarginalParams(1.0, 0.3, -1.00005)])
+                                   MarginalParams(1.0, 0.3, -1.00005),
+                                   twin(MarginalParams(2.0, 0.5, -2.5))])
     def test_f1_fallback(self, m):
         for u in (1e-8, 0.05, 0.5, 0.95, 1.0 - 1e-8):
             back = f1(m, mpmath_corner_quantile(m, u))
             assert abs(back - u) <= 1e-12 * min(u, 1.0 - u), (u, back)
+
+
+def mpmath_line_level(p: MarginalParams, x: float) -> float:
+    """F(x) on the line alpha + beta = -2 at 40 digits: expit of t = logit(u),
+    with Q = c exp(a t)/a for a > 0 and c (exp(a t) - 1)/a otherwise."""
+    with mpmath.workdps(40):
+        a, xc = mpmath.mpf(p.alpha) + 1, mpmath.mpf(x) / p.c
+        if a > 0:
+            t = mpmath.log(a * xc) / a
+        else:
+            t = xc if a == 0 else mpmath.log1p(a * xc) / a
+        return float(1 / (1 + mpmath.exp(-t)))
+
+
+class TestLogLogisticLine:
+    """alpha + beta = -2: Q = c exp(a t)/a or c t exprel(a t) in t = logit(u),
+    a = alpha + 1, and F is its closed inverse, with no root solve."""
+
+    # a > 0 (the catalog's log-logistic and (0, -2)), a = 0 (the logistic),
+    # a < 0 ((-2, 0) included), and |a| = 2^-30 on both sides
+    SHAPES = [(0.5, -2.5), (1.0, -3.0), (-0.4, -1.6), (-0.6, -1.4), (0.0, -2.0), (2.5, -4.5),
+              (-1.0, -1.0), (-2.0, 0.0), (-1.5, -0.5), (-3.0, 1.0),
+              (-1.0 + 2.0 ** -30, -1.0 - 2.0 ** -30), (-1.0 - 2.0 ** -30, -1.0 + 2.0 ** -30)]
+    LEVELS = np.array([1e-12, 1e-6, 0.1, 0.4999, 0.5, 0.5001, 0.9, 1.0 - 1e-6, 1.0 - 1e-10])
+
+    @staticmethod
+    def f_tol(p: MarginalParams, us: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # test_round_trip's form: relative in min(u, 1-u), plus the
+        # resolution eps |x| / q(u) of u from a rounded x
+        q = p.c * us ** p.alpha * (1.0 - us) ** p.beta
+        return 1e-13 * np.maximum(np.minimum(us, 1.0 - us), np.abs(x) / q)
+
+    @pytest.mark.parametrize("alpha, beta", SHAPES)
+    def test_against_mpmath_in_both_tails(self, alpha, beta):
+        assert alpha + beta == -2.0
+        p = MarginalParams(1.3, alpha, beta)
+        assert _shape_plan(alpha, beta)[1] is None
+        x = big_q1(p, self.LEVELS)
+        for u, g in zip(self.LEVELS, x):
+            ref = mpmath_corner_quantile(p, u)
+            # relative, or absolute next to the median anchor
+            assert abs(g - ref) <= 1e-13 * max(abs(ref), 1.0), (u, g, ref)
+            assert big_q1(p, float(u)) == g
+        ref = np.array([mpmath_line_level(p, v) for v in x])
+        back = f1(p, x)
+        np.testing.assert_array_less(np.abs(back - ref), self.f_tol(p, self.LEVELS, x))
+        np.testing.assert_array_equal([f1(p, float(v)) for v in x], back)
+
+    @pytest.mark.parametrize("alpha, beta", SHAPES)
+    def test_matches_its_twin_off_the_line(self, alpha, beta):
+        p = MarginalParams(1.3, alpha, beta)
+        t = MarginalParams(1.3, *off_line(alpha, beta))
+        if t.alpha != 0.0:  # (0, -2) moves to the alpha = 0 row
+            assert _shape_plan(t.alpha, t.beta)[1] is not None
+        x, xt = big_q1(p, self.LEVELS), big_q1(t, self.LEVELS)
+        np.testing.assert_array_less(np.abs(x - xt), 1e-13 * np.maximum(np.abs(xt), 1.0))
+        np.testing.assert_array_less(np.abs(f1(p, x) - f1(t, x)), self.f_tol(p, self.LEVELS, x))
+        sp, st = support(p), support(t)
+        assert (sp.lower, sp.anchor) == (st.lower, st.anchor)
+        assert math.isclose(sp.upper, st.upper, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("alpha, beta", SHAPES)
+    def test_no_root_solve(self, alpha, beta, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _newton_bisect(*args)
+
+        monkeypatch.setattr(model, "_newton_bisect", counting)
+        p = MarginalParams(1.3, alpha, beta)
+        for m in (p, p.scaled(2.5)):
+            x = big_q1(m, self.LEVELS)
+            f1(m, x)
+            f1(m, float(x[3]))
+            big_q1(m, 0.3)
+            u21(BivariateParams(UNIF, m, 0.7), 0.4, self.LEVELS)
+        assert calls == []
+        # the twin off the line takes the corner path and its Newton solve
+        if alpha != 0.0:
+            f1(MarginalParams(1.3, *off_line(alpha, beta)), float(x[3]))
+            assert len(calls) == 1
 
 
 class TestHeavyRightTail:
@@ -198,6 +311,7 @@ class TestHeavyRightTail:
         (0.8, -0.6, -1.4, 7962.14),
         (9.08, -0.48, -1.05, 342.248),
         (9.08, -0.48, -1.001, 201.857),
+        (0.8, -0.6, off_line(-0.6, -1.4)[1], 7962.14),
     ])
     def test_near_one_against_mpmath(self, c, alpha, beta, true):
         # these were 1.35e-6, -169.57 and -9068 by quadrature
@@ -235,10 +349,11 @@ class TestHeavyRightTail:
                 ref = mpmath_quantile(p, u)
                 assert math.isclose(big_q1(p, u), ref, rel_tol=1e-13), (alpha, u)
 
-    @pytest.mark.parametrize("p", [MarginalParams(0.8, -0.6, -1.4),
+    @pytest.mark.parametrize("p", [HEAVY_LL,
                                    MarginalParams(9.08, -0.48, -1.05),
                                    MarginalParams(1.0, 0.7, -1.3),
-                                   MarginalParams(2.0, 2.5, -1.9)])
+                                   MarginalParams(2.0, 2.5, -1.9),
+                                   twin(HEAVY_LL)])
     def test_round_trip_down_to_small_u(self, p):
         us = np.array([1e-10, 1e-7, 1e-3, 0.2, 0.5, 0.8, 0.999, 1.0 - 1e-9])
         back = f1(p, big_q1(p, us))
@@ -249,17 +364,21 @@ class TestHeavyRightTail:
             assert math.isclose(f1(p, big_q1(p, float(u))), b, rel_tol=1e-13)
 
 
-# one marginal per branch of big_q1 / f1_flagged
+# one marginal per branch of big_q1 / f1_flagged; "heavy-right" and
+# "fallback-loglogistic" now lie on the log-logistic line, and their
+# "-corner" twins keep the corner path
 BRANCHES = {
     "power": MarginalParams(1.5, -0.5, 0.0),
     "exponential": EXP1,
     "alpha0-bounded": MarginalParams(2.0, 0.0, 0.5),
     "alpha0-pareto": MarginalParams(1.0, 0.0, -1.5),
     "incomplete-beta": CABLE2,
-    "heavy-right": MarginalParams(0.8, -0.6, -1.4),
+    "heavy-right": HEAVY_LL,
     "fallback-log-tail": MarginalParams(1.0, 0.3, -1.0),
     "fallback-loglogistic": LOGLOG,
     "fallback-median-anchored": T2,
+    "heavy-right-corner": twin(HEAVY_LL),
+    "fallback-loglogistic-corner": LOGLOG_CORNER,
 }
 
 
@@ -315,7 +434,7 @@ class TestSupport:
 
 class TestDistributionFunction:
     def test_round_trip(self):
-        for p in (EXP1, UNIF, CABLE1, CABLE2, COMP1, LOGLOG, SINE, T2):
+        for p in (EXP1, UNIF, CABLE1, CABLE2, COMP1, LOGLOG, SINE, T2, LOGLOG_CORNER):
             for u in np.linspace(0.1, 0.9, 9):
                 x = big_q1(p, float(u))
                 assert abs(f1(p, x) - u) <= 1e-9, (p, u)
@@ -394,9 +513,13 @@ class TestConditional:
         "alpha0-pareto": (MarginalParams(1.0, 0.0, -1.5), 0.9),
         "incomplete-beta": (CABLE2, 0.6821),
         "heavy-right-tail": (MarginalParams(1.0, 0.7, -1.3), 0.8),
-        "heavy-right-tail-loglogistic": (MarginalParams(0.8, -0.6, -1.4), 2.0),
+        "heavy-right-tail-loglogistic": (HEAVY_LL, 2.0),
         "inversion-median-anchored": (T2, 1.0),
         "inversion-right-tail": (LOGLOG, 0.8),
+        # the two log-logistic margins above lie on the line
+        # alpha + beta = -2; their twins off it keep the corner path
+        "heavy-right-tail-corner": (twin(HEAVY_LL), 2.0),
+        "inversion-right-tail-corner": (LOGLOG_CORNER, 0.8),
     }
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -650,9 +773,11 @@ class TestRootSearch:
 
 
 # one margin per branch of big_q1 / f1, as in
-# tests/test_imports.py::test_every_corner_loads_no_heavy_scipy_module
+# tests/test_imports.py::test_every_corner_loads_no_heavy_scipy_module; the
+# three on the log-logistic line come with their twins off it
 BRANCH_SHAPES = ((0.0, 0.0), (0.5, -0.3), (-0.4, -1.6), (-1.5, -1.5), (-1.0, -1.0),
                  (0.3, -1.00005), (0.2, -1.0), (0.5, -2.5), (-2.0, 0.5))
+BRANCH_SHAPES += tuple(off_line(a, b) for a, b in BRANCH_SHAPES if a + b == -2.0)
 
 
 class TestShapeCaches:
@@ -670,8 +795,9 @@ class TestShapeCaches:
 
     def test_kept_arrays_are_read_only(self):
         x, w = _gauss_jacobi(16, 0.5, 0.5)
-        # (-1, -1): the right half is the term-by-term series with its table
-        series = _shape_plan(-1.0, -1.0)[1][2]
+        # (-1, -0.5): the left half, next to the pole at alpha + 1 = 0, is the
+        # term-by-term series with its table
+        series = _shape_plan(-1.0, -0.5)[1][0]
         for arr in (x, w, series.d):
             with pytest.raises(ValueError):
                 arr[0] = 0.0

@@ -12,12 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bivqf.catalog import make_case
 from bivqf.comoment import population_lcomoments
 from bivqf.errors import DivergentMomentError, DomainError, QuadratureError
 from bivqf.lmom import sample_lmoments
 from bivqf.model import (DEFAULT_NUMERIC_CONFIG, BivariateParams, MarginalParams, big_q1, f1,
                          f1_flagged, product_moment, support, u21)
 from bivqf.sampling import SamplerSpec, draw
+from test_model import off_line
 
 SPECIAL = st.sampled_from((-2.0, -1.0, 0.0))
 
@@ -56,6 +58,32 @@ def test_round_trip(p):
     # moves u by e Q/q, which is large where Q is flat (alpha -> -1)
     tol = 1e-9 + 1e-12 * np.abs(x / density(p, LEVELS))
     assert np.all(np.abs(back - LEVELS) <= tol), (back - LEVELS, tol)
+
+
+@PROPERTY
+@given(SCALE, ALPHA)
+def test_log_logistic_line(c, alpha):
+    # alpha + beta = -2 takes the closed row in logit(u); the shape a few
+    # ulps below it takes the corner path, and the two agree
+    beta = -2.0 - alpha
+    assume(alpha + beta == -2.0)
+    p = MarginalParams(c, alpha, beta)
+    x, xt = big_q1(p, LEVELS), big_q1(MarginalParams(c, *off_line(alpha, beta)), LEVELS)
+    np.testing.assert_allclose(x, xt, rtol=1e-13, atol=1e-13 * c)
+    np.testing.assert_array_equal([big_q1(p, float(u)) for u in LEVELS], x)
+    back = f1(p, x)
+    tol = 1e-9 + 1e-12 * np.abs(x / density(p, LEVELS))
+    assert np.all(np.abs(back - LEVELS) <= tol), (back - LEVELS, tol)
+    np.testing.assert_array_equal([f1(p, float(v)) for v in x], back)
+
+
+@PROPERTY
+@given(st.floats(0.3, 0.9), SCALE)
+def test_catalog_log_logistic_lies_on_the_line(a, b):
+    # the map (a b, a - 1, -(a + 1)) rounds onto alpha + beta = -2 exactly
+    # for these a, so the catalog's log-logistic takes the closed row
+    m = make_case("loglogistic", a1=a, b1=b, a2=a, b2=b).params.m1
+    assert m.alpha + m.beta == -2.0
 
 
 @PROPERTY
