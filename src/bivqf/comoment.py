@@ -18,7 +18,9 @@ and marginal partial means,
 
 with g = 1 + theta*u1 and Q2(w) = Q2(1)/g, the partial mean that
 E(X1 X2) shares (model._partial_mean2); for beta2 <= -1 the partial mean
-is g l1_2 and J = theta*u1*l1_2 is exactly linear in u1.
+is g l1_2, J = theta*u1*l1_2 is exactly linear in u1, and the (2,1)
+comoments are (theta l1_2/3, 0, 0).  The integrals over u1 run on
+model._u1_rule.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .model import (
     BivariateParams,
     DEFAULT_NUMERIC_CONFIG,
     NumericConfig,
-    _fixed_rule,
     _gauss_jacobi,
     _partial_mean2,
+    _u1_rule,
     u21,
 )
 from .specfun import gauss_2f1
@@ -51,8 +53,6 @@ _GAMMA = np.array([2.0, 1.0, 1.0])
 
 def _weights(t: np.ndarray) -> np.ndarray:
     return np.stack([np.ones_like(t), 12.0 * t - 6.0, (60.0 * t - 60.0) * t + 12.0])
-
-
 
 
 @dataclass(frozen=True)
@@ -101,47 +101,40 @@ def population_lcomoments(bp: BivariateParams,
         if not m.in_lmoment_region():
             raise DivergentMomentError(
                 f"L-comoments need alpha > -1, beta > -2 for {label}")
+    th, lm2 = bp.theta, population_lmoments(m2)
     lam2_1 = population_lmoments(m1).l2
-    lam2_2 = population_lmoments(m2).l2
-    if bp.theta == 0.0:
+    if th == 0.0:
         z = (0.0, 0.0, 0.0)
-        return _build_set(z, z, lam2_1, lam2_2)
+        return _build_set(z, z, lam2_1, lm2.l2)
 
     # (1,2): an inner rule over u2 with as many nodes as the outer one, so
-    # the outer n-against-2n test covers both.  Near u2 = 1 the integrand
-    # mixes powers of (1-u2) and (1-u2)^(beta2+1); the substitution
-    # 1 - u2 = s^k with k = 2/min(beta2+1, 1) turns the latter into even
-    # powers of s, and the Jacobian s^(k-1) is the inner Gauss-Jacobi weight
-    if m2.beta <= -1.0:
-        # u21 reaches 1 with a (1-u2)^(1/(1+theta*u1)) kink whose exponent
-        # varies with u1; a fixed stronger power flattens every case
-        k = 2.0 * (1.0 + bp.theta)
-    else:
-        k = 2.0 / min(m2.beta + 1.0, 1.0)
+    # the outer n-against-2n test covers both, on the whole grid in one
+    # u21 call.  Near u2 = 1 the integrand mixes powers of (1-u2) and
+    # (1-u2)^(beta2+1), or for beta2 <= -1 has a (1-u2)^(1/(1+theta*u1))
+    # kink; 1 - u2 = s^k makes them powers of s^2 or smoother, and the
+    # Jacobian s^(k-1) is the inner Gauss-Jacobi weight.  k is at most
+    # 2(1+theta); roots_jacobi turns NaN past k = 1024.
+    k = 2.0 / min(max(m2.beta + 1.0, 1.0 / (1.0 + th)), 1.0)
 
     def inner_12(u1: np.ndarray) -> np.ndarray:
         s, ws = _gauss_jacobi(u1.size, 0.0, k - 1.0)
-        s = 0.5 * (s + 1.0)
-        t = 1.0 - s ** k
+        t = 1.0 - (0.5 * (s + 1.0)) ** k
         w_inner = _weights(t) * (k * 0.5 ** k * ws)
-        return m1.c * np.stack(
-            [w_inner @ (t - u21(bp, float(u), t, cfg)) for u in u1], axis=1)
+        return m1.c * (w_inner @ (t - u21(bp, u1[:, None], t, cfg)).T)
 
-    l12 = _GAMMA * _fixed_rule(inner_12, m1.alpha, m1.beta + 1.0, cfg)
+    l12 = _GAMMA * _u1_rule(inner_12, m1.alpha, m1.beta + 1.0, th, cfg)
 
     # (2,1): exact inner reduction to the partial-mean difference J(u1)
-    th = bp.theta
-    lam1_2 = population_lmoments(m2).l1
     if m2.beta <= -1.0:
-        def jfun(u1: np.ndarray) -> np.ndarray:
-            return th * u1 * lam1_2
+        # J = theta*u1*l1_2 is linear, and W_3, W_4 are orthogonal to it; a
+        # rule would leave noise of the size of l1_2 (unbounded at beta2 = -2)
+        l21 = np.array([th * lm2.l1 / 3.0, 0.0, 0.0])
     else:
-        def jfun(u1: np.ndarray) -> np.ndarray:
-            return _partial_mean2(m2, 1.0 + th * u1) - lam1_2
+        l21 = _GAMMA * _u1_rule(
+            lambda u: _weights(u) * (_partial_mean2(m2, 1.0 + th * u) - lm2.l1),
+            0.0, 1.0, th, cfg)
 
-    l21 = _GAMMA * _fixed_rule(lambda u: _weights(u) * jfun(u), 0.0, 1.0, cfg)
-
-    return _build_set(tuple(map(float, l12)), tuple(map(float, l21)), lam2_1, lam2_2)
+    return _build_set(tuple(map(float, l12)), tuple(map(float, l21)), lam2_1, lm2.l2)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,8 @@ class MarginalParams:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite, got {v}")
+            # a numpy scalar would leak numpy booleans into the branch tests
+            object.__setattr__(self, name, float(v))
         if not self.c > 0.0:
             raise DomainError(f"scale c must be positive, got {self.c}")
 
@@ -172,6 +174,26 @@ def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: floa
     raise QuadratureError(
         f"fixed rule did not reach the quadrature tolerance within "
         f"{MAX_RULE_NODES} nodes (last change {np.max(err):.3e})")
+
+
+def _u1_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
+             theta: float, cfg: NumericConfig) -> np.ndarray:
+    """int_0^1 u^a_exp (1-u)^b_exp f(u) du over u = u1, as _fixed_rule, theta > 0.
+
+    The integrands over u1 have a (theta*u1)^p kink at u1 = 0 and change
+    on the scale u1 ~ 1/theta; u = s^k with k = max(3, log10 theta)
+    smooths the kink and moves that scale to s >= 0.1, where the nodes
+    resolve it.  (1-u)^b_exp is (1-s)^b_exp ((1-u)/(1-s))^b_exp.
+    """
+    k = max(3.0, math.log10(theta))
+
+    def in_s(s: np.ndarray) -> np.ndarray:
+        u = s ** k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(s < 1.0, (1.0 - u) / (1.0 - s), k)
+        return k * ratio ** b_exp * f(u)
+
+    return _fixed_rule(in_s, k * (a_exp + 1.0) - 1.0, b_exp, cfg)
 
 
 def _pick(cond, a, b):
@@ -591,24 +613,28 @@ def f1(p: MarginalParams, x: float | np.ndarray,
 # conditional structure
 
 
-def u21(bp: BivariateParams, u1: float, u2: float | np.ndarray,
+def u21(bp: BivariateParams, u1: float | np.ndarray, u2: float | np.ndarray,
         cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float | np.ndarray:
     """Solve Q2(v) = Q2(u2) / (1 + theta*u1) for v, as F2(Q2(u2) / (1 + theta*u1)).
 
     This is the probability level of the second marginal reached by the
     conditional quantile; v <= u2 with equality iff theta*u1 = 0 when
-    alpha2 > -1.  For median-anchored marginals (alpha2 <= -1) the
-    negative half scales toward the anchor, so v can exceed u2.  `u2`
-    may be an array, and the result then has its shape.
+    alpha2 > -1, and an element with theta*u1 = 0 returns u2 exactly.
+    For median-anchored marginals (alpha2 <= -1) the negative half scales
+    toward the anchor, so v can exceed u2.  `u1` and `u2` may be arrays;
+    they broadcast, and two floats give a float.
     """
-    if not 0.0 <= u1 <= 1.0:
+    u1 = np.asarray(u1, dtype=float)
+    if not np.all((u1 >= 0.0) & (u1 <= 1.0)):
         raise DomainError(f"u1 must lie in [0, 1], got {u1}")
-    g = 1.0 + bp.theta * u1
-    if g != 1.0:
-        return f1(bp.m2, big_q1(bp.m2, u2, cfg) / g, cfg)
-    v = np.array(u2, dtype=float)
+    v = np.asarray(u2, dtype=float)
     if not np.all((v >= 0.0) & (v <= 1.0)):
         raise DomainError("u2 must lie in [0, 1]")
+    g = 1.0 + bp.theta * u1[()]
+    moved = g != 1.0
+    # v[()] keeps a single u2 a float for big_q1's scalar path
+    w = f1(bp.m2, big_q1(bp.m2, v[()], cfg) / g, cfg) if np.any(moved) else v
+    v = np.where(moved, w, v)  # broadcast, and never the caller's array
     return v if v.ndim else float(v)
 
 
@@ -663,39 +689,19 @@ def product_moment(bp: BivariateParams,
                    cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float:
     """E(X1 X2) = double integral of (1-u1)(1-u21) q1(u1) q2(u2).
 
-    The inner u2-integral reduces exactly, by the change of variable
-    w = u21, to (1+theta*u1) * c2 * B_w*(alpha2+1, beta2+2) with
-    w* = I^-1(1/(1+theta*u1)); the remaining one-dimensional integral
-    runs on a Gauss-Jacobi rule.
-    Requires both marginals in the finite-mean region with nonnegative
-    support (alpha > -1, beta > -2).
+    The inner u2-integral is _partial_mean2, exactly; the one over u1
+    runs on _u1_rule.  Requires both marginals in the finite-mean region
+    with nonnegative support (alpha > -1, beta > -2).
     """
-    for label, m in (("m1", bp.m1), ("m2", bp.m2)):
-        if m.alpha <= -1.0 or m.beta <= -2.0:
+    th, m1, m2 = bp.theta, bp.m1, bp.m2
+    for label, m in (("m1", m1), ("m2", m2)):
+        if not m.in_lmoment_region():
             raise DivergentMomentError(
-                f"product moment requires alpha > -1 and beta > -2 for {label}"
-            )
-    th = bp.theta
-    m1, m2 = bp.m1, bp.m2
+                f"product moment requires alpha > -1 and beta > -2 for {label}")
     if th == 0.0:
         return _lambda(m1, 1) * _lambda(m2, 1)
     if m2.beta <= -1.0:
         # u21 sweeps the whole unit interval: inner integral is exact
         return _lambda(m2, 1) * (_lambda(m1, 1) + th * _lambda(m1, 2))
-
-    # u1 = s^k: the integrand has a (theta*u1)^(1 + 1/b2) kink at u1 = 0
-    # and changes on the scale u1 ~ 1/theta; k = max(3, log10 theta)
-    # smooths the kink and moves that scale to s >= 0.1, where the nodes
-    # resolve it
-    k = max(3.0, math.log10(th))
-    e = m1.beta + 1.0
-
-    def inner(s: np.ndarray) -> np.ndarray:
-        u = s ** k
-        second = _partial_mean2(m2, 1.0 + th * u)
-        # (1 - u1)^e = (1-s)^e ((1 - s^k)/(1-s))^e, the ratio k at s = 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(s < 1.0, (1.0 - u) / (1.0 - s), k)
-        return k * m1.c * second * ratio ** e
-
-    return float(_fixed_rule(inner, k * (m1.alpha + 1.0) - 1.0, e, cfg))
+    return float(_u1_rule(lambda u: m1.c * _partial_mean2(m2, 1.0 + th * u),
+                          m1.alpha, m1.beta + 1.0, th, cfg))

@@ -50,15 +50,12 @@ def brute_lcomoment(bp, k, direction):
 
 def random_models(seed, count):
     """Seeded models in the brute oracle's domain (beta2 > -1, where its u21
-    is defined), minus the region alpha1 < 0 < beta2 that the strict xfail
-    tests/test_properties.py::test_l12_alpha1_below_zero_beta2_above_zero pins."""
+    is defined)."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
         a1, b1 = rng.uniform(-0.9, 2.0), rng.uniform(-1.5, 1.5)
         a2, b2 = rng.uniform(-0.9, 2.0), rng.uniform(-0.9, 1.5)
-        if a1 < 0.0 and b2 > 0.0:
-            continue
         out.append(BivariateParams(MarginalParams(rng.uniform(0.5, 3.0), a1, b1),
                                    MarginalParams(rng.uniform(0.5, 3.0), a2, b2),
                                    rng.uniform(0.1, 2.0)))
@@ -128,7 +125,7 @@ def power_l2_21(c2, alpha2, theta):
 class TestPopulation:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("name", ["cable", "components", "power", "exponential",
-                                      "loglogistic"])
+                                      "loglogistic", "beta2-0.999", "beta2-0.9999"])
     def test_fixed_rules_match_adaptive_reference(self, name):
         bp = {
             "cable": BivariateParams(MarginalParams(9.0819, -0.4864, -0.9946),
@@ -142,6 +139,11 @@ class TestPopulation:
                                            MarginalParams(2.0, 0.0, -1.0), 0.8),
             "loglogistic": make_case("loglogistic", a1=0.5, b1=1.0, a2=0.4, b2=2.0,
                                      theta=0.7).params,
+            # beta2 just above -1: the inner power k of 1 - u2 = s^k is
+            # capped at 2(1 + theta); at 2/(beta2 + 1) it passed 1000, where
+            # the Jacobi nodes are NaN
+            "beta2-0.999": BivariateParams(UNIF, MarginalParams(1.0, 0.0, -0.999), 1.0),
+            "beta2-0.9999": BivariateParams(UNIF, MarginalParams(1.0, 0.5, -0.9999), 1.0),
         }[name]
         cm = population_lcomoments(bp)
         l12, l21 = adaptive_lcomoments(bp)
@@ -234,16 +236,17 @@ class TestPopulation:
         assert abs(cm.l4_21) <= 1e-12
 
     # next to alpha2 = -1 the partial mean's w* underflows and takes its
-    # limit; below about -0.99999 the rule still misses a boundary layer
-    # of width (alpha2 + 1)/theta at u1 = 0
+    # limit, and both directions have a boundary layer of width
+    # (alpha2 + 1)/theta at u1 = 0, which the outer u1 = s^k resolves
     @pytest.mark.parametrize("alpha2, rel_tol", [
-        (-0.9, 1e-12), (-0.999, 1e-12), (-0.999999, 1e-5),
-        pytest.param(-0.99999, 1e-8, marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError, reason="2e-5 off: unresolved boundary layer"))])
+        (-0.9, 1e-12), (-0.999, 1e-12), (-0.99999, 1e-8), (-0.999999, 1e-8)])
     def test_power_l2_21_next_to_alpha2_minus_one(self, alpha2, rel_tol):
         bp = BivariateParams(UNIF, MarginalParams(1.0, alpha2, 0.0), 1.0)
-        got = population_lcomoments(bp).l2_21
-        assert math.isclose(got, power_l2_21(1.0, alpha2, 1.0), rel_tol=rel_tol)
+        cm = population_lcomoments(bp)
+        closed = power_l2_21(1.0, alpha2, 1.0)
+        assert math.isclose(cm.l2_21, closed, rel_tol=rel_tol)
+        # with X1 uniform, L2(1,2) = c1 (A+1)/(2 c2) L2(2,1), A = alpha2 + 1
+        assert math.isclose(cm.l2_12, (alpha2 + 2.0) / 2.0 * closed, rel_tol=rel_tol)
 
     def test_population_rho_scale_invariant(self):
         base = BivariateParams(MarginalParams(2.0, 1.0, 0.0),

@@ -545,6 +545,15 @@ class TestConditional:
                 ref = brentq(lambda w: oracle_quantile(m2, w) - target, lo,
                              hi if hi is not None else x, xtol=1e-14)
                 assert math.isclose(v, ref, abs_tol=1e-9), (u1v, x)
+        # a column of u1 broadcasts against u2: one row per u1
+        u1 = np.array([[0.0], [0.35], [1.0]])
+        grid = u21(bp, u1, u2)
+        assert grid.shape == (3, 7)
+        for row, u1v in zip(grid, u1[:, 0]):
+            np.testing.assert_allclose(row, u21(bp, u1v, u2), rtol=1e-13, atol=1e-15)
+        assert np.array_equal(grid[0], u2)  # g = 1 returns u2 exactly
+        with pytest.raises(DomainError):
+            u21(bp, np.array([[0.5], [1.5]]), u2)
 
     def test_conditional_survival_exponential(self):
         # exp case: S(x2 | u1) = exp(-x2 / (c2 (1 + theta u1)))
@@ -722,6 +731,18 @@ class TestParamValidation:
     def test_finite(self):
         with pytest.raises(DomainError):
             MarginalParams(1.0, math.nan, 0.0)
+
+    def test_numpy_float_fields_are_floats(self):
+        # a numpy exponent used to reach the fixed rule's lift test as
+        # np.bool and raise TypeError there
+        m1 = MarginalParams(1.0, np.float64(0.5), np.float64(0.2))
+        m2 = MarginalParams(np.float64(2.0), np.float64(-0.3), np.float64(-0.4))
+        assert all(type(v) is float for m in (m1, m2) for v in (m.c, m.alpha, m.beta))
+        plain = BivariateParams(MarginalParams(1.0, 0.5, 0.2), MarginalParams(2.0, -0.3, -0.4), 0.7)
+        bp = BivariateParams(m1, m2, 0.7)
+        assert bp == plain
+        assert product_moment(bp) == product_moment(plain)
+        assert population_lcomoments(bp) == population_lcomoments(plain)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from bivqf.catalog import make_case
 from bivqf.comoment import population_lcomoments
-from bivqf.errors import DivergentMomentError, DomainError, QuadratureError
+from bivqf.errors import DivergentMomentError, DomainError
 from bivqf.lmom import sample_lmoments
 from bivqf.model import (DEFAULT_NUMERIC_CONFIG, BivariateParams, MarginalParams, big_q1, f1,
                          f1_flagged, product_moment, support, u21)
@@ -175,11 +175,7 @@ def l12(m1, m2, theta):
 @given(LMOM_MARGINAL, LMOM_MARGINAL, st.floats(0.01, 10.0), SCALE)
 def test_l12_linear_in_c1_free_of_c2(m1, m2, theta, f):
     # u21 does not depend on c2, and c1 enters L_k(1,2) only through q1
-    try:
-        base = l12(m1, m2, theta)
-    except QuadratureError:
-        # the defect pinned by test_l12_alpha1_below_zero_beta2_above_zero
-        assume(False)
+    base = l12(m1, m2, theta)
     cfg = DEFAULT_NUMERIC_CONFIG
     # each is the 2n-node value of a rule stopped on its own n-to-2n change
     np.testing.assert_allclose(l12(m1.scaled(f), m2, theta), f * base,
@@ -189,12 +185,13 @@ def test_l12_linear_in_c1_free_of_c2(m1, m2, theta, f):
 
 # 1 - u21 ~ ((1-u2)^(beta2+1) + C theta u1)^(1/(beta2+1)) near u2 = 1, so the
 # inner integral has a u1^(1 + 1/(beta2+1)) term at u1 = 0 (u1 log u1 at
-# beta2 = 1), which the outer weight u1^alpha1 with alpha1 < 0 makes too
-# steep for 512 nodes
-@pytest.mark.xfail(strict=True, raises=QuadratureError,
-                   reason="outer (1,2) rule does not resolve the u1 = 0 end for beta2 > 0")
+# beta2 = 1), which the outer weight u1^alpha1 with alpha1 < 0 makes steep;
+# the outer substitution u1 = s^k smooths it
 def test_l12_alpha1_below_zero_beta2_above_zero():
-    l12(MarginalParams(1.0, -0.5, 0.0), MarginalParams(1.0, 0.0, 1.0), 1.0)
+    got = l12(MarginalParams(1.0, -0.5, 0.0), MarginalParams(1.0, 0.0, 1.0), 1.0)
+    # nested adaptive quadrature (test_comoment.adaptive_lcomoments)
+    ref = [0.3027034960365183, 0.3904770222557784, 0.4216747529557626]
+    np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0.0)
 
 
 def test_product_moment_one_ulp_above_beta_minus_two():
