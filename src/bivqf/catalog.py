@@ -28,6 +28,7 @@ from .model import (
     MarginalParams,
     NumericConfig,
     f1,
+    q2_bar_conditional,
 )
 from .specfun import complete_beta, inv_reg_inc_beta
 
@@ -222,8 +223,8 @@ def generic_marginal_cdf(entry: CatalogEntry, i: int, x: float,
 def generic_joint_survival(entry: CatalogEntry, x1: float, x2: float,
                            cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float:
     """Product survival through the generic machinery, honoring locations."""
-    u1_val = f1(entry.params.m1, x1 - entry.loc[0], cfg)
-    g = 1.0 + entry.params.theta * u1_val
-    m2s = entry.params.m2.scaled(g)
-    s2 = 1.0 - f1(m2s, x2 - entry.loc[1] * g, cfg)
+    bp = entry.params
+    u1_val = f1(bp.m1, x1 - entry.loc[0], cfg)
+    # the location offset scales with g = 1 + theta*u1, as the rest of Q2
+    s2 = q2_bar_conditional(bp, u1_val, x2 - entry.loc[1] * (1.0 + bp.theta * u1_val), cfg)
     return (1.0 - u1_val) * s2

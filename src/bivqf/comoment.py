@@ -113,8 +113,9 @@ def population_lcomoments(bp: BivariateParams,
     # (1-u2)^(beta2+1), or for beta2 <= -1 has a (1-u2)^(1/(1+theta*u1))
     # kink; 1 - u2 = s^k makes them powers of s^2 or smoother, and the
     # Jacobian s^(k-1) is the inner Gauss-Jacobi weight.  k is at most
-    # 2(1+theta); roots_jacobi turns NaN past k = 1024.
-    k = 2.0 / min(max(m2.beta + 1.0, 1.0 / (1.0 + th)), 1.0)
+    # 2(1+theta), and at most 1000: roots_jacobi scales its weights by
+    # 2^k and turns NaN past k = 1024.
+    k = min(2.0 / min(max(m2.beta + 1.0, 1.0 / (1.0 + th)), 1.0), 1000.0)
 
     def inner_12(u1: np.ndarray) -> np.ndarray:
         s, ws = _gauss_jacobi(u1.size, 0.0, k - 1.0)

@@ -286,8 +286,9 @@ def q1(p: MarginalParams, u: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the corners: alpha <= -1, and beta <= -1 with alpha != 0, off the
-# log-logistic line alpha + beta = -2
+# the corners: alpha <= -1, and beta <= -1 with alpha != 0, off the closed
+# rows in logit(u), the log-logistic line alpha + beta = -2 and the t2
+# shape alpha = beta = -3/2
 #
 # Q is split at u = 1/2.  On each half Q/c is an integral of
 # s^(p-1) (1-s)^(r-1) over [0, y] or [y, 1/2], with y = u on the left
@@ -438,10 +439,10 @@ def _shape_plan(alpha: float, beta: float
     """(Q(1)/c, corner plan) of the shape (alpha, beta), built once and kept.
 
     The corner plan is (left half, its sign in Q/c, right half, Q(1/2)/c),
-    and None off the corners and on the line alpha + beta = -2, where Q
-    is closed in logit(u).  Neither part depends on c, so a rescaled
-    margin (the conditional survival rescales the second at every point)
-    reuses the shape's entry.
+    and None off the corners and on the two rows where Q and F are closed
+    in logit(u): the line alpha + beta = -2 and the t2 shape
+    alpha = beta = -3/2, both exact float tests.  Neither part depends on
+    c, so margins that differ only in scale share the shape's entry.
     """
     a, b = alpha + 1.0, beta + 1.0
     if beta <= -1.0:
@@ -450,7 +451,8 @@ def _shape_plan(alpha: float, beta: float
         top = complete_beta(a, b)
     else:
         top = float(_inc_beta_cont(b, a, 0.5))
-    if (alpha > -1.0 and (beta > -1.0 or alpha == 0.0)) or alpha + beta == -2.0:
+    if ((alpha > -1.0 and (beta > -1.0 or alpha == 0.0)) or alpha + beta == -2.0
+            or alpha == beta == -1.5):
         return top, None  # a closed form covers it
     right = _to_half(b, a)
     if alpha > -1.0:
@@ -505,6 +507,12 @@ def _big_q(p: MarginalParams, u):
         # at the median otherwise (before beta = 0, which anchors (-2, 0) at 0)
         a, t = alpha + 1.0, logit(u)
         return c * np.exp(a * t) / a if a > 0.0 else c * t * exprel(a * t)
+    if alpha == beta == -1.5:
+        # the t2 shape, a = -1/2 on the line alpha + beta = -3: q du =
+        # 2c cosh(t/2) dt, so Q = 4c sinh(t/2) from the median; this equal
+        # form is exact to ulps in both tails, where sinh of the rounded t
+        # is off by |t| ulps
+        return 2.0 * c * (2.0 * u - 1.0) / np.sqrt(u * (1.0 - u))
     if beta == 0.0:
         return c * u ** (alpha + 1.0) / (alpha + 1.0)
     if alpha == 0.0:
@@ -522,11 +530,12 @@ def big_q1(p: MarginalParams, u: float | np.ndarray,
 
     `u` may be a float or an array; the result has its shape.  Closed
     forms cover the log-logistic line alpha + beta = -2 (in logit(u)),
-    beta = 0, alpha = 0 (with the log limit at beta = -1) and the
-    incomplete-beta region alpha, beta > -1.  The other corners
-    alpha <= -1 and beta <= -1 (alpha != 0) split at u = 1/2 into
-    B_u(alpha+1, beta+1) continued through 2F1 and its mirror in 1-u,
-    with a term-by-term series next to the poles at integer exponents.
+    the t2 shape alpha = beta = -3/2, beta = 0, alpha = 0 (with the log
+    limit at beta = -1) and the incomplete-beta region alpha, beta > -1.
+    The other corners alpha <= -1 and beta <= -1 (alpha != 0) split at
+    u = 1/2 into B_u(alpha+1, beta+1) continued through 2F1 and its
+    mirror in 1-u, with a term-by-term series next to the poles at
+    integer exponents.
     `cfg` is unused and kept for symmetry with f1.
     """
     low = _q_low(p)
@@ -561,6 +570,14 @@ def _f1(p: MarginalParams, x, upper: float, cfg: NumericConfig):
             t = x / c if a == 0.0 else np.log1p(a * x / c) / a
         # 1 - expit(-t) rounds once above 1/2, where expit(t) rounds twice
         return _pick(t < 0.0, expit(t), 1.0 - expit(-t))
+    if alpha == beta == -1.5:
+        # inverted from Q in _big_q: exp(|t|/2) = sqrt(1 + y^2) + |y| with
+        # y = x/(4c), and min(u, 1-u) = 1/(1 + exp(|t|)), to ulps in both
+        # tails, where expit of the rounded t = 2 asinh(y) is off by |t| ulps
+        y = 0.25 * x / c
+        v = 1.0 / (np.hypot(1.0, y) + np.abs(y))
+        s = v * v / (1.0 + v * v)
+        return _pick(y < 0.0, s, 1.0 - s)
     # (beta + 1) x / c and friends as x / upper: below 1 whenever x < upper
     if beta == 0.0:
         return (x / upper) ** (1.0 / a)
@@ -569,13 +586,22 @@ def _f1(p: MarginalParams, x, upper: float, cfg: NumericConfig):
             return -np.expm1(-x / c)
         t = x / upper if beta > -1.0 else (beta + 1.0) * x / c
         return -np.expm1(np.log1p(-t) / (beta + 1.0))
-    u = betaincinv(a, beta + 1.0, x / upper)
-    if alpha != beta:
+    b = beta + 1.0
+    u = betaincinv(a, b, x / upper)
+    # betaincinv is NaN at tiny levels on some shapes (a in about
+    # (1.001, 1.02) with b <= 0.2 below 1e-17; a = b = 3 below 1e-108):
+    # those start from the tail asymptote u^a/a = x/c of B_u(a, b)
+    start = u != u  # NaN; the cheapest test on a numpy scalar
+    if np.count_nonzero(start):
+        u = np.where(start, (a * x / c) ** (1.0 / a), u)
+    elif alpha != beta:
         return u
+    # one Newton step on those, and on every element when alpha == beta:
     # betaincinv(a, a, p) is off by up to 1.4e-8 within ulps of p = 1/2
     with np.errstate(divide="ignore", invalid="ignore"):
-        step = (upper * betainc(a, a, u) - x) / (c * (u * (1.0 - u)) ** alpha)
-        return np.where(np.abs(step) < 0.5 * np.minimum(u, 1.0 - u), u - step, u)
+        step = (upper * betainc(a, b, u) - x) / (c * u ** alpha * (1.0 - u) ** beta)
+        take = np.abs(step) < 0.5 * np.minimum(u, 1.0 - u)
+        return np.where(take if alpha == beta else take & start, u - step, u)
 
 
 def f1_flagged(p: MarginalParams, x: float | np.ndarray,
@@ -643,8 +669,7 @@ def q2_bar_conditional(bp: BivariateParams, u1: float, x2: float,
     """Survival of X2 given X1 beyond its u1-quantile: 1 - F2(x2 / (1+theta*u1))."""
     if not 0.0 <= u1 <= 1.0:
         raise DomainError(f"u1 must lie in [0, 1], got {u1}")
-    scaled = bp.m2.scaled(1.0 + bp.theta * u1)
-    return 1.0 - f1(scaled, x2, cfg)
+    return 1.0 - f1(bp.m2, x2 / (1.0 + bp.theta * u1), cfg)
 
 
 def joint_survival(bp: BivariateParams, x1: float, x2: float,

@@ -97,16 +97,24 @@ def adaptive_lcomoments(bp):
         return quad(lambda u: (u - u21_ref(bp, u1v, u)) * q2(u), 0.0, 1.0,
                     **tight)[0]
 
-    l12, l21 = [], []
-    for gam, wf in weights:
+    l21 = [gam * quad(lambda u: (1.0 - u) * wf(u) * inner_21(u), 0.0, 1.0, **tight)[0]
+           for gam, wf in weights]
+    return adaptive_l12(bp), l21
+
+
+def adaptive_l12(bp):
+    """(L2, L3, L4)(1,2) alone, as in adaptive_lcomoments."""
+    m1 = bp.m1
+    tight = dict(epsabs=1e-13, epsrel=1e-11, limit=200)
+    l12 = []
+    for gam, wf in ((2.0, lambda t: 1.0), (1.0, lambda t: 12.0 * t - 6.0),
+                    (1.0, lambda t: 60.0 * t * t - 60.0 * t + 12.0)):
         def inner_12(u1v, wf=wf):
             return quad(lambda u: (u - u21_ref(bp, u1v, u)) * wf(u), 0.0, 1.0,
                         **tight)[0]
         l12.append(gam * m1.c * quad(inner_12, 0.0, 1.0, weight="alg",
                                      wvar=(m1.alpha, m1.beta + 1.0), **tight)[0])
-        l21.append(gam * quad(lambda u: (1.0 - u) * wf(u) * inner_21(u), 0.0, 1.0,
-                              **tight)[0])
-    return l12, l21
+    return l12
 
 
 def power_l2_21(c2, alpha2, theta):
@@ -150,6 +158,31 @@ class TestPopulation:
         got = (cm.l2_12, cm.l3_12, cm.l4_12, cm.l2_21, cm.l3_21, cm.l4_21)
         for i, (v, ref) in enumerate(zip(got, l12 + l21)):
             assert math.isclose(v, ref, rel_tol=1e-8, abs_tol=1e-12), (i, v, ref)
+
+    # beta2 at or just above -1 with theta above about 511: the inner power
+    # 2(1 + theta) of 1 - u2 = s^k passed 1024, where the Jacobi nodes turn
+    # NaN, and u21 raised DomainError; k is now capped at 1000
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("m2", [MarginalParams(1.0, 0.0, -1.0),
+                                    MarginalParams(2.0, 0.5, -0.9999)])
+    @pytest.mark.parametrize("theta", [600.0, 2000.0])
+    def test_large_theta_against_adaptive_reference(self, m2, theta):
+        bp = BivariateParams(MarginalParams(1.3, 0.5, 0.2), m2, theta)
+        cm = population_lcomoments(bp)
+        for v, ref in zip((cm.l2_12, cm.l3_12, cm.l4_12), adaptive_l12(bp)):
+            assert math.isclose(v, ref, rel_tol=1e-8, abs_tol=1e-12), (v, ref)
+        if m2.beta == -1.0:  # theta l1(X2)/3, as in the exponential test below
+            assert math.isclose(cm.l2_21, theta * m2.c / 3.0, rel_tol=1e-12)
+            assert (cm.l3_21, cm.l4_21) == (0.0, 0.0)
+
+    def test_very_large_theta_returns_values(self):
+        # with X1 uniform, L2(1,2) rises toward 1/2 as theta grows
+        last = 0.0
+        for theta in (2000.0, 1e5, 1e8):
+            bp = BivariateParams(UNIF, MarginalParams(1.0, 0.0, -1.0), theta)
+            l2 = population_lcomoments(bp).l2_12
+            assert last < l2 < 0.5
+            last = l2
 
     def test_unreachable_tolerance_raises(self):
         bp = BivariateParams(MarginalParams(1.0, 0.4, 0.8),

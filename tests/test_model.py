@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from scipy.special import betainc, betaincinv, roots_jacobi, roots_legendre
 
 from bivqf import model
+from bivqf.catalog import closed_marginal_cdf, generic_marginal_cdf, make_case
 from bivqf.comoment import population_lcomoments, sample_lcomoments
 from bivqf.data import BUILTIN_DATASETS
 from bivqf.errors import ConvergenceError, DivergentMomentError, DomainError
@@ -43,16 +44,22 @@ T2 = MarginalParams(1.0, -1.5, -1.5)
 LOGLOG = MarginalParams(6.0, 1.0, -3.0)
 
 
-def off_line(alpha: float, beta: float) -> tuple[float, float]:
-    """The shape moved down by ulps until alpha + beta rounds off -2.
+def on_row(alpha: float, beta: float) -> bool:
+    """True on a closed row in t = logit(u) of a corner: the log-logistic
+    line alpha + beta = -2, or the t2 shape (-3/2, -3/2)."""
+    return alpha + beta == -2.0 or alpha == beta == -1.5
 
-    A shape on the log-logistic line alpha + beta = -2 takes the closed
-    row of the branch table; its twin one or two ulps off it takes the
-    corner path, which the twin keeps covered against the same oracles.
-    beta moves, or alpha where it is the larger in size (at (-2, 0) an
-    ulp of beta is far below an ulp of the sum).
+
+def off_row(alpha: float, beta: float) -> tuple[float, float]:
+    """The shape moved down by ulps until it leaves the closed logit rows.
+
+    A shape on the log-logistic line alpha + beta = -2, or the t2 shape,
+    takes a closed row of the branch table; its twin one or two ulps off
+    takes the corner path, which the twin keeps covered against the same
+    oracles.  beta moves, or alpha where it is the larger in size (at
+    (-2, 0) an ulp of beta is far below an ulp of the sum).
     """
-    while alpha + beta == -2.0:
+    while on_row(alpha, beta):
         if abs(beta) >= abs(alpha):
             beta = float(np.nextafter(beta, -np.inf))
         else:
@@ -61,10 +68,11 @@ def off_line(alpha: float, beta: float) -> tuple[float, float]:
 
 
 def twin(p: MarginalParams) -> MarginalParams:
-    return MarginalParams(p.c, *off_line(p.alpha, p.beta))
+    return MarginalParams(p.c, *off_row(p.alpha, p.beta))
 
 
 LOGLOG_CORNER = twin(LOGLOG)
+T2_CORNER = twin(T2)
 HEAVY_LL = MarginalParams(0.8, -0.6, -1.4)
 
 
@@ -125,13 +133,14 @@ class TestQuantileFunction:
                                     abs_tol=1e-11), (p, u)
 
     def test_median_anchored_heavy_tail(self):
-        assert big_q1(T2, 0.5) == 0.0
-        assert big_q1(T2, 0.0) == -math.inf
-        assert big_q1(T2, 1.0) == math.inf
-        # scaled-t closed form: Q(u) = 2c(2u-1)/sqrt(u(1-u))
-        for u in (0.12, 0.3, 0.5, 0.77, 0.93):
-            ref = 2.0 * (2.0 * u - 1.0) / math.sqrt(u * (1.0 - u))
-            assert math.isclose(big_q1(T2, u), ref, rel_tol=1e-9, abs_tol=1e-9)
+        for p in (T2, T2_CORNER):  # the t2 row, and its twin on the corner path
+            assert big_q1(p, 0.5) == 0.0
+            assert big_q1(p, 0.0) == -math.inf
+            assert big_q1(p, 1.0) == math.inf
+            # scaled-t closed form: Q(u) = 2c(2u-1)/sqrt(u(1-u))
+            for u in (0.12, 0.3, 0.5, 0.77, 0.93):
+                ref = 2.0 * (2.0 * u - 1.0) / math.sqrt(u * (1.0 - u))
+                assert math.isclose(big_q1(p, u), ref, rel_tol=1e-9, abs_tol=1e-9)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -179,9 +188,10 @@ class TestCorners:
                (-1.0, 0.5), (-1.0 - 1e-5, 0.3), (-2.0 + 1e-9, -0.4), (0.5, -2.0),
                (2.5, -3.9), (-2.9, 1.9), (-0.9999, -1.5), (-1.0, -1.0 - 1e-5),
                (-0.5, -1.9999), (1.0, -3.0), (-1.2, 0.7), (-1.7, -0.95)]
-    # (0.5, -2.5), (-1, -1) and (1, -3) lie on the log-logistic line; their
-    # twins off it keep the corner path on the same checks
-    MARGINS += [off_line(a, b) for a, b in MARGINS if a + b == -2.0]
+    # (-1.5, -1.5) is the t2 row, and (0.5, -2.5), (-1, -1) and (1, -3) lie
+    # on the log-logistic line; their twins off them keep the corner path
+    # on the same checks
+    MARGINS += [off_row(a, b) for a, b in MARGINS if on_row(a, b)]
     LEVELS = [1e-30, 1e-6, 0.1, 0.4999, 0.5001, 0.9, 1.0 - 1e-6, 1.0 - 2.0 ** -52]
 
     @pytest.mark.parametrize("alpha, beta", MARGINS)
@@ -213,7 +223,8 @@ class TestCorners:
     @pytest.mark.parametrize("m", [MarginalParams(1.0, -1.5, -1.5),
                                    MarginalParams(2.0, 0.5, -2.5),
                                    MarginalParams(1.0, 0.3, -1.00005),
-                                   twin(MarginalParams(2.0, 0.5, -2.5))])
+                                   twin(MarginalParams(2.0, 0.5, -2.5)),
+                                   T2_CORNER])
     def test_f1_fallback(self, m):
         for u in (1e-8, 0.05, 0.5, 0.95, 1.0 - 1e-8):
             back = f1(m, mpmath_corner_quantile(m, u))
@@ -269,7 +280,7 @@ class TestLogLogisticLine:
     @pytest.mark.parametrize("alpha, beta", SHAPES)
     def test_matches_its_twin_off_the_line(self, alpha, beta):
         p = MarginalParams(1.3, alpha, beta)
-        t = MarginalParams(1.3, *off_line(alpha, beta))
+        t = MarginalParams(1.3, *off_row(alpha, beta))
         if t.alpha != 0.0:  # (0, -2) moves to the alpha = 0 row
             assert _shape_plan(t.alpha, t.beta)[1] is not None
         x, xt = big_q1(p, self.LEVELS), big_q1(t, self.LEVELS)
@@ -298,8 +309,84 @@ class TestLogLogisticLine:
         assert calls == []
         # the twin off the line takes the corner path and its Newton solve
         if alpha != 0.0:
-            f1(MarginalParams(1.3, *off_line(alpha, beta)), float(x[3]))
+            f1(MarginalParams(1.3, *off_row(alpha, beta)), float(x[3]))
             assert len(calls) == 1
+
+
+def mpmath_t2_level(p: MarginalParams, x: float) -> float:
+    """F(x) of the t2 shape at 40 digits: expit of t = 2 asinh(x/(4c))."""
+    with mpmath.workdps(40):
+        t = 2 * mpmath.asinh(mpmath.mpf(x) / (4 * mpmath.mpf(p.c)))
+        return float(1 / (1 + mpmath.exp(-t)))
+
+
+class TestT2Row:
+    """(-3/2, -3/2), the catalog's scaled t2: on the line alpha + beta = -3,
+    Q = 4c sinh(t/2) = 2c(2u-1)/sqrt(u(1-u)) in t = logit(u), and F is its
+    closed inverse, with no root solve."""
+
+    LEVELS = np.array([1e-300, 1e-30, 1e-6, 0.1, 0.4999, 0.5, 0.5001, 0.9, 1.0 - 1e-6,
+                       1.0 - 2.0 ** -52])
+    # a shape one ulp off the row, in beta or in alpha, takes the corner path
+    TWINS = [off_row(-1.5, -1.5), (float(np.nextafter(-1.5, 0.0)), -1.5)]
+
+    @pytest.mark.parametrize("c", [1.3, 0.4])
+    def test_against_mpmath_in_both_tails(self, c):
+        p = MarginalParams(c, -1.5, -1.5)
+        assert _shape_plan(-1.5, -1.5)[1] is None
+        x = big_q1(p, self.LEVELS)
+        with mpmath.workdps(40):
+            for u, g in zip(self.LEVELS, x):
+                v = mpmath.mpf(u)
+                ref = float(2 * p.c * (2 * v - 1) / mpmath.sqrt(v * (1 - v)))
+                assert abs(g - ref) <= 1e-15 * abs(ref), (u, g, ref)
+                assert big_q1(p, float(u)) == g
+        # relative in u below the median, a few ulps of 1 above it
+        ref = np.array([mpmath_t2_level(p, v) for v in x])
+        back = f1(p, x)
+        assert np.all(np.abs(back - ref) <= 1e-15 * ref), (back - ref) / ref
+        np.testing.assert_array_equal([f1(p, float(v)) for v in x], back)
+
+    def test_against_the_catalog_closed_cdf(self):
+        entry = make_case("scaled-t2", c1=1.3, c2=0.4)
+        for i in (1, 2):
+            for x in (-1e12, -3e3, -2.0, -1e-3, 0.0, 1e-3, 2.0, 3e3, 1e12):
+                closed = closed_marginal_cdf(entry, i, x)
+                assert abs(generic_marginal_cdf(entry, i, x) - closed) <= 4e-16, (i, x)
+
+    @pytest.mark.parametrize("shape", TWINS)
+    def test_matches_its_twin_off_the_row(self, shape):
+        p, t = MarginalParams(1.3, -1.5, -1.5), MarginalParams(1.3, *shape)
+        assert _shape_plan(*shape)[1] is not None
+        # down to 1e-12: deeper in the tails the corner's Newton solve is
+        # only good to root_tol in log u
+        levels = TestLogLogisticLine.LEVELS
+        x, xt = big_q1(p, levels), big_q1(t, levels)
+        np.testing.assert_array_less(np.abs(x - xt), 1e-13 * np.maximum(np.abs(xt), 1.0))
+        np.testing.assert_array_less(np.abs(f1(p, x) - f1(t, x)),
+                                     TestLogLogisticLine.f_tol(p, levels, x))
+        assert support(p) == support(t)
+
+    def test_no_root_solve(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _newton_bisect(*args)
+
+        monkeypatch.setattr(model, "_newton_bisect", counting)
+        p = MarginalParams(1.3, -1.5, -1.5)
+        for m in (p, p.scaled(2.5)):
+            x = big_q1(m, self.LEVELS)
+            f1(m, x)
+            f1(m, float(x[3]))
+            big_q1(m, 0.3)
+            u21(BivariateParams(UNIF, m, 0.7), 0.4, self.LEVELS)
+            u21(BivariateParams(UNIF, m, 0.7), 0.4, 0.2)
+        assert calls == []
+        for shape in self.TWINS:
+            f1(MarginalParams(1.3, *shape), float(x[3]))
+        assert len(calls) == len(self.TWINS)
 
 
 class TestHeavyRightTail:
@@ -311,7 +398,7 @@ class TestHeavyRightTail:
         (0.8, -0.6, -1.4, 7962.14),
         (9.08, -0.48, -1.05, 342.248),
         (9.08, -0.48, -1.001, 201.857),
-        (0.8, -0.6, off_line(-0.6, -1.4)[1], 7962.14),
+        (0.8, -0.6, off_row(-0.6, -1.4)[1], 7962.14),
     ])
     def test_near_one_against_mpmath(self, c, alpha, beta, true):
         # these were 1.35e-6, -169.57 and -9068 by quadrature
@@ -365,8 +452,9 @@ class TestHeavyRightTail:
 
 
 # one marginal per branch of big_q1 / f1_flagged; "heavy-right" and
-# "fallback-loglogistic" now lie on the log-logistic line, and their
-# "-corner" twins keep the corner path
+# "fallback-loglogistic" now lie on the log-logistic line and
+# "fallback-median-anchored" is the t2 row, and their "-corner" twins keep
+# the corner path
 BRANCHES = {
     "power": MarginalParams(1.5, -0.5, 0.0),
     "exponential": EXP1,
@@ -379,6 +467,7 @@ BRANCHES = {
     "fallback-median-anchored": T2,
     "heavy-right-corner": twin(HEAVY_LL),
     "fallback-loglogistic-corner": LOGLOG_CORNER,
+    "fallback-median-anchored-corner": T2_CORNER,
 }
 
 
@@ -458,6 +547,39 @@ class TestDistributionFunction:
         u, clamped = f1_flagged(UNIF, 0.25)
         assert (u, clamped) == (0.25, False)
 
+    # the incomplete-beta row at tiny levels, where scipy's betaincinv
+    # (1.17) is NaN: a in about (1.001, 1.02) with b <= 0.2 below 1e-17,
+    # and a = b = 3 below 1e-108
+    @pytest.mark.parametrize("alpha, beta, level", [
+        (0.015625, -1.0 + 1e-10, 1e-17), (0.01, -0.8, 1e-17), (0.001, -0.9, 1e-18),
+        (0.02, -0.95, 1e-20), (2.0, 2.0, 1e-108), (2.0, 2.0, 1e-200)])
+    def test_tiny_levels_against_mpmath(self, alpha, beta, level):
+        p = MarginalParams(1.3, alpha, beta)
+        top = support(p).upper
+        x = level * top
+        with mpmath.workdps(40):
+            # c B_u(a, b) = x, solved in log u from the tail asymptote u^a/a
+            a, b, target = mpmath.mpf(alpha) + 1, mpmath.mpf(beta) + 1, mpmath.mpf(x) / p.c
+            log_u = mpmath.findroot(
+                lambda s: mpmath.log(mpmath.betainc(a, b, 0, mpmath.exp(s)) / target),
+                mpmath.log(a * target) / a)
+            ref = float(mpmath.exp(log_u))
+        got = f1(p, x)
+        assert abs(got - ref) <= 4e-15 * ref, (got, ref)
+        # the array path agrees, and leaves its other elements to betaincinv
+        arr = f1(p, np.array([x, 0.3 * top]))
+        assert arr[0] == got
+        if alpha != beta:
+            assert arr[1] == betaincinv(alpha + 1.0, beta + 1.0, 0.3)
+
+    def test_tiny_level_next_to_beta_minus_one(self):
+        # once NaN: betaincinv(1.015625, 1e-10, p) for p below about 1e-16
+        p = MarginalParams(1.0, 0.015625, -1.0 + 1e-10)
+        u = f1(p, 4e-7)
+        assert math.isclose(u, 5.094710607329377e-07, rel_tol=4e-15)
+        v = u21(BivariateParams(UNIF, p, 1.0), 0.5, np.array([1e-6, 0.3]))
+        assert np.all(np.isfinite(v)) and np.all(v < [1e-6, 0.3])
+
 
 class TestConditional:
     BP = BivariateParams(EXP1, MarginalParams(2.0, 0.0, -1.0), 0.7)
@@ -517,9 +639,11 @@ class TestConditional:
         "inversion-median-anchored": (T2, 1.0),
         "inversion-right-tail": (LOGLOG, 0.8),
         # the two log-logistic margins above lie on the line
-        # alpha + beta = -2; their twins off it keep the corner path
+        # alpha + beta = -2 and T2 is the t2 row; their twins off them
+        # keep the corner path
         "heavy-right-tail-corner": (twin(HEAVY_LL), 2.0),
         "inversion-right-tail-corner": (LOGLOG_CORNER, 0.8),
+        "inversion-median-anchored-corner": (T2_CORNER, 1.0),
     }
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -795,10 +919,11 @@ class TestRootSearch:
 
 # one margin per branch of big_q1 / f1, as in
 # tests/test_imports.py::test_every_corner_loads_no_heavy_scipy_module; the
-# three on the log-logistic line come with their twins off it
+# three on the log-logistic line and the t2 row come with their twins off
+# them
 BRANCH_SHAPES = ((0.0, 0.0), (0.5, -0.3), (-0.4, -1.6), (-1.5, -1.5), (-1.0, -1.0),
                  (0.3, -1.00005), (0.2, -1.0), (0.5, -2.5), (-2.0, 0.5))
-BRANCH_SHAPES += tuple(off_line(a, b) for a, b in BRANCH_SHAPES if a + b == -2.0)
+BRANCH_SHAPES += tuple(off_row(a, b) for a, b in BRANCH_SHAPES if on_row(a, b))
 
 
 class TestShapeCaches:
@@ -829,7 +954,8 @@ class TestShapeCaches:
 
     def test_plan_is_keyed_by_shape_not_scale(self):
         _shape_plan.cache_clear()
-        m = MarginalParams(1.0, -1.5, -1.5)
+        m = T2_CORNER
+        assert _shape_plan(m.alpha, m.beta)[1] is not None
         for c in (1.0, 2.5, 0.3):
             f1(m.scaled(c), 0.7)
         info = _shape_plan.cache_info()

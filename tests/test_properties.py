@@ -19,7 +19,7 @@ from bivqf.lmom import sample_lmoments
 from bivqf.model import (DEFAULT_NUMERIC_CONFIG, BivariateParams, MarginalParams, big_q1, f1,
                          f1_flagged, product_moment, support, u21)
 from bivqf.sampling import SamplerSpec, draw
-from test_model import off_line
+from test_model import off_row
 
 SPECIAL = st.sampled_from((-2.0, -1.0, 0.0))
 
@@ -68,7 +68,7 @@ def test_log_logistic_line(c, alpha):
     beta = -2.0 - alpha
     assume(alpha + beta == -2.0)
     p = MarginalParams(c, alpha, beta)
-    x, xt = big_q1(p, LEVELS), big_q1(MarginalParams(c, *off_line(alpha, beta)), LEVELS)
+    x, xt = big_q1(p, LEVELS), big_q1(MarginalParams(c, *off_row(alpha, beta)), LEVELS)
     np.testing.assert_allclose(x, xt, rtol=1e-13, atol=1e-13 * c)
     np.testing.assert_array_equal([big_q1(p, float(u)) for u in LEVELS], x)
     back = f1(p, x)
