@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+from scipy.special import betaincinv
+
 from .errors import DomainError, UnsupportedCaseError
 from .model import (
     BivariateParams,
@@ -30,7 +32,7 @@ from .model import (
     f1,
     q2_bar_conditional,
 )
-from .specfun import complete_beta, inv_reg_inc_beta
+from .specfun import complete_beta
 
 __all__ = ["CatalogEntry", "CATALOG_NAMES", "make_case",
            "closed_marginal_cdf", "closed_marginal_survival",
@@ -55,7 +57,7 @@ class _Case:
 def _beta_cdf(x: float, c: float, alpha: float, beta: float) -> float:
     # Q(u) = c B_u(alpha+1, beta+1), so F(x) = I^-1(x / (c B(alpha+1, beta+1)))
     a, b = alpha + 1.0, beta + 1.0
-    return inv_reg_inc_beta(min(max(x / (c * complete_beta(a, b)), 0.0), 1.0), a, b)
+    return float(betaincinv(a, b, min(max(x / (c * complete_beta(a, b)), 0.0), 1.0)))
 
 
 def _power(a: float, b: float) -> tuple[float, float, float]:

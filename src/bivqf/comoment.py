@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .data import PairedSample
 from .errors import DivergentMomentError, InsufficientDataError
@@ -41,7 +42,6 @@ from .model import (
     _u1_rule,
     u21,
 )
-from .specfun import gauss_2f1
 
 __all__ = ["LComomentSet", "PowerLcovComparison", "population_lcomoments",
            "power_case_lcov_closed_form", "power_case_lcov_hypergeometric",
@@ -158,7 +158,8 @@ def power_case_lcov_closed_form(bp: BivariateParams,
                                 ) -> PowerLcovComparison:
     """Evaluate the published power-case L2(1,2) expression and compare.
 
-    Both marginals must have beta = 0 (power case).  The published form is
+    Both marginals must have beta = 0 (power case) and alpha > -1, where
+    the L-comoments exist.  The published form is
 
         -c1 a1 2F1(1/a1, a2; 1 + 1/a1; -theta)
             - (2F1(1 + 1/a1, a2; 2 + 1/a1; -theta) + a1) / (1 + a1)
@@ -169,8 +170,8 @@ def power_case_lcov_closed_form(bp: BivariateParams,
     a1 = 1.0 / (bp.m1.alpha + 1.0)
     a2 = 1.0 / (bp.m2.alpha + 1.0)
     th = bp.theta
-    fa = gauss_2f1(1.0 / a1, a2, 1.0 + 1.0 / a1, -th)
-    fb = gauss_2f1(1.0 + 1.0 / a1, a2, 2.0 + 1.0 / a1, -th)
+    fa = float(hyp2f1(1.0 / a1, a2, 1.0 + 1.0 / a1, -th))
+    fb = float(hyp2f1(1.0 + 1.0 / a1, a2, 2.0 + 1.0 / a1, -th))
     formula = -bp.m1.c * a1 * fa - (fb + a1) / (1.0 + a1)
     quadrature = population_lcomoments(bp, cfg).l2_12
     return PowerLcovComparison(formula, quadrature, quadrature - formula)
@@ -191,8 +192,8 @@ def power_case_lcov_hypergeometric(bp: BivariateParams) -> float:
     a1 = 1.0 / (bp.m1.alpha + 1.0)
     a2 = 1.0 / (bp.m2.alpha + 1.0)
     th = bp.theta
-    fa = gauss_2f1(a2, 1.0 / a1, 1.0 + 1.0 / a1, -th)
-    fb = gauss_2f1(a2, 1.0 + 1.0 / a1, 2.0 + 1.0 / a1, -th)
+    fa = float(hyp2f1(a2, 1.0 / a1, 1.0 + 1.0 / a1, -th))
+    fb = float(hyp2f1(a2, 1.0 + 1.0 / a1, 2.0 + 1.0 / a1, -th))
     return bp.m1.c * a1 * (a1 / (1.0 + a1) - fa + fb / (1.0 + a1))
 
 
@@ -200,6 +201,9 @@ def _require_power(bp: BivariateParams) -> None:
     if bp.m1.beta != 0.0 or bp.m2.beta != 0.0:
         raise DivergentMomentError(
             "power-case closed form requires beta1 = beta2 = 0")
+    if not (bp.m1.in_lmoment_region() and bp.m2.in_lmoment_region()):
+        raise DivergentMomentError(
+            "power-case closed form requires alpha1, alpha2 > -1")
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +241,10 @@ def sample_lcomoments(s: PairedSample) -> LComomentSet:
     """Sample L-comoments of a paired sample (concomitant rank plug-in)."""
     if s.n < 4:
         raise InsufficientDataError(f"need at least 4 pairs, got {s.n}")
-    x1 = np.asarray(s.x1, dtype=float)
-    x2 = np.asarray(s.x2, dtype=float)
-    l2_1 = sample_lmoments(x1).l2
-    l2_2 = sample_lmoments(x2).l2
+    l2_1 = sample_lmoments(s.x1).l2
+    l2_2 = sample_lmoments(s.x2).l2
     if not (l2_1 > 0.0 and l2_2 > 0.0):
         raise InsufficientDataError("degenerate sample: zero L-scale")
-    l12 = _sample_directed(x1, x2)
-    l21 = _sample_directed(x2, x1)
+    l12 = _sample_directed(s.x1, s.x2)
+    l21 = _sample_directed(s.x2, s.x1)
     return _build_set(l12, l21, l2_1, l2_2)

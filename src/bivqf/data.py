@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -16,44 +15,66 @@ from .errors import ParseError
 __all__ = ["PairedSample", "BUILTIN_DATASETS", "ingest"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairedSample:
-    """An ordered list of (x1, x2) observations with ingestion metadata."""
+    """Paired observations as two read-only float64 columns, with their source.
 
-    rows: tuple[tuple[float, float], ...]
+    Samples compare by identity, as arrays have no single truth value
+    under ``==``; compare the columns with ``np.array_equal``.
+    """
+
+    x1: np.ndarray
+    x2: np.ndarray
     source: str = "<memory>"
 
     def __post_init__(self) -> None:
-        if len(self.rows) < 1:
-            raise ParseError("a paired sample needs at least one row")
-        for i, (a, b) in enumerate(self.rows, start=1):
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise ParseError(f"non-finite value in row {i}: ({a}, {b})")
+        cols = _float_array((self.x1, self.x2))
+        if cols.ndim != 2 or cols.shape[1] < 1:
+            raise ParseError("a paired sample needs two equal-length, nonempty columns")
+        bad = ~np.isfinite(cols).all(axis=0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ParseError(f"non-finite value in row {i + 1}: ({cols[0, i]}, {cols[1, i]})")
+        cols.flags.writeable = False
+        object.__setattr__(self, "x1", cols[0])
+        object.__setattr__(self, "x2", cols[1])
+
+    @classmethod
+    def from_rows(cls, rows, source: str = "<memory>") -> PairedSample:
+        """A sample from a sequence of (x1, x2) pairs."""
+        a = _float_array(rows)
+        if a.ndim != 2 or a.shape[1] != 2:
+            raise ParseError("a paired sample needs (x1, x2) pairs")
+        return cls(a[:, 0], a[:, 1], source=source)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.x1.size
 
-    @cached_property
-    def x1(self) -> tuple[float, ...]:
-        return tuple(r[0] for r in self.rows)
-
-    @cached_property
-    def x2(self) -> tuple[float, ...]:
-        return tuple(r[1] for r in self.rows)
+    @property
+    def rows(self) -> tuple[tuple[float, float], ...]:
+        """The (x1, x2) pairs as Python floats, for text output."""
+        return tuple(zip(self.x1.tolist(), self.x2.tolist()))
 
     @cached_property
     def product_mean(self) -> float:
         """mean(x1 * x2), the target of the product-moment fits."""
-        return float(np.mean(np.asarray(self.x1) * np.asarray(self.x2)))
+        return float(np.mean(self.x1 * self.x2))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["x1", "x2"])
-        for a, b in self.rows:
-            w.writerow([repr(a), repr(b)])
+        w.writerows([repr(a), repr(b)] for a, b in self.rows)
         return buf.getvalue()
+
+
+def _float_array(obj) -> np.ndarray:
+    """`obj` as a new float64 array; ragged or non-numeric input is a ParseError."""
+    try:
+        return np.array(obj, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"paired sample columns must be numeric, of equal length: {e}") from None
 
 
 # Lifetimes of two types of cable installation (n = 9), and failure times
@@ -70,8 +91,8 @@ _COMPONENTS = (
 )
 
 BUILTIN_DATASETS = {
-    "cable": PairedSample(_CABLE, source="builtin:cable"),
-    "components": PairedSample(_COMPONENTS, source="builtin:components"),
+    "cable": PairedSample.from_rows(_CABLE, source="builtin:cable"),
+    "components": PairedSample.from_rows(_COMPONENTS, source="builtin:components"),
 }
 
 
@@ -95,7 +116,7 @@ def _parse_csv_text(text: str, source: str) -> PairedSample:
         rows.append(pair)
     if not rows:
         raise ParseError(f"{source}: no data rows found")
-    return PairedSample(tuple(rows), source=source)
+    return PairedSample.from_rows(rows, source=source)
 
 
 def ingest(path_or_name: str | Path) -> PairedSample:

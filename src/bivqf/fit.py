@@ -88,7 +88,7 @@ def _fit_lmoments(lm: LMomentVector) -> MarginalParams:
     if abs(det) < 1e-12:
         raise SingularSystemError(
             f"degenerate ratio system for t2={t2:.6g}, t3={t3:.6g}")
-    alpha, beta = (float(v) for v in np.linalg.solve(a_mat, rhs))
+    alpha, beta = np.linalg.solve(a_mat, rhs).tolist()
     if not (alpha > -1.0 and beta > -2.0):
         raise InfeasibleRegionError(
             f"fitted shapes ({alpha:.6g}, {beta:.6g}) leave the existence "

@@ -38,11 +38,13 @@ __all__ = ["GofResult", "QQData", "kolmogorov_pvalue", "ks_marginal",
            "ks_conditional", "mrq_ks_marginal", "mrq_ks_conditional", "qq_data"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GofResult:
+    """K-S statistics; `pit_values` is the sorted, read-only PIT array."""
+
     d_stat: float
     p_value: float
-    pit_values: tuple[float, ...]
+    pit_values: np.ndarray
     n: int
     method: str
     d_plus: float
@@ -73,6 +75,7 @@ def _ks_from_pit(pit: np.ndarray, method: str, clamped,
                  cond_x1: float | None = None) -> GofResult:
     """K-S statistics of PIT values; `clamped` holds their clamp flags (or 0)."""
     u = np.sort(pit)
+    u.flags.writeable = False
     n = u.size
     i = np.arange(1, n + 1)
     d_plus = float(np.max(i / n - u))
@@ -82,7 +85,7 @@ def _ks_from_pit(pit: np.ndarray, method: str, clamped,
     return GofResult(
         d_stat=d_stat,
         p_value=kolmogorov_pvalue(d_stat, n),
-        pit_values=tuple(float(v) for v in u),
+        pit_values=u,
         n=n,
         method=method,
         d_plus=d_plus,
@@ -111,17 +114,15 @@ def _ks_conditional(s: PairedSample, cdf1, cdf2, mode: str):
     """
     if mode not in ("pooled", "per-point"):
         raise DomainError(f"unknown mode {mode!r}; use 'pooled' or 'per-point'")
-    x1 = np.asarray(s.x1, dtype=float)
-    x2 = np.asarray(s.x2, dtype=float)
-    u1, _ = cdf1(x1)
+    u1, _ = cdf1(s.x1)
     if mode == "pooled":
-        pit, clamped = cdf2(u1, x2)
+        pit, clamped = cdf2(u1, s.x2)
         return _ks_from_pit(pit, "conditional-pooled", clamped)
     out = []
-    for idx in np.argsort(x1):
-        pit, clamped = cdf2(float(u1[idx]), x2)
+    for idx in np.argsort(s.x1):
+        pit, clamped = cdf2(float(u1[idx]), s.x2)
         out.append(_ks_from_pit(pit, "conditional-per-point", clamped,
-                                cond_x1=float(x1[idx])))
+                                cond_x1=float(s.x1[idx])))
     return out
 
 

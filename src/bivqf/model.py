@@ -62,10 +62,6 @@ class MarginalParams:
         if not self.c > 0.0:
             raise DomainError(f"scale c must be positive, got {self.c}")
 
-    def scaled(self, factor: float) -> "MarginalParams":
-        """Same shape with the scale multiplied by `factor`."""
-        return MarginalParams(self.c * factor, self.alpha, self.beta)
-
     def in_lmoment_region(self) -> bool:
         """True when all gamma arguments of the L-moment formulas are positive."""
         return self.alpha > -1.0 and self.beta > -2.0

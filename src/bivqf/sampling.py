@@ -68,8 +68,7 @@ def draw(bp: BivariateParams, spec: SamplerSpec,
     else:
         v = rng.random(spec.n)
         x2 = _exact_conditional(bp, u1, v, cfg)
-    rows = tuple((float(a), float(b)) for a, b in zip(x1, x2))
-    return PairedSample(rows, source=f"sampler:{spec.method}:seed={spec.seed}")
+    return PairedSample(x1, x2, source=f"sampler:{spec.method}:seed={spec.seed}")
 
 
 def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,

@@ -334,7 +334,7 @@ def test_c10_estimator_self_consistency():
     worst_theta = 0.0
     for theta_true in (0.25, 1.2):
         target = product_moment(BivariateParams(m1, m2, theta_true))
-        s = PairedSample(((1.0, target),))
+        s = PairedSample((1.0,), (target,))
         theta, _, _ = fit_theta(s, m1, m2)
         worst_theta = max(worst_theta, abs(theta - theta_true))
     assert worst_theta <= 1e-8

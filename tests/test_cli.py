@@ -3,12 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bivqf.cli import main
-from bivqf.data import BUILTIN_DATASETS, ingest
+import bivqf
+from bivqf.cli import _digest, main
+from bivqf.data import BUILTIN_DATASETS, PairedSample, ingest
 from bivqf.errors import ParseError
 
 
@@ -55,6 +58,43 @@ class TestIngest:
     def test_missing_file(self):
         with pytest.raises(ParseError):
             ingest("no-such-thing.csv")
+
+
+class TestPairedSample:
+    @pytest.mark.parametrize("rows", [((1.0,),), ((1.0, "x"),), ((1.0, 2.0, 3.0),)])
+    def test_malformed_rows(self, rows):
+        with pytest.raises(ParseError):
+            PairedSample.from_rows(rows)
+
+    @pytest.mark.parametrize("x1, x2", [((), ()), ((1.0, 2.0), (3.0,)),
+                                        ((1.0,), ("x",)), ((1.0, math.inf), (2.0, 3.0))])
+    def test_malformed_columns(self, x1, x2):
+        with pytest.raises(ParseError):
+            PairedSample(x1, x2)
+
+    def test_numpy_scalars_round_trip_through_csv(self, tmp_path):
+        s = PairedSample((np.float64(1.5), np.float32(0.25)), (np.float64(2.5), np.int64(4)))
+        p = tmp_path / "s.csv"
+        p.write_text(s.to_csv(), encoding="utf-8")
+        assert ingest(p).rows == s.rows == ((1.5, 2.5), (0.25, 4.0))
+
+    def test_integers_digest_like_floats(self):
+        assert _digest(PairedSample((1, 2), (3, 4))) == _digest(
+            PairedSample((1.0, 2.0), (3.0, 4.0)))
+
+    def test_columns_are_read_only_copies(self):
+        x1 = np.array([1.0, 2.0])
+        s = PairedSample(x1, x1)
+        x1[0] = 9.0
+        assert s.rows == ((1.0, 1.0), (2.0, 2.0))
+        with pytest.raises(ValueError):
+            BUILTIN_DATASETS["cable"].x1[0] = 0.0
+
+
+def test_package_and_project_versions_agree():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == bivqf.__version__
 
 
 class TestExitCodes:

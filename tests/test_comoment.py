@@ -326,12 +326,24 @@ class TestPrintedFormulaComparison:
             power_case_lcov_closed_form(
                 BivariateParams(UNIF, MarginalParams(1.0, 0.0, 0.5), 0.5))
 
+    @pytest.mark.parametrize("fn", [power_case_lcov_closed_form,
+                                    power_case_lcov_hypergeometric])
+    @pytest.mark.parametrize("alpha1, alpha2", [(-1.0, 0.0), (0.0, -1.0),
+                                                (-1.5, 0.0), (0.0, -1.5)])
+    def test_requires_lmoment_region(self, fn, alpha1, alpha2):
+        # alpha = -1 divided by zero, and alpha = -1.5 gave finite values
+        # where the L-comoments diverge
+        bp = BivariateParams(MarginalParams(1.0, alpha1, 0.0),
+                             MarginalParams(1.0, alpha2, 0.0), 0.5)
+        with pytest.raises(DivergentMomentError):
+            fn(bp)
+
 
 class TestSample:
     def test_comonotone_grid(self):
         n = 100
         x = np.arange(1.0, n + 1.0)
-        s = PairedSample(tuple((float(v), float(v)) for v in x))
+        s = PairedSample(x, x)
         cm = sample_lcomoments(s)
         assert cm.rho12 >= 0.97
         assert math.isclose(cm.rho12, (n - 1.0) / (n + 1.0), rel_tol=1e-12)
@@ -340,7 +352,7 @@ class TestSample:
         rng = np.random.default_rng(21)
         x1 = rng.exponential(1.0, size=10_000)
         x2 = rng.exponential(1.0, size=10_000)
-        cm = sample_lcomoments(PairedSample(tuple(zip(x1, x2))))
+        cm = sample_lcomoments(PairedSample(x1, x2))
         assert abs(cm.rho12) <= 0.05
         assert abs(cm.rho21) <= 0.05
 
@@ -351,7 +363,7 @@ class TestSample:
 
     def test_scale_invariance_of_rho(self):
         s = BUILTIN_DATASETS["components"]
-        scaled = PairedSample(tuple((7.0 * a, b) for a, b in s.rows))
+        scaled = PairedSample(7.0 * s.x1, s.x2)
         base = sample_lcomoments(s)
         moved = sample_lcomoments(scaled)
         assert math.isclose(moved.rho12, base.rho12, rel_tol=1e-12)
@@ -365,13 +377,13 @@ class TestSample:
         assert cm.rho12 != cm.rho21
 
     def test_ties_use_average_ranks(self):
-        s = PairedSample(((1.0, 2.0), (2.0, 2.0), (3.0, 5.0), (4.0, 7.0)))
+        s = PairedSample((1.0, 2.0, 3.0, 4.0), (2.0, 2.0, 5.0, 7.0))
         cm = sample_lcomoments(s)  # deterministic despite the tie
         assert math.isfinite(cm.rho12)
 
     def test_insufficient(self):
         with pytest.raises(InsufficientDataError):
-            sample_lcomoments(PairedSample(((1.0, 2.0), (2.0, 1.0))))
+            sample_lcomoments(PairedSample((1.0, 2.0), (2.0, 1.0)))
 
     def test_ranks_match_rankdata_oracle(self):
         from scipy.stats import rankdata

@@ -34,7 +34,7 @@ MRQ_PUB = MrqParams(a1=2.798, b1=0.159, a2=3.086, b2=4.628, c=0.086, d=-7.16)
 
 
 def sample_with_product_mean(value):
-    return PairedSample(((1.0, value),))
+    return PairedSample((1.0,), (value,))
 
 
 class TestMarginalFit:
@@ -122,7 +122,7 @@ class TestThetaFit:
 
     @pytest.mark.parametrize("s", [CABLE, COMP])
     def test_product_mean_is_kept_and_feeds_the_residual(self, s):
-        s = PairedSample(s.rows)  # a fresh cache
+        s = PairedSample(s.x1, s.x2)  # a fresh cache
         target = s.product_mean
         assert target == float(np.mean(np.asarray(s.x1) * np.asarray(s.x2)))
         assert s.product_mean is target
@@ -313,7 +313,7 @@ class TestMrq:
         n = 10_000
         x1 = rng.exponential(2.0, size=n)
         x2 = rng.exponential(3.0, size=n)
-        res = fit_mrq(PairedSample(tuple(zip(x1, x2))))
+        res = fit_mrq(PairedSample(x1, x2))
         p = res.params
         # truth: a1 = 2, b1 = 0, a2 = 3, c = 0, b2 = 0, d = 0; allow
         # roughly three standard errors of the n = 1e4 estimators

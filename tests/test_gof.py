@@ -14,7 +14,7 @@ from bivqf.gof import (
     mrq_ks_marginal,
     qq_data,
 )
-from bivqf.model import BivariateParams, MarginalParams, big_q1
+from bivqf.model import BivariateParams, MarginalParams, big_q1, f1
 from bivqf.sampling import SamplerSpec, draw
 
 CABLE = BUILTIN_DATASETS["cable"]
@@ -65,6 +65,16 @@ class TestReferenceValues:
         g = ks_marginal(CABLE.x1, BP_CABLE.m1)
         assert math.isclose(g.d_point, 0.09770659344229049, rel_tol=1e-9)
         assert math.isclose(g.d_stat, 0.13894257868477777, rel_tol=1e-9)
+
+    def test_cable_pit_values(self):
+        g = ks_marginal(CABLE.x1, BP_CABLE.m1)
+        u = g.pit_values
+        assert u.shape == (CABLE.n,) and g.n == CABLE.n
+        assert np.all(np.diff(u) >= 0.0)
+        assert np.all((u >= 0.0) & (u <= 1.0))
+        np.testing.assert_array_equal(u, np.sort(f1(BP_CABLE.m1, CABLE.x1)))
+        with pytest.raises(ValueError):
+            u[0] = 0.5
 
     def test_cable_per_point_conditional(self):
         per = ks_conditional(CABLE, BP_CABLE, mode="per-point")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -300,7 +301,7 @@ class TestLogLogisticLine:
 
         monkeypatch.setattr(model, "_newton_bisect", counting)
         p = MarginalParams(1.3, alpha, beta)
-        for m in (p, p.scaled(2.5)):
+        for m in (p, dataclasses.replace(p, c=p.c * 2.5)):
             x = big_q1(m, self.LEVELS)
             f1(m, x)
             f1(m, float(x[3]))
@@ -376,7 +377,7 @@ class TestT2Row:
 
         monkeypatch.setattr(model, "_newton_bisect", counting)
         p = MarginalParams(1.3, -1.5, -1.5)
-        for m in (p, p.scaled(2.5)):
+        for m in (p, dataclasses.replace(p, c=p.c * 2.5)):
             x = big_q1(m, self.LEVELS)
             f1(m, x)
             f1(m, float(x[3]))
@@ -957,7 +958,7 @@ class TestShapeCaches:
         m = T2_CORNER
         assert _shape_plan(m.alpha, m.beta)[1] is not None
         for c in (1.0, 2.5, 0.3):
-            f1(m.scaled(c), 0.7)
+            f1(dataclasses.replace(m, c=m.c * c), 0.7)
         info = _shape_plan.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
 

@@ -5,6 +5,7 @@ closed forms change, and with draws within 1e-4 of them.  Examples are
 derandomized, so every run checks the same cases.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -178,9 +179,10 @@ def test_l12_linear_in_c1_free_of_c2(m1, m2, theta, f):
     base = l12(m1, m2, theta)
     cfg = DEFAULT_NUMERIC_CONFIG
     # each is the 2n-node value of a rule stopped on its own n-to-2n change
-    np.testing.assert_allclose(l12(m1.scaled(f), m2, theta), f * base,
+    m1_f, m2_f = (dataclasses.replace(m, c=m.c * f) for m in (m1, m2))
+    np.testing.assert_allclose(l12(m1_f, m2, theta), f * base,
                                rtol=cfg.quad_rel_tol, atol=2.0 * cfg.quad_abs_tol * max(1.0, f))
-    np.testing.assert_allclose(l12(m1, m2.scaled(f), theta), base, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(l12(m1, m2_f, theta), base, rtol=1e-12, atol=0.0)
 
 
 # 1 - u21 ~ ((1-u2)^(beta2+1) + C theta u1)^(1/(beta2+1)) near u2 = 1, so the
