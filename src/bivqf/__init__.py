@@ -9,7 +9,7 @@ random generation, and a command-line interface with two bundled
 reference datasets.
 """
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 from .catalog import CATALOG_NAMES, CatalogEntry, make_case
 from .comoment import (
@@ -62,6 +62,5 @@ from .model import (
     u21,
 )
 from .sampling import SamplerSpec, draw
-from .specfun import log_gamma
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -212,7 +212,7 @@ def _cmd_gof(args, s: PairedSample, cfg: NumericConfig):
     results["model"] = _model_dict(bp)
     files = {}
     if args.out:  # the Q-Q tables go to files only; stdout gets the report alone
-        files = {f"qq{i}.tsv": qq_data(x, lambda p, m=m: big_q1(m, p, cfg)).to_tsv()
+        files = {f"qq{i}.tsv": qq_data(x, lambda p, m=m: big_q1(m, p)).to_tsv()
                  for i, (x, m) in enumerate(((s.x1, bp.m1), (s.x2, bp.m2)), 1)}
     return results, [], files
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp2f1
+from scipy.special import eval_sh_legendre, hyp2f1
 
 from .data import PairedSample
 from .errors import DivergentMomentError, InsufficientDataError
@@ -210,14 +210,6 @@ def _require_power(bp: BivariateParams) -> None:
 # sample estimators
 
 
-def _legendre(k: int, t: np.ndarray) -> np.ndarray:
-    if k == 1:
-        return 2.0 * t - 1.0
-    if k == 2:
-        return (6.0 * t - 6.0) * t + 1.0
-    return ((20.0 * t - 30.0) * t + 12.0) * t - 1.0
-
-
 def _sample_directed(lead: np.ndarray, cond: np.ndarray) -> tuple[float, float, float]:
     """Plug-in L-comoments of `lead` toward `cond`.
 
@@ -232,7 +224,7 @@ def _sample_directed(lead: np.ndarray, cond: np.ndarray) -> tuple[float, float, 
     t = (np.cumsum(counts) - (counts - 1) / 2.0)[where] / (n + 1.0)
     out = []
     for k in (1, 2, 3):
-        p = _legendre(k, t)
+        p = eval_sh_legendre(k, t)
         out.append(float(np.mean((lead - lead.mean()) * (p - p.mean()))))
     return tuple(out)
 

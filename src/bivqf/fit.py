@@ -47,7 +47,7 @@ from .model import (
     _secant,
     product_moment,
 )
-from .specfun import log_gamma
+from .specfun import complete_beta
 
 __all__ = ["FitResult", "MrqParams", "fit_marginal", "fit_theta",
            "fit_bivariate", "mrq_quantile", "fit_mrq", "MrqFitResult"]
@@ -72,7 +72,7 @@ def fit_marginal(data) -> MarginalParams:
         (1 - t2) alpha - t2 beta       = 3 t2 - 1
         (1 - t3) alpha - (1 + t3) beta = 4 t3
 
-    and c = l1 * G(alpha+beta+3) / (G(alpha+1) G(beta+2)).
+    and c = l1 / B(alpha+1, beta+2).
     """
     return _fit_lmoments(sample_lmoments(data, r_max=3))
 
@@ -93,9 +93,7 @@ def _fit_lmoments(lm: LMomentVector) -> MarginalParams:
         raise InfeasibleRegionError(
             f"fitted shapes ({alpha:.6g}, {beta:.6g}) leave the existence "
             f"region alpha > -1, beta > -2")
-    c = lm.l1 * math.exp(
-        log_gamma(alpha + beta + 3.0) - log_gamma(alpha + 1.0)
-        - log_gamma(beta + 2.0))
+    c = lm.l1 / complete_beta(alpha + 1.0, beta + 2.0)
     return MarginalParams(c, alpha, beta)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DivergentMomentError, InsufficientDataError
 from .model import MarginalParams, _lambda
-from .specfun import log_gamma
+from .specfun import complete_beta
 
 __all__ = ["LMomentVector", "population_lmoments", "sample_lmoments"]
 
@@ -56,8 +56,7 @@ def population_lmoments(p: MarginalParams) -> LMomentVector:
         raise DivergentMomentError(
             f"L-moments require alpha > -1 and beta > -2, got ({a}, {b})")
     l1, l2 = _lambda(p, 1), _lambda(p, 2)
-    l3 = (a - b) * c * math.exp(
-        log_gamma(a + 2.0) + log_gamma(b + 2.0) - log_gamma(a + b + 5.0))
+    l3 = (a - b) * c * complete_beta(a + 2.0, b + 2.0) / (a + b + 4.0)
     l4 = l2 * (a * a + b * b - 3.0 * a * b - a - b) / ((a + b + 4.0) * (a + b + 5.0))
     return LMomentVector(l1, l2, l3, l4)
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv, expit, exprel, hyp2f1, logit, roots_jacobi
 
 from .errors import ConvergenceError, DivergentMomentError, DomainError, QuadratureError
-from .specfun import complete_beta, log_gamma
+from .specfun import complete_beta
 
 __all__ = [
     "MarginalParams",
@@ -261,7 +261,7 @@ def _secant(f: Callable[[float], float], x0: float, f0: float
 # operators and ufuncs that accept both, so a float is never made a 0-d array.
 
 
-def support(p: MarginalParams, cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> SupportInfo:
+def support(p: MarginalParams) -> SupportInfo:
     """Support of the marginal with its anchoring convention.
 
     Q(0) = 0 when alpha > -1; otherwise the left tail is infinite and the
@@ -516,12 +516,10 @@ def _big_q(p: MarginalParams, u):
         if beta == -1.0:
             return -c * log_s
         return -c * np.expm1((beta + 1.0) * log_s) / (beta + 1.0)
-    a = alpha + 1.0
-    return c * complete_beta(a, beta + 1.0) * betainc(a, beta + 1.0, u)
+    return _q_top(p) * betainc(alpha + 1.0, beta + 1.0, u)
 
 
-def big_q1(p: MarginalParams, u: float | np.ndarray,
-           cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float | np.ndarray:
+def big_q1(p: MarginalParams, u: float | np.ndarray) -> float | np.ndarray:
     """Quantile function Q(u), the anchored integral of the quantile density.
 
     `u` may be a float or an array; the result has its shape.  Closed
@@ -532,7 +530,6 @@ def big_q1(p: MarginalParams, u: float | np.ndarray,
     u = 1/2 into B_u(alpha+1, beta+1) continued through 2F1 and its
     mirror in 1-u, with a term-by-term series next to the poles at
     integer exponents.
-    `cfg` is unused and kept for symmetry with f1.
     """
     low = _q_low(p)
     if isinstance(u, (float, int)):
@@ -655,7 +652,7 @@ def u21(bp: BivariateParams, u1: float | np.ndarray, u2: float | np.ndarray,
     g = 1.0 + bp.theta * u1[()]
     moved = g != 1.0
     # v[()] keeps a single u2 a float for big_q1's scalar path
-    w = f1(bp.m2, big_q1(bp.m2, v[()], cfg) / g, cfg) if np.any(moved) else v
+    w = f1(bp.m2, big_q1(bp.m2, v[()]) / g, cfg) if np.any(moved) else v
     v = np.where(moved, w, v)  # broadcast, and never the caller's array
     return v if v.ndim else float(v)
 
@@ -683,11 +680,8 @@ def joint_survival(bp: BivariateParams, x1: float, x2: float,
 
 
 def _lambda(p: MarginalParams, r: int) -> float:
-    """l1 (r = 1) or l2 (r = 2) of a marginal: c G(alpha+r) G(beta+2) / G(alpha+beta+r+2)."""
-    return p.c * math.exp(
-        log_gamma(p.alpha + r) + log_gamma(p.beta + 2.0)
-        - log_gamma(p.alpha + p.beta + (r + 2.0))
-    )
+    """l1 (r = 1) or l2 (r = 2) of a marginal: c B(alpha+r, beta+2)."""
+    return p.c * complete_beta(p.alpha + r, p.beta + 2.0)
 
 
 def _partial_mean2(m2: MarginalParams, g: np.ndarray) -> np.ndarray:
@@ -702,8 +696,7 @@ def _partial_mean2(m2: MarginalParams, g: np.ndarray) -> np.ndarray:
     """
     a2, b2 = m2.alpha + 1.0, m2.beta + 1.0
     w = betaincinv(a2, b2, 1.0 / g)
-    return np.where(w > 1e-300, m2.c * complete_beta(a2, b2 + 1.0) * g * betainc(a2, b2 + 1.0, w),
-                    m2.c * complete_beta(a2, b2))
+    return np.where(w > 1e-300, _lambda(m2, 1) * g * betainc(a2, b2 + 1.0, w), _q_top(m2))
 
 
 def product_moment(bp: BivariateParams,

@@ -61,10 +61,10 @@ def draw(bp: BivariateParams, spec: SamplerSpec,
     """Generate a paired sample; identical specs reproduce bit-for-bit."""
     rng = _rng(spec.seed)
     u1 = rng.random(spec.n)
-    x1 = big_q1(bp.m1, u1, cfg)
+    x1 = big_q1(bp.m1, u1)
     if spec.method == "transform":
         u2 = rng.random(spec.n)
-        x2 = (1.0 + bp.theta * u1) * big_q1(bp.m2, u2, cfg)
+        x2 = (1.0 + bp.theta * u1) * big_q1(bp.m2, u2)
     else:
         v = rng.random(spec.n)
         x2 = _exact_conditional(bp, u1, v, cfg)
@@ -81,15 +81,15 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     g = 1.0 + th * u1
     k = (1.0 - u1) * th / g
     if th == 0.0:
-        return big_q1(m2, v, cfg)
+        return big_q1(m2, v)
 
     if m2.beta == 0.0:
         # Q2/q2 = w/(alpha2+1): S is linear in w, closed-form inversion
         w = (1.0 - v) / (1.0 + k / (m2.alpha + 1.0))
-        return g * big_q1(m2, w, cfg)
+        return g * big_q1(m2, w)
 
     def ratio(w: np.ndarray) -> np.ndarray:  # Q2/q2, so that S = (1 - w) - k ratio
-        return big_q1(m2, w, cfg) / (m2.c * w ** m2.alpha * (1.0 - w) ** m2.beta)
+        return big_q1(m2, w) / (m2.c * w ** m2.alpha * (1.0 - w) ** m2.beta)
 
     # the first of 64 scan cells whose right end has S <= v holds the first
     # crossing; the grid's Q2/q2 ratios are shared by all draws
@@ -108,4 +108,4 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
         r = ratio(w)
         return v - (1.0 - w) + k * r, 1.0 + k - k * r * (m2.alpha / w - m2.beta / (1.0 - w))
 
-    return g * big_q1(m2, _newton_bisect(h, lo, hi, 0.5 * (lo + hi), cfg), cfg)
+    return g * big_q1(m2, _newton_bisect(h, lo, hi, 0.5 * (lo + hi), cfg))

@@ -1,8 +1,8 @@
-"""Scalar special functions used by the quantile-density family.
+"""The complete beta function, the package's one scalar special function.
 
-Domain-checked log-gamma and the complete beta function.  The incomplete
-beta function, its inverse and 2F1 are called straight from
-scipy.special.
+The incomplete beta function, its inverse, 2F1, the Kolmogorov
+distribution and the shifted Legendre polynomials are called straight
+from scipy.special.
 """
 
 from __future__ import annotations
@@ -11,16 +11,11 @@ import math
 
 from .errors import DomainError
 
-__all__ = ["log_gamma", "complete_beta"]
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+__all__ = ["complete_beta"]
 
 
 def complete_beta(a: float, b: float) -> float:
     """B(a, b) for a, b > 0."""
-    return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
+    if not (a > 0.0 and b > 0.0):
+        raise DomainError(f"complete_beta requires a, b > 0, got ({a}, {b})")
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))

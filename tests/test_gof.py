@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -49,15 +50,48 @@ class TestStatistic:
         assert g.d_stat <= 1.0
 
 
+def kolmogorov_series(d: float, n: int) -> float:
+    """2 sum (-1)^(k-1) exp(-2 k^2 y^2), y = sqrt(n) d, summed in 40 digits.
+
+    The terms fall monotonically, so the partial sum stopped at a term
+    below 1e-45 is within that term of the limit.
+    """
+    with mpmath.workdps(40):
+        y2 = n * mpmath.mpf(d) ** 2
+        s, k, term = mpmath.mpf(0), 1, mpmath.mpf(1)
+        while term >= 1e-45:
+            term = mpmath.exp(-2 * k * k * y2)
+            s += term if k % 2 else -term
+            k += 1
+        return float(2 * s)
+
+
 class TestPValue:
     def test_boundaries(self):
         assert kolmogorov_pvalue(0.0, 10) == 1.0
+        assert kolmogorov_pvalue(-0.1, 10) == 1.0
         assert 0.0 <= kolmogorov_pvalue(0.99, 10) <= 1e-6
 
+    @pytest.mark.parametrize("d, n", [
+        # sqrt(n) d < 0.05, where p rounds to 1; 0.0005 is d = 1/(2n) at n = 1000
+        (0.0003, 5), (0.0005, 1000),
+        (0.05, 20), (0.2, 20), (0.1, 1000),
+        (0.3, 1000),  # the far tail, about 1.34e-78
+    ])
+    def test_against_series(self, d, n):
+        assert math.isclose(kolmogorov_pvalue(d, n), kolmogorov_series(d, n),
+                            rel_tol=1e-13)
+
     def test_monotone_in_d(self):
+        # strictly decreasing wherever the true value is below 1; where it
+        # rounds to 1 (the first two points) the p-value is exactly 1
         ds = np.linspace(0.01, 0.6, 25)
         ps = [kolmogorov_pvalue(float(d), 20) for d in ds]
-        assert all(b < a for a, b in zip(ps, ps[1:]))
+        refs = [kolmogorov_series(float(d), 20) for d in ds]
+        below = [p for p, r in zip(ps, refs) if r < 1.0]
+        assert [p for p, r in zip(ps, refs) if r == 1.0] == [1.0] * (len(ps) - len(below))
+        assert ps[len(ps) - len(below):] == below
+        assert all(b < a for a, b in zip(below, below[1:]))
 
 
 class TestReferenceValues:

@@ -60,6 +60,21 @@ for argv in (["sample", "--catalog", "exponential", "--param", "c1=1", "--param"
     assert (tmp_path / "f.report.json").is_file()
 
 
+def test_pvalue_and_legendre_weights_load_no_heavy_scipy_module(tmp_path):
+    # the K-S p-value and the sample L-comoment weights come from
+    # scipy.special's kolmogorov and eval_sh_legendre
+    res = run_fresh(f"""
+import bivqf.cli
+for argv in (["gof", "--data", "components", "--mode", "per-point",
+              "--out", {str(tmp_path / "g")!r}],
+             ["comoments", "--data", "cable"]):
+    assert bivqf.cli.main(argv) == 0, argv
+    assert not loaded(), argv[0] + " loaded " + ", ".join(loaded())
+""")
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "g.report.json").is_file()
+
+
 def test_every_corner_loads_no_heavy_scipy_module():
     # one margin per branch of big_q1 / f1, the corners that once fell back
     # to adaptive quadrature and Brent included; the three on the

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -86,6 +87,21 @@ class TestPopulation:
                         gv, qv = getattr(g, name), getattr(q, name)
                         err = abs(gv - qv) / max(abs(gv), scale)
                         assert err <= 1e-8, (alpha, beta, c, name, err)
+
+    def test_gamma_formulas_vs_mpmath(self):
+        # l1, l2, l3 as the gamma ratios of the formulas, in 40 digits
+        G = mpmath.gamma
+        with mpmath.workdps(40):
+            for alpha in (-0.9, -0.3, 0.5, 3.0, 20.0, 50.0):
+                for beta in (-1.9, -1.0, 0.3, 2.0, 30.0, 50.0):
+                    g = population_lmoments(MarginalParams(1.7, alpha, beta))
+                    a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+                    refs = (G(a + 1) * G(b + 2) / G(a + b + 3),
+                            G(a + 2) * G(b + 2) / G(a + b + 4),
+                            (a - b) * G(a + 2) * G(b + 2) / G(a + b + 5))
+                    for name, ref in zip(("l1", "l2", "l3"), refs):
+                        assert math.isclose(getattr(g, name), float(1.7 * ref),
+                                            rel_tol=2e-13), (alpha, beta, name)
 
     def test_tau4_lower_bound(self):
         rng = np.random.default_rng(11)
