@@ -193,12 +193,14 @@ def _u1_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
 
 
 def _pick(cond, a, b):
-    """a where cond holds, else b, for finite a and b.
+    """a where cond holds, else b, as numpy floats, for finite a and b.
 
-    A blend with a 0/1 factor: exact, and on a float several times cheaper
-    than np.where, which makes it a 0-d array first.
+    On an array a blend with a 0/1 factor: exact, and several times cheaper
+    than np.where, which makes a float a 0-d array first.
     """
-    m = np.float64(cond)  # 1.0 or 0.0, elementwise for an array
+    if not isinstance(cond, np.ndarray):
+        return np.float64(a if cond else b)
+    m = np.float64(cond)  # 1.0 or 0.0, elementwise
     return m * a + (1.0 - m) * b
 
 
@@ -257,8 +259,8 @@ def _secant(f: Callable[[float], float], x0: float, f0: float
 # ---------------------------------------------------------------------------
 # quantile density / quantile function / inversion
 #
-# big_q1 and f1_flagged take a float or an array; their branch kernels use
-# operators and ufuncs that accept both, so a float is never made a 0-d array.
+# big_q1 and f1 take a float or an array; their branch kernels use operators
+# and ufuncs that accept both, so a float is never made a 0-d array.
 
 
 def support(p: MarginalParams) -> SupportInfo:
@@ -435,16 +437,17 @@ def _shape_plan(alpha: float, beta: float
     """(Q(1)/c, corner plan) of the shape (alpha, beta), built once and kept.
 
     The corner plan is (left half, its sign in Q/c, right half, Q(1/2)/c),
-    and None off the corners and on the two rows where Q and F are closed
-    in logit(u): the line alpha + beta = -2 and the t2 shape
-    alpha = beta = -3/2, both exact float tests.  Neither part depends on
-    c, so margins that differ only in scale share the shape's entry.
+    and None off the corners and on the three closed rows, exact float
+    tests: the line alpha + beta = -2 and the t2 shape (-3/2, -3/2) in
+    logit(u), and the arcsine shape (-1/2, -1/2), whose top is pi (the
+    rounded B(1/2, 1/2) is 5 ulps above it).  Neither part depends on c,
+    so margins that differ only in scale share the shape's entry.
     """
     a, b = alpha + 1.0, beta + 1.0
     if beta <= -1.0:
         top = math.inf
     elif alpha > -1.0:
-        top = complete_beta(a, b)
+        top = math.pi if alpha == beta == -0.5 else complete_beta(a, b)
     else:
         top = float(_inc_beta_cont(b, a, 0.5))
     if ((alpha > -1.0 and (beta > -1.0 or alpha == 0.0)) or alpha + beta == -2.0
@@ -492,9 +495,8 @@ def _q_top(p: MarginalParams) -> float:
     return p.c * _shape_plan(p.alpha, p.beta)[0]
 
 
-def _big_q(p: MarginalParams, u):
-    """The branch table of Q on 0 < u < 1."""
-    corner = _shape_plan(p.alpha, p.beta)[1]
+def _big_q(p: MarginalParams, u, upper: float, corner):
+    """The branch table of Q on 0 < u < 1; upper and corner from _shape_plan."""
     if corner is not None:
         return _corner_q(p, corner, u)
     c, alpha, beta = p.c, p.alpha, p.beta
@@ -509,6 +511,10 @@ def _big_q(p: MarginalParams, u):
         # form is exact to ulps in both tails, where sinh of the rounded t
         # is off by |t| ulps
         return 2.0 * c * (2.0 * u - 1.0) / np.sqrt(u * (1.0 - u))
+    if alpha == beta == -0.5:
+        # arcsine: 2c asin(sqrt(u)), mirrored above 1/2, where 1 - u is exact
+        h = 2.0 * c * np.arcsin(np.sqrt(np.minimum(u, 1.0 - u)))
+        return _pick(u <= 0.5, h, upper - h)
     if beta == 0.0:
         return c * u ** (alpha + 1.0) / (alpha + 1.0)
     if alpha == 0.0:
@@ -516,7 +522,7 @@ def _big_q(p: MarginalParams, u):
         if beta == -1.0:
             return -c * log_s
         return -c * np.expm1((beta + 1.0) * log_s) / (beta + 1.0)
-    return _q_top(p) * betainc(alpha + 1.0, beta + 1.0, u)
+    return upper * betainc(alpha + 1.0, beta + 1.0, u)
 
 
 def big_q1(p: MarginalParams, u: float | np.ndarray) -> float | np.ndarray:
@@ -524,34 +530,35 @@ def big_q1(p: MarginalParams, u: float | np.ndarray) -> float | np.ndarray:
 
     `u` may be a float or an array; the result has its shape.  Closed
     forms cover the log-logistic line alpha + beta = -2 (in logit(u)),
-    the t2 shape alpha = beta = -3/2, beta = 0, alpha = 0 (with the log
-    limit at beta = -1) and the incomplete-beta region alpha, beta > -1.
+    the t2 shape alpha = beta = -3/2, the arcsine shape alpha = beta = -1/2,
+    beta = 0, alpha = 0 (with the log limit at beta = -1) and the
+    incomplete-beta region alpha, beta > -1.
     The other corners alpha <= -1 and beta <= -1 (alpha != 0) split at
     u = 1/2 into B_u(alpha+1, beta+1) continued through 2F1 and its
     mirror in 1-u, with a term-by-term series next to the poles at
     integer exponents.
     """
-    low = _q_low(p)
+    top, corner = _shape_plan(p.alpha, p.beta)
+    upper = p.c * top
     if isinstance(u, (float, int)):
         if not 0.0 < u < 1.0:
             if u == 0.0:
-                return low
+                return _q_low(p)
             if u != 1.0:
                 raise DomainError(f"u must lie in [0, 1], got {u}")
-            return _q_top(p)
-        return float(_big_q(p, u))
+            return upper
+        return float(_big_q(p, u, upper, corner))
     u = np.asarray(u, dtype=float)
     if not np.all((u >= 0.0) & (u <= 1.0)):
         raise DomainError("u must lie in [0, 1]")
-    out = np.where(u == 0.0, low, _q_top(p))
+    out = np.where(u == 0.0, _q_low(p), upper)
     inside = (u > 0.0) & (u < 1.0)
-    out[inside] = _big_q(p, u[inside])
+    out[inside] = _big_q(p, u[inside], upper, corner)
     return out
 
 
-def _f1(p: MarginalParams, x, upper: float, cfg: NumericConfig):
-    """The branch table of F inside the support."""
-    corner = _shape_plan(p.alpha, p.beta)[1]
+def _f1(p: MarginalParams, x, upper: float, corner, cfg: NumericConfig):
+    """The branch table of F inside the support; upper and corner as _big_q."""
     if corner is not None:
         return _corner_f(p, corner, x, cfg)
     c, alpha, beta = p.c, p.alpha, p.beta
@@ -562,7 +569,8 @@ def _f1(p: MarginalParams, x, upper: float, cfg: NumericConfig):
         else:
             t = x / c if a == 0.0 else np.log1p(a * x / c) / a
         # 1 - expit(-t) rounds once above 1/2, where expit(t) rounds twice
-        return _pick(t < 0.0, expit(t), 1.0 - expit(-t))
+        e = expit(-abs(t))
+        return _pick(t < 0.0, e, 1.0 - e)
     if alpha == beta == -1.5:
         # inverted from Q in _big_q: exp(|t|/2) = sqrt(1 + y^2) + |y| with
         # y = x/(4c), and min(u, 1-u) = 1/(1 + exp(|t|)), to ulps in both
@@ -571,6 +579,9 @@ def _f1(p: MarginalParams, x, upper: float, cfg: NumericConfig):
         v = 1.0 / (np.hypot(1.0, y) + np.abs(y))
         s = v * v / (1.0 + v * v)
         return _pick(y < 0.0, s, 1.0 - s)
+    if alpha == beta == -0.5:  # inverted from Q in _big_q
+        s = np.sin(0.5 * x / c)
+        return s * s  # as on arrays: a numpy scalar's s ** 2 is pow, off by an ulp
     # (beta + 1) x / c and friends as x / upper: below 1 whenever x < upper
     if beta == 0.0:
         return (x / upper) ** (1.0 / a)
@@ -589,43 +600,52 @@ def _f1(p: MarginalParams, x, upper: float, cfg: NumericConfig):
         u = np.where(start, (a * x / c) ** (1.0 / a), u)
     elif alpha != beta:
         return u
-    # one Newton step on those, and on every element when alpha == beta:
-    # betaincinv(a, a, p) is off by up to 1.4e-8 within ulps of p = 1/2
+    # one Newton step on those, and on every element when alpha == beta off
+    # the arcsine row: betaincinv(a, a, p) is off by 1.4e-8 near p = 1/2
     with np.errstate(divide="ignore", invalid="ignore"):
         step = (upper * betainc(a, b, u) - x) / (c * u ** alpha * (1.0 - u) ** beta)
         take = np.abs(step) < 0.5 * np.minimum(u, 1.0 - u)
         return np.where(take if alpha == beta else take & start, u - step, u)
 
 
+def f1(p: MarginalParams, x: float | np.ndarray,
+       cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float | np.ndarray:
+    """Distribution function u = F(x); out-of-support inputs clamp to 0/1.
+
+    `x` may be a float or an array; the result has its shape.  A NaN `x`
+    raises DomainError.
+    """
+    top, corner = _shape_plan(p.alpha, p.beta)
+    lower, upper = _q_low(p), p.c * top
+    if isinstance(x, (float, int)):
+        if x <= lower:
+            return 0.0
+        if x >= upper:
+            return 1.0
+        if x != x:
+            raise DomainError("x must not be NaN")
+        return float(_f1(p, float(x), upper, corner, cfg))
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise DomainError("x must not be NaN")
+    u = np.where(x <= lower, 0.0, 1.0)
+    inside = (x > lower) & (x < upper)
+    u[inside] = _f1(p, x[inside], upper, corner, cfg)
+    return u
+
+
 def f1_flagged(p: MarginalParams, x: float | np.ndarray,
                cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG
                ) -> tuple[float, bool] | tuple[np.ndarray, np.ndarray]:
-    """Distribution function u = F(x) with an out-of-support clamp flag.
+    """f1 with an out-of-support clamp flag: (F(x), x < Q(0) or x > Q(1)).
 
-    Inputs below (above) the support return 0 (1) with the flag set, so
-    goodness-of-fit routines degrade gracefully in the tails.  `x` may be
-    a float or an array; for an array both results are arrays of its
-    shape.
+    Inputs below (above) the support give 0 (1) with the flag set, so
+    goodness-of-fit routines degrade gracefully in the tails.  For an
+    array both results are arrays of its shape; a float gives a bool.
     """
-    lower, upper = _q_low(p), _q_top(p)
-    if isinstance(x, (float, int)):
-        if x <= lower:
-            return 0.0, x < lower
-        if x >= upper:
-            return 1.0, x > upper
-        return float(_f1(p, float(x), upper, cfg)), False
-    x = np.asarray(x, dtype=float)
-    u = np.where(x <= lower, 0.0, 1.0)
-    flags = (x < lower) | (x > upper)
-    inside = (x > lower) & (x < upper)
-    u[inside] = _f1(p, x[inside], upper, cfg)
-    return u, flags
-
-
-def f1(p: MarginalParams, x: float | np.ndarray,
-       cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float | np.ndarray:
-    """Distribution function value F(x); out-of-support inputs clamp to 0/1."""
-    return f1_flagged(p, x, cfg)[0]
+    u = f1(p, x, cfg)
+    x = x if isinstance(x, (float, int)) else np.asarray(x, dtype=float)
+    return u, (x < _q_low(p)) | (x > _q_top(p))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 from scipy.optimize import brentq
-from scipy.special import betainc, betaincinv, roots_jacobi, roots_legendre
+from scipy.special import betainc, betaincinv, expit, roots_jacobi, roots_legendre
 
 from bivqf import model
 from bivqf.catalog import closed_marginal_cdf, generic_marginal_cdf, make_case
@@ -20,6 +20,7 @@ from bivqf.model import (
     NumericConfig,
     _gauss_jacobi,
     _newton_bisect,
+    _pick,
     _secant,
     _shape_plan,
     big_q1,
@@ -43,6 +44,7 @@ COMP1 = MarginalParams(13.0499, 0.8856, -0.1844)
 SINE = MarginalParams(1.0 / math.pi, -0.5, -0.5)
 T2 = MarginalParams(1.0, -1.5, -1.5)
 LOGLOG = MarginalParams(6.0, 1.0, -3.0)
+ARCSINE = MarginalParams(1.7, -0.5, -0.5)
 
 
 def on_row(alpha: float, beta: float) -> bool:
@@ -390,6 +392,52 @@ class TestT2Row:
         assert len(calls) == len(self.TWINS)
 
 
+class TestArcsineRow:
+    """(-1/2, -1/2), the catalog's sine: Q = 2c asin(sqrt(u)), mirrored
+    above u = 1/2, and F = sin(x/(2c))^2, with no incomplete beta call."""
+
+    LEVELS = np.concatenate([np.geomspace(1e-290, 0.4, 40), [0.5],
+                             1.0 - np.geomspace(0.4, 2.0 ** -52, 40)])
+
+    def test_against_mpmath_in_both_tails(self):
+        p = ARCSINE
+        assert _shape_plan(-0.5, -0.5) == (math.pi, None)
+        assert support(p).upper == p.c * math.pi
+        x = big_q1(p, self.LEVELS)
+        with mpmath.workdps(40):
+            c = mpmath.mpf(p.c)
+            for u, g in zip(self.LEVELS, x):
+                ref = 2 * c * mpmath.asin(mpmath.sqrt(mpmath.mpf(u)))
+                assert abs(g - ref) <= 1e-14 * ref, (u, g, ref)
+                back = f1(p, float(g))
+                ref = mpmath.sin(mpmath.mpf(g) / (2 * c)) ** 2
+                assert abs(back - ref) <= 1e-14 * ref, (u, back, ref)
+
+    def test_array_and_scalar_agree_bit_for_bit(self):
+        p = ARCSINE
+        x = big_q1(p, self.LEVELS)
+        np.testing.assert_array_equal([big_q1(p, float(u)) for u in self.LEVELS], x)
+        np.testing.assert_array_equal([f1(p, float(v)) for v in x], f1(p, x))
+
+    def test_against_the_catalog_closed_cdf(self):
+        entry = make_case("sine", scale1=1.3, scale2=0.4)
+        for i, s in ((1, 1.3), (2, 0.4)):
+            for x in s * np.array([-0.1, 0.0, 1e-9, 0.01, 0.3, 0.5, 0.77, 0.999, 1.0, 1.2]):
+                closed = closed_marginal_cdf(entry, i, x)
+                assert abs(generic_marginal_cdf(entry, i, x) - closed) <= 4e-16, (i, x)
+
+    def test_no_incomplete_beta(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("incomplete beta called")
+
+        for name in ("betainc", "betaincinv"):
+            monkeypatch.setattr(model, name, refuse)
+        x = big_q1(ARCSINE, self.LEVELS)
+        f1(ARCSINE, x)
+        f1(ARCSINE, float(x[20]))
+        big_q1(ARCSINE, 0.3)
+
+
 class TestHeavyRightTail:
     """alpha > -1, -2 < beta < -1: Q diverges at 1 and has a closed form."""
 
@@ -466,6 +514,7 @@ BRANCHES = {
     "fallback-log-tail": MarginalParams(1.0, 0.3, -1.0),
     "fallback-loglogistic": LOGLOG,
     "fallback-median-anchored": T2,
+    "arcsine": ARCSINE,
     "heavy-right-corner": twin(HEAVY_LL),
     "fallback-loglogistic-corner": LOGLOG_CORNER,
     "fallback-median-anchored-corner": T2_CORNER,
@@ -547,6 +596,17 @@ class TestDistributionFunction:
         assert (u, clamped) == (1.0, True)
         u, clamped = f1_flagged(UNIF, 0.25)
         assert (u, clamped) == (0.25, False)
+
+    @pytest.mark.parametrize("branch", list(BRANCHES))
+    def test_nan_raises(self, branch):
+        p = BRANCHES[branch]
+        for fn in (f1, f1_flagged):
+            with pytest.raises(DomainError):
+                fn(p, math.nan)
+            with pytest.raises(DomainError):
+                fn(p, np.array([0.0, math.nan]))
+            with pytest.raises(DomainError):
+                fn(p, np.full((2, 2), math.nan))
 
     # the incomplete-beta row at tiny levels, where scipy's betaincinv
     # (1.17) is NaN: a in about (1.001, 1.02) with b <= 0.2 below 1e-17,
@@ -917,13 +977,70 @@ class TestRootSearch:
         with pytest.raises(ConvergenceError):
             _newton_bisect(h, 0.0, 1.0, 0.75, NumericConfig())
 
+    @pytest.mark.parametrize("name", ["cable", "components"])
+    def test_fit_theta_same_with_the_blend(self, name, monkeypatch):
+        s = BUILTIN_DATASETS[name]
+        m1, m2 = fit_marginal(s.x1), fit_marginal(s.x2)
+        theta = fit_theta(s, m1, m2)[0]
+        monkeypatch.setattr(model, "_pick", blend)
+        assert fit_theta(s, m1, m2)[0] == theta
 
-# one margin per branch of big_q1 / f1, as in
+
+def blend(cond, a, b):
+    """The 0/1 blend that _pick makes on an array, on any cond."""
+    m = np.float64(cond)
+    return m * a + (1.0 - m) * b
+
+
+class TestPick:
+    VALUES = [0.0, -0.0, 1.0, -2.5, 5e-324, 1e-300, -3e200, 1.7976931348623157e308]
+
+    def test_scalar_is_the_blend(self):
+        for a in self.VALUES:
+            for b in self.VALUES:
+                for cond in (True, False, np.True_, np.False_):
+                    got = _pick(cond, a, b)
+                    assert type(got) is np.float64
+                    assert got == blend(cond, a, b) == (a if cond else b)
+        assert type(_pick(np.float64(1.0) < 2.0, np.float64(3.0), 4.0)) is np.float64
+
+    def test_array_is_where(self):
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(size=(2, 3, 50))
+        cond = a < b
+        np.testing.assert_array_equal(_pick(cond, a, b), np.where(cond, a, b))
+
+
+def old_line_level(p: MarginalParams, x):
+    """F on the line alpha + beta = -2 with expit on both sides and the blend."""
+    a, c = p.alpha + 1.0, p.c
+    if a > 0.0:
+        t = np.log(a * x / c) / a
+    else:
+        t = x / c if a == 0.0 else np.log1p(a * x / c) / a
+    return blend(t < 0.0, expit(t), 1.0 - expit(-t))
+
+
+@pytest.mark.parametrize("alpha, beta", TestLogLogisticLine.SHAPES)
+def test_line_with_one_expit_matches_two(alpha, beta):
+    p = MarginalParams(1.3, alpha, beta)
+    rng = np.random.default_rng(5)
+    t = np.concatenate([rng.normal(0.0, 4.0, 4000), rng.uniform(-36.0, 36.0, 4000)])
+    x = big_q1(p, expit(t))
+    sup = support(p)
+    x = x[(x > sup.lower) & (x < sup.upper)]
+    assert x.size > 7000
+    np.testing.assert_array_equal(f1(p, x), old_line_level(p, x))
+    for v in x[:400]:
+        assert f1(p, float(v)) == old_line_level(p, float(v))
+
+
+# one margin per branch of big_q1 / f1, the arcsine row included, as in
 # tests/test_imports.py::test_every_corner_loads_no_heavy_scipy_module; the
 # three on the log-logistic line and the t2 row come with their twins off
 # them
 BRANCH_SHAPES = ((0.0, 0.0), (0.5, -0.3), (-0.4, -1.6), (-1.5, -1.5), (-1.0, -1.0),
-                 (0.3, -1.00005), (0.2, -1.0), (0.5, -2.5), (-2.0, 0.5))
+                 (0.3, -1.00005), (0.2, -1.0), (0.5, -2.5), (-2.0, 0.5), (-0.5, -0.5))
 BRANCH_SHAPES += tuple(off_row(a, b) for a, b in BRANCH_SHAPES if on_row(a, b))
 
 
