@@ -68,6 +68,13 @@ def _power_cdf(x: float, a: float, b: float) -> float:
     return min((x / b) ** a, 1.0) if x > 0.0 else 0.0
 
 
+def _t2_cdf(x: float, c: float) -> float:
+    # (1 + x/R)/2, R = hypot(4c, x), cancels for x < 0: there it is the
+    # equal 8c^2/(R (R - x))
+    big_r = math.hypot(4.0 * c, x)
+    return 0.5 * (1.0 + x / big_r) if x >= 0.0 else 8.0 * c * c / (big_r * (big_r - x))
+
+
 _CASES: dict[str, _Case] = {
     # q(u) = c u^alpha (1-u)^beta itself, alpha, beta > -1
     "complementary-beta": _Case(
@@ -85,20 +92,21 @@ _CASES: dict[str, _Case] = {
     "rescaled-beta": _Case(
         ("a", "b"), lambda a, b: (b / a, 0.0, 1.0 / a - 1.0),
         lambda x, a, b: (0.0 if x <= 0.0 else 1.0 if x >= b
-                         else 1.0 - (1.0 - x / b) ** a)),
+                         else -math.expm1(a * math.log1p(-x / b)))),
     # S(x) = (1 + x/b)^-d; Q(u) = b ((1-u)^(-1/d) - 1) has q = (b/d) (1-u)^(-1/d-1)
     "pareto2": _Case(
         ("d", "b"), lambda d, b: (b / d, 0.0, -1.0 - 1.0 / d),
-        lambda x, d, b: 1.0 - (1.0 + x / b) ** (-d) if x > 0.0 else 0.0),
+        lambda x, d, b: -math.expm1(-d * math.log1p(x / b)) if x > 0.0 else 0.0),
     # S(x) = (x/sigma)^-a for x > sigma
     "pareto1": _Case(
         ("sigma", "a"), lambda sigma, a: (sigma / a, 0.0, -1.0 - 1.0 / a),
-        lambda x, sigma, a: 1.0 - (x / sigma) ** (-a) if x > sigma else 0.0,
+        lambda x, sigma, a: (-math.expm1(-a * math.log1p((x - sigma) / sigma))
+                             if x > sigma else 0.0),
         loc="sigma"),
     # S(x) = 1 / (1 + (x/b)^(1/a))
     "loglogistic": _Case(
         ("a", "b"), lambda a, b: (a * b, a - 1.0, -(a + 1.0)),
-        lambda x, a, b: 1.0 - 1.0 / (1.0 + (x / b) ** (1.0 / a)) if x > 0.0 else 0.0),
+        lambda x, a, b: 1.0 / (1.0 + (x / b) ** (-1.0 / a)) if x > 0.0 else 0.0),
     # Q(u) = sigma ((b+1) u^b - b u^(b+1))
     "govindarajulu": _Case(
         ("sigma", "b"), lambda sigma, b: (sigma * b * (b + 1.0), b - 1.0, 1.0), None,
@@ -107,12 +115,12 @@ _CASES: dict[str, _Case] = {
     "sine": _Case(
         ("scale",), lambda s: (s / math.pi, -0.5, -0.5),
         lambda x, s: (0.0 if x <= 0.0 else 1.0 if x >= s
-                      else 0.5 * (1.0 - math.cos(math.pi * x / s))),
+                      else math.sin(0.5 * math.pi * x / s) ** 2),
         joint=False, notes=("marginal-only entry",)),
     # heavy-tailed, support the whole line
     "scaled-t2": _Case(
         ("c",), lambda c: (c, -1.5, -1.5),
-        lambda x, c: 0.5 * (1.0 + x / math.sqrt(16.0 * c * c + x * x)),
+        _t2_cdf,
         joint=False, notes=("marginal-only entry", "support is the whole line")),
 }
 

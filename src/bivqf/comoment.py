@@ -37,9 +37,9 @@ from .model import (
     BivariateParams,
     DEFAULT_NUMERIC_CONFIG,
     NumericConfig,
-    _gauss_jacobi,
     _partial_mean2,
     _u1_rule,
+    _u2_rule,
     u21,
 )
 
@@ -111,17 +111,14 @@ def population_lcomoments(bp: BivariateParams,
     # the outer n-against-2n test covers both, on the whole grid in one
     # u21 call.  Near u2 = 1 the integrand mixes powers of (1-u2) and
     # (1-u2)^(beta2+1), or for beta2 <= -1 has a (1-u2)^(1/(1+theta*u1))
-    # kink; 1 - u2 = s^k makes them powers of s^2 or smoother, and the
-    # Jacobian s^(k-1) is the inner Gauss-Jacobi weight.  k is at most
-    # 2(1+theta), and at most 1000: roots_jacobi scales its weights by
-    # 2^k and turns NaN past k = 1024.
+    # kink; 1 - u2 = s^k makes them powers of s^2 or smoother.  k is at
+    # most 2(1+theta), and at most 1000.
     k = min(2.0 / min(max(m2.beta + 1.0, 1.0 / (1.0 + th)), 1.0), 1000.0)
 
     def inner_12(u1: np.ndarray) -> np.ndarray:
-        s, ws = _gauss_jacobi(u1.size, 0.0, k - 1.0)
-        t = 1.0 - (0.5 * (s + 1.0)) ** k
-        w_inner = _weights(t) * (k * 0.5 ** k * ws)
-        return m1.c * (w_inner @ (t - u21(bp, u1[:, None], t, cfg)).T)
+        s, w = _u2_rule(u1.size, k)
+        t = 1.0 - s ** k
+        return m1.c * ((_weights(t) * w) @ (t - u21(bp, u1[:, None], t, cfg)).T)
 
     l12 = _GAMMA * _u1_rule(inner_12, m1.alpha, m1.beta + 1.0, th, cfg)
 

@@ -42,9 +42,9 @@ from .model import (
     MarginalParams,
     NumericConfig,
     _fixed_rule,
-    _gauss_jacobi,
     _newton_bisect,
     _secant,
+    _u2_rule,
     product_moment,
 )
 from .specfun import complete_beta
@@ -253,28 +253,28 @@ class MrqFitResult:
 
 
 def _mrq_lcov_12(p: MrqParams, cfg: NumericConfig) -> float:
-    """Population L2(1,2) of the competitor on a tensor Gauss-Legendre rule.
+    """Population L2(1,2) of the competitor on a tensor Gauss-Jacobi rule.
 
     L2(1,2) = 2 int int (1-u1)(u2 - v) q1(u1) du1 du2 where v solves
     Q21(v | u1) = Q2(u2); the outer integrand (1-u1) q1(u1) is the
     bounded polynomial (a1 + b1) - 2 b1 (1-u1).  Near u2 = 1 the gap
     u2 - v mixes the powers (1-u2)^r and (1-u2), r = (a2 + c) / aa with
-    aa = a2 + c + (b2 + d) u1, so the inner rule substitutes 1-u2 = s^k
-    with k = 3 max(1, 1/r) per outer node.  v is solved on the whole grid
-    at once in y = -log(1-v), where Q21 is nearly linear.
+    aa = a2 + c + (b2 + d) u1, so the inner rule (model._u2_rule)
+    substitutes 1 - u2 = s^k with one k = 3 max(1, 1/r), r at its
+    smallest over u1, and at most 1000.  v is solved on the whole grid at
+    once in y = -log(1-v), where Q21 is nearly linear.
     """
     a_marg = p.a2 + p.c
+    k = min(3.0 * max(1.0, 1.0 + (p.b2 + p.d) / a_marg), 1000.0)
 
     def inner(u1: np.ndarray) -> np.ndarray:
-        x, w = _gauss_jacobi(u1.size, 0.0, 0.0)
-        s, ws = 0.5 * (x + 1.0), 0.5 * w
+        s, w = _u2_rule(u1.size, k)
         aa = (a_marg + (p.b2 + p.d) * u1)[:, None]
         cc = (p.c + p.d * u1)[:, None]
-        k = 3.0 * np.maximum(1.0, aa / a_marg)
         sk = s ** k
         x2 = -a_marg * k * np.log(s) - 2.0 * p.c * (1.0 - sk)
         gap = np.exp(-_mrq_root(aa, cc, x2, cfg)) - sk
-        return ((p.a1 + p.b1) - 2.0 * p.b1 * (1.0 - u1)) * ((gap * k * s ** (k - 1.0)) @ ws)
+        return ((p.a1 + p.b1) - 2.0 * p.b1 * (1.0 - u1)) * (gap @ w)
 
     return 2.0 * float(_fixed_rule(inner, 0.0, 0.0, cfg))
 

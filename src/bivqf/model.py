@@ -192,6 +192,19 @@ def _u1_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
     return _fixed_rule(in_s, k * (a_exp + 1.0) - 1.0, b_exp, cfg)
 
 
+def _u2_rule(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s and weights w of int_0^1 du2 after 1 - u2 = s^k, 1 <= k <= 1000.
+
+    The inner rule of the (1,2) integrals, sized by the caller from the
+    outer node count: n Gauss-Jacobi nodes for the weight s^(k-1), with
+    the Jacobian k s^(k-1) folded into w, so sum(w f(1 - s^k)) is the
+    integral of f.  roots_jacobi scales its weights by 2^k and turns NaN
+    past k = 1024, hence the cap.
+    """
+    x, w = _gauss_jacobi(n, 0.0, k - 1.0)
+    return 0.5 * (x + 1.0), k * 0.5 ** k * w
+
+
 def _pick(cond, a, b):
     """a where cond holds, else b, as numpy floats, for finite a and b.
 
@@ -323,15 +336,20 @@ class _Half:
     def value(self, mu):
         return self._at(0.5 * np.exp(-mu), mu)
 
+    def _log(self, mu):
+        """log G at mu, and the slope of `rising` log G in mu."""
+        y = 0.5 * np.exp(-mu)
+        val = self._at(y, mu)
+        return np.log(val), y ** self.p * (1.0 - y) ** (self.r - 1.0) / val
+
     def solve(self, g, cfg: NumericConfig):
         """mu at which G(mu) = g, elementwise, by safeguarded Newton on log G."""
         lo, hi = self.bracket(g)
-        log_g, s, p, r = np.log(g), self.rising, self.p, self.r
+        log_g, s = np.log(g), self.rising
 
         def h(mu):
-            y = 0.5 * np.exp(-mu)
-            val = self._at(y, mu)
-            return s * (np.log(val) - log_g), y ** p * (1.0 - y) ** (r - 1.0) / val
+            log_val, slope = self._log(mu)
+            return s * (log_val - log_g), slope
 
         return _newton_bisect(h, lo, hi, lo, cfg)
 
@@ -343,6 +361,15 @@ class _FromZero(_Half):
 
     def _at(self, y, mu):
         return _inc_beta_cont(self.p, self.r, y)
+
+    def _log(self, mu):
+        # log G = p log y - log p + log 2F1 with log y = -mu - log 2 exact:
+        # where y is subnormal, y**p has a few digits and stops moving with mu
+        p, r = self.p, self.r
+        y = 0.5 * np.exp(-mu)
+        f = hyp2f1(p, 1.0 - r, p + 1.0, y)
+        return (-p * (mu + math.log(2.0)) - math.log(p) + np.log(f),
+                p * (1.0 - y) ** (r - 1.0) / f)
 
     def bracket(self, g):
         # y^p/p <= G <= 2^(1-r) y^p/p; the first, the tail asymptote, gives

@@ -1,16 +1,20 @@
-"""Adaptive-quadrature oracles for the tests.
+"""Reference implementations for the tests.
 
 The package evaluates every integral in closed form or on fixed
 Gauss-Jacobi rules.  These routines compute the same quantities by
 scipy.integrate.quad with an endpoint-flattening substitution, as an
 independent reference: beta-kernel integrals and population L-moments.
+The per-point conditional K-S is also kept here the plain way, one CDF
+call per conditioning level.
 """
 
 from typing import Callable
 
+import numpy as np
 from scipy.integrate import quad
 
 from bivqf.errors import DivergentMomentError, QuadratureError
+from bivqf.gof import _ks_from_pit
 from bivqf.lmom import LMomentVector
 from bivqf.model import DEFAULT_NUMERIC_CONFIG, MarginalParams, NumericConfig
 
@@ -75,3 +79,18 @@ def population_lmoments_quadrature(p: MarginalParams,
     l3 = c * quad_beta_kernel(lambda u: 2.0 * u - 1.0, a + 1.0, b + 1.0, cfg)
     l4 = c * quad_beta_kernel(lambda u: (5.0 * u - 5.0) * u + 1.0, a + 1.0, b + 1.0, cfg)
     return LMomentVector(l1, l2, l3, l4)
+
+
+def ks_per_point_loop(s, cdf1, cdf2) -> list:
+    """Per-point conditional K-S rows, one cdf2 call per level in x1 order.
+
+    cdf1 and cdf2 are the (pit, clamped) array CDFs that
+    bivqf.gof._ks_conditional takes; here cdf2 gets one float level.
+    """
+    u1, _ = cdf1(s.x1)
+    out = []
+    for idx in np.argsort(s.x1):
+        pit, clamped = cdf2(float(u1[idx]), s.x2)
+        out.append(_ks_from_pit(pit, "conditional-per-point", clamped,
+                                cond_x1=float(s.x1[idx])))
+    return out

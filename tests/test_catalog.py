@@ -155,6 +155,20 @@ class TestOracleAgreement:
                 generic = generic_marginal_cdf(entry, i, x)
                 assert abs(closed - generic) <= 1e-9, (name, i, x)
 
+    @pytest.mark.parametrize("name", ["rescaled-beta", "pareto2", "pareto1",
+                                      "loglogistic", "sine", "scaled-t2"])
+    def test_marginal_cdf_lower_tail_relative(self, name):
+        # the closed forms keep relative accuracy where F is tiny, so they
+        # stay oracles there; 1 - S(x) would cancel
+        entry = make_case(name, **ENTRIES[name])
+        for i in (1, 2):
+            m = entry.params.m1 if i == 1 else entry.params.m2
+            for u in (1e-15, 1e-10, 1e-6):
+                x = entry.loc[i - 1] + big_q1(m, u)
+                assert math.isclose(closed_marginal_cdf(entry, i, x),
+                                    generic_marginal_cdf(entry, i, x),
+                                    rel_tol=1e-13), (name, i, u)
+
     @pytest.mark.parametrize("name", ["power", "uniform", "exponential",
                                       "rescaled-beta", "pareto2", "pareto1",
                                       "loglogistic", "complementary-beta"])

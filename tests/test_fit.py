@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,10 +257,16 @@ class TestMrqCdfs:
         assert mrq_conditional_cdf(MrqParams(1.0, 0.0, 1.0, -2.0, 0.0, 0.0), 1.0, 0.5) == 1.0
 
 
+# the fitted components coefficients
+MRQ_FIT = MrqParams(a1=2.7975, b1=0.15892105263157852, a2=3.086, b2=-1.0731584778153205,
+                    c=0.08621052631578507, d=-0.8325921706476263)
+
+
 class TestMrq:
-    @pytest.mark.parametrize("d", [-7.16, -3.0, 0.0, 2.0])
-    def test_lcov_fixed_rule_matches_nested_oracle(self, d):
-        p = MrqParams(a1=2.798, b1=0.159, a2=3.086, b2=4.628, c=0.086, d=d)
+    @pytest.mark.parametrize("p", [
+        *(pytest.param(replace(MRQ_PUB, d=d), id=str(d)) for d in (-7.16, -3.0, 0.0, 2.0)),
+        *(pytest.param(replace(MRQ_FIT, d=d), id=f"components:{d}") for d in (-0.83, 2.0, 6.0))])
+    def test_lcov_fixed_rule_matches_nested_oracle(self, p):
         ref = mrq_lcov_nested_oracle(p)
         assert math.isclose(_mrq_lcov_12(p, NumericConfig()), ref, rel_tol=1e-9)
 
@@ -300,6 +307,7 @@ class TestMrq:
         assert abs(p.b1 - 0.159) <= 2e-3
         assert abs(p.c - 0.086) <= 2e-3
         assert math.isclose(p.b2, -1.0731584821998444, rel_tol=1e-6)
+        assert math.isclose(p.d, -0.8325921706476263, rel_tol=1e-13)
         assert abs(res.residuals["product_moment"]) <= 1e-9
         assert abs(res.residuals["lcov_12"]) <= 1e-7
 

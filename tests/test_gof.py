@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from bivqf import gof
 from bivqf.data import BUILTIN_DATASETS, PairedSample
 from bivqf.errors import DomainError
-from bivqf.fit import MrqParams
+from bivqf.fit import MrqParams, fit_mrq
 from bivqf.gof import (
     kolmogorov_pvalue,
     ks_conditional,
@@ -15,8 +16,16 @@ from bivqf.gof import (
     mrq_ks_marginal,
     qq_data,
 )
-from bivqf.model import BivariateParams, MarginalParams, big_q1, f1
+from bivqf.model import (
+    DEFAULT_NUMERIC_CONFIG,
+    BivariateParams,
+    MarginalParams,
+    big_q1,
+    f1,
+    f1_flagged,
+)
 from bivqf.sampling import SamplerSpec, draw
+from quad_oracles import ks_per_point_loop
 
 CABLE = BUILTIN_DATASETS["cable"]
 COMP = BUILTIN_DATASETS["components"]
@@ -135,6 +144,69 @@ class TestReferenceValues:
     def test_bad_mode(self):
         with pytest.raises(DomainError):
             ks_conditional(COMP, BP_COMP, mode="nope")
+
+
+def family_cdfs(bp):
+    """The family's (pit, clamped) CDFs, as ks_conditional builds them."""
+    return (lambda x1: f1_flagged(bp.m1, x1),
+            lambda u1, x2: f1_flagged(bp.m2, x2 / (1.0 + bp.theta * u1)))
+
+
+def assert_rows_equal(rows, ref):
+    assert len(rows) == len(ref)
+    for g, r in zip(rows, ref):
+        np.testing.assert_array_equal(g.pit_values, r.pit_values)
+        for name in ("d_stat", "p_value", "n", "method", "d_plus", "d_minus",
+                     "d_point", "n_clamped", "cond_x1"):
+            assert getattr(g, name) == getattr(r, name), name
+
+
+class TestPerPointBlocks:
+    """Per-point mode, one cdf2 call per row block, against the per-level loop."""
+
+    @pytest.mark.parametrize("s, bp", [(CABLE, BP_CABLE), (COMP, BP_COMP)])
+    def test_published_fits_equal_the_loop(self, s, bp):
+        assert_rows_equal(ks_conditional(s, bp, mode="per-point"),
+                          ks_per_point_loop(s, *family_cdfs(bp)))
+
+    # a corner solve iterates until its slowest element converges, so a
+    # row computed in a block may move by an ulp
+    @pytest.mark.parametrize("alpha, beta", [
+        (-0.5, -1.4), (-1.2, -0.3), (-0.9, -1.8), (0.3, -1.2), (-1.5, -1.5),
+        (-0.99, -1.0), (-1.0, 0.5), (-2.0, 0.0)])
+    def test_corner_sweep_within_an_ulp_of_the_loop(self, alpha, beta):
+        bp = BivariateParams(MarginalParams(1.0, 0.3, 0.6),
+                             MarginalParams(1.0, alpha, beta), 0.7)
+        s = draw(bp, SamplerSpec(seed=11, n=300, method="transform"))
+        rows = ks_conditional(s, bp, mode="per-point")
+        ref = ks_per_point_loop(s, *family_cdfs(bp))
+        assert [g.cond_x1 for g in rows] == [r.cond_x1 for r in ref]
+        assert max(abs(g.d_point - r.d_point) for g, r in zip(rows, ref)) <= 4.5e-16
+
+    @pytest.mark.parametrize("fitted", [False, True])
+    def test_competitor_within_an_ulp_of_the_loop(self, fitted):
+        p = fit_mrq(COMP).params if fitted else MRQ_PUB
+        rows = mrq_ks_conditional(COMP, p, mode="per-point")
+        ref = ks_per_point_loop(COMP, *gof._mrq_cdfs(p, DEFAULT_NUMERIC_CONFIG))
+        assert [g.cond_x1 for g in rows] == [r.cond_x1 for r in ref]
+        assert all(g.n_clamped == 0 for g in rows)
+        assert max(abs(g.d_point - r.d_point) for g, r in zip(rows, ref)) <= 4.5e-16
+
+    def test_two_blocks(self):
+        n = 600
+        s = draw(BP_CABLE, SamplerSpec(seed=1, n=n, method="transform"))
+        cdf1, cdf2 = family_cdfs(BP_CABLE)
+        sizes = []
+
+        def spy(u1, x2):
+            pit, clamped = cdf2(u1, x2)
+            sizes.append(pit.size)
+            return pit, clamped
+
+        rows = gof._ks_conditional(s, cdf1, spy, "per-point")
+        assert len(sizes) == math.ceil(n / max(1, 2 ** 18 // n)) == 2
+        assert max(sizes) <= 2 ** 18 and sum(sizes) == n * n
+        assert_rows_equal(rows, ks_per_point_loop(s, cdf1, cdf2))
 
 
 class TestPitRoundTrip:

@@ -641,6 +641,19 @@ class TestDistributionFunction:
         v = u21(BivariateParams(UNIF, p, 1.0), 0.5, np.array([1e-6, 0.3]))
         assert np.all(np.isfinite(v)) and np.all(v < [1e-6, 0.3])
 
+    # corner margins whose level is subnormal: once ConvergenceError, as
+    # log(y**p) stopped moving with mu there
+    @pytest.mark.parametrize("alpha, beta, x", [
+        (-0.99, -1.0, 0.0855489790998328), (-0.99, -1.0, 0.08114999999999999),
+        (-0.95, -1.2, 2.715e-15)])
+    def test_subnormal_level_on_a_corner(self, alpha, beta, x):
+        p = MarginalParams(1.3, alpha, beta)
+        a = alpha + 1.0
+        u = f1(p, x)
+        # B_u(a, b) = u^a/a to within a factor 1 + O(u) there
+        assert 0.0 < u < np.finfo(float).tiny
+        assert abs(u - (a * x / p.c) ** (1.0 / a)) <= np.finfo(float).smallest_subnormal
+
 
 class TestConditional:
     BP = BivariateParams(EXP1, MarginalParams(2.0, 0.0, -1.0), 0.7)
