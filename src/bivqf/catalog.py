@@ -30,7 +30,6 @@ from .model import (
     MarginalParams,
     NumericConfig,
     f1,
-    q2_bar_conditional,
 )
 from .specfun import complete_beta
 
@@ -52,6 +51,10 @@ class _Case:
     fixed: dict = field(default_factory=dict)  # stems pinned to a value
     low: dict = field(default_factory=dict)  # lower bounds other than 0
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:  # parameter names and bounds, built once
+        keys = tuple(f"{s}{i}" for i in (1, 2) for s in self.stems)
+        vars(self).update(keys=keys, lows=tuple(self.low.get(k[:-1], 0.0) for k in keys))
 
 
 def _beta_cdf(x: float, c: float, alpha: float, beta: float) -> float:
@@ -156,14 +159,14 @@ def make_case(name: str, **natural: float) -> CatalogEntry:
 
     The parameters of a case are the stems of its `_CASES` row with the
     component suffix 1 or 2, for example c1, c2 for stems ("c",); each must
-    be a finite real above 0, or above the row's `low` bound.  Any other
-    name raises DomainError.
+    be a finite real above 0, or above the row's `low` bound.  A missing
+    name, or any other name, raises DomainError.
     The entry's `natural` holds them in that order, then theta.
     """
     case = _CASES.get(name)
     if case is None:
         raise DomainError(f"unknown catalog case {name!r}; known: {', '.join(CATALOG_NAMES)}")
-    names = [f"{s}{i}" for i in (1, 2) for s in case.stems] + ["theta"]
+    names = case.keys + ("theta",)
     unknown = [k for k in natural if k not in names]
     if unknown:
         raise DomainError(f"catalog case {name!r} has no parameter {', '.join(unknown)}; "
@@ -172,14 +175,16 @@ def make_case(name: str, **natural: float) -> CatalogEntry:
     if not (math.isfinite(th) and th >= 0.0):
         raise DomainError(f"theta must be >= 0, got {th}")
     given = {**natural, **{f"{s}{i}": v for s, v in case.fixed.items() for i in (1, 2)}}
-    nat = {f"{s}{i}": given[f"{s}{i}"] for i in (1, 2) for s in case.stems}
-    for key, v in nat.items():
-        low = case.low.get(key[:-1], 0.0)
+    missing = [k for k in case.keys if k not in given]
+    if missing:
+        raise DomainError(f"catalog case {name!r} needs {', '.join(missing)}")
+    nat = {k: given[k] for k in case.keys}
+    for (key, v), low in zip(nat.items(), case.lows):
         if not (isinstance(v, (int, float)) and math.isfinite(v) and v > low):
             raise DomainError(f"parameter {key} must be a finite real above {low:g}, "
                               f"got {v!r}")
-    ms = [MarginalParams(*case.marginal(*(nat[f"{s}{i}"] for s in case.stems)))
-          for i in (1, 2)]
+    vals, n = list(nat.values()), len(case.stems)
+    ms = MarginalParams(*case.marginal(*vals[:n])), MarginalParams(*case.marginal(*vals[n:]))
     loc = (nat[f"{case.loc}1"], nat[f"{case.loc}2"]) if case.loc else (0.0, 0.0)
     return CatalogEntry(name, {**nat, "theta": th}, BivariateParams(*ms, th), loc)
 
@@ -235,6 +240,5 @@ def generic_joint_survival(entry: CatalogEntry, x1: float, x2: float,
     """Product survival through the generic machinery, honoring locations."""
     bp = entry.params
     u1_val = f1(bp.m1, x1 - entry.loc[0], cfg)
-    # the location offset scales with g = 1 + theta*u1, as the rest of Q2
-    s2 = q2_bar_conditional(bp, u1_val, x2 - entry.loc[1] * (1.0 + bp.theta * u1_val), cfg)
-    return (1.0 - u1_val) * s2
+    g = 1.0 + bp.theta * u1_val  # S21 = 1 - F2(x2 / g), and the location scales with g
+    return (1.0 - u1_val) * (1.0 - f1(bp.m2, (x2 - entry.loc[1] * g) / g, cfg))

@@ -145,9 +145,6 @@ def _catalog_entry(name: str, pairs: list[str] | None, theta: float) -> CatalogE
     natural["theta"] = theta
     try:
         return make_case(name, **natural)
-    except KeyError as e:
-        raise _UsageError(
-            f"catalog case {name!r} needs --param {e.args[0]}=VALUE") from None
     except DomainError as e:
         raise _UsageError(str(e)) from None
 

@@ -53,14 +53,22 @@ class MarginalParams:
     beta: float
 
     def __post_init__(self) -> None:
-        for name in ("c", "alpha", "beta"):
-            v = getattr(self, name)
+        fields = vars(self)
+        for name, v in fields.items():
             if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite, got {v}")
-            # a numpy scalar would leak numpy booleans into the branch tests
-            object.__setattr__(self, name, float(v))
+            fields[name] = float(v)  # a numpy scalar would leak numpy booleans
         if not self.c > 0.0:
             raise DomainError(f"scale c must be positive, got {self.c}")
+
+    @functools.cached_property
+    def _plan(self) -> tuple[float, float, _Row]:
+        """(Q(0), Q(1), row), bound on first use; no field, so == and repr skip it."""
+        top, lower, row = _shape_plan(self.alpha, self.beta)
+        return lower, self.c * top, row
+
+    def __getstate__(self) -> dict:  # pickles without the plan
+        return {name: v for name, v in vars(self).items() if name != "_plan"}
 
     def in_lmoment_region(self) -> bool:
         """True when all gamma arguments of the L-moment formulas are positive."""
@@ -272,8 +280,8 @@ def _secant(f: Callable[[float], float], x0: float, f0: float
 # ---------------------------------------------------------------------------
 # quantile density / quantile function / inversion
 #
-# big_q1 and f1 take a float or an array; their branch kernels use operators
-# and ufuncs that accept both, so a float is never made a 0-d array.
+# big_q1 and f1 take a float or an array; the rows of _shape_plan use
+# operators and ufuncs that accept both, so a float is never made a 0-d array.
 
 
 def support(p: MarginalParams) -> SupportInfo:
@@ -282,7 +290,7 @@ def support(p: MarginalParams) -> SupportInfo:
     Q(0) = 0 when alpha > -1; otherwise the left tail is infinite and the
     quantile function is anchored at the median, Q(1/2) = 0.
     """
-    return SupportInfo(_q_low(p), _q_top(p), 0.0 if p.alpha > -1.0 else 0.5)
+    return SupportInfo(*p._plan[:2], 0.0 if p.alpha > -1.0 else 0.5)
 
 
 def q1(p: MarginalParams, u: float) -> float:
@@ -458,17 +466,137 @@ def _take(mask, v):
     return v[()] if v.ndim == 0 else v[mask]
 
 
-@functools.lru_cache(maxsize=256)
-def _shape_plan(alpha: float, beta: float
-                ) -> tuple[float, tuple[_Half, float, _Half, float] | None]:
-    """(Q(1)/c, corner plan) of the shape (alpha, beta), built once and kept.
+class _Row:
+    """A row: Q by q(p, u, upper) on 0 < u < 1, F by f(p, x, upper, cfg), upper = Q(1)."""
 
-    The corner plan is (left half, its sign in Q/c, right half, Q(1/2)/c),
-    and None off the corners and on the three closed rows, exact float
-    tests: the line alpha + beta = -2 and the t2 shape (-3/2, -3/2) in
-    logit(u), and the arcsine shape (-1/2, -1/2), whose top is pi (the
-    rounded B(1/2, 1/2) is 5 ulps above it).  Neither part depends on c,
-    so margins that differ only in scale share the shape's entry.
+
+class _LineRow(_Row):  # the log-logistic line alpha + beta = -2
+    def q(self, p, u, upper):
+        # q du = c exp(a t) dt in t = logit(u); anchored at 0 for a > 0,
+        # at the median otherwise (before beta = 0, which anchors (-2, 0) at 0)
+        c, a, t = p.c, p.alpha + 1.0, logit(u)
+        return c * np.exp(a * t) / a if a > 0.0 else c * t * exprel(a * t)
+
+    def f(self, p, x, upper, cfg):
+        c, a = p.c, p.alpha + 1.0
+        if a > 0.0:
+            t = np.log(a * x / c) / a
+        else:
+            t = x / c if a == 0.0 else np.log1p(a * x / c) / a
+        # 1 - expit(-t) rounds once above 1/2, where expit(t) rounds twice
+        e = expit(-abs(t))
+        return _pick(t < 0.0, e, 1.0 - e)
+
+
+class _T2Row(_Row):  # the t2 shape alpha = beta = -3/2
+    def q(self, p, u, upper):
+        # a = -1/2 on the line alpha + beta = -3: q du = 2c cosh(t/2) dt, so
+        # Q = 4c sinh(t/2) from the median; this equal form is exact to ulps
+        # in both tails, where sinh of the rounded t is off by |t| ulps
+        return 2.0 * p.c * (2.0 * u - 1.0) / np.sqrt(u * (1.0 - u))
+
+    def f(self, p, x, upper, cfg):
+        # exp(|t|/2) = sqrt(1 + y^2) + |y| with y = x/(4c), and
+        # min(u, 1-u) = 1/(1 + exp(|t|)), to ulps in both tails, where expit
+        # of the rounded t = 2 asinh(y) is off by |t| ulps
+        y = 0.25 * x / p.c
+        v = 1.0 / (np.hypot(1.0, y) + np.abs(y))
+        s = v * v / (1.0 + v * v)
+        return _pick(y < 0.0, s, 1.0 - s)
+
+
+class _ArcsineRow(_Row):  # alpha = beta = -1/2
+    def q(self, p, u, upper):
+        # 2c asin(sqrt(u)), mirrored above 1/2, where 1 - u is exact
+        h = 2.0 * p.c * np.arcsin(np.sqrt(np.minimum(u, 1.0 - u)))
+        return _pick(u <= 0.5, h, upper - h)
+
+    def f(self, p, x, upper, cfg):
+        s = np.sin(0.5 * x / p.c)
+        return s * s  # as on arrays: a numpy scalar's s ** 2 is pow, off by an ulp
+
+
+class _PowerRow(_Row):  # beta = 0
+    def q(self, p, u, upper):
+        return p.c * u ** (p.alpha + 1.0) / (p.alpha + 1.0)
+
+    def f(self, p, x, upper, cfg):
+        # a x / c as x / upper, as (beta + 1) x / c in _AlphaZeroRow: below 1 for x < upper
+        return (x / upper) ** (1.0 / (p.alpha + 1.0))
+
+
+class _AlphaZeroRow(_Row):  # alpha = 0, with the log at beta = -1
+    def q(self, p, u, upper):
+        c, beta = p.c, p.beta
+        log_s = np.log1p(-u)  # keeps 1 - (1-u)^(beta+1) accurate at small u
+        if beta == -1.0:
+            return -c * log_s
+        return -c * np.expm1((beta + 1.0) * log_s) / (beta + 1.0)
+
+    def f(self, p, x, upper, cfg):
+        c, beta = p.c, p.beta
+        if beta == -1.0:
+            return -np.expm1(-x / c)
+        t = x / upper if beta > -1.0 else (beta + 1.0) * x / c
+        return -np.expm1(np.log1p(-t) / (beta + 1.0))
+
+
+class _BetaRow(_Row):  # the incomplete beta, alpha, beta > -1
+    def q(self, p, u, upper):
+        return upper * betainc(p.alpha + 1.0, p.beta + 1.0, u)
+
+    def f(self, p, x, upper, cfg):
+        c, alpha, beta = p.c, p.alpha, p.beta
+        a, b = alpha + 1.0, beta + 1.0
+        u = betaincinv(a, b, x / upper)
+        # betaincinv is NaN at tiny levels on some shapes (a in about
+        # (1.001, 1.02) with b <= 0.2 below 1e-17; a = b = 3 below 1e-108):
+        # those start from the tail asymptote u^a/a = x/c of B_u(a, b)
+        start = u != u  # NaN; the cheapest test on a numpy scalar
+        if np.count_nonzero(start):
+            u = np.where(start, (a * x / c) ** (1.0 / a), u)
+        elif alpha != beta:
+            return u
+        # one Newton step on those, and on every element when alpha == beta off
+        # the arcsine row: betaincinv(a, a, p) is off by 1.4e-8 near p = 1/2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (upper * betainc(a, b, u) - x) / (c * u ** alpha * (1.0 - u) ** beta)
+            take = np.abs(step) < 0.5 * np.minimum(u, 1.0 - u)
+            return np.where(take if alpha == beta else take & start, u - step, u)
+
+
+class _CornerRow(_Row):  # the left half, its sign in Q/c, the right half, Q(1/2)/c
+    def __init__(self, left: _Half, sign: float, right: _Half, mid: float):
+        self.left, self.sign, self.right, self.mid = left, sign, right, mid
+
+    def q(self, p, u, upper):
+        u = np.asarray(u)
+        out = np.full(u.shape, self.mid)
+        low, high = u < 0.5, u > 0.5
+        if low.any():
+            out[low] = self.sign * self.left.value(-np.log(2.0 * _take(low, u)))
+        if high.any():
+            out[high] = self.mid + self.right.value(-np.log(2.0 * (1.0 - _take(high, u))))
+        return p.c * out[()]
+
+    def f(self, p, x, upper, cfg):
+        xc = np.asarray(x) / p.c
+        u = np.full(xc.shape, 0.5)
+        low, high = xc < self.mid, xc > self.mid
+        if low.any():
+            u[low] = 0.5 * np.exp(-self.left.solve(self.sign * _take(low, xc), cfg))
+        if high.any():
+            u[high] = 1.0 - 0.5 * np.exp(-self.right.solve(_take(high, xc) - self.mid, cfg))
+        return u[()]
+
+
+@functools.lru_cache(maxsize=256)
+def _shape_plan(alpha: float, beta: float) -> tuple[float, float, _Row]:
+    """(Q(1)/c, Q(0), row) of the shape (alpha, beta), built once and kept.
+
+    The only code that chooses a row, by exact float tests.  The arcsine
+    top is pi (the rounded B(1/2, 1/2) is 5 ulps above it).  Margins that
+    differ only in c share the shape's entry.
     """
     a, b = alpha + 1.0, beta + 1.0
     if beta <= -1.0:
@@ -477,79 +605,23 @@ def _shape_plan(alpha: float, beta: float
         top = math.pi if alpha == beta == -0.5 else complete_beta(a, b)
     else:
         top = float(_inc_beta_cont(b, a, 0.5))
-    if ((alpha > -1.0 and (beta > -1.0 or alpha == 0.0)) or alpha + beta == -2.0
-            or alpha == beta == -1.5):
-        return top, None  # a closed form covers it
-    right = _to_half(b, a)
-    if alpha > -1.0:
-        return top, (_FromZero(a, b), 1.0, right, float(_inc_beta_cont(a, b, 0.5)))
-    return top, (_to_half(a, b), -1.0, right, 0.0)
-
-
-def _corner_q(p: MarginalParams, corner, u):
-    """Q on 0 < u < 1 for a corner margin."""
-    left, sign, right, mid = corner
-    u = np.asarray(u)
-    out = np.full(u.shape, mid)
-    low, high = u < 0.5, u > 0.5
-    if low.any():
-        out[low] = sign * left.value(-np.log(2.0 * _take(low, u)))
-    if high.any():
-        out[high] = mid + right.value(-np.log(2.0 * (1.0 - _take(high, u))))
-    return p.c * out[()]
-
-
-def _corner_f(p: MarginalParams, corner, x, cfg: NumericConfig):
-    """F inside the support of a corner margin."""
-    left, sign, right, mid = corner
-    xc = np.asarray(x) / p.c
-    u = np.full(xc.shape, 0.5)
-    low, high = xc < mid, xc > mid
-    if low.any():
-        u[low] = 0.5 * np.exp(-left.solve(sign * _take(low, xc), cfg))
-    if high.any():
-        u[high] = 1.0 - 0.5 * np.exp(-right.solve(_take(high, xc) - mid, cfg))
-    return u[()]
-
-
-def _q_low(p: MarginalParams) -> float:
-    """Q(0), the lower end of the support."""
-    return 0.0 if p.alpha > -1.0 else -math.inf
-
-
-def _q_top(p: MarginalParams) -> float:
-    """Q(1), the upper end of the support."""
-    return p.c * _shape_plan(p.alpha, p.beta)[0]
-
-
-def _big_q(p: MarginalParams, u, upper: float, corner):
-    """The branch table of Q on 0 < u < 1; upper and corner from _shape_plan."""
-    if corner is not None:
-        return _corner_q(p, corner, u)
-    c, alpha, beta = p.c, p.alpha, p.beta
     if alpha + beta == -2.0:
-        # q du = c exp(a t) dt in t = logit(u); anchored at 0 for a > 0,
-        # at the median otherwise (before beta = 0, which anchors (-2, 0) at 0)
-        a, t = alpha + 1.0, logit(u)
-        return c * np.exp(a * t) / a if a > 0.0 else c * t * exprel(a * t)
-    if alpha == beta == -1.5:
-        # the t2 shape, a = -1/2 on the line alpha + beta = -3: q du =
-        # 2c cosh(t/2) dt, so Q = 4c sinh(t/2) from the median; this equal
-        # form is exact to ulps in both tails, where sinh of the rounded t
-        # is off by |t| ulps
-        return 2.0 * c * (2.0 * u - 1.0) / np.sqrt(u * (1.0 - u))
-    if alpha == beta == -0.5:
-        # arcsine: 2c asin(sqrt(u)), mirrored above 1/2, where 1 - u is exact
-        h = 2.0 * c * np.arcsin(np.sqrt(np.minimum(u, 1.0 - u)))
-        return _pick(u <= 0.5, h, upper - h)
-    if beta == 0.0:
-        return c * u ** (alpha + 1.0) / (alpha + 1.0)
-    if alpha == 0.0:
-        log_s = np.log1p(-u)  # keeps 1 - (1-u)^(beta+1) accurate at small u
-        if beta == -1.0:
-            return -c * log_s
-        return -c * np.expm1((beta + 1.0) * log_s) / (beta + 1.0)
-    return upper * betainc(alpha + 1.0, beta + 1.0, u)
+        row = _LineRow()
+    elif alpha == beta == -1.5:
+        row = _T2Row()
+    elif alpha == beta == -0.5:
+        row = _ArcsineRow()
+    elif beta == 0.0 and alpha > -1.0:
+        row = _PowerRow()
+    elif alpha == 0.0:
+        row = _AlphaZeroRow()
+    elif alpha > -1.0 and beta > -1.0:
+        row = _BetaRow()
+    elif alpha > -1.0:
+        row = _CornerRow(_FromZero(a, b), 1.0, _to_half(b, a), float(_inc_beta_cont(a, b, 0.5)))
+    else:
+        row = _CornerRow(_to_half(a, b), -1.0, _to_half(b, a), 0.0)
+    return top, 0.0 if alpha > -1.0 else -math.inf, row
 
 
 def big_q1(p: MarginalParams, u: float | np.ndarray) -> float | np.ndarray:
@@ -565,74 +637,22 @@ def big_q1(p: MarginalParams, u: float | np.ndarray) -> float | np.ndarray:
     mirror in 1-u, with a term-by-term series next to the poles at
     integer exponents.
     """
-    top, corner = _shape_plan(p.alpha, p.beta)
-    upper = p.c * top
+    lower, upper, row = p._plan
     if isinstance(u, (float, int)):
         if not 0.0 < u < 1.0:
             if u == 0.0:
-                return _q_low(p)
+                return lower
             if u != 1.0:
                 raise DomainError(f"u must lie in [0, 1], got {u}")
             return upper
-        return float(_big_q(p, u, upper, corner))
+        return float(row.q(p, u, upper))
     u = np.asarray(u, dtype=float)
     if not np.all((u >= 0.0) & (u <= 1.0)):
         raise DomainError("u must lie in [0, 1]")
-    out = np.where(u == 0.0, _q_low(p), upper)
+    out = np.where(u == 0.0, lower, upper)
     inside = (u > 0.0) & (u < 1.0)
-    out[inside] = _big_q(p, u[inside], upper, corner)
+    out[inside] = row.q(p, u[inside], upper)
     return out
-
-
-def _f1(p: MarginalParams, x, upper: float, corner, cfg: NumericConfig):
-    """The branch table of F inside the support; upper and corner as _big_q."""
-    if corner is not None:
-        return _corner_f(p, corner, x, cfg)
-    c, alpha, beta = p.c, p.alpha, p.beta
-    a = alpha + 1.0
-    if alpha + beta == -2.0:  # t = logit(u), inverted from Q in _big_q
-        if a > 0.0:
-            t = np.log(a * x / c) / a
-        else:
-            t = x / c if a == 0.0 else np.log1p(a * x / c) / a
-        # 1 - expit(-t) rounds once above 1/2, where expit(t) rounds twice
-        e = expit(-abs(t))
-        return _pick(t < 0.0, e, 1.0 - e)
-    if alpha == beta == -1.5:
-        # inverted from Q in _big_q: exp(|t|/2) = sqrt(1 + y^2) + |y| with
-        # y = x/(4c), and min(u, 1-u) = 1/(1 + exp(|t|)), to ulps in both
-        # tails, where expit of the rounded t = 2 asinh(y) is off by |t| ulps
-        y = 0.25 * x / c
-        v = 1.0 / (np.hypot(1.0, y) + np.abs(y))
-        s = v * v / (1.0 + v * v)
-        return _pick(y < 0.0, s, 1.0 - s)
-    if alpha == beta == -0.5:  # inverted from Q in _big_q
-        s = np.sin(0.5 * x / c)
-        return s * s  # as on arrays: a numpy scalar's s ** 2 is pow, off by an ulp
-    # (beta + 1) x / c and friends as x / upper: below 1 whenever x < upper
-    if beta == 0.0:
-        return (x / upper) ** (1.0 / a)
-    if alpha == 0.0:
-        if beta == -1.0:
-            return -np.expm1(-x / c)
-        t = x / upper if beta > -1.0 else (beta + 1.0) * x / c
-        return -np.expm1(np.log1p(-t) / (beta + 1.0))
-    b = beta + 1.0
-    u = betaincinv(a, b, x / upper)
-    # betaincinv is NaN at tiny levels on some shapes (a in about
-    # (1.001, 1.02) with b <= 0.2 below 1e-17; a = b = 3 below 1e-108):
-    # those start from the tail asymptote u^a/a = x/c of B_u(a, b)
-    start = u != u  # NaN; the cheapest test on a numpy scalar
-    if np.count_nonzero(start):
-        u = np.where(start, (a * x / c) ** (1.0 / a), u)
-    elif alpha != beta:
-        return u
-    # one Newton step on those, and on every element when alpha == beta off
-    # the arcsine row: betaincinv(a, a, p) is off by 1.4e-8 near p = 1/2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = (upper * betainc(a, b, u) - x) / (c * u ** alpha * (1.0 - u) ** beta)
-        take = np.abs(step) < 0.5 * np.minimum(u, 1.0 - u)
-        return np.where(take if alpha == beta else take & start, u - step, u)
 
 
 def f1(p: MarginalParams, x: float | np.ndarray,
@@ -642,8 +662,7 @@ def f1(p: MarginalParams, x: float | np.ndarray,
     `x` may be a float or an array; the result has its shape.  A NaN `x`
     raises DomainError.
     """
-    top, corner = _shape_plan(p.alpha, p.beta)
-    lower, upper = _q_low(p), p.c * top
+    lower, upper, row = p._plan
     if isinstance(x, (float, int)):
         if x <= lower:
             return 0.0
@@ -651,13 +670,13 @@ def f1(p: MarginalParams, x: float | np.ndarray,
             return 1.0
         if x != x:
             raise DomainError("x must not be NaN")
-        return float(_f1(p, float(x), upper, corner, cfg))
+        return float(row.f(p, float(x), upper, cfg))
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise DomainError("x must not be NaN")
     u = np.where(x <= lower, 0.0, 1.0)
     inside = (x > lower) & (x < upper)
-    u[inside] = _f1(p, x[inside], upper, corner, cfg)
+    u[inside] = row.f(p, x[inside], upper, cfg)
     return u
 
 
@@ -672,7 +691,7 @@ def f1_flagged(p: MarginalParams, x: float | np.ndarray,
     """
     u = f1(p, x, cfg)
     x = x if isinstance(x, (float, int)) else np.asarray(x, dtype=float)
-    return u, (x < _q_low(p)) | (x > _q_top(p))
+    return u, (x < p._plan[0]) | (x > p._plan[1])
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +762,7 @@ def _partial_mean2(m2: MarginalParams, g: np.ndarray) -> np.ndarray:
     """
     a2, b2 = m2.alpha + 1.0, m2.beta + 1.0
     w = betaincinv(a2, b2, 1.0 / g)
-    return np.where(w > 1e-300, _lambda(m2, 1) * g * betainc(a2, b2 + 1.0, w), _q_top(m2))
+    return np.where(w > 1e-300, _lambda(m2, 1) * g * betainc(a2, b2 + 1.0, w), m2._plan[1])
 
 
 def product_moment(bp: BivariateParams,

@@ -81,6 +81,13 @@ class TestMappings:
         with pytest.raises(DomainError):
             make_case("no-such-case", c1=1.0)
 
+    def test_missing_parameters_are_all_named(self):
+        with pytest.raises(DomainError, match=r"'power' needs b1, a2, b2$"):
+            make_case("power", a1=2.0)
+        # before any value is checked, and a pinned parameter is never missing
+        with pytest.raises(DomainError, match=r"'uniform' needs b2$"):
+            make_case("uniform", b1=-1.0)
+
 
 class TestClosedForms:
     def test_power_cdf(self):

@@ -176,6 +176,10 @@ class TestUsageErrors:
                    "--param", "c1=1"], capsys)
         assert_one_line_usage_error(*res, "pareto2", "d1")
 
+    def test_catalog_case_names_every_missing_parameter(self, capsys):
+        res = run(["catalog", "power", "--param", "a1=2"], capsys)
+        assert_one_line_usage_error(*res, "'power' needs b1, a2, b2")
+
     def test_negative_seed(self, capsys):
         res = run(["sample", "--params", "1,0,0,1,0,0,0.5", "--n", "3",
                    "--seed", "-1"], capsys)

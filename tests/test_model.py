@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -268,7 +269,7 @@ class TestLogLogisticLine:
     def test_against_mpmath_in_both_tails(self, alpha, beta):
         assert alpha + beta == -2.0
         p = MarginalParams(1.3, alpha, beta)
-        assert _shape_plan(alpha, beta)[1] is None
+        assert type(_shape_plan(alpha, beta)[2]) is model._LineRow
         x = big_q1(p, self.LEVELS)
         for u, g in zip(self.LEVELS, x):
             ref = mpmath_corner_quantile(p, u)
@@ -285,7 +286,7 @@ class TestLogLogisticLine:
         p = MarginalParams(1.3, alpha, beta)
         t = MarginalParams(1.3, *off_row(alpha, beta))
         if t.alpha != 0.0:  # (0, -2) moves to the alpha = 0 row
-            assert _shape_plan(t.alpha, t.beta)[1] is not None
+            assert type(_shape_plan(t.alpha, t.beta)[2]) is model._CornerRow
         x, xt = big_q1(p, self.LEVELS), big_q1(t, self.LEVELS)
         np.testing.assert_array_less(np.abs(x - xt), 1e-13 * np.maximum(np.abs(xt), 1.0))
         np.testing.assert_array_less(np.abs(f1(p, x) - f1(t, x)), self.f_tol(p, self.LEVELS, x))
@@ -336,7 +337,7 @@ class TestT2Row:
     @pytest.mark.parametrize("c", [1.3, 0.4])
     def test_against_mpmath_in_both_tails(self, c):
         p = MarginalParams(c, -1.5, -1.5)
-        assert _shape_plan(-1.5, -1.5)[1] is None
+        assert type(_shape_plan(-1.5, -1.5)[2]) is model._T2Row
         x = big_q1(p, self.LEVELS)
         with mpmath.workdps(40):
             for u, g in zip(self.LEVELS, x):
@@ -360,7 +361,7 @@ class TestT2Row:
     @pytest.mark.parametrize("shape", TWINS)
     def test_matches_its_twin_off_the_row(self, shape):
         p, t = MarginalParams(1.3, -1.5, -1.5), MarginalParams(1.3, *shape)
-        assert _shape_plan(*shape)[1] is not None
+        assert type(_shape_plan(*shape)[2]) is model._CornerRow
         # down to 1e-12: deeper in the tails the corner's Newton solve is
         # only good to root_tol in log u
         levels = TestLogLogisticLine.LEVELS
@@ -401,7 +402,8 @@ class TestArcsineRow:
 
     def test_against_mpmath_in_both_tails(self):
         p = ARCSINE
-        assert _shape_plan(-0.5, -0.5) == (math.pi, None)
+        top, lower, row = _shape_plan(-0.5, -0.5)
+        assert (top, lower, type(row)) == (math.pi, 0.0, model._ArcsineRow)
         assert support(p).upper == p.c * math.pi
         x = big_q1(p, self.LEVELS)
         with mpmath.workdps(40):
@@ -1074,7 +1076,8 @@ class TestShapeCaches:
         x, w = _gauss_jacobi(16, 0.5, 0.5)
         # (-1, -0.5): the left half, next to the pole at alpha + 1 = 0, is the
         # term-by-term series with its table
-        series = _shape_plan(-1.0, -0.5)[1][0]
+        series = _shape_plan(-1.0, -0.5)[2].left
+        assert type(series) is model._ToHalfSeries
         for arr in (x, w, series.d):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -1086,7 +1089,7 @@ class TestShapeCaches:
     def test_plan_is_keyed_by_shape_not_scale(self):
         _shape_plan.cache_clear()
         m = T2_CORNER
-        assert _shape_plan(m.alpha, m.beta)[1] is not None
+        assert type(_shape_plan(m.alpha, m.beta)[2]) is model._CornerRow
         for c in (1.0, 2.5, 0.3):
             f1(dataclasses.replace(m, c=m.c * c), 0.7)
         info = _shape_plan.cache_info()
@@ -1094,8 +1097,11 @@ class TestShapeCaches:
 
     def test_cold_and_warm_caches_agree_bit_for_bit(self):
         def results():
-            cable = BivariateParams(CABLE1, CABLE2, 0.9)
-            out = [product_moment(cable), product_moment(BivariateParams(COMP1, UNIF, 2.0)),
+            # fresh margins: a margin keeps its bound plan across cache_clear
+            cable1, cable2, comp1, unif = (dataclasses.replace(m)
+                                           for m in (CABLE1, CABLE2, COMP1, UNIF))
+            cable = BivariateParams(cable1, cable2, 0.9)
+            out = [product_moment(cable), product_moment(BivariateParams(comp1, unif, 2.0)),
                    population_lcomoments(cable), fit_bivariate(BUILTIN_DATASETS["cable"])]
             for shape in BRANCH_SHAPES:
                 m = MarginalParams(1.0, *shape)
@@ -1107,8 +1113,77 @@ class TestShapeCaches:
         _gauss_jacobi.cache_clear()
         _shape_plan.cache_clear()
         cold = results()
+        assert _shape_plan.cache_info().misses >= len(BRANCH_SHAPES)
         hits = _gauss_jacobi.cache_info().hits, _shape_plan.cache_info().hits
         warm = results()
         assert _gauss_jacobi.cache_info().hits > hits[0]
         assert _shape_plan.cache_info().hits > hits[1]
         assert cold == warm
+
+    @pytest.mark.parametrize("shape", BRANCH_SHAPES)
+    def test_bound_plan_skips_the_lookup(self, shape):
+        m = MarginalParams(1.3, *shape)
+        u = np.array([0.01, 0.5, 0.99])
+        x = big_q1(m, u)
+        before = _shape_plan.cache_info()
+        for _ in range(3):
+            f1(m, x), f1(m, float(x[1])), f1_flagged(m, x), f1_flagged(m, float(x[0]))
+            big_q1(m, u), big_q1(m, 0.3), support(m)
+        assert _shape_plan.cache_info() == before
+
+    @pytest.mark.parametrize("shape", [(0.5, -0.3), (-1.5, -1.5), (-1.0, -0.5)])
+    def test_bound_plan_is_not_part_of_the_value(self, shape):
+        fresh, bound = MarginalParams(1.3, *shape), MarginalParams(1.3, *shape)
+        f1(bound, 0.7)
+        assert "_plan" in vars(bound) and "_plan" not in vars(fresh)
+        assert bound == fresh and hash(bound) == hash(fresh)
+        assert repr(bound) == repr(fresh) == (
+            f"MarginalParams(c=1.3, alpha={shape[0]}, beta={shape[1]})")
+        assert dataclasses.asdict(bound) == dataclasses.asdict(fresh) == dict(
+            c=1.3, alpha=shape[0], beta=shape[1])
+        moved = dataclasses.replace(bound, c=2.0)
+        assert "_plan" not in vars(moved) and support(moved) == support(MarginalParams(2.0, *shape))
+        assert pickle.dumps(bound) == pickle.dumps(fresh)
+        for m in (fresh, bound):
+            back = pickle.loads(pickle.dumps(m))
+            assert back == m and "_plan" not in vars(back)
+            assert f1(back, 0.7) == f1(bound, 0.7)
+
+
+# each exact row, its row, and the rows its neighbours an ulp or two away take
+TINY = 5e-324
+ROW_NEIGHBOURS = [
+    ((1.0, -3.0), "_LineRow", [(off_row(1.0, -3.0), "_CornerRow")]),
+    ((-2.0, 0.0), "_LineRow", [(off_row(-2.0, 0.0), "_CornerRow")]),
+    # at (0, -2) the sum moves with alpha from 2^-52 on
+    ((0.0, -2.0), "_LineRow", [(off_row(0.0, -2.0), "_AlphaZeroRow"),
+                               ((2.0 ** -52, -2.0), "_CornerRow")]),
+    ((-1.5, -1.5), "_T2Row", [(off_row(-1.5, -1.5), "_CornerRow"),
+                              ((float(np.nextafter(-1.5, 0.0)), -1.5), "_CornerRow")]),
+    ((-0.5, -0.5), "_ArcsineRow", [((-0.5, float(np.nextafter(-0.5, -1.0))), "_BetaRow"),
+                                   ((float(np.nextafter(-0.5, 0.0)), -0.5), "_BetaRow")]),
+    ((0.5, 0.0), "_PowerRow", [((0.5, -TINY), "_BetaRow"), ((0.5, TINY), "_BetaRow")]),
+    ((0.0, -0.3), "_AlphaZeroRow", [((-TINY, -0.3), "_BetaRow"), ((TINY, -0.3), "_BetaRow")]),
+    ((0.0, -1.0), "_AlphaZeroRow", [((0.0, float(np.nextafter(-1.0, 0.0))), "_AlphaZeroRow"),
+                                    ((0.0, float(np.nextafter(-1.0, -2.0))), "_AlphaZeroRow"),
+                                    ((TINY, -1.0), "_CornerRow"),
+                                    ((-TINY, -1.0), "_CornerRow")]),
+    ((0.0, -2.5), "_AlphaZeroRow", [((TINY, -2.5), "_CornerRow")]),
+]
+
+
+@pytest.mark.parametrize("shape, row, neighbours", ROW_NEIGHBOURS,
+                         ids=[str(s) for s, _, _ in ROW_NEIGHBOURS])
+def test_ulp_neighbours_take_the_neighbouring_row(shape, row, neighbours):
+    """Only exact shapes take a closed row; the shapes next to them take the
+    row around it and agree with it to rounding."""
+    levels = np.array([1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6])
+    p = MarginalParams(1.3, *shape)
+    assert type(_shape_plan(*shape)[2]) is getattr(model, row)
+    x = big_q1(p, levels)
+    for twin_shape, twin_row in neighbours:
+        assert twin_shape != shape
+        assert type(_shape_plan(*twin_shape)[2]) is getattr(model, twin_row), twin_shape
+        t = MarginalParams(1.3, *twin_shape)
+        np.testing.assert_allclose(big_q1(t, levels), x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(f1(t, x), levels, rtol=1e-12)
