@@ -3,11 +3,12 @@
 scipy.stats, scipy.integrate and scipy.optimize together take longer to
 import than everything `bivqf reproduce` computes, so none of them may be
 loaded by importing the CLI, by running `reproduce`, or by the root
-searches of `fit` and the exact sampler.  scipy.linalg, which scipy's
-Gauss-Jacobi rules load on first use, costs about 70 ms more: the model
-builds its rules lazily, so commands that integrate nothing never load
-it.  Each check runs in a fresh interpreter, where no other test has
-imported them.
+searches of `fit` and the exact sampler.  Nor may scipy.linalg, which
+costs about 56 ms and 5 MB more: the model builds its Gauss-Jacobi rules
+on numpy's LAPACK, so of scipy's subpackages only scipy.special and the
+scipy._lib it uses are ever loaded.  The rules are built lazily, so
+commands that integrate nothing build none.  Each check runs in a fresh
+interpreter, where no other test has imported them.
 """
 
 import os
@@ -121,3 +122,28 @@ for argv in (["catalog"],
     assert "scipy.linalg" not in sys.modules, argv[0] + " loaded scipy.linalg"
 """)
     assert res.returncode == 0, res.stderr
+
+
+def test_integrating_commands_load_only_scipy_special(tmp_path):
+    # every command that builds Gauss-Jacobi rules, and rules of every size
+    # _fixed_rule builds; the allow-list names scipy's subpackages
+    res = run_fresh(f"""
+import bivqf.cli
+from bivqf import model
+cable = "9.0819,-0.4864,-0.9946,29.2295,-0.3406,-0.3531,0.9"
+for argv in (["reproduce", "--out", {str(tmp_path / "rep")!r}],
+             ["fit", "--data", "cable"], ["compare", "--data", "components"],
+             ["comoments", "--data", "components"],
+             ["comoments", "--data", "cable", "--params", cable],
+             ["gof", "--data", "cable"], ["gof", "--data", "components", "--mode", "per-point"]):
+    assert bivqf.cli.main(argv) == 0, argv
+for n in (16, 32, 64, 128, 256, 512):
+    for a, b in ((0.0, 0.0), (0.5, -0.3), (0.0, 999.0), (2.0, 2.0)):
+        model._gauss_jacobi(n, a, b)
+assert model._gauss_jacobi.cache_info().currsize > 24
+subpackages = {{m.split(".")[1] for m, mod in list(sys.modules.items())
+               if m.startswith("scipy.") and hasattr(mod, "__path__")}}
+assert subpackages <= {{"special", "_lib"}}, sorted(subpackages)
+""")
+    assert res.returncode == 0, res.stderr
+    assert "24/29 reference values reproduced" in res.stdout

@@ -13,7 +13,7 @@ from bivqf import model
 from bivqf.catalog import closed_marginal_cdf, generic_marginal_cdf, make_case
 from bivqf.comoment import population_lcomoments, sample_lcomoments
 from bivqf.data import BUILTIN_DATASETS
-from bivqf.errors import ConvergenceError, DivergentMomentError, DomainError
+from bivqf.errors import ConvergenceError, DivergentMomentError, DomainError, QuadratureError
 from bivqf.fit import MrqParams, _mrq_lcov_12, fit_bivariate, fit_marginal, fit_mrq, fit_theta
 from bivqf.model import (
     BivariateParams,
@@ -1148,6 +1148,76 @@ class TestShapeCaches:
             back = pickle.loads(pickle.dumps(m))
             assert back == m and "_plan" not in vars(back)
             assert f1(back, 0.7) == f1(bound, 0.7)
+
+
+def jacobi_exp_integral(a: float, b: float) -> float:
+    """int_-1^1 (1-x)^a (1+x)^b exp(x/2) dx in closed form, by mpmath:
+    2^(a+b+1) B(a+1, b+1) e^(-1/2) 1F1(b+1; a+b+2; 1)."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        return float(2 ** (a + b + 1) * mpmath.beta(a + 1, b + 1) * mpmath.exp(-0.5)
+                     * mpmath.hyp1f1(b + 1, a + b + 2, 1))
+
+
+def reachable_rules(seed: int, count: int):
+    """Seeded (n, a, b) of the kinds _fixed_rule and _u2_rule build: lifted
+    exponents in [-1/2, 6], the inner rule's (0, k-1) for k up to 1000, a
+    u1 = s^k exponent up to 300, and a + b next to the cap of 1000."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.choice([16, 32, 64, 128, 256, 512]))
+        a = 0.0 if i % 4 == 1 else float(rng.uniform(-0.5, 6.0))
+        b = float([rng.uniform(-0.5, 6.0), rng.uniform(0.0, 999.0),
+                   rng.uniform(6.0, 300.0), rng.uniform(990.0, 1000.0) - a][i % 4])
+        yield n, a, b
+
+
+class TestGaussJacobi:
+    """The Golub-Welsch builder against scipy's rules, kept as oracles, and mpmath."""
+
+    EPS = np.finfo(float).eps
+
+    def test_reachable_rules_agree_with_scipy_and_mpmath(self):
+        for n, a, b in reachable_rules(20, 60):
+            x, w = _gauss_jacobi(n, a, b)
+            rx, rw = roots_jacobi(n, a, b)
+            # a NaN node only where scipy has it too (n = 512, a < 0, a + b > 984)
+            np.testing.assert_allclose(x, rx, rtol=0.0, atol=4 * self.EPS, err_msg=str((n, a, b)))
+            if np.isnan(rx).any():
+                continue
+            ref = jacobi_exp_integral(a, b)
+            err, scipy_err = abs(w @ np.exp(x / 2) - ref), abs(rw @ np.exp(rx / 2) - ref)
+            assert err <= 2 * scipy_err + 4 * self.EPS * abs(ref), (n, a, b)
+
+    @pytest.mark.parametrize("n", [32, 64, 256, 512])
+    def test_legendre_route_is_scipys_bit_for_bit(self, n):
+        x, w = _gauss_jacobi(n, 0.0, 0.0)
+        rx, rw = roots_legendre(n)
+        assert x.tobytes() == rx.tobytes() and w.tobytes() == rw.tobytes()
+
+    @pytest.mark.parametrize("a", [-0.5, -0.25, 0.5, 2.5])
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_equal_exponents_against_mpmath(self, n, a):
+        # scipy takes a == b != 0 through Gegenbauer (Chebyshev at -1/2); the
+        # Jacobi route's end weights are off by up to 1e-8 relative at n = 512,
+        # and the sum by 1e-11 at a = -1/2
+        x, w = _gauss_jacobi(n, a, a)
+        assert np.max(np.abs(x - roots_jacobi(n, a, a)[0])) <= 4 * self.EPS
+        assert math.isclose(w @ np.exp(x / 2), jacobi_exp_integral(a, a), rel_tol=2e-11)
+
+    def test_overflowing_weights_fail_at_the_first_rule(self):
+        # E(X1 X2) runs on the weight u^(3(alpha1+1)-1) (1-u)^1 after u1 = s^3;
+        # the 2^(a+b+1) in its weights overflows the sum from alpha1 = 345.8 on
+        ok = BivariateParams(MarginalParams(1.0, 345.0, 0.0), UNIF, 1.0)
+        assert math.isfinite(product_moment(ok))
+        _gauss_jacobi.cache_clear()
+        with pytest.raises(QuadratureError,
+                           match=r"weights for u\^1039\.4 \(1-u\)\^1 overflow"):
+            product_moment(BivariateParams(MarginalParams(1.0, 345.8, 0.0), UNIF, 1.0))
+        assert _gauss_jacobi.cache_info().misses == 1
+        # the parent raised DomainError here, on the NaN nodes of the 512-node rule
+        with pytest.raises(QuadratureError, match=r"u\^1040 \(1-u\)\^1 overflow"):
+            population_lcomoments(BivariateParams(MarginalParams(1.0, 346.0, 0.0), UNIF, 1.0))
 
 
 # each exact row, its row, and the rows its neighbours an ulp or two away take
