@@ -140,9 +140,9 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """
     k, legendre = np.arange(n, dtype="d"), a == b == 0.0
     if legendre:
-        diag, off, mu0 = 0.0 * k, k[1:] * np.sqrt(1.0 / (4 * k[1:] * k[1:] - 1)), 2.0
+        diag, off, mu0 = np.zeros(n), k[1:] * np.sqrt(1.0 / (4 * k[1:] * k[1:] - 1)), 2.0
         p = eval_legendre
-        dp = lambda x: (-n * x * p(n, x) + n * p(n - 1, x)) / (1 - x ** 2)
+        dp = lambda x: (-n * x * p(n, x) + n * p(n - 1, x)) / (1 - x ** 2)  # noqa: E731
     else:
         s, j = 2.0 * k + a + b, k[1:]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -151,8 +151,8 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
                    * np.where(j == 1, 1.0, np.sqrt(j * (j + a + b) / (s[1:] - 1))))
             mu0 = (2.0 ** (a + b + 1) * beta_fn(a + 1, b + 1) if a + b <= 1000 else
                    np.exp((a + b + 1) * np.log(2.0) + betaln(a + 1, b + 1)))
-        p = lambda m, x: eval_jacobi(m, a, b, x)
-        dp = lambda x: 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x)
+        p = lambda m, x: eval_jacobi(m, a, b, x)  # noqa: E731
+        dp = lambda x: 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x)  # noqa: E731
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1), UPLO="U")
     dy = dp(x)
     x = x - p(n, x) / dy
