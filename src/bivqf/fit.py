@@ -260,9 +260,9 @@ def _mrq_lcov_12(p: MrqParams, cfg: NumericConfig) -> float:
     bounded polynomial (a1 + b1) - 2 b1 (1-u1).  Near u2 = 1 the gap
     u2 - v mixes the powers (1-u2)^r and (1-u2), r = (a2 + c) / aa with
     aa = a2 + c + (b2 + d) u1, so the inner rule (model._u2_rule)
-    substitutes 1 - u2 = s^k with one k = 3 max(1, 1/r), r at its
-    smallest over u1, and at most 1000.  v is solved on the whole grid at
-    once in y = -log(1-v), where Q21 is nearly linear.
+    substitutes 1 - u2 = s^k with one k = 3 max(1, 1/r), r at its smallest
+    over u1, at most 1000: 512-node rules lose accuracy past that.  v is
+    solved on the whole grid at once in y = -log(1-v), where Q21 is nearly linear.
     """
     a_marg = p.a2 + p.c
     k = min(3.0 * max(1.0, 1.0 + (p.b2 + p.d) / a_marg), 1000.0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import (beta as beta_fn, betainc, betaincinv, betaln, eval_jacobi,
+from scipy.special import (beta as beta_fn, betainc, betaincinv, eval_jacobi,
                            eval_legendre, expit, exprel, hyp2f1, logit)
 
 from .errors import ConvergenceError, DivergentMomentError, DomainError, QuadratureError
@@ -129,41 +129,47 @@ MAX_RULE_NODES = 512
 
 @functools.lru_cache(maxsize=256)
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for (1-x)^a (1+x)^b on [-1, 1], as scipy.special's.
+    """Nodes u and weights w for u^a (1-u)^b on [0, 1], summing to B(a+1, b+1).
 
-    Golub-Welsch in scipy's steps, but with the Jacobi matrix's eigenvalues
-    from numpy's eigvalsh, so no rule loads scipy.linalg.  Bit for bit on
-    nearly every rule, nodes within a few ulps elsewhere, and not scipy's
-    route where a == b != 0.  The weights sum to 2^(a+b+1) B(a+1, b+1).  (n, 0, 0)
-    is Gauss-Legendre on its own recurrence, symmetrised.  Each rule is built
-    on first use, kept and returned read-only: the fits ask for the same few
-    many times.
+    Golub-Welsch in scipy.special's steps on [-1, 1] (its exponents (b, a),
+    u = (1 + x)/2), with the eigenvalues from numpy's eigvalsh, so no rule
+    loads scipy.linalg: the nodes are scipy's on nearly every rule, within a
+    few ulps elsewhere, and not its route where a == b != 0.  Where P_n
+    overflows (512 nodes, an exponent past about 1000) a node keeps its
+    eigenvalue, with weight 0 if P_(n-1) or P_n' is not finite.  (n, 0, 0)
+    is Gauss-Legendre on its own recurrence, symmetrised.  Each rule is
+    built on first use, kept and returned read-only: the fits ask for the
+    same few many times.
     """
+    a, b = b, a
     k, legendre = np.arange(n, dtype="d"), a == b == 0.0
     if legendre:
-        diag, off, mu0 = np.zeros(n), k[1:] * np.sqrt(1.0 / (4 * k[1:] * k[1:] - 1)), 2.0
+        diag, off, mu0 = np.zeros(n), k[1:] * np.sqrt(1.0 / (4 * k[1:] * k[1:] - 1)), 1.0
         p = eval_legendre
         dp = lambda x: (-n * x * p(n, x) + n * p(n - 1, x)) / (1 - x ** 2)  # noqa: E731
     else:
         s, j = 2.0 * k + a + b, k[1:]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             diag = np.where(k == 0, (b - a) / (2 + a + b), (b * b - a * a) / (s * (s + 2)))
             off = (2.0 / s[1:] * np.sqrt((j + a) * (j + b) / (s[1:] + 1))
                    * np.where(j == 1, 1.0, np.sqrt(j * (j + a + b) / (s[1:] - 1))))
-            mu0 = (2.0 ** (a + b + 1) * beta_fn(a + 1, b + 1) if a + b <= 1000 else
-                   np.exp((a + b + 1) * np.log(2.0) + betaln(a + 1, b + 1)))
+        mu0 = beta_fn(a + 1, b + 1)
         p = lambda m, x: eval_jacobi(m, a, b, x)  # noqa: E731
         dp = lambda x: 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x)  # noqa: E731
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1), UPLO="U")
-    dy = dp(x)
-    x = x - p(n, x) / dy
-    fm = p(n - 1, x)
-    for v in (fm, dy):  # log-normalised, as their product may overflow
-        v /= np.exp((np.log(np.abs(v)).max() + np.log(np.abs(v)).min()) / 2.0)
-    w = 1.0 / (fm * dy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dy = dp(x)
+        step = p(n, x) / dy
+        x = np.where(np.isfinite(step), x - step, x)
+        fm = p(n - 1, x)
+        ok = np.isfinite(fm) & np.isfinite(dy)
+        for v in (fm, dy):  # log-normalised, as their product may overflow
+            v /= np.exp((np.log(np.abs(v[ok])).max() + np.log(np.abs(v[ok])).min()) / 2.0)
+        w = np.where(ok, 1.0 / (fm * dy), 0.0)
     if legendre:
         w, x = (w + w[::-1]) / 2, (x - x[::-1]) / 2
     w *= mu0 / w.sum()
+    x = 0.5 * (x + 1.0)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -176,8 +182,7 @@ def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: floa
     that share the nodes are contracted together; an inner rule inside
     `f` may size itself from the node count.  The count doubles until the
     n- and 2n-node results agree to the quadrature tolerances in every
-    component; the 2n-node result is returned.  A finite f whose sum on the
-    first rule is not (the weights carry 2^(a+b+1)) raises QuadratureError.
+    component; the 2n-node result is returned.
 
     An exponent below -1/2 is raised by one, as the nodes turn NaN within
     about 1e-14 of -1: f is also evaluated at that end (in the same call
@@ -192,18 +197,13 @@ def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: floa
                      + [complete_beta(a_exp + 2.0, b_exp + 1.0)] * lift_b)
     prev, n = None, 16
     while n <= MAX_RULE_NODES:
-        x, w = _gauss_jacobi(n, b_exp + lift_b, a_exp + lift_a)
-        u = 0.5 * (x + 1.0)
+        u, w = _gauss_jacobi(n, a_exp + lift_a, b_exp + lift_b)
         vals = f(np.concatenate([u, ends]))
         fe = vals[..., n:]
         line = ((fe[..., :1] * (1.0 - u) if lift_a else 0.0)
                 + (fe[..., -1:] * u if lift_b else 0.0))
         rest = (vals[..., :n] - line) / (u ** lift_a * (1.0 - u) ** lift_b)
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = fe @ end_w + rest @ w * 0.5 ** (a_exp + b_exp + lift_a + lift_b + 1.0)
-        if prev is None and not np.isfinite(val).all() and np.isfinite(vals).all():
-            raise QuadratureError(f"the weighted sum overflowed for u^{a_exp:.6g} "
-                                  f"(1-u)^{b_exp:.6g}")
+        val = fe @ end_w + rest @ w
         if prev is not None:
             err = np.abs(val - prev)
             if np.all(err <= np.maximum(cfg.quad_abs_tol, cfg.quad_rel_tol * np.abs(val))):
@@ -240,11 +240,11 @@ def _u2_rule(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:
     The inner rule of the (1,2) integrals, sized by the caller from the
     outer node count: n Gauss-Jacobi nodes for the weight s^(k-1), with
     the Jacobian k s^(k-1) folded into w, so sum(w f(1 - s^k)) is the
-    integral of f.  _gauss_jacobi scales its weights by 2^k, which
-    overflows past k = 1024, hence the cap.
+    integral of f.  The 512-node rules lose accuracy past an exponent of
+    about 1000, hence the cap.
     """
-    x, w = _gauss_jacobi(n, 0.0, k - 1.0)
-    return 0.5 * (x + 1.0), k * 0.5 ** k * w
+    s, w = _gauss_jacobi(n, k - 1.0, 0.0)
+    return s, k * w
 
 
 def _pick(cond, a, b):

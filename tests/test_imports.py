@@ -138,7 +138,7 @@ for argv in (["reproduce", "--out", {str(tmp_path / "rep")!r}],
              ["gof", "--data", "cable"], ["gof", "--data", "components", "--mode", "per-point"]):
     assert bivqf.cli.main(argv) == 0, argv
 for n in (16, 32, 64, 128, 256, 512):
-    for a, b in ((0.0, 0.0), (0.5, -0.3), (0.0, 999.0), (2.0, 2.0)):
+    for a, b in ((0.0, 0.0), (0.5, -0.3), (999.0, 0.0), (2.0, 2.0)):
         model._gauss_jacobi(n, a, b)
 assert model._gauss_jacobi.cache_info().currsize > 24
 subpackages = {{m.split(".")[1] for m, mod in list(sys.modules.items())

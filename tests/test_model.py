@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 from scipy.optimize import brentq
-from scipy.special import betainc, betaincinv, expit, roots_jacobi, roots_legendre
+from scipy.special import (beta as beta_fn, betainc, betaincinv, expit, roots_jacobi,
+                           roots_legendre)
 
 from bivqf import model
 from bivqf.catalog import closed_marginal_cdf, generic_marginal_cdf, make_case
 from bivqf.comoment import population_lcomoments, sample_lcomoments
 from bivqf.data import BUILTIN_DATASETS
-from bivqf.errors import ConvergenceError, DivergentMomentError, DomainError, QuadratureError
+from bivqf.errors import ConvergenceError, DivergentMomentError, DomainError
 from bivqf.fit import MrqParams, _mrq_lcov_12, fit_bivariate, fit_marginal, fit_mrq, fit_theta
 from bivqf.model import (
     BivariateParams,
@@ -1062,18 +1063,22 @@ BRANCH_SHAPES += tuple(off_row(a, b) for a, b in BRANCH_SHAPES if on_row(a, b))
 class TestShapeCaches:
     """Gauss rules and corner plans are built once per shape and kept."""
 
-    # _gauss_jacobi takes its eigenvalues from numpy's LAPACK and scipy from
-    # its own, so this equality holds for the installed numpy and scipy
-    # builds, not by construction
+    # (n, a, b) in scipy's order, (1-x)^a (1+x)^b on [-1, 1]: the rule is
+    # scipy's for u^b (1-u)^a after u = (1+x)/2, its weights times
+    # 0.5^(a+b+1).  _gauss_jacobi takes its eigenvalues from numpy's LAPACK
+    # and scipy from its own, so the node equality holds for the installed
+    # numpy and scipy builds, not by construction; the weights are
+    # normalised to B(a+1, b+1) in place of 2^(a+b+1) B(a+1, b+1), so they
+    # are held to 2 ulps
     @pytest.mark.parametrize("n, a, b", [
         (16, 0.0, 0.0), (128, 0.0, 0.0), (32, 0.5, -0.3), (16, 0.0, 5.0),
         # exponents below -1/2 that _fixed_rule raises by one
         (16, -0.9 + 1.0, 0.2), (64, 1.0, -1.0 + 2.0 ** -52 + 1.0), (32, -0.75 + 1.0, -0.6 + 1.0)])
     def test_rule_is_scipys_bit_for_bit(self, n, a, b):
-        x, w = _gauss_jacobi(n, a, b)
+        u, w = _gauss_jacobi(n, b, a)
         rx, rw = roots_legendre(n) if a == b == 0.0 else roots_jacobi(n, a, b)
-        assert x.tobytes() == rx.tobytes()
-        assert w.tobytes() == rw.tobytes()
+        assert u.tobytes() == (0.5 * (rx + 1.0)).tobytes()
+        np.testing.assert_array_max_ulp(w, rw * 0.5 ** (a + b + 1.0), maxulp=2)
 
     def test_kept_arrays_are_read_only(self):
         x, w = _gauss_jacobi(16, 0.5, 0.5)
@@ -1154,25 +1159,29 @@ class TestShapeCaches:
 
 
 def jacobi_exp_integral(a: float, b: float) -> float:
-    """int_-1^1 (1-x)^a (1+x)^b exp(x/2) dx in closed form, by mpmath:
-    2^(a+b+1) B(a+1, b+1) e^(-1/2) 1F1(b+1; a+b+2; 1)."""
+    """int_0^1 u^a (1-u)^b exp(u) du in closed form, by mpmath:
+    B(a+1, b+1) 1F1(a+1; a+b+2; 1)."""
     with mpmath.workdps(40):
         a, b = mpmath.mpf(a), mpmath.mpf(b)
-        return float(2 ** (a + b + 1) * mpmath.beta(a + 1, b + 1) * mpmath.exp(-0.5)
-                     * mpmath.hyp1f1(b + 1, a + b + 2, 1))
+        return float(mpmath.beta(a + 1, b + 1) * mpmath.hyp1f1(a + 1, a + b + 2, 1))
 
 
 def reachable_rules(seed: int, count: int):
-    """Seeded (n, a, b) of the kinds _fixed_rule and _u2_rule build: lifted
-    exponents in [-1/2, 6], the inner rule's (0, k-1) for k up to 1000, a
-    u1 = s^k exponent up to 300, and a + b next to the cap of 1000."""
+    """Seeded (n, a, b) for u^a (1-u)^b of the kinds _fixed_rule and _u2_rule
+    build: lifted exponents in [-1/2, 6], the inner rule's (k-1, 0) for k up
+    to 1000, a u1 = s^k exponent up to 300, and a + b next to the cap of
+    1000; then count/4 u1 exponents from 1000 to 16000 (alpha1 up to about
+    5000) at n <= 256."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         n = int(rng.choice([16, 32, 64, 128, 256, 512]))
-        a = 0.0 if i % 4 == 1 else float(rng.uniform(-0.5, 6.0))
-        b = float([rng.uniform(-0.5, 6.0), rng.uniform(0.0, 999.0),
-                   rng.uniform(6.0, 300.0), rng.uniform(990.0, 1000.0) - a][i % 4])
+        b = 0.0 if i % 4 == 1 else float(rng.uniform(-0.5, 6.0))
+        a = float([rng.uniform(-0.5, 6.0), rng.uniform(0.0, 999.0),
+                   rng.uniform(6.0, 300.0), rng.uniform(990.0, 1000.0) - b][i % 4])
         yield n, a, b
+    for _ in range(count // 4):
+        n = int(rng.choice([16, 32, 64, 128, 256]))
+        yield n, float(rng.uniform(1000.0, 16000.0)), float(rng.uniform(-0.5, 6.0))
 
 
 class TestGaussJacobi:
@@ -1181,19 +1190,33 @@ class TestGaussJacobi:
     EPS = np.finfo(float).eps
 
     def agrees(self, n, a, b, rx, rw):
-        """Nodes to 4 eps of scipy's; the sum of exp(x/2) as close to mpmath."""
-        x, w = _gauss_jacobi(n, a, b)
-        # a NaN node only where scipy has it too (n = 512, a < 0, a + b > 984)
-        np.testing.assert_allclose(x, rx, rtol=0.0, atol=4 * self.EPS, err_msg=str((n, a, b)))
-        if np.isnan(rx).any():
-            return
+        """The rule for u^a (1-u)^b against scipy's (rx, rw) on [-1, 1]:
+        finite, its nodes to 4 eps of scipy's mapped by u = (1+x)/2, and the
+        sum of exp(u) as close to mpmath as scipy's weights times
+        0.5^(a+b+1) get.  Where that scipy sum is not finite (its weights
+        overflow, or a NaN node at n = 512 once a + b passes about 984) the
+        error of scipy's B(a+1, b+1), to which the weights are scaled,
+        stands in for it."""
+        u, w = _gauss_jacobi(n, a, b)
+        assert np.isfinite(u).all() and np.isfinite(w).all(), (n, a, b)
+        ru = 0.5 * (rx + 1.0)
+        kept = np.isfinite(ru)
+        np.testing.assert_allclose(u[kept], ru[kept], rtol=0.0, atol=4 * self.EPS,
+                                   err_msg=str((n, a, b)))
         ref = jacobi_exp_integral(a, b)
-        err, scipy_err = abs(w @ np.exp(x / 2) - ref), abs(rw @ np.exp(rx / 2) - ref)
+        scipy_err = abs(rw * 0.5 ** (a + b + 1.0) @ np.exp(ru) - ref)
+        if not math.isfinite(scipy_err):
+            with mpmath.workdps(40):
+                beta_ref = mpmath.beta(mpmath.mpf(a) + 1, mpmath.mpf(b) + 1)
+                scipy_err = abs(float(beta_fn(a + 1.0, b + 1.0) / beta_ref - 1)) * abs(ref)
+        err = abs(w @ np.exp(u) - ref)
         assert err <= 2 * scipy_err + 4 * self.EPS * abs(ref), (n, a, b)
 
     def test_reachable_rules_agree_with_scipy_and_mpmath(self):
         for n, a, b in reachable_rules(20, 60):
-            self.agrees(n, a, b, *roots_jacobi(n, a, b))
+            # scipy's weights overflow past an exponent of about 1000
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.agrees(n, a, b, *roots_jacobi(n, b, a))
 
     @pytest.mark.parametrize("n", [32, 64, 256, 512])
     def test_legendre_route_agrees_with_scipy_and_mpmath(self, n):
@@ -1205,23 +1228,37 @@ class TestGaussJacobi:
         # scipy takes a == b != 0 through Gegenbauer (Chebyshev at -1/2); the
         # Jacobi route's end weights are off by up to 1e-8 relative at n = 512,
         # and the sum by 1e-11 at a = -1/2
-        x, w = _gauss_jacobi(n, a, a)
-        assert np.max(np.abs(x - roots_jacobi(n, a, a)[0])) <= 4 * self.EPS
-        assert math.isclose(w @ np.exp(x / 2), jacobi_exp_integral(a, a), rel_tol=2e-11)
+        u, w = _gauss_jacobi(n, a, a)
+        assert np.max(np.abs(u - 0.5 * (roots_jacobi(n, a, a)[0] + 1.0))) <= 4 * self.EPS
+        assert math.isclose(w @ np.exp(u), jacobi_exp_integral(a, a), rel_tol=2e-11)
 
-    def test_overflowing_weights_fail_at_the_first_rule(self):
-        # E(X1 X2) runs on the weight u^(3(alpha1+1)-1) (1-u)^1 after u1 = s^3;
-        # the 2^(a+b+1) in its weights overflows the sum from alpha1 = 345.8 on
-        ok = BivariateParams(MarginalParams(1.0, 345.0, 0.0), UNIF, 1.0)
-        assert math.isfinite(product_moment(ok))
-        _gauss_jacobi.cache_clear()
-        with pytest.raises(QuadratureError,
-                           match=r"sum overflowed for u\^1039\.4 \(1-u\)\^1$"):
-            product_moment(BivariateParams(MarginalParams(1.0, 345.8, 0.0), UNIF, 1.0))
-        assert _gauss_jacobi.cache_info().misses == 1
-        # the parent raised DomainError here, on the NaN nodes of the 512-node rule
-        with pytest.raises(QuadratureError, match=r"sum overflowed for u\^1040 \(1-u\)\^1$"):
-            population_lcomoments(BivariateParams(MarginalParams(1.0, 346.0, 0.0), UNIF, 1.0))
+    def test_large_u_exponents_have_no_limit(self):
+        # E(X1 X2) runs on the weight u^(3(alpha1+1)-1) (1-u)^1 after u1 = s^3,
+        # whose sum would overflow from alpha1 = 345.8 on if the weights were
+        # scaled by 2^(a+b+1).  With X2 uniform, u21 = u2/(1 + theta u1)
+        tol = NumericConfig().quad_rel_tol
+        with mpmath.workdps(20):
+            for alpha1 in (345.8, 400.0, 1000.0, 5000.0):
+                a = mpmath.mpf(alpha1)
+                ref = mpmath.quad(lambda u1, u2: (1 - u1) * u1 ** a * (1 - u2 / (1 + u1)),
+                                  [0, 1 - 20 / a, 1], [0, 1])
+                got = product_moment(BivariateParams(MarginalParams(1.0, alpha1, 0.0), UNIF, 1.0))
+                assert math.isclose(got, ref, rel_tol=tol), alpha1
+            for alpha1 in (346.0, 400.0):
+                a = mpmath.mpf(alpha1)
+                # L2(1,2) = 2 int int u1^alpha1 (1-u1) (u2 - u21) du1 du2
+                ref = mpmath.quad(lambda u1, u2: 2 * u1 ** a * (1 - u1) * u2 * u1 / (1 + u1),
+                                  [0, 1 - 20 / a, 1], [0, 1])
+                got = population_lcomoments(
+                    BivariateParams(MarginalParams(1.0, alpha1, 0.0), UNIF, 1.0))
+                assert all(math.isfinite(v) for v in dataclasses.astuple(got)), alpha1
+                assert math.isclose(got.l2_12, ref, rel_tol=tol), alpha1
+
+    def test_rule_past_an_overflowing_p_n_is_finite(self):
+        # eval_jacobi(512, ...) overflows at the first eigenvalue; the node
+        # keeps its eigenvalue and any weight without finite P_(n-1), P_n' is 0
+        u, w = _gauss_jacobi(512, 993.2, -0.323)
+        assert np.isfinite(u).all() and np.isfinite(w).all()
 
 
 # each exact row, its row, and the rows its neighbours an ulp or two away take
