@@ -78,7 +78,11 @@ def _numeric_config(args) -> NumericConfig:
         kw["quad_abs_tol"] = args.quad_tol * 1e-2
     if args.root_tol is not None:
         kw["root_tol"] = args.root_tol
-    return NumericConfig(**kw)
+    try:
+        return NumericConfig(**kw)
+    except DomainError:  # all that is left to fail: quad_abs_tol = quad_tol * 1e-2 underflows
+        raise _UsageError(f"--quad-tol {args.quad_tol} is too small: its hundredth, the "
+                          "absolute tolerance, underflows to 0") from None
 
 
 def _digest(s: PairedSample) -> str:
@@ -234,14 +238,13 @@ def _cmd_comoments(args, s: PairedSample, cfg: NumericConfig):
 
 def _cmd_sample(args) -> int:
     cfg = _numeric_config(args)
-    if args.seed < 0:
-        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
-    if args.n < 1:
-        raise _UsageError(f"--n must be at least 1, got {args.n}")
+    try:
+        spec = SamplerSpec(seed=args.seed, n=args.n, method=args.method)
+    except DomainError as e:  # its messages start with the field, seed or n
+        raise _UsageError(f"--{e}") from None
     bp = _model(args)
     if bp is None:
         raise _UsageError("specify a model with --catalog/--param or --params")
-    spec = SamplerSpec(seed=args.seed, n=args.n, method=args.method)
     csv_text = draw(bp, spec, cfg).to_csv()
     if args.out:
         _write(args.out if args.out.endswith(".csv") else f"{args.out}.csv", csv_text)

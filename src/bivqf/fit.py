@@ -30,6 +30,7 @@ from .comoment import sample_lcomoments
 from .data import PairedSample
 from .errors import (
     BracketError,
+    ConvergenceError,
     DomainError,
     InfeasibleRegionError,
     InsufficientDataError,
@@ -43,7 +44,6 @@ from .model import (
     NumericConfig,
     _fixed_rule,
     _newton_bisect,
-    _secant,
     _u2_rule,
     product_moment,
 )
@@ -51,9 +51,6 @@ from .specfun import complete_beta
 
 __all__ = ["FitResult", "MrqParams", "fit_marginal", "fit_theta",
            "fit_bivariate", "mrq_quantile", "fit_mrq", "MrqFitResult"]
-
-_THETA_CAP = 1e6
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -97,6 +94,35 @@ def _fit_lmoments(lm: LMomentVector) -> MarginalParams:
     return MarginalParams(c, alpha, beta)
 
 
+def _increasing_root(f, lo: float, f_lo: float, hi: float, cap: float,
+                     cfg: NumericConfig) -> tuple[float, float]:
+    """Root of an increasing scalar f above lo, given f(lo) = f_lo <= 0, and the last hi.
+
+    hi doubles, lo following it, until f(hi) >= 0 (BracketError once hi
+    passes cap); then model._newton_bisect from the regula falsi point, on
+    the secant slope through the previous evaluation.  A NaN value raises
+    ConvergenceError, as its sign tests would all be false.
+    """
+    last = [lo, f_lo]
+
+    def h(x):
+        fx = float(f(float(x)))
+        if math.isnan(fx):
+            raise ConvergenceError(f"root search met a NaN function value at {x}")
+        slope = np.divide(fx - last[1], x - last[0])
+        last[:] = x, fx
+        return fx, slope
+
+    f_hi = h(hi)[0]
+    while f_hi < 0.0:
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+        if hi > cap:
+            raise BracketError(
+                f"root search found no sign change up to {cap:.6g} ({f_lo:.6g} at {lo:.6g})")
+        f_hi = h(hi)[0]
+    return float(_newton_bisect(h, lo, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo), cfg)), hi
+
+
 def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
               cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG,
               ) -> tuple[float, tuple[float, float], list[str]]:
@@ -118,19 +144,8 @@ def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
             f"independence value {e0:.6g}; theta set to 0")
         return 0.0, (0.0, 0.0), warnings
 
-    # the last two ends of the doubling loop bracket the root; the reported
-    # bracket stays (0, hi)
-    lo, f_lo = 0.0, e0 - target
-    hi, f_hi = 1.0, pm(1.0) - target
-    while f_hi < 0.0:
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-        if hi > _THETA_CAP:
-            raise BracketError(
-                f"product moment never reaches {target:.6g} for theta up to "
-                f"{_THETA_CAP:.0e}")
-        f_hi = pm(hi) - target
-    h = _secant(lambda th: pm(th) - target, hi, f_hi)
-    theta = float(_newton_bisect(h, lo, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo), cfg))
+    # theta past 1e6 is beyond what the u1 rule resolves
+    theta, hi = _increasing_root(lambda th: pm(th) - target, 0.0, e0 - target, 1.0, 1e6, cfg)
     return theta, (0.0, hi), warnings
 
 
@@ -290,8 +305,11 @@ def fit_mrq(s: PairedSample,
     L-covariance of X1 toward X2 by monotone root-finding.  a2 + c =
     6 l2 - 2 l1 of x2 must be positive (its L-CV above 1/3): otherwise
     Q21(. | 0) turns down toward v = 1 and is no quantile function, so
-    InfeasibleRegionError is raised before the search for d.  The other
-    constraint violations are reported as warnings, not errors.
+    InfeasibleRegionError is raised before the search for d.  The search
+    can end at the jump where a2 + c + b2 + d reaches 0, which is no root:
+    a d whose L-covariance misses the sample value by more than
+    max(quad_rel_tol, root_tol) max(1, |sample value|) raises it too.
+    Other constraint violations are reported as warnings, not errors.
     """
     if s.n < 4:
         raise InsufficientDataError(f"need at least 4 pairs, got {s.n}")
@@ -320,26 +338,25 @@ def fit_mrq(s: PairedSample,
         trial = MrqParams(a1, b1, a2, b2, c, d)
         return _mrq_lcov_12(trial, cfg) - target_l12
 
-    # L2(1,2) is decreasing in d; expand a bracket around 0, one end at a time
-    ends = []
-    for x, sign, side in ((-1.0, 1.0, "below"), (1.0, -1.0, "above")):
-        for _ in range(41):
-            r = resid(x)
-            if sign * r >= 0.0:
-                break
-            x *= 2.0
-        else:
-            raise BracketError(f"could not bracket d from {side}")
-        ends.append((x, r))
-    (lo, r_lo), (hi, r_hi) = ends
-    h = _secant(lambda d: -resid(d), hi, -r_hi)
-    d = float(_newton_bisect(h, lo, hi, lo + r_lo * (hi - lo) / (r_lo - r_hi), cfg))
+    # L2(1,2) is decreasing in d: find a d at or below the root, then search up from 1
+    lo = -1.0
+    while (r_lo := resid(lo)) < 0.0:
+        lo *= 2.0
+        if lo < -2.0 ** 40:
+            raise BracketError("could not bracket d from below")
+    d, _ = _increasing_root(lambda d: -resid(d), lo, -r_lo, 1.0, 2.0 ** 40, cfg)
 
     params = MrqParams(a1, b1, a2, b2, c, d)
+    reached = _mrq_lcov_12(params, cfg)
+    tol = max(cfg.quad_rel_tol, cfg.root_tol) * max(1.0, abs(target_l12))
+    if not abs(reached - target_l12) <= tol:  # a NaN fails too
+        raise InfeasibleRegionError(
+            f"no competitor matches the sample L-covariance {target_l12:.6g}: the search "
+            f"ended at d = {d:.6g}, where its L-covariance is {reached:.6g}")
     warnings = tuple(params.constraint_violations())
     residuals = {
         "product_moment": a1 * a2 + lm1.l2 * b2 - target_pm,
-        "lcov_12": _mrq_lcov_12(params, cfg) - target_l12,
+        "lcov_12": reached - target_l12,
         "lcov_21_consistency": b2 / 3.0 - lcov.l2_21,
     }
     return MrqFitResult(params, residuals, warnings)

@@ -289,28 +289,6 @@ def _newton_bisect(h: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
         f"safeguarded Newton did not converge within {cfg.root_max_iter} steps")
 
 
-def _secant(f: Callable[[float], float], x0: float, f0: float
-            ) -> Callable[[float], tuple[float, float]]:
-    """A scalar f with no slope as an h for _newton_bisect.
-
-    h(x) returns f(x) and the secant slope through the previous
-    evaluation, the first time through (x0, f0), a point the caller has
-    already evaluated.  A NaN value raises ConvergenceError: its sign
-    tests would all be false, and the bracket would stop shrinking.
-    """
-    last = [x0, f0]
-
-    def h(x):
-        fx = float(f(float(x)))
-        if math.isnan(fx):
-            raise ConvergenceError(f"root search met a NaN function value at {x}")
-        slope = np.divide(fx - last[1], x - last[0])
-        last[:] = x, fx
-        return fx, slope
-
-    return h
-
-
 # ---------------------------------------------------------------------------
 # quantile density / quantile function / inversion
 #

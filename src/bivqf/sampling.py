@@ -45,6 +45,8 @@ class SamplerSpec:
     method: str = "transform"
 
     def __post_init__(self) -> None:
+        if not 0 <= self.seed < 2 ** 128:  # Philox's key range
+            raise DomainError(f"seed must lie in [0, 2**128), got {self.seed}")
         if self.n < 1:
             raise DomainError(f"n must be at least 1, got {self.n}")
         if self.method not in ("transform", "exact"):

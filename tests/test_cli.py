@@ -180,10 +180,15 @@ class TestUsageErrors:
         res = run(["catalog", "power", "--param", "a1=2"], capsys)
         assert_one_line_usage_error(*res, "'power' needs b1, a2, b2")
 
-    def test_negative_seed(self, capsys):
-        res = run(["sample", "--params", "1,0,0,1,0,0,0.5", "--n", "3",
-                   "--seed", "-1"], capsys)
-        assert_one_line_usage_error(*res, "--seed")
+    def test_negative_seed(self, capsys, monkeypatch):
+        import bivqf.cli as cli
+
+        monkeypatch.setattr(cli, "draw", no_work)
+        # Philox takes keys in [0, 2**128)
+        for seed in ("-1", str(2 ** 128)):
+            res = run(["sample", "--params", "1,0,0,1,0,0,0.5", "--n", "3",
+                       "--seed", seed], capsys)
+            assert_one_line_usage_error(*res, "--seed", seed)
 
     def test_zero_sample_size(self, capsys, monkeypatch):
         import bivqf.cli as cli
@@ -204,8 +209,10 @@ class TestUsageErrors:
         import bivqf.cli as cli
 
         monkeypatch.setattr(cli, "fit_bivariate", no_work)
-        res = run(["fit", "--data", "cable", "--quad-tol", "-1"], capsys)
-        assert_one_line_usage_error(*res, "--quad-tol", "-1")
+        # 1e-322 is positive, but its hundredth, the absolute tolerance, is 0
+        for tol in ("-1", "1e-322"):
+            res = run(["fit", "--data", "cable", "--quad-tol", tol], capsys)
+            assert_one_line_usage_error(*res, "--quad-tol", tol)
 
     def test_sample_without_model(self, capsys, monkeypatch):
         import bivqf.cli as cli

@@ -6,8 +6,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from bivqf.comoment import sample_lcomoments
 from bivqf.data import BUILTIN_DATASETS, PairedSample
-from bivqf.errors import BracketError, DomainError, InfeasibleRegionError, QuadratureError
+from bivqf.errors import (BivqfError, BracketError, DomainError, InfeasibleRegionError,
+                          QuadratureError)
 from bivqf.fit import (
     MrqParams,
     _mrq_lcov_12,
@@ -315,6 +317,29 @@ class TestMrq:
         # cable: the L-CV of x2 is 0.286 < 1/3, so a2 + c = 6 l2 - 2 l1 < 0
         with pytest.raises(InfeasibleRegionError, match=r"a2 \+ c"):
             fit_mrq(CABLE)
+
+    @pytest.mark.parametrize("bp,n,non_roots", [
+        pytest.param(BivariateParams(MarginalParams(9.0819, -0.4864, -0.9946),
+                                     MarginalParams(29.2295, -0.3406, -0.3531), 0.6821),
+                     9, {7, 9, 10, 15, 18}, id="cable"),
+        pytest.param(BivariateParams(MarginalParams(13.0499, 0.8856, -0.1844),
+                                     MarginalParams(5.9257, 0.3555, -0.6695), 0.5492),
+                     20, {13}, id="components")])
+    def test_fit_returns_only_roots(self, bp, n, non_roots):
+        # on the seeds in non_roots the search for d ends at the jump where
+        # a2 + c + b2 + d reaches 0, 0.06 to 0.24 off the sample L-covariance
+        cfg = NumericConfig()
+        for seed in range(20):
+            s = draw(bp, SamplerSpec(seed, n, "exact"))
+            try:
+                p = fit_mrq(s, cfg).params
+            except BivqfError as e:
+                assert seed not in non_roots or (
+                    isinstance(e, InfeasibleRegionError) and "sample L-covariance" in str(e))
+                continue
+            assert seed not in non_roots
+            target = sample_lcomoments(s).l2_12
+            assert abs(_mrq_lcov_12(p, cfg) - target) <= cfg.quad_rel_tol * max(1.0, abs(target))
 
     def test_fit_recovers_independent_exponentials(self):
         rng = np.random.Generator(np.random.Philox(key=99))

@@ -14,8 +14,9 @@ from bivqf import model
 from bivqf.catalog import closed_marginal_cdf, generic_marginal_cdf, make_case
 from bivqf.comoment import population_lcomoments, sample_lcomoments
 from bivqf.data import BUILTIN_DATASETS
-from bivqf.errors import ConvergenceError, DivergentMomentError, DomainError
-from bivqf.fit import MrqParams, _mrq_lcov_12, fit_bivariate, fit_marginal, fit_mrq, fit_theta
+from bivqf.errors import BracketError, ConvergenceError, DivergentMomentError, DomainError
+from bivqf.fit import (MrqParams, _increasing_root, _mrq_lcov_12, fit_bivariate, fit_marginal,
+                        fit_mrq, fit_theta)
 from bivqf.model import (
     BivariateParams,
     MarginalParams,
@@ -23,7 +24,6 @@ from bivqf.model import (
     _gauss_jacobi,
     _newton_bisect,
     _pick,
-    _secant,
     _shape_plan,
     big_q1,
     f1,
@@ -953,8 +953,8 @@ class TestParamValidation:
 
 
 class TestRootSearch:
-    """fit_theta and fit_mrq solve by _newton_bisect on secant slopes; their
-    roots agree with scipy's brentq on the same residual."""
+    """fit_theta and fit_mrq solve by fit._increasing_root, _newton_bisect on
+    secant slopes; their roots agree with scipy's brentq on the same residual."""
 
     @staticmethod
     def close_to_brentq(x, f, lo, hi, cfg=NumericConfig()):
@@ -989,9 +989,22 @@ class TestRootSearch:
             fit_theta(s, fit_marginal(s.x1), fit_marginal(s.x2), NumericConfig(root_max_iter=3))
 
     def test_nan_value(self):
-        h = _secant(lambda x: math.nan if x > 0.5 else -1.0, 0.0, -1.0)
-        with pytest.raises(ConvergenceError):
-            _newton_bisect(h, 0.0, 1.0, 0.75, NumericConfig())
+        # met while doubling, and inside the bracket
+        for f in (lambda x: math.nan if x > 0.5 else -1.0,
+                  lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5):
+            with pytest.raises(ConvergenceError, match="NaN"):
+                _increasing_root(f, 0.0, f(0.0), 1.0, 2.0 ** 40, NumericConfig())
+
+    def test_cap_bounds_the_doubling(self):
+        calls = []
+
+        def below(x):
+            calls.append(x)
+            return -1.0
+
+        with pytest.raises(BracketError):
+            _increasing_root(below, -1.0, -1.0, 1.0, 2.0 ** 40, NumericConfig())
+        assert calls == [2.0 ** k for k in range(41)]
 
     @pytest.mark.parametrize("name", ["cable", "components"])
     def test_fit_theta_same_with_the_blend(self, name, monkeypatch):

@@ -41,6 +41,10 @@ class TestDeterminism:
             SamplerSpec(seed=1, n=0)
         with pytest.raises(DomainError):
             SamplerSpec(seed=1, n=10, method="fancy")
+        for seed in (-1, 2 ** 128):
+            with pytest.raises(DomainError, match="seed"):
+                SamplerSpec(seed=seed, n=10)
+        SamplerSpec(seed=2 ** 128 - 1, n=10)
 
 
 class TestMarginals:
