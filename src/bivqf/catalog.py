@@ -172,8 +172,6 @@ def make_case(name: str, **natural: float) -> CatalogEntry:
         raise DomainError(f"catalog case {name!r} has no parameter {', '.join(unknown)}; "
                           f"it takes {', '.join(names)}")
     th = float(natural.get("theta", 0.0))
-    if not (math.isfinite(th) and th >= 0.0):
-        raise DomainError(f"theta must be >= 0, got {th}")
     given = {**natural, **{f"{s}{i}": v for s, v in case.fixed.items() for i in (1, 2)}}
     missing = [k for k in case.keys if k not in given]
     if missing:

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -69,20 +69,15 @@ def _add_model(p: argparse.ArgumentParser) -> None:
 
 
 def _numeric_config(args) -> NumericConfig:
-    for flag, val in (("--quad-tol", args.quad_tol), ("--root-tol", args.root_tol)):
-        if val is not None and not val > 0.0:
-            raise _UsageError(f"{flag} must be positive, got {val}")
-    kw = {}
-    if args.quad_tol is not None:
-        kw["quad_rel_tol"] = args.quad_tol
-        kw["quad_abs_tol"] = args.quad_tol * 1e-2
-    if args.root_tol is not None:
-        kw["root_tol"] = args.root_tol
-    try:
-        return NumericConfig(**kw)
-    except DomainError:  # all that is left to fail: quad_abs_tol = quad_tol * 1e-2 underflows
-        raise _UsageError(f"--quad-tol {args.quad_tol} is too small: its hundredth, the "
-                          "absolute tolerance, underflows to 0") from None
+    cfg = NumericConfig()
+    for flag, name, val in (("--quad-tol", "quad_rel_tol", args.quad_tol),
+                            ("--root-tol", "root_tol", args.root_tol)):
+        if val is not None:
+            try:
+                cfg = replace(cfg, **{name: val})
+            except DomainError:  # NumericConfig takes a positive, finite tolerance
+                raise _UsageError(f"{flag} must be positive and finite, got {val}") from None
+    return cfg
 
 
 def _digest(s: PairedSample) -> str:
@@ -485,6 +480,9 @@ def _run(argv: list[str] | None) -> int:
         return EXIT_NUMERIC
     except BivqfError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as e:  # numpy's message names the size it could not allocate
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -112,11 +112,11 @@ def population_lcomoments(bp: BivariateParams,
     # u21 call.  Near u2 = 1 the integrand mixes powers of (1-u2) and
     # (1-u2)^(beta2+1), or for beta2 <= -1 has a (1-u2)^(1/(1+theta*u1))
     # kink; 1 - u2 = s^k makes them powers of s^2 or smoother.  k is at
-    # most 2(1+theta), and 1000, past which 512-node rules lose accuracy.
-    k = min(2.0 / min(max(m2.beta + 1.0, 1.0 / (1.0 + th)), 1.0), 1000.0)
+    # most 2(1+theta), before _u2_rule's cap.
+    k_smooth = 2.0 / min(max(m2.beta + 1.0, 1.0 / (1.0 + th)), 1.0)
 
     def inner_12(u1: np.ndarray) -> np.ndarray:
-        s, w = _u2_rule(u1.size, k)
+        s, w, k = _u2_rule(u1.size, k_smooth)
         t = 1.0 - s ** k
         return m1.c * ((_weights(t) * w) @ (t - u21(bp, u1[:, None], t, cfg)).T)
 

@@ -276,14 +276,14 @@ def _mrq_lcov_12(p: MrqParams, cfg: NumericConfig) -> float:
     u2 - v mixes the powers (1-u2)^r and (1-u2), r = (a2 + c) / aa with
     aa = a2 + c + (b2 + d) u1, so the inner rule (model._u2_rule)
     substitutes 1 - u2 = s^k with one k = 3 max(1, 1/r), r at its smallest
-    over u1, at most 1000: 512-node rules lose accuracy past that.  v is
-    solved on the whole grid at once in y = -log(1-v), where Q21 is nearly linear.
+    over u1, before the rule's cap.  v is solved on the whole grid at once
+    in y = -log(1-v), where Q21 is nearly linear.
     """
     a_marg = p.a2 + p.c
-    k = min(3.0 * max(1.0, 1.0 + (p.b2 + p.d) / a_marg), 1000.0)
+    k_smooth = 3.0 * max(1.0, 1.0 + (p.b2 + p.d) / a_marg)
 
     def inner(u1: np.ndarray) -> np.ndarray:
-        s, w = _u2_rule(u1.size, k)
+        s, w, k = _u2_rule(u1.size, k_smooth)
         aa = (a_marg + (p.b2 + p.d) * u1)[:, None]
         cc = (p.c + p.d * u1)[:, None]
         sk = s ** k

@@ -100,19 +100,19 @@ class SupportInfo:
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Quadrature and root-finding tolerances."""
+    """Tolerances of the Gauss rules (relative) and the root searches."""
 
-    quad_abs_tol: float = 1e-10
     quad_rel_tol: float = 1e-8
     root_tol: float = 1e-12
-    root_max_iter: int = 200
 
     def __post_init__(self) -> None:
-        for name in ("quad_abs_tol", "quad_rel_tol", "root_tol"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive")
-        if self.root_max_iter < 1:
-            raise DomainError("root_max_iter must be at least 1")
+        for name, v in vars(self).items():
+            if not (v > 0.0 and math.isfinite(v)):
+                raise DomainError(f"{name} must be positive and finite, got {v}")
+
+    @property
+    def quad_abs_tol(self) -> float:  # the Gauss rules' absolute floor
+        return 1e-2 * self.quad_rel_tol
 
 
 DEFAULT_NUMERIC_CONFIG = NumericConfig()
@@ -122,9 +122,10 @@ DEFAULT_NUMERIC_CONFIG = NumericConfig()
 # fixed rules and the array root finder
 
 
-# the fixed rules start at 16 nodes and give up with QuadratureError
-# past this many
+# the fixed rules start at 16 nodes and give up with QuadratureError past
+# MAX_RULE_NODES; _newton_bisect raises ConvergenceError after ROOT_MAX_ITER steps
 MAX_RULE_NODES = 512
+ROOT_MAX_ITER = 200
 
 
 @functools.lru_cache(maxsize=256)
@@ -234,17 +235,18 @@ def _u1_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
     return _fixed_rule(in_s, k * (a_exp + 1.0) - 1.0, b_exp, cfg)
 
 
-def _u2_rule(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes s and weights w of int_0^1 du2 after 1 - u2 = s^k, 1 <= k <= 1000.
+def _u2_rule(n: int, k: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nodes s, weights w and the k used, of int_0^1 du2 after 1 - u2 = s^k.
 
     The inner rule of the (1,2) integrals, sized by the caller from the
     outer node count: n Gauss-Jacobi nodes for the weight s^(k-1), with
     the Jacobian k s^(k-1) folded into w, so sum(w f(1 - s^k)) is the
-    integral of f.  The 512-node rules lose accuracy past an exponent of
-    about 1000, hence the cap.
+    integral of f.  The k asked for, at least 1, is capped at 1000: the
+    512-node rules lose accuracy past that exponent.
     """
+    k = min(k, 1000.0)
     s, w = _gauss_jacobi(n, k - 1.0, 0.0)
-    return s, k * w
+    return s, k * w, k
 
 
 def _pick(cond, a, b):
@@ -269,12 +271,12 @@ def _newton_bisect(h: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     inside the bracket (where h is down to rounding noise, steps onto its
     ends can cycle between them) and is not zero, or a nonpositive slope,
     is replaced by bisection, and every evaluation shrinks the bracket on
-    the sign of h.  Stops when no element moves by more than root_tol.
-    A float stays a numpy scalar throughout: np.where results are indexed
+    the sign of h.  Stops when no element moves by more than root_tol.  A
+    float stays a numpy scalar throughout: np.where results are indexed
     with [()], and finite values are selected by _pick.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(cfg.root_max_iter):
+        for _ in range(ROOT_MAX_ITER):
             hx, slope = h(x)
             lo = _pick(hx < 0.0, x, lo)
             hi = _pick(hx > 0.0, x, hi)
@@ -286,7 +288,7 @@ def _newton_bisect(h: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                 return xn
             x = xn
     raise ConvergenceError(
-        f"safeguarded Newton did not converge within {cfg.root_max_iter} steps")
+        f"safeguarded Newton did not converge within {ROOT_MAX_ITER} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +604,12 @@ class _CornerRow(_Row):  # the left half, its sign in Q/c, the right half, Q(1/2
         return u[()]
 
 
-@functools.lru_cache(maxsize=256)
 def _shape_plan(alpha: float, beta: float) -> tuple[float, float, _Row]:
-    """(Q(1)/c, Q(0), row) of the shape (alpha, beta), built once and kept.
+    """(Q(1)/c, Q(0), row) of the shape (alpha, beta), built for one margin.
 
     The only code that chooses a row, by exact float tests.  The arcsine
-    top is pi (the rounded B(1/2, 1/2) is 5 ulps above it).  Margins that
-    differ only in c share the shape's entry.
+    top is pi (the rounded B(1/2, 1/2) is 5 ulps above it).  A margin
+    binds its plan on first use (MarginalParams._plan) and keeps it.
     """
     a, b = alpha + 1.0, beta + 1.0
     if beta <= -1.0:

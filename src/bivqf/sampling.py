@@ -37,6 +37,9 @@ from .model import (BivariateParams, DEFAULT_NUMERIC_CONFIG, NumericConfig, _new
 
 __all__ = ["SamplerSpec", "draw"]
 
+# the longest float64 array numpy can size
+_MAX_N = np.iinfo(np.intp).max // 8
+
 
 @dataclass(frozen=True)
 class SamplerSpec:
@@ -47,8 +50,8 @@ class SamplerSpec:
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2 ** 128:  # Philox's key range
             raise DomainError(f"seed must lie in [0, 2**128), got {self.seed}")
-        if self.n < 1:
-            raise DomainError(f"n must be at least 1, got {self.n}")
+        if not 1 <= self.n <= _MAX_N:
+            raise DomainError(f"n must lie in [1, {_MAX_N}], got {self.n}")
         if self.method not in ("transform", "exact"):
             raise DomainError(
                 f"method must be 'transform' or 'exact', got {self.method!r}")

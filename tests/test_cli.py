@@ -198,6 +198,16 @@ class TestUsageErrors:
                    "--seed", "1"], capsys)
         assert_one_line_usage_error(*res, "--n", "0")
 
+    def test_sample_size_numpy_cannot_allocate(self, capsys, monkeypatch):
+        import bivqf.cli as cli
+
+        monkeypatch.setattr(cli, "draw", no_work)
+        # past the longest float64 array numpy can size: refused before any allocation
+        for n in (str(2 ** 62), str(2 ** 63)):
+            res = run(["sample", "--params", "1,0,0,1,0,0,0.5", "--n", n,
+                       "--seed", "1"], capsys)
+            assert_one_line_usage_error(*res, "--n", n)
+
     def test_params_with_wrong_count(self, capsys, monkeypatch):
         import bivqf.cli as cli
 
@@ -209,10 +219,10 @@ class TestUsageErrors:
         import bivqf.cli as cli
 
         monkeypatch.setattr(cli, "fit_bivariate", no_work)
-        # 1e-322 is positive, but its hundredth, the absolute tolerance, is 0
-        for tol in ("-1", "1e-322"):
-            res = run(["fit", "--data", "cable", "--quad-tol", tol], capsys)
-            assert_one_line_usage_error(*res, "--quad-tol", tol)
+        for flag in ("--quad-tol", "--root-tol"):
+            for tol in ("-1", "inf", "nan"):
+                res = run(["fit", "--data", "cable", flag, tol], capsys)
+                assert_one_line_usage_error(*res, flag, tol)
 
     def test_sample_without_model(self, capsys, monkeypatch):
         import bivqf.cli as cli
@@ -301,6 +311,8 @@ def test_report_layout(capsys, argv, result_keys):
     assert list(rep) == ["command", "version", "input", "numeric_config", "results",
                          "warnings"]
     assert list(rep["results"]) == result_keys
+    # the two tolerances, and nothing derived from them
+    assert rep["numeric_config"] == {"quad_rel_tol": 1e-8, "root_tol": 1e-12}
 
 
 class TestCommands:
@@ -314,6 +326,20 @@ class TestCommands:
         assert math.isclose(res["theta"], 0.8919578, rel_tol=1e-5)
         assert rep["input"]["n"] == 9
         assert "numeric_config" in rep
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB for an array"])
+    def test_out_of_memory_is_one_line_numeric_failure(self, capsys, monkeypatch, message):
+        import bivqf.cli as cli
+
+        def no_memory(*_args, **_kw):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "draw", no_memory)
+        code, out, err = run(["sample", "--params", "1,0,0,1,0,0,0.5", "--n", "3",
+                              "--seed", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and err.startswith("error: out of memory")
+        assert message in err
 
     def test_fit_report_round_trips_losslessly(self, capsys):
         _, out, _ = run(["fit", "--data", "cable"], capsys)
@@ -403,6 +429,14 @@ class TestCommands:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "a2 + c" in err
+
+    def test_unreachable_quadrature_tolerance_is_3(self, capsys):
+        # 1e-322's hundredth, the absolute floor, underflows to 0: as
+        # unreachable as 1e-300, a numeric failure and not a usage error
+        for tol in ("1e-300", "1e-322"):
+            code, out, err = run(["fit", "--data", "cable", "--quad-tol", tol], capsys)
+            assert (code, out) == (3, "")
+            assert err.count("\n") == 1 and "quadrature tolerance" in err
 
     def test_reproduce_runs_offline_and_idempotent(self, capsys):
         code, out1, _ = run(["reproduce"], capsys)

@@ -186,7 +186,7 @@ class TestPopulation:
     def test_unreachable_tolerance_raises(self):
         bp = BivariateParams(MarginalParams(1.0, 0.4, 0.8),
                              MarginalParams(2.0, -0.34, -0.35), 0.68)
-        cfg = NumericConfig(quad_abs_tol=1e-300, quad_rel_tol=1e-300)
+        cfg = NumericConfig(quad_rel_tol=1e-300)
         with pytest.raises(QuadratureError):
             population_lcomoments(bp, cfg)
 

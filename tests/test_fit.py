@@ -274,7 +274,7 @@ class TestMrq:
 
     def test_lcov_unreachable_tolerance_raises(self):
         p = MrqParams(a1=2.798, b1=0.159, a2=3.086, b2=4.628, c=0.086, d=-7.16)
-        cfg = NumericConfig(quad_abs_tol=1e-300, quad_rel_tol=1e-300)
+        cfg = NumericConfig(quad_rel_tol=1e-300)
         with pytest.raises(QuadratureError):
             _mrq_lcov_12(p, cfg)
 

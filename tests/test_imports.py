@@ -110,7 +110,6 @@ from bivqf import model
 assert "scipy.linalg" not in sys.modules, "import bivqf.cli loaded scipy.linalg"
 # nothing is built at import time
 assert model._gauss_jacobi.cache_info().currsize == 0
-assert model._shape_plan.cache_info().currsize == 0
 for argv in (["catalog"],
              ["catalog", "loglogistic", "--param", "a1=2", "--param", "b1=3",
               "--param", "a2=2", "--param", "b2=3"],

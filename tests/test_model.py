@@ -878,7 +878,7 @@ class TestProductMoment:
             g = 1.0 + theta * u
             return m1.c * scale2 * g * betainc(a2, b2 + 1.0, betaincinv(a2, b2, 1.0 / g))
 
-        tight = NumericConfig(quad_abs_tol=1e-13, quad_rel_tol=1e-12)
+        tight = NumericConfig(quad_rel_tol=1e-12)
         ref = quad_beta_kernel(inner, m1.alpha, m1.beta + 1.0, tight)
         assert math.isclose(product_moment(BivariateParams(m1, m2, theta)), ref,
                             rel_tol=1e-8)
@@ -946,10 +946,13 @@ class TestParamValidation:
         assert population_lcomoments(bp) == population_lcomoments(plain)
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            NumericConfig(quad_abs_tol=0.0)
-        with pytest.raises(DomainError):
-            NumericConfig(root_max_iter=0)
+        for kw in ({"quad_rel_tol": 0.0}, {"root_tol": math.inf}, {"root_tol": math.nan}):
+            with pytest.raises(DomainError, match=next(iter(kw))):
+                NumericConfig(**kw)
+        assert [f.name for f in dataclasses.fields(NumericConfig)] == ["quad_rel_tol",
+                                                                        "root_tol"]
+        # the absolute floor is a hundredth of the relative tolerance, to the bit
+        assert NumericConfig().quad_abs_tol == 1e-10
 
 
 class TestRootSearch:
@@ -958,7 +961,7 @@ class TestRootSearch:
 
     @staticmethod
     def close_to_brentq(x, f, lo, hi, cfg=NumericConfig()):
-        ref = brentq(f, lo, hi, xtol=cfg.root_tol, maxiter=cfg.root_max_iter)
+        ref = brentq(f, lo, hi, xtol=cfg.root_tol, maxiter=model.ROOT_MAX_ITER)
         assert abs(x - ref) <= 2.0 * (cfg.root_tol + 4.0 * np.finfo(float).eps * abs(ref)), \
             (x, ref)
 
@@ -983,10 +986,11 @@ class TestRootSearch:
         # (-1, 1) is the bracket fit_mrq's expansion stops at on this sample
         self.close_to_brentq(p.d, resid, -1.0, 1.0)
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         s = BUILTIN_DATASETS["cable"]
-        with pytest.raises(ConvergenceError):
-            fit_theta(s, fit_marginal(s.x1), fit_marginal(s.x2), NumericConfig(root_max_iter=3))
+        monkeypatch.setattr(model, "ROOT_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError, match="within 3 steps"):
+            fit_theta(s, fit_marginal(s.x1), fit_marginal(s.x2))
 
     def test_nan_value(self):
         # met while doubling, and inside the bracket
@@ -1074,7 +1078,7 @@ BRANCH_SHAPES += tuple(off_row(a, b) for a, b in BRANCH_SHAPES if on_row(a, b))
 
 
 class TestShapeCaches:
-    """Gauss rules and corner plans are built once per shape and kept."""
+    """Gauss rules are built once per shape and kept; a margin binds its plan once."""
 
     # (n, a, b) in scipy's order, (1-x)^a (1+x)^b on [-1, 1]: the rule is
     # scipy's for u^b (1-u)^a after u = (1+x)/2, its weights times
@@ -1104,21 +1108,11 @@ class TestShapeCaches:
                 arr[0] = 0.0
 
     def test_caches_are_bounded(self):
-        for cache in (_gauss_jacobi, _shape_plan):
-            assert cache.cache_info().maxsize is not None
-
-    def test_plan_is_keyed_by_shape_not_scale(self):
-        _shape_plan.cache_clear()
-        m = T2_CORNER
-        assert type(_shape_plan(m.alpha, m.beta)[2]) is model._CornerRow
-        for c in (1.0, 2.5, 0.3):
-            f1(dataclasses.replace(m, c=m.c * c), 0.7)
-        info = _shape_plan.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
+        assert _gauss_jacobi.cache_info().maxsize is not None
 
     def test_cold_and_warm_caches_agree_bit_for_bit(self):
         def results():
-            # fresh margins: a margin keeps its bound plan across cache_clear
+            # fresh margins, so each builds its plan again
             cable1, cable2, comp1, unif = (dataclasses.replace(m)
                                            for m in (CABLE1, CABLE2, COMP1, UNIF))
             cable = BivariateParams(cable1, cable2, 0.9)
@@ -1132,25 +1126,28 @@ class TestShapeCaches:
             return [repr(v) for v in out]
 
         _gauss_jacobi.cache_clear()
-        _shape_plan.cache_clear()
         cold = results()
-        assert _shape_plan.cache_info().misses >= len(BRANCH_SHAPES)
-        hits = _gauss_jacobi.cache_info().hits, _shape_plan.cache_info().hits
+        hits = _gauss_jacobi.cache_info().hits
         warm = results()
-        assert _gauss_jacobi.cache_info().hits > hits[0]
-        assert _shape_plan.cache_info().hits > hits[1]
+        assert _gauss_jacobi.cache_info().hits > hits
         assert cold == warm
 
     @pytest.mark.parametrize("shape", BRANCH_SHAPES)
-    def test_bound_plan_skips_the_lookup(self, shape):
+    def test_bound_plan_skips_the_lookup(self, shape, monkeypatch):
+        calls = []
+
+        def counted(alpha, beta):
+            calls.append((alpha, beta))
+            return _shape_plan(alpha, beta)
+
+        monkeypatch.setattr(model, "_shape_plan", counted)
         m = MarginalParams(1.3, *shape)
         u = np.array([0.01, 0.5, 0.99])
         x = big_q1(m, u)
-        before = _shape_plan.cache_info()
         for _ in range(3):
             f1(m, x), f1(m, float(x[1])), f1_flagged(m, x), f1_flagged(m, float(x[0]))
             big_q1(m, u), big_q1(m, 0.3), support(m)
-        assert _shape_plan.cache_info() == before
+        assert calls == [shape]
 
     @pytest.mark.parametrize("shape", [(0.5, -0.3), (-1.5, -1.5), (-1.0, -0.5)])
     def test_bound_plan_is_not_part_of_the_value(self, shape):
