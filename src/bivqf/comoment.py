@@ -217,12 +217,16 @@ def _sample_directed(lead: np.ndarray, cond: np.ndarray) -> tuple[float, float, 
     n = lead.size
     # a group of tied values has the average of its ranks: its last rank
     # minus (count - 1)/2, exact in floating point
-    _, where, counts = np.unique(cond, return_inverse=True, return_counts=True)
-    t = (np.cumsum(counts) - (counts - 1) / 2.0)[where] / (n + 1.0)
+    ordered = np.sort(cond)
+    last = np.searchsorted(ordered, cond, "right")
+    count = last - np.searchsorted(ordered, cond, "left")
+    t = (last - (count - 1) / 2.0) / (n + 1.0)
+    # each mean as its sum over n: np.mean's value, bit for bit, at a third of its cost
+    centered = lead - lead.sum() / n
     out = []
     for k in (1, 2, 3):
         p = eval_sh_legendre(k, t)
-        out.append(float(np.mean((lead - lead.mean()) * (p - p.mean()))))
+        out.append(float((centered * (p - p.sum() / n)).sum() / n))
     return tuple(out)
 
 
@@ -230,8 +234,8 @@ def sample_lcomoments(s: PairedSample) -> LComomentSet:
     """Sample L-comoments of a paired sample (concomitant rank plug-in)."""
     if s.n < 4:
         raise InsufficientDataError(f"need at least 4 pairs, got {s.n}")
-    l2_1 = sample_lmoments(s.x1).l2
-    l2_2 = sample_lmoments(s.x2).l2
+    l2_1 = sample_lmoments(s.x1, r_max=2).l2
+    l2_2 = sample_lmoments(s.x2, r_max=2).l2
     if not (l2_1 > 0.0 and l2_2 > 0.0):
         raise InsufficientDataError("degenerate sample: zero L-scale")
     l12 = _sample_directed(s.x1, s.x2)

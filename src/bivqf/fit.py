@@ -4,8 +4,9 @@ Marginal fitting solves the 2x2 linear system implied by the ratio
 formulas tau2 = (alpha+1)/(alpha+beta+3) and
 tau3 = (alpha-beta)/(alpha+beta+4), then recovers the scale from the
 first L-moment.  The dependence parameter solves
-E(X1 X2 | theta) = mean(x1*x2) by bracketed root-finding, using the
-monotonicity of the product moment in theta.
+E(X1 X2 | theta) = mean(x1*x2): in closed form where the product moment
+is linear in theta, elsewhere by Newton on its exact slope from
+theta = 0, as it is increasing and concave in theta.
 
 The competitor is the bivariate linear mean-residual quantile model
 
@@ -34,16 +35,23 @@ from .errors import (
     DomainError,
     InfeasibleRegionError,
     InsufficientDataError,
+    QuadratureError,
     SingularSystemError,
 )
 from .lmom import LMomentVector, population_lmoments, sample_lmoments
 from .model import (
     BivariateParams,
     DEFAULT_NUMERIC_CONFIG,
+    MAX_RULE_NODES,
     MarginalParams,
     NumericConfig,
     _fixed_rule,
+    _lambda,
     _newton_bisect,
+    _product_moment_and_slope,
+    _rule_step,
+    _rules_agree,
+    _u1_substitution,
     _u2_rule,
     product_moment,
 )
@@ -79,13 +87,14 @@ def _fit_lmoments(lm: LMomentVector) -> MarginalParams:
     if not lm.l2 > 0.0:
         raise InsufficientDataError("sample L-scale must be positive to fit")
     t2, t3 = lm.tau2, lm.tau3
-    a_mat = np.array([[1.0 - t2, -t2], [1.0 - t3, -(1.0 + t3)]])
-    rhs = np.array([3.0 * t2 - 1.0, 4.0 * t3])
-    det = float(np.linalg.det(a_mat))
+    # Cramer's rule on [[1 - t2, -t2], [1 - t3, -(1 + t3)]] (alpha, beta) = (r2, r3)
+    a22, r2, r3 = -(1.0 + t3), 3.0 * t2 - 1.0, 4.0 * t3
+    det = (1.0 - t2) * a22 + t2 * (1.0 - t3)
     if abs(det) < 1e-12:
         raise SingularSystemError(
             f"degenerate ratio system for t2={t2:.6g}, t3={t3:.6g}")
-    alpha, beta = np.linalg.solve(a_mat, rhs).tolist()
+    alpha = (r2 * a22 + t2 * r3) / det
+    beta = ((1.0 - t2) * r3 - r2 * (1.0 - t3)) / det
     if not (alpha > -1.0 and beta > -2.0):
         raise InfeasibleRegionError(
             f"fitted shapes ({alpha:.6g}, {beta:.6g}) leave the existence "
@@ -123,30 +132,103 @@ def _increasing_root(f, lo: float, f_lo: float, hi: float, cap: float,
     return float(_newton_bisect(h, lo, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo), cfg)), hi
 
 
+class _ThetaFit(tuple):
+    """fit_theta's (theta, bracket, warnings); `value` is the product moment
+    at the solve's last evaluation, which fit_bivariate reports."""
+
+    def __new__(cls, theta: float, bracket: tuple[float, float], warnings: list[str],
+                value: float):
+        out = super().__new__(cls, (theta, bracket, warnings))
+        out.value = value
+        return out
+
+
+# theta past 1e6 is beyond what the u1 rule resolves
+_THETA_CAP = 1e6
+
+
 def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
               cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG,
               ) -> tuple[float, tuple[float, float], list[str]]:
-    """Match E(X1 X2) to the sample product mean by bracketed root-finding.
+    """Match E(X1 X2) to the sample product mean; returns (theta_hat, bracket, warnings).
 
-    Returns (theta_hat, bracket, warnings).  A sample product mean at or
-    below the independence value yields theta = 0 with a warning.
+    A sample product mean at or below the independence value yields
+    theta = 0 with a warning.  For beta2 <= -1 the product moment is
+    l1_2 (l1_1 + theta lambda2_1), and theta is that line's root, its
+    own bracket.  Otherwise it is increasing and concave in theta, so
+    Newton on the exact slope (model._product_moment_and_slope) from
+    theta = 0, where both are closed, rises to the root from below: the
+    bracket is (the last iterate below the target, theta).  The rule of
+    model._u1_rule is sized by _fixed_rule at the first iterate, and again
+    where its exponent changes (theta past 1000); other iterates run only
+    its 2n-node step.  At the root the n-node step must still agree with
+    that, or n doubles and Newton goes on.  A tangent that reaches the
+    target only past theta = 1e6 raises BracketError: by concavity the
+    root lies beyond it too.
     """
     target = s.product_mean
     warnings: list[str] = []
-
-    def pm(th: float) -> float:
-        return product_moment(BivariateParams(m1, m2, th), cfg)
-
-    e0 = pm(0.0)
+    e0 = product_moment(BivariateParams(m1, m2, 0.0), cfg)
+    if math.isnan(target):  # x1 x2 overflowing both ways; no comparison would hold
+        raise ConvergenceError("root search met a NaN sample product mean")
     if target <= e0:
         warnings.append(
             f"sample product mean {target:.6g} does not exceed the "
             f"independence value {e0:.6g}; theta set to 0")
-        return 0.0, (0.0, 0.0), warnings
+        return _ThetaFit(0.0, (0.0, 0.0), warnings, e0)
+    l1_1, l1_2, lam_1 = _lambda(m1, 1), _lambda(m2, 1), _lambda(m1, 2)
 
-    # theta past 1e6 is beyond what the u1 rule resolves
-    theta, hi = _increasing_root(lambda th: pm(th) - target, 0.0, e0 - target, 1.0, 1e6, cfg)
-    return theta, (0.0, hi), warnings
+    def beyond_cap(th: float, value: float, slope: float) -> None:
+        if th + (target - value) / slope > _THETA_CAP:
+            raise BracketError(
+                f"theta passes {_THETA_CAP:.6g}: the product moment is {value:.6g} "
+                f"at {th:.6g}, below the sample product mean {target:.6g}")
+
+    if m2.beta <= -1.0:
+        beyond_cap(0.0, e0, l1_2 * lam_1)
+        theta = (target / l1_2 - l1_1) / lam_1
+        return _ThetaFit(theta, (theta, theta), warnings, l1_2 * (l1_1 + theta * lam_1))
+
+    b_exp = m1.beta + 1.0
+    a_sized, n = None, 0  # the exponent in s the rule was sized at, and its n
+    below, last = 0.0, (e0, None)  # the last iterate below the target; the last
+    # evaluation's value and, when it ran only the 2n-node step, that step
+
+    def h(th):
+        nonlocal a_sized, n, below, last
+        th = float(th)
+        if th == 0.0:
+            value, slope, step = e0, l1_2 * lam_1, None
+        else:
+            f, a_s = _u1_substitution(_product_moment_and_slope(m1, m2, th), m1.alpha,
+                                      b_exp, th)
+            if a_s != a_sized:
+                # sized on the value alone, as product_moment sizes its rule
+                (value, slope), n = _fixed_rule(f, a_s, b_exp, cfg, judged=0)
+                a_sized, step = a_s, None
+            else:
+                pair = _rule_step(f, a_s, b_exp, 2 * n)
+                (value, slope), step = pair, (f, pair)
+            if math.isnan(value):
+                raise ConvergenceError(f"root search met a NaN function value at {th}")
+        last = (float(value), step)
+        if value <= target:
+            beyond_cap(th, value, slope)
+            below = th
+        return value - target, slope
+
+    theta = 0.0
+    while True:
+        theta = float(_newton_bisect(h, 0.0, _THETA_CAP, theta, cfg))
+        value, step = last
+        if step is None or _rules_agree(step[1][0], _rule_step(step[0], a_sized, b_exp, n)[0],
+                                        cfg):
+            return _ThetaFit(theta, (below, theta), warnings, value)
+        n *= 2
+        if 2 * n > MAX_RULE_NODES:
+            raise QuadratureError(
+                f"fixed rule did not reach the quadrature tolerance within "
+                f"{MAX_RULE_NODES} nodes at the root theta = {theta:.6g}")
 
 
 def fit_bivariate(s: PairedSample,
@@ -154,14 +236,15 @@ def fit_bivariate(s: PairedSample,
     """Fit both marginals, then the dependence parameter."""
     lm1, lm2 = sample_lmoments(s.x1), sample_lmoments(s.x2)
     m1, m2 = _fit_lmoments(lm1), _fit_lmoments(lm2)
-    theta, bracket, warnings = fit_theta(s, m1, m2, cfg)
-    bp = BivariateParams(m1, m2, theta)
+    solved = fit_theta(s, m1, m2, cfg)
+    theta, bracket, warnings = solved
     residuals = {
         "l1_m1": population_lmoments(m1).l1 - lm1.l1,
         "l1_m2": population_lmoments(m2).l1 - lm2.l1,
-        "product_moment": product_moment(bp, cfg) - s.product_mean,
+        "product_moment": solved.value - s.product_mean,
     }
-    return FitResult(bp, (lm1, lm2), bracket, residuals, tuple(warnings))
+    return FitResult(BivariateParams(m1, m2, theta), (lm1, lm2), bracket, residuals,
+                     tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +374,7 @@ def _mrq_lcov_12(p: MrqParams, cfg: NumericConfig) -> float:
         gap = np.exp(-_mrq_root(aa, cc, x2, cfg)) - sk
         return ((p.a1 + p.b1) - 2.0 * p.b1 * (1.0 - u1)) * (gap @ w)
 
-    return 2.0 * float(_fixed_rule(inner, 0.0, 0.0, cfg))
+    return 2.0 * float(_fixed_rule(inner, 0.0, 0.0, cfg)[0])
 
 
 def fit_mrq(s: PairedSample,

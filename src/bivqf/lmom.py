@@ -81,10 +81,10 @@ def sample_lmoments(data: Sequence[float], r_max: int = 4) -> LMomentVector:
     j = np.arange(1, n + 1, dtype=float)
     b = np.full(4, math.nan)
     w = np.ones(n)
-    b[0] = x.mean()
+    b[0] = x.sum() / n  # the mean, bit for bit, without np.mean's per-call cost
     for r in range(1, min(r_max, n)):
         w = w * (j - r) / (n - r)
-        b[r] = float(np.mean(w * x))
+        b[r] = (w * x).sum() / n
 
     l1 = b[0]
     l2 = 2.0 * b[1] - b[0] if r_max >= 2 else math.nan

@@ -157,7 +157,9 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         mu0 = beta_fn(a + 1, b + 1)
         p = lambda m, x: eval_jacobi(m, a, b, x)  # noqa: E731
         dp = lambda x: 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x)  # noqa: E731
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1), UPLO="U")
+    jacobi = np.diag(diag)
+    jacobi.flat[1::n + 1] = off  # the superdiagonal, the only half eigvalsh reads
+    x = np.linalg.eigvalsh(jacobi, UPLO="U")
     with np.errstate(over="ignore", invalid="ignore"):
         dy = dp(x)
         step = p(n, x) / dy
@@ -165,7 +167,8 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         fm = p(n - 1, x)
         ok = np.isfinite(fm) & np.isfinite(dy)
         for v in (fm, dy):  # log-normalised, as their product may overflow
-            v /= np.exp((np.log(np.abs(v[ok])).max() + np.log(np.abs(v[ok])).min()) / 2.0)
+            log_v = np.log(np.abs(v[ok]))
+            v /= np.exp((log_v.max() + log_v.min()) / 2.0)
         w = np.where(ok, 1.0 / (fm * dy), 0.0)
     if legendre:
         w, x = (w + w[::-1]) / 2, (x - x[::-1]) / 2
@@ -175,15 +178,13 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
-                cfg: NumericConfig) -> np.ndarray:
-    """int_0^1 u^a_exp (1-u)^b_exp f(u) du on Gauss-Jacobi nodes (Golub-Welsch).
+def _rule_step(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
+               n: int) -> np.ndarray:
+    """int_0^1 u^a_exp (1-u)^b_exp f(u) du on n Gauss-Jacobi nodes (Golub-Welsch).
 
     `f` maps the node vector to values of shape (..., n), so integrands
     that share the nodes are contracted together; an inner rule inside
-    `f` may size itself from the node count.  The count doubles until the
-    n- and 2n-node results agree to the quadrature tolerances in every
-    component; the 2n-node result is returned.
+    `f` may size itself from the node count.
 
     An exponent below -1/2 is raised by one, as the nodes turn NaN within
     about 1e-14 of -1: f is also evaluated at that end (in the same call
@@ -192,27 +193,59 @@ def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: floa
     by u or 1-u.
     """
     lift_a, lift_b = a_exp < -0.5, b_exp < -0.5
+    u, w = _gauss_jacobi(n, a_exp + lift_a, b_exp + lift_b)
+    if not (lift_a or lift_b):
+        return f(u) @ w
     ends = np.array([0.0] * lift_a + [1.0] * lift_b)
     # the integrals of u^a_exp (1-u)^b_exp times 1-u and times u
     end_w = np.array([complete_beta(a_exp + 1.0, b_exp + 2.0)] * lift_a
                      + [complete_beta(a_exp + 2.0, b_exp + 1.0)] * lift_b)
-    prev, n = None, 16
-    while n <= MAX_RULE_NODES:
-        u, w = _gauss_jacobi(n, a_exp + lift_a, b_exp + lift_b)
-        vals = f(np.concatenate([u, ends]))
-        fe = vals[..., n:]
-        line = ((fe[..., :1] * (1.0 - u) if lift_a else 0.0)
-                + (fe[..., -1:] * u if lift_b else 0.0))
-        rest = (vals[..., :n] - line) / (u ** lift_a * (1.0 - u) ** lift_b)
-        val = fe @ end_w + rest @ w
-        if prev is not None:
-            err = np.abs(val - prev)
-            if np.all(err <= np.maximum(cfg.quad_abs_tol, cfg.quad_rel_tol * np.abs(val))):
-                return val
-        prev, n = val, 2 * n
+    vals = f(np.concatenate([u, ends]))
+    fe = vals[..., n:]
+    line = ((fe[..., :1] * (1.0 - u) if lift_a else 0.0)
+            + (fe[..., -1:] * u if lift_b else 0.0))
+    rest = (vals[..., :n] - line) / (u ** lift_a * (1.0 - u) ** lift_b)
+    return fe @ end_w + rest @ w
+
+
+def _rules_agree(val: np.ndarray, prev: np.ndarray, cfg: NumericConfig) -> bool:
+    """True when the n-node result prev is within the quadrature tolerances of
+    the 2n-node result val in every component."""
+    err = np.abs(val - prev)
+    return bool(np.all(err <= np.maximum(cfg.quad_abs_tol, cfg.quad_rel_tol * np.abs(val))))
+
+
+def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
+                cfg: NumericConfig, judged=...) -> tuple[np.ndarray, int]:
+    """int_0^1 u^a_exp (1-u)^b_exp f(u) du by _rule_step, and the node count n it settled on.
+
+    n doubles from 16 until the n- and 2n-node results agree
+    (_rules_agree) in the components `judged` selects, all by default;
+    the 2n-node result is returned.
+    """
+    n, val = 16, _rule_step(f, a_exp, b_exp, 16)
+    while 2 * n <= MAX_RULE_NODES:
+        prev, val = val, _rule_step(f, a_exp, b_exp, 2 * n)
+        if _rules_agree(val[judged], prev[judged], cfg):
+            return val, n
+        n *= 2
     raise QuadratureError(
         f"fixed rule did not reach the quadrature tolerance within "
-        f"{MAX_RULE_NODES} nodes (last change {np.max(err):.3e})")
+        f"{MAX_RULE_NODES} nodes (last change {np.max(np.abs(val - prev)):.3e})")
+
+
+def _u1_substitution(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
+                     theta: float) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """The integrand in s of _u1_rule and its exponent of s; that of 1-s stays b_exp."""
+    k = max(3.0, math.log10(theta))
+
+    def in_s(s: np.ndarray) -> np.ndarray:
+        u = s ** k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(s < 1.0, (1.0 - u) / (1.0 - s), k)
+        return k * ratio ** b_exp * f(u)
+
+    return in_s, k * (a_exp + 1.0) - 1.0
 
 
 def _u1_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
@@ -224,15 +257,8 @@ def _u1_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
     smooths the kink and moves that scale to s >= 0.1, where the nodes
     resolve it.  (1-u)^b_exp is (1-s)^b_exp ((1-u)/(1-s))^b_exp.
     """
-    k = max(3.0, math.log10(theta))
-
-    def in_s(s: np.ndarray) -> np.ndarray:
-        u = s ** k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(s < 1.0, (1.0 - u) / (1.0 - s), k)
-        return k * ratio ** b_exp * f(u)
-
-    return _fixed_rule(in_s, k * (a_exp + 1.0) - 1.0, b_exp, cfg)
+    in_s, a_s = _u1_substitution(f, a_exp, b_exp, theta)
+    return _fixed_rule(in_s, a_s, b_exp, cfg)[0]
 
 
 def _u2_rule(n: int, k: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -250,15 +276,11 @@ def _u2_rule(n: int, k: float) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _pick(cond, a, b):
-    """a where cond holds, else b, as numpy floats, for finite a and b.
-
-    On an array a blend with a 0/1 factor: exact, and several times cheaper
-    than np.where, which makes a float a 0-d array first.
-    """
+    """a where cond holds, else b: np.where on an array, and a numpy float
+    on a float cond, where np.where would make a 0-d array first."""
     if not isinstance(cond, np.ndarray):
         return np.float64(a if cond else b)
-    m = np.float64(cond)  # 1.0 or 0.0, elementwise
-    return m * a + (1.0 - m) * b
+    return np.where(cond, a, b)
 
 
 def _newton_bisect(h: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
@@ -272,8 +294,7 @@ def _newton_bisect(h: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     ends can cycle between them) and is not zero, or a nonpositive slope,
     is replaced by bisection, and every evaluation shrinks the bracket on
     the sign of h.  Stops when no element moves by more than root_tol.  A
-    float stays a numpy scalar throughout: np.where results are indexed
-    with [()], and finite values are selected by _pick.
+    float stays a numpy scalar throughout, as _pick selects.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(ROOT_MAX_ITER):
@@ -282,8 +303,7 @@ def _newton_bisect(h: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
             hi = _pick(hx > 0.0, x, hi)
             xn = x - hx / slope
             newton = (slope > 0.0) & (((xn > lo) & (xn < hi)) | (xn == x))
-            # a rejected step may be NaN or infinite: np.where, not _pick
-            xn = _pick(hx == 0.0, x, np.where(newton, xn, 0.5 * (lo + hi))[()])
+            xn = _pick(hx == 0.0, x, _pick(newton, xn, 0.5 * (lo + hi)))
             if (abs(xn - x) <= cfg.root_tol).all():
                 return xn
             x = xn
@@ -763,19 +783,37 @@ def _lambda(p: MarginalParams, r: int) -> float:
     return p.c * complete_beta(p.alpha + r, p.beta + 2.0)
 
 
-def _partial_mean2(m2: MarginalParams, g: np.ndarray) -> np.ndarray:
+def _partial_mean2(m2: MarginalParams, g: np.ndarray, slope: bool = False):
     """int_0^1 (1 - u21) q2(u2) du2 at g = 1 + theta*u1, for beta2 > -1.
 
-    The partial mean of X2 given X1 beyond its u1-quantile, up to the top
-    of the X2 support, that E(X1 X2) and L_k(2,1) share.  The change of
-    variable w = u21 makes it g c2 B_w*(alpha2+1, beta2+2) with
+    The partial mean P of X2 given X1 beyond its u1-quantile, up to the
+    top of the X2 support, that E(X1 X2) and L_k(2,1) share.  The change
+    of variable w = u21 makes it g c2 B_w*(alpha2+1, beta2+2) with
     w* = I^-1(1/g).  Where w* underflows (alpha2 near -1),
     g I_w*(a2, b2+1) has reached its limit B(a2, b2) / B(a2, b2+1), since
-    w*^a2 -> a2 B(a2, b2) / g.
+    w*^a2 -> a2 B(a2, b2) / g.  With `slope`, (P, dP/dg): from
+    dw*/dg = -B(a2, b2) / (g^2 w*^(a2-1) (1-w*)^(b2-1)),
+    dP/dg = (P - Q2(1) (1 - w*)) / g, and 0 where P has reached its limit.
     """
     a2, b2 = m2.alpha + 1.0, m2.beta + 1.0
     w = betaincinv(a2, b2, 1.0 / g)
-    return np.where(w > 1e-300, _lambda(m2, 1) * g * betainc(a2, b2 + 1.0, w), m2._plan[1])
+    live = w > 1e-300
+    p = np.where(live, _lambda(m2, 1) * g * betainc(a2, b2 + 1.0, w), m2._plan[1])
+    if not slope:
+        return p
+    return p, np.where(live, (p - m2._plan[1] * (1.0 - w)) / g, 0.0)
+
+
+def _product_moment_and_slope(m1: MarginalParams, m2: MarginalParams, theta: float):
+    """The integrands over u1 of product_moment at theta and of its slope in theta, stacked.
+
+    The slope's is u1 dP/dg at g = 1 + theta*u1, for beta2 > -1.
+    """
+    def f(u: np.ndarray) -> np.ndarray:
+        p, dp = _partial_mean2(m2, 1.0 + theta * u, slope=True)
+        return m1.c * np.stack([p, u * dp])
+
+    return f
 
 
 def product_moment(bp: BivariateParams,

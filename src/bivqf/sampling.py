@@ -93,8 +93,11 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
         w = (1.0 - v) / (1.0 + k / (m2.alpha + 1.0))
         return g * big_q1(m2, w)
 
+    _, upper, row = m2._plan
+
     def ratio(w: np.ndarray) -> np.ndarray:  # Q2/q2, so that S = (1 - w) - k ratio
-        return big_q1(m2, w) / (m2.c * w ** m2.alpha * (1.0 - w) ** m2.beta)
+        # every w here lies in (0, 1): big_q1's checks and masks are skipped
+        return row.q(m2, w, upper) / (m2.c * w ** m2.alpha * (1.0 - w) ** m2.beta)
 
     # the first of 64 scan cells whose right end has S <= v holds the first
     # crossing; the grid's Q2/q2 ratios are shared by all draws

@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 
 from bivqf.comoment import sample_lcomoments
 from bivqf.data import BUILTIN_DATASETS, PairedSample
-from bivqf.errors import (BivqfError, BracketError, DomainError, InfeasibleRegionError,
-                          QuadratureError)
+from bivqf.errors import (BivqfError, BracketError, ConvergenceError, DomainError,
+                          InfeasibleRegionError, QuadratureError)
 from bivqf.fit import (
     MrqParams,
     _mrq_lcov_12,
@@ -138,6 +138,16 @@ class TestThetaFit:
         theta, _, warnings = fit_theta(s, self.M1, self.M2)
         assert theta == 0.0
         assert warnings and "independence" in warnings[0]
+
+    @pytest.mark.parametrize("m2", [M2, MarginalParams(1.5, -0.2, -1.3)])
+    def test_nan_product_mean(self, m2):
+        # products overflowing to +inf and -inf: the search and the closed
+        # form (beta2 <= -1) both refuse, as a NaN function value
+        s = PairedSample((1e200, -1e200, 1.0), (1e200, 1e200, 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(s.product_mean)
+        with pytest.raises(ConvergenceError, match="NaN"):
+            fit_theta(s, self.M1, m2)
 
     def test_unreachable_target(self):
         # bounded conditional support caps the product moment

@@ -10,10 +10,10 @@ from scipy.optimize import brentq
 from scipy.special import (beta as beta_fn, betainc, betaincinv, expit, roots_jacobi,
                            roots_legendre)
 
-from bivqf import model
+from bivqf import fit, model
 from bivqf.catalog import closed_marginal_cdf, generic_marginal_cdf, make_case
 from bivqf.comoment import population_lcomoments, sample_lcomoments
-from bivqf.data import BUILTIN_DATASETS
+from bivqf.data import BUILTIN_DATASETS, PairedSample
 from bivqf.errors import BracketError, ConvergenceError, DivergentMomentError, DomainError
 from bivqf.fit import (MrqParams, _increasing_root, _mrq_lcov_12, fit_bivariate, fit_marginal,
                         fit_mrq, fit_theta)
@@ -35,6 +35,7 @@ from bivqf.model import (
     support,
     u21,
 )
+from bivqf.sampling import SamplerSpec, draw
 from bivqf.specfun import complete_beta
 from quad_oracles import quad_beta_kernel
 
@@ -955,9 +956,18 @@ class TestParamValidation:
         assert NumericConfig().quad_abs_tol == 1e-10
 
 
+# the published fits and the sample sizes the bootstrap replicates them at
+REPLICATED = {
+    "cable": (BivariateParams(CABLE1, CABLE2, 0.6821), 9),
+    "components": (BivariateParams(COMP1, MarginalParams(5.9257, 0.3555, -0.6695), 0.5492), 20),
+}
+
+
 class TestRootSearch:
-    """fit_theta and fit_mrq solve by fit._increasing_root, _newton_bisect on
-    secant slopes; their roots agree with scipy's brentq on the same residual."""
+    """fit_theta solves in closed form where the product moment is linear in
+    theta (beta2 <= -1), and elsewhere by _newton_bisect on the exact slope
+    from theta = 0; fit_mrq by fit._increasing_root, _newton_bisect on secant
+    slopes.  Their roots agree with scipy's brentq on the same residual."""
 
     @staticmethod
     def close_to_brentq(x, f, lo, hi, cfg=NumericConfig()):
@@ -965,14 +975,107 @@ class TestRootSearch:
         assert abs(x - ref) <= 2.0 * (cfg.root_tol + 4.0 * np.finfo(float).eps * abs(ref)), \
             (x, ref)
 
-    def test_fit_theta(self):
+    @staticmethod
+    def count_calls(monkeypatch, names):
+        """Count the calls fit makes to each of `names`, keeping the calls' results."""
+        calls = {name: [] for name in names}
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(fit, name), **kw):
+                out = _fn(*args, **kw)
+                calls[_name].append(out)
+                return out
+            monkeypatch.setattr(fit, name, counted)
+        return calls
+
+    def test_fit_theta(self, monkeypatch):
         s = BUILTIN_DATASETS["cable"]
         m1, m2 = fit_marginal(s.x1), fit_marginal(s.x2)
+        calls = self.count_calls(monkeypatch, ["_fixed_rule", "product_moment"])
         theta, (lo, hi), _ = fit_theta(s, m1, m2)
-        assert theta > 0.0 and lo == 0.0
+        # the rule is sized once; product_moment runs only at theta = 0
+        assert len(calls["_fixed_rule"]) == 1 and len(calls["product_moment"]) == 1
+        assert 0.0 < lo <= hi == theta
         target = float(np.mean(np.asarray(s.x1) * np.asarray(s.x2)))
         self.close_to_brentq(
-            theta, lambda th: product_moment(BivariateParams(m1, m2, th)) - target, lo, hi)
+            theta, lambda th: product_moment(BivariateParams(m1, m2, th)) - target,
+            0.0, 2.0 * theta)
+
+    @pytest.mark.parametrize("name", sorted(REPLICATED))
+    def test_fit_theta_on_replicates(self, name, monkeypatch):
+        bp, n = REPLICATED[name]
+        calls = self.count_calls(monkeypatch, ["_fixed_rule", "_rule_step", "product_moment",
+                                               "_increasing_root"])
+        kinds = []
+        for seed in range(24):
+            s = draw(bp, SamplerSpec(seed, n, ("exact", "transform")[seed % 2]))
+            m1, m2 = fit_marginal(s.x1), fit_marginal(s.x2)
+            for v in calls.values():
+                v.clear()
+            theta, (lo, hi), _ = fit_theta(s, m1, m2)
+            assert not calls["_increasing_root"] and len(calls["product_moment"]) == 1
+            if theta == 0.0:
+                kinds.append("zero")
+                continue
+            if m2.beta <= -1.0:
+                # the product moment is a line in theta: no rule runs
+                kinds.append("closed")
+                assert lo == hi == theta and not calls["_fixed_rule"] + calls["_rule_step"]
+            else:
+                kinds.append("newton")
+                assert 0.0 <= lo <= hi == theta and len(calls["_fixed_rule"]) == 1
+            target = s.product_mean
+            self.close_to_brentq(
+                theta, lambda th: product_moment(BivariateParams(m1, m2, th)) - target,
+                0.0, 2.0 * theta)
+        assert kinds.count("closed") >= 5 and kinds.count("newton") >= 5, kinds
+
+    @pytest.mark.parametrize("m1,m2,theta", [
+        (CABLE1, CABLE2, 0.89),
+        (MarginalParams(1.0, 0.3, 0.4), MarginalParams(1.5, -0.2, 0.6), 2.0),
+        (MarginalParams(2.0, 1.5, -0.7), MarginalParams(1.0, 2.0, 1.0), 40.0),
+        (UNIF, MarginalParams(1.0, -0.9, -0.95), 0.3)])
+    def test_slope_matches_central_differences(self, m1, m2, theta):
+        def pm(th):
+            return product_moment(BivariateParams(m1, m2, th))
+
+        value, slope = model._u1_rule(model._product_moment_and_slope(m1, m2, theta),
+                                      m1.alpha, m1.beta + 1.0, theta, NumericConfig())
+        assert math.isclose(value, pm(theta), rel_tol=1e-14)
+        h = 1e-5 * theta
+        assert math.isclose(slope, (pm(theta + h) - pm(theta - h)) / (2.0 * h), rel_tol=1e-9)
+
+    def test_rule_failing_at_the_root_is_doubled(self, monkeypatch):
+        # sized at the first iterate, the n-node rule fails the check at the root
+        m1 = MarginalParams(1.0, 0.06399247143604425, 0.30015558539171994)
+        m2 = MarginalParams(1.0, 2.5525959634177555, -0.9403720494851855)
+        target = product_moment(BivariateParams(m1, m2, 435.41552826662354))
+        calls = self.count_calls(monkeypatch, ["_rules_agree"])
+        theta = fit_theta(PairedSample((1.0,), (target,)), m1, m2)[0]
+        assert calls["_rules_agree"][0] is False and calls["_rules_agree"][-1] is True
+        self.close_to_brentq(
+            theta, lambda th: product_moment(BivariateParams(m1, m2, th)) - target,
+            0.0, 2.0 * theta)
+
+    @pytest.mark.parametrize("m2", [MarginalParams(1.0, 0.0, -0.9),
+                                    MarginalParams(1.0, 8.0, 0.5)])
+    def test_root_past_1000(self, m2, monkeypatch):
+        # k = log10 theta there, so the rule is sized again at every iterate.
+        # The product moment nears its limit as theta grows (theta dPM/dtheta
+        # is 1e-3 to 5e-2 of PM), so a rounding error of PM moves its root by
+        # more than root_tol: like brentq's, the root is one to rounding
+        m1 = MarginalParams(1.0, 0.3, 0.4)
+        eps = np.finfo(float).eps
+        for theta_true in (2000.0, 30000.0):
+            target = product_moment(BivariateParams(m1, m2, theta_true))
+            calls = self.count_calls(monkeypatch, ["_fixed_rule"])
+            theta = fit_theta(PairedSample((1.0,), (target,)), m1, m2)[0]
+            assert len(calls["_fixed_rule"]) > 2
+            for root in (theta, brentq(
+                    lambda th: product_moment(BivariateParams(m1, m2, th)) - target,
+                    0.0, 2.0 * theta, xtol=1e-12, maxiter=model.ROOT_MAX_ITER)):
+                assert abs(product_moment(BivariateParams(m1, m2, root)) - target) \
+                    <= 8.0 * eps * target
+            assert math.isclose(theta, theta_true, rel_tol=1e-9)
 
     def test_fit_mrq(self):
         s = BUILTIN_DATASETS["components"]

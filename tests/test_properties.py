@@ -152,6 +152,19 @@ def test_product_moment_increasing_in_theta(m1, m2, theta, step):
 
 
 @PROPERTY
+@given(MARGINAL, MARGINAL, THETA, st.floats(0.05, 10.0))
+def test_product_moment_concave_in_theta(m1, m2, theta, step):
+    # fit_theta's Newton from theta = 0 rises to the root from below because
+    # of this; for beta2 <= -1 the product moment is a line in theta
+    if not (m1.in_lmoment_region() and m2.in_lmoment_region()):
+        return  # test_product_moment_increasing_in_theta checks that it raises
+    low, mid, high = (product_moment(BivariateParams(m1, m2, theta + i * step))
+                      for i in range(3))
+    chord = 0.5 * (low + high)
+    assert mid >= chord or math.isclose(mid, chord, rel_tol=1e-12), (low, mid, high)
+
+
+@PROPERTY
 @given(st.lists(st.floats(-100.0, 100.0), min_size=4, max_size=40),
        st.floats(-100.0, 100.0), st.floats(0.01, 100.0))
 def test_sample_lmoments_location_scale_equivariant(x, loc, scale):
