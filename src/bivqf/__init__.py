@@ -9,7 +9,7 @@ random generation, and a command-line interface with two bundled
 reference datasets.
 """
 
-__version__ = "4.1.0"
+__version__ = "4.1.1"
 
 from .catalog import CATALOG_NAMES, CatalogEntry, make_case
 from .comoment import (

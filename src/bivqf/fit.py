@@ -35,23 +35,19 @@ from .errors import (
     DomainError,
     InfeasibleRegionError,
     InsufficientDataError,
-    QuadratureError,
     SingularSystemError,
 )
 from .lmom import LMomentVector, population_lmoments, sample_lmoments
 from .model import (
     BivariateParams,
     DEFAULT_NUMERIC_CONFIG,
-    MAX_RULE_NODES,
     MarginalParams,
     NumericConfig,
     _fixed_rule,
     _lambda,
     _newton_bisect,
     _product_moment_and_slope,
-    _rule_step,
-    _rules_agree,
-    _u1_substitution,
+    _u1_rule,
     _u2_rule,
     product_moment,
 )
@@ -158,13 +154,10 @@ def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
     own bracket.  Otherwise it is increasing and concave in theta, so
     Newton on the exact slope (model._product_moment_and_slope) from
     theta = 0, where both are closed, rises to the root from below: the
-    bracket is (the last iterate below the target, theta).  The rule of
-    model._u1_rule is sized by _fixed_rule at the first iterate, and again
-    where its exponent changes (theta past 1000); other iterates run only
-    its 2n-node step.  At the root the n-node step must still agree with
-    that, or n doubles and Newton goes on.  A tangent that reaches the
-    target only past theta = 1e6 raises BracketError: by concavity the
-    root lies beyond it too.
+    bracket is (the last iterate below the target, theta).  Each iterate
+    runs model._u1_rule, sized on the value alone as product_moment sizes
+    it.  A tangent that reaches the target only past theta = 1e6 raises
+    BracketError: by concavity the root lies beyond it too.
     """
     target = s.product_mean
     warnings: list[str] = []
@@ -189,46 +182,25 @@ def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
         theta = (target / l1_2 - l1_1) / lam_1
         return _ThetaFit(theta, (theta, theta), warnings, l1_2 * (l1_1 + theta * lam_1))
 
-    b_exp = m1.beta + 1.0
-    a_sized, n = None, 0  # the exponent in s the rule was sized at, and its n
-    below, last = 0.0, (e0, None)  # the last iterate below the target; the last
-    # evaluation's value and, when it ran only the 2n-node step, that step
+    below, value = 0.0, e0  # the last iterate below the target; the last evaluation's value
 
     def h(th):
-        nonlocal a_sized, n, below, last
+        nonlocal below, value
         th = float(th)
         if th == 0.0:
-            value, slope, step = e0, l1_2 * lam_1, None
+            value, slope = e0, l1_2 * lam_1
         else:
-            f, a_s = _u1_substitution(_product_moment_and_slope(m1, m2, th), m1.alpha,
-                                      b_exp, th)
-            if a_s != a_sized:
-                # sized on the value alone, as product_moment sizes its rule
-                (value, slope), n = _fixed_rule(f, a_s, b_exp, cfg, judged=0)
-                a_sized, step = a_s, None
-            else:
-                pair = _rule_step(f, a_s, b_exp, 2 * n)
-                (value, slope), step = pair, (f, pair)
+            value, slope = _u1_rule(_product_moment_and_slope(m1, m2, th), m1.alpha,
+                                    m1.beta + 1.0, th, cfg, judged=0)
             if math.isnan(value):
                 raise ConvergenceError(f"root search met a NaN function value at {th}")
-        last = (float(value), step)
         if value <= target:
             beyond_cap(th, value, slope)
             below = th
         return value - target, slope
 
-    theta = 0.0
-    while True:
-        theta = float(_newton_bisect(h, 0.0, _THETA_CAP, theta, cfg))
-        value, step = last
-        if step is None or _rules_agree(step[1][0], _rule_step(step[0], a_sized, b_exp, n)[0],
-                                        cfg):
-            return _ThetaFit(theta, (below, theta), warnings, value)
-        n *= 2
-        if 2 * n > MAX_RULE_NODES:
-            raise QuadratureError(
-                f"fixed rule did not reach the quadrature tolerance within "
-                f"{MAX_RULE_NODES} nodes at the root theta = {theta:.6g}")
+    theta = float(_newton_bisect(h, 0.0, _THETA_CAP, 0.0, cfg))
+    return _ThetaFit(theta, (below, theta), warnings, float(value))
 
 
 def fit_bivariate(s: PairedSample,
@@ -374,7 +346,7 @@ def _mrq_lcov_12(p: MrqParams, cfg: NumericConfig) -> float:
         gap = np.exp(-_mrq_root(aa, cc, x2, cfg)) - sk
         return ((p.a1 + p.b1) - 2.0 * p.b1 * (1.0 - u1)) * (gap @ w)
 
-    return 2.0 * float(_fixed_rule(inner, 0.0, 0.0, cfg)[0])
+    return 2.0 * float(_fixed_rule(inner, 0.0, 0.0, cfg))
 
 
 def fit_mrq(s: PairedSample,

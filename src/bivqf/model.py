@@ -178,13 +178,16 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _rule_step(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
-               n: int) -> np.ndarray:
-    """int_0^1 u^a_exp (1-u)^b_exp f(u) du on n Gauss-Jacobi nodes (Golub-Welsch).
+def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
+                cfg: NumericConfig, judged=...) -> np.ndarray:
+    """int_0^1 u^a_exp (1-u)^b_exp f(u) du on Gauss-Jacobi nodes (Golub-Welsch).
 
     `f` maps the node vector to values of shape (..., n), so integrands
     that share the nodes are contracted together; an inner rule inside
-    `f` may size itself from the node count.
+    `f` may size itself from the node count.  The count doubles from 16
+    until the n- and 2n-node results agree to the quadrature tolerances
+    in the components `judged` selects, all by default; the 2n-node
+    result is returned.
 
     An exponent below -1/2 is raised by one, as the nodes turn NaN within
     about 1e-14 of -1: f is also evaluated at that end (in the same call
@@ -193,50 +196,43 @@ def _rule_step(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float
     by u or 1-u.
     """
     lift_a, lift_b = a_exp < -0.5, b_exp < -0.5
-    u, w = _gauss_jacobi(n, a_exp + lift_a, b_exp + lift_b)
-    if not (lift_a or lift_b):
-        return f(u) @ w
-    ends = np.array([0.0] * lift_a + [1.0] * lift_b)
-    # the integrals of u^a_exp (1-u)^b_exp times 1-u and times u
-    end_w = np.array([complete_beta(a_exp + 1.0, b_exp + 2.0)] * lift_a
-                     + [complete_beta(a_exp + 2.0, b_exp + 1.0)] * lift_b)
-    vals = f(np.concatenate([u, ends]))
-    fe = vals[..., n:]
-    line = ((fe[..., :1] * (1.0 - u) if lift_a else 0.0)
-            + (fe[..., -1:] * u if lift_b else 0.0))
-    rest = (vals[..., :n] - line) / (u ** lift_a * (1.0 - u) ** lift_b)
-    return fe @ end_w + rest @ w
-
-
-def _rules_agree(val: np.ndarray, prev: np.ndarray, cfg: NumericConfig) -> bool:
-    """True when the n-node result prev is within the quadrature tolerances of
-    the 2n-node result val in every component."""
-    err = np.abs(val - prev)
-    return bool(np.all(err <= np.maximum(cfg.quad_abs_tol, cfg.quad_rel_tol * np.abs(val))))
-
-
-def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
-                cfg: NumericConfig, judged=...) -> tuple[np.ndarray, int]:
-    """int_0^1 u^a_exp (1-u)^b_exp f(u) du by _rule_step, and the node count n it settled on.
-
-    n doubles from 16 until the n- and 2n-node results agree
-    (_rules_agree) in the components `judged` selects, all by default;
-    the 2n-node result is returned.
-    """
-    n, val = 16, _rule_step(f, a_exp, b_exp, 16)
-    while 2 * n <= MAX_RULE_NODES:
-        prev, val = val, _rule_step(f, a_exp, b_exp, 2 * n)
-        if _rules_agree(val[judged], prev[judged], cfg):
-            return val, n
-        n *= 2
+    if lift_a or lift_b:
+        ends = np.array([0.0] * lift_a + [1.0] * lift_b)
+        # the integrals of u^a_exp (1-u)^b_exp times 1-u and times u
+        end_w = np.array([complete_beta(a_exp + 1.0, b_exp + 2.0)] * lift_a
+                         + [complete_beta(a_exp + 2.0, b_exp + 1.0)] * lift_b)
+    prev, n = None, 16
+    while n <= MAX_RULE_NODES:
+        u, w = _gauss_jacobi(n, a_exp + lift_a, b_exp + lift_b)
+        if not (lift_a or lift_b):
+            val = f(u) @ w
+        else:
+            vals = f(np.concatenate([u, ends]))
+            fe = vals[..., n:]
+            line = ((fe[..., :1] * (1.0 - u) if lift_a else 0.0)
+                    + (fe[..., -1:] * u if lift_b else 0.0))
+            rest = (vals[..., :n] - line) / (u ** lift_a * (1.0 - u) ** lift_b)
+            val = fe @ end_w + rest @ w
+        if prev is not None:
+            err = np.abs(val - prev)
+            if np.all(err[judged] <= np.maximum(cfg.quad_abs_tol,
+                                                cfg.quad_rel_tol * np.abs(val[judged]))):
+                return val
+        prev, n = val, 2 * n
     raise QuadratureError(
         f"fixed rule did not reach the quadrature tolerance within "
-        f"{MAX_RULE_NODES} nodes (last change {np.max(np.abs(val - prev)):.3e})")
+        f"{MAX_RULE_NODES} nodes (last change {np.max(err):.3e})")
 
 
-def _u1_substitution(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
-                     theta: float) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """The integrand in s of _u1_rule and its exponent of s; that of 1-s stays b_exp."""
+def _u1_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
+             theta: float, cfg: NumericConfig, judged=...) -> np.ndarray:
+    """int_0^1 u^a_exp (1-u)^b_exp f(u) du over u = u1, as _fixed_rule, theta > 0.
+
+    The integrands over u1 have a (theta*u1)^p kink at u1 = 0 and change
+    on the scale u1 ~ 1/theta; u = s^k with k = max(3, log10 theta)
+    smooths the kink and moves that scale to s >= 0.1, where the nodes
+    resolve it.  (1-u)^b_exp is (1-s)^b_exp ((1-u)/(1-s))^b_exp.
+    """
     k = max(3.0, math.log10(theta))
 
     def in_s(s: np.ndarray) -> np.ndarray:
@@ -245,20 +241,7 @@ def _u1_substitution(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp:
             ratio = np.where(s < 1.0, (1.0 - u) / (1.0 - s), k)
         return k * ratio ** b_exp * f(u)
 
-    return in_s, k * (a_exp + 1.0) - 1.0
-
-
-def _u1_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
-             theta: float, cfg: NumericConfig) -> np.ndarray:
-    """int_0^1 u^a_exp (1-u)^b_exp f(u) du over u = u1, as _fixed_rule, theta > 0.
-
-    The integrands over u1 have a (theta*u1)^p kink at u1 = 0 and change
-    on the scale u1 ~ 1/theta; u = s^k with k = max(3, log10 theta)
-    smooths the kink and moves that scale to s >= 0.1, where the nodes
-    resolve it.  (1-u)^b_exp is (1-s)^b_exp ((1-u)/(1-s))^b_exp.
-    """
-    in_s, a_s = _u1_substitution(f, a_exp, b_exp, theta)
-    return _fixed_rule(in_s, a_s, b_exp, cfg)[0]
+    return _fixed_rule(in_s, k * (a_exp + 1.0) - 1.0, b_exp, cfg, judged)
 
 
 def _u2_rule(n: int, k: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -415,8 +398,9 @@ class _FromZero(_Half):
 
     def bracket(self, g):
         # y^p/p <= G <= 2^(1-r) y^p/p; the first, the tail asymptote, gives
-        # the lower end in mu, where Newton starts
-        lo = np.maximum(-math.log(2.0) - np.log(self.p * g) / self.p, 0.0)
+        # the lower end in mu, where Newton starts; log p + log g, as p g
+        # underflows to 0 where g is subnormal
+        lo = np.maximum(-math.log(2.0) - (math.log(self.p) + np.log(g)) / self.p, 0.0)
         return lo, lo + (1.0 - self.r) * math.log(2.0) / self.p
 
 

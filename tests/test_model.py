@@ -658,6 +658,13 @@ class TestDistributionFunction:
         assert 0.0 < u < np.finfo(float).tiny
         assert abs(u - (a * x / p.c) ** (1.0 / a)) <= np.finfo(float).smallest_subnormal
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [1e-320, 1e-310])
+    def test_subnormal_x_on_a_corner(self, x):
+        # (a x/c)^(1/a) underflows; p g in the tail bound's log once did too,
+        # and the bracket's lower end became +inf
+        assert f1(MarginalParams(1.0, -0.9999999, -1.9999), x) == 0.0
+
 
 class TestConditional:
     BP = BivariateParams(EXP1, MarginalParams(2.0, 0.0, -1.0), 0.7)
@@ -966,8 +973,10 @@ REPLICATED = {
 class TestRootSearch:
     """fit_theta solves in closed form where the product moment is linear in
     theta (beta2 <= -1), and elsewhere by _newton_bisect on the exact slope
-    from theta = 0; fit_mrq by fit._increasing_root, _newton_bisect on secant
-    slopes.  Their roots agree with scipy's brentq on the same residual."""
+    from theta = 0, each iterate on the u1 rule product_moment sizes
+    (model._u1_rule), and product_moment itself only at theta = 0; fit_mrq
+    by fit._increasing_root, _newton_bisect on secant slopes.  Their roots
+    agree with scipy's brentq on the same residual."""
 
     @staticmethod
     def close_to_brentq(x, f, lo, hi, cfg=NumericConfig()):
@@ -990,10 +999,9 @@ class TestRootSearch:
     def test_fit_theta(self, monkeypatch):
         s = BUILTIN_DATASETS["cable"]
         m1, m2 = fit_marginal(s.x1), fit_marginal(s.x2)
-        calls = self.count_calls(monkeypatch, ["_fixed_rule", "product_moment"])
+        calls = self.count_calls(monkeypatch, ["_u1_rule", "product_moment"])
         theta, (lo, hi), _ = fit_theta(s, m1, m2)
-        # the rule is sized once; product_moment runs only at theta = 0
-        assert len(calls["_fixed_rule"]) == 1 and len(calls["product_moment"]) == 1
+        assert calls["_u1_rule"] and len(calls["product_moment"]) == 1
         assert 0.0 < lo <= hi == theta
         target = float(np.mean(np.asarray(s.x1) * np.asarray(s.x2)))
         self.close_to_brentq(
@@ -1003,7 +1011,7 @@ class TestRootSearch:
     @pytest.mark.parametrize("name", sorted(REPLICATED))
     def test_fit_theta_on_replicates(self, name, monkeypatch):
         bp, n = REPLICATED[name]
-        calls = self.count_calls(monkeypatch, ["_fixed_rule", "_rule_step", "product_moment",
+        calls = self.count_calls(monkeypatch, ["_u1_rule", "product_moment",
                                                "_increasing_root"])
         kinds = []
         for seed in range(24):
@@ -1019,10 +1027,10 @@ class TestRootSearch:
             if m2.beta <= -1.0:
                 # the product moment is a line in theta: no rule runs
                 kinds.append("closed")
-                assert lo == hi == theta and not calls["_fixed_rule"] + calls["_rule_step"]
+                assert lo == hi == theta and not calls["_u1_rule"]
             else:
                 kinds.append("newton")
-                assert 0.0 <= lo <= hi == theta and len(calls["_fixed_rule"]) == 1
+                assert 0.0 <= lo <= hi == theta and calls["_u1_rule"]
             target = s.product_mean
             self.close_to_brentq(
                 theta, lambda th: product_moment(BivariateParams(m1, m2, th)) - target,
@@ -1045,13 +1053,14 @@ class TestRootSearch:
         assert math.isclose(slope, (pm(theta + h) - pm(theta - h)) / (2.0 * h), rel_tol=1e-9)
 
     def test_rule_failing_at_the_root_is_doubled(self, monkeypatch):
-        # sized at the first iterate, the n-node rule fails the check at the root
+        # a rule sized at the first iterate fails its n-against-2n check at
+        # the root; sized at every iterate, it doubles there
         m1 = MarginalParams(1.0, 0.06399247143604425, 0.30015558539171994)
         m2 = MarginalParams(1.0, 2.5525959634177555, -0.9403720494851855)
         target = product_moment(BivariateParams(m1, m2, 435.41552826662354))
-        calls = self.count_calls(monkeypatch, ["_rules_agree"])
+        calls = self.count_calls(monkeypatch, ["_u1_rule", "product_moment"])
         theta = fit_theta(PairedSample((1.0,), (target,)), m1, m2)[0]
-        assert calls["_rules_agree"][0] is False and calls["_rules_agree"][-1] is True
+        assert calls["_u1_rule"] and len(calls["product_moment"]) == 1
         self.close_to_brentq(
             theta, lambda th: product_moment(BivariateParams(m1, m2, th)) - target,
             0.0, 2.0 * theta)
@@ -1059,17 +1068,17 @@ class TestRootSearch:
     @pytest.mark.parametrize("m2", [MarginalParams(1.0, 0.0, -0.9),
                                     MarginalParams(1.0, 8.0, 0.5)])
     def test_root_past_1000(self, m2, monkeypatch):
-        # k = log10 theta there, so the rule is sized again at every iterate.
-        # The product moment nears its limit as theta grows (theta dPM/dtheta
-        # is 1e-3 to 5e-2 of PM), so a rounding error of PM moves its root by
-        # more than root_tol: like brentq's, the root is one to rounding
+        # k = log10 theta there.  The product moment nears its limit as theta
+        # grows (theta dPM/dtheta is 1e-3 to 5e-2 of PM), so a rounding error
+        # of PM moves its root by more than root_tol: like brentq's, the root
+        # is one to rounding
         m1 = MarginalParams(1.0, 0.3, 0.4)
         eps = np.finfo(float).eps
         for theta_true in (2000.0, 30000.0):
             target = product_moment(BivariateParams(m1, m2, theta_true))
-            calls = self.count_calls(monkeypatch, ["_fixed_rule"])
+            calls = self.count_calls(monkeypatch, ["_u1_rule", "product_moment"])
             theta = fit_theta(PairedSample((1.0,), (target,)), m1, m2)[0]
-            assert len(calls["_fixed_rule"]) > 2
+            assert calls["_u1_rule"] and len(calls["product_moment"]) == 1
             for root in (theta, brentq(
                     lambda th: product_moment(BivariateParams(m1, m2, th)) - target,
                     0.0, 2.0 * theta, xtol=1e-12, maxiter=model.ROOT_MAX_ITER)):
