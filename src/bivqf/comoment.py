@@ -215,12 +215,15 @@ def _sample_directed(lead: np.ndarray, cond: np.ndarray) -> tuple[float, float, 
     `lead` with the shifted Legendre polynomial of the mapped ranks.
     """
     n = lead.size
-    # a group of tied values has the average of its ranks: its last rank
-    # minus (count - 1)/2, exact in floating point
-    ordered = np.sort(cond)
-    last = np.searchsorted(ordered, cond, "right")
-    count = last - np.searchsorted(ordered, cond, "left")
-    t = (last - (count - 1) / 2.0) / (n + 1.0)
+    # a group of tied values has the average of its first and last ranks,
+    # exact in floating point; found on the sorted values (sorted queries)
+    # and scattered back through one argsort, whose order among ties does
+    # not matter, as tied values share their group's ranks
+    order = cond.argsort()
+    ordered = cond[order]
+    first = ordered.searchsorted(ordered, "left")
+    t = np.empty(n)
+    t[order] = (first + ordered.searchsorted(ordered, "right") + 1) / (2.0 * n + 2.0)
     # each mean as its sum over n: np.mean's value, bit for bit, at a third of its cost
     centered = lead - lead.sum() / n
     out = []

@@ -290,9 +290,9 @@ def _mrq_root(aa, cc, x, cfg: NumericConfig) -> np.ndarray:
     y = np.where(x > 0.0, np.inf, 0.0)
     live = (x > 0.0) & (_mrq_q(top, aa, cc) >= x)
     if np.any(live):
-        a, c, xl = aa[live], cc[live], x[live]
-        y[live] = _newton_bisect(lambda y: (_mrq_q(y, a, c) - xl, a - 2.0 * c * np.exp(-y)),
-                                 np.zeros_like(xl), top[live], start[live], cfg)
+        y[live] = _newton_bisect(
+            lambda y, a, c, xl: (_mrq_q(y, a, c) - xl, a - 2.0 * c * np.exp(-y)),
+            0.0, top[live], start[live], cfg, aa[live], cc[live], x[live])
     return y
 
 

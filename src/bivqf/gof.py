@@ -129,10 +129,26 @@ def _ks_conditional(s: PairedSample, cdf1, cdf2, mode: str):
     return out
 
 
+def _kept_pit(p: MarginalParams, x: np.ndarray, cfg: NumericConfig):
+    """f1_flagged(p, x, cfg) as read-only arrays, kept on the margin for its last column.
+
+    ks_marginal and the first component of ks_conditional both invert the
+    same sample column, so the margin keeps one entry, keyed by (cfg,
+    x.shape, x.tobytes()), as it keeps its plan; == and pickling skip it.
+    """
+    key = (cfg, x.shape, x.tobytes())
+    kept = vars(p).get("_gof_pit")
+    if kept is None or kept[0] != key:
+        pit, clamped = (np.asarray(a) for a in f1_flagged(p, x, cfg))
+        pit.flags.writeable = clamped.flags.writeable = False
+        kept = vars(p)["_gof_pit"] = (key, pit, clamped)
+    return kept[1], kept[2]
+
+
 def ks_marginal(data, p: MarginalParams,
                 cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> GofResult:
     """One-sample K-S of univariate data against a fitted marginal."""
-    return _ks_marginal(data, lambda x: f1_flagged(p, x, cfg))
+    return _ks_marginal(data, lambda x: _kept_pit(p, x, cfg))
 
 
 def ks_conditional(s: PairedSample, bp: BivariateParams,
@@ -145,7 +161,7 @@ def ks_conditional(s: PairedSample, bp: BivariateParams,
     GofResults, one per conditioning pair (ordered by ascending x1), each
     testing the whole x2 sample against the conditional law at that x1.
     """
-    return _ks_conditional(s, lambda x1: f1_flagged(bp.m1, x1, cfg),
+    return _ks_conditional(s, lambda x1: _kept_pit(bp.m1, x1, cfg),
                            lambda u1, x2: f1_flagged(bp.m2, x2 / (1.0 + bp.theta * u1), cfg),
                            mode)
 

@@ -68,8 +68,8 @@ class MarginalParams:
         top, lower, row = _shape_plan(self.alpha, self.beta)
         return lower, self.c * top, row
 
-    def __getstate__(self) -> dict:  # pickles without the plan
-        return {name: v for name, v in vars(self).items() if name != "_plan"}
+    def __getstate__(self) -> dict:  # pickles the fields only: no plan, no PIT kept by gof
+        return {name: vars(self)[name] for name in self.__dataclass_fields__}
 
     def in_lmoment_region(self) -> bool:
         """True when all gamma arguments of the L-moment formulas are positive."""
@@ -266,29 +266,53 @@ def _pick(cond, a, b):
     return np.where(cond, a, b)
 
 
-def _newton_bisect(h: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+def _newton_bisect(h: Callable[..., tuple[np.ndarray, np.ndarray]],
                    lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
-                   cfg: NumericConfig) -> np.ndarray:
-    """Elementwise root of h with h(lo) <= 0 <= h(hi), for floats or arrays.
+                   cfg: NumericConfig, *per_elem: np.ndarray) -> np.ndarray:
+    """Elementwise root of h with h(lo) <= 0 <= h(hi), for floats or 1-d arrays.
 
-    `h` returns its value and slope in one call; lo, hi and the start x
-    are finite.  Safeguarded Newton: a step that does not land strictly
-    inside the bracket (where h is down to rounding noise, steps onto its
-    ends can cycle between them) and is not zero, or a nonpositive slope,
-    is replaced by bisection, and every evaluation shrinks the bracket on
-    the sign of h.  Stops when no element moves by more than root_tol.  A
+    `h(x, *per_elem)` returns its value and slope in one call; lo, hi and
+    the start x are finite.  Safeguarded Newton: a step that does not
+    land strictly inside the bracket (where h is down to rounding noise,
+    steps onto its ends can cycle between them) and is not zero, or a
+    nonpositive slope, is replaced by bisection, and every evaluation
+    shrinks the bracket on the sign of h.  An element stops at its first
+    step of at most root_tol, which is its result; h then sees only the
+    elements still moving, with the arrays of `per_elem` sliced the same
+    way, so a batch solve gives each element's own solve bit for bit.  A
     float stays a numpy scalar throughout, as _pick selects.
     """
+    array = isinstance(x, np.ndarray)
+    pick = np.where if array else _pick
+    out = moving = None  # the results, and where the moving elements sit in them
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(ROOT_MAX_ITER):
-            hx, slope = h(x)
-            lo = _pick(hx < 0.0, x, lo)
-            hi = _pick(hx > 0.0, x, hi)
+            hx, slope = h(x, *per_elem)
+            lo = pick(hx < 0.0, x, lo)
+            hi = pick(hx > 0.0, x, hi)
             xn = x - hx / slope
             newton = (slope > 0.0) & (((xn > lo) & (xn < hi)) | (xn == x))
-            xn = _pick(hx == 0.0, x, _pick(newton, xn, 0.5 * (lo + hi)))
-            if (abs(xn - x) <= cfg.root_tol).all():
+            xn = pick(hx == 0.0, x, pick(newton, xn, 0.5 * (lo + hi)))
+            done = abs(xn - x) <= cfg.root_tol
+            if not array:
+                if done:
+                    return xn
+            elif (stopped := np.count_nonzero(done)) == xn.size and out is None:
                 return xn
+            elif stopped:
+                if out is None:
+                    out, moving = np.empty(xn.size), np.ones(xn.size, dtype=bool)
+                out[moving] = xn  # the ones still moving are overwritten when they stop
+                if stopped == xn.size:
+                    return out
+                # one array at a time, so that the peak stays that of a step
+                del hx, slope, newton
+                moving[moving] = keep = ~done
+                keep = keep.nonzero()[0]
+                x = xn = xn[keep]
+                lo = lo[keep]
+                hi = hi[keep]
+                per_elem = [a[keep] for a in per_elem]
             x = xn
     raise ConvergenceError(
         f"safeguarded Newton did not converge within {ROOT_MAX_ITER} steps")
@@ -370,13 +394,13 @@ class _Half:
     def solve(self, g, cfg: NumericConfig):
         """mu at which G(mu) = g, elementwise, by safeguarded Newton on log G."""
         lo, hi = self.bracket(g)
-        log_g, s = np.log(g), self.rising
+        s = self.rising
 
-        def h(mu):
+        def h(mu, log_g):
             log_val, slope = self._log(mu)
             return s * (log_val - log_g), slope
 
-        return _newton_bisect(h, lo, hi, lo, cfg)
+        return _newton_bisect(h, lo, hi, lo, cfg, np.log(g))
 
 
 class _FromZero(_Half):

@@ -78,7 +78,22 @@ def draw(bp: BivariateParams, spec: SamplerSpec,
 
 def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
                        cfg: NumericConfig) -> np.ndarray:
-    """Invert S(. | x1) = v for each draw; w is the conditional PIT level."""
+    """Invert S(. | x1) = v for each draw; w is the conditional PIT level.
+
+    With R = Q2/q2, S(w) = (1 - w) - k R(w), and each draw solves v - S = 0
+    as w - (1 - v) + k R below w = 1/2 and v - (1 - w) + k R above it:
+    1 - v is exact for v >= 1/2 and 1 - w for w >= 1/2, so neither rounds
+    where the difference cancels.  The first of 64 scan cells whose right
+    end has S <= v holds the first crossing.  A draw starts at the cubic
+    Hermite inverse of S on its cell, from S at both ends (the scan's) and
+    dS/dw = -1 - k R', with R' = 1 - R l, l = d(log q2)/dw =
+    alpha2/w - beta2/(1-w) and R'(0) = 1/(alpha2+1); a slope >= 0 (the
+    dip of S lies in the cell) gives way to the secant.  One pass of Q2
+    and q2 at the starts takes a Halley step d, which settles a caught
+    draw when |d| <= 1e-6 min(w, 1-w): x2 = g (Q2 + q2 d + q2 l d^2/2).
+    The rest run _newton_bisect on the bracket the pass narrowed, and x2
+    is the same expansion about each one's last evaluation.
+    """
     m2 = bp.m2
     th = bp.theta
     if m2.alpha <= -1.0:
@@ -94,26 +109,73 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
         return g * big_q1(m2, w)
 
     _, upper, row = m2._plan
+    alpha, beta = m2.alpha, m2.beta
 
-    def ratio(w: np.ndarray) -> np.ndarray:  # Q2/q2, so that S = (1 - w) - k ratio
-        # every w here lies in (0, 1): big_q1's checks and masks are skipped
-        return row.q(m2, w, upper) / (m2.c * w ** m2.alpha * (1.0 - w) ** m2.beta)
+    def residual(w, v, k, r):
+        # v - S, with no rounding in 1 - v for v >= 1/2 nor in 1 - w for w >= 1/2
+        return np.where(w < 0.5, w - (1.0 - v), v - (1.0 - w)) + k * r
 
-    # the first of 64 scan cells whose right end has S <= v holds the first
-    # crossing; the grid's Q2/q2 ratios are shared by all draws
+    def level(w):
+        # Q2, q2 and l at w in (0, 1): big_q1's checks and masks are skipped
+        return (row.q(m2, w, upper), m2.c * w ** alpha * (1.0 - w) ** beta,
+                alpha / w - beta / (1.0 - w))
+
+    # the scan; the grid's Q2/q2 ratios are shared by all draws
     grid = np.arange(1, 65) / 65.0
-    crossed = (1.0 - grid) - k[:, None] * ratio(grid) <= v[:, None]
+    big, small, l = level(grid)
+    r = big / small
+    s_grid = (1.0 - grid) - k[:, None] * r
+    crossed = s_grid <= v[:, None]
     cell = np.argmax(crossed, axis=1)
-    found = crossed[np.arange(v.size), cell]
-    lo = np.where(found, np.concatenate(([0.0], grid))[cell], grid[-1])
+    i = np.arange(v.size)
+    found = crossed[i, cell]
+    ends = np.concatenate(([0.0], grid))
     # remaining crossings sit in the last cell near w = 1
-    hi = np.where(found, grid[cell], 1.0 - 1e-12)
-    if np.any((1.0 - hi) - k * ratio(hi) > v):
-        raise ConvergenceError("conditional survival failed to cross the draw level")
+    lo = np.where(found, ends[cell], grid[-1])
+    hi = np.where(found, ends[cell + 1], 1.0 - 1e-12)
 
-    def h(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # v - S and its slope -dS/dw = 1 + k - k ratio d(log q2)/dw
-        r = ratio(w)
-        return v - (1.0 - w) + k * r, 1.0 + k - k * r * (m2.alpha / w - m2.beta / (1.0 - w))
+    # the start, the midpoint where no cell caught the draw
+    s0 = np.where(cell == 0, 1.0, s_grid[i, cell - 1])
+    s1 = s_grid[i, cell]
+    secant = (s1 - s0) / (ends[cell + 1] - ends[cell])
+    r_prime = np.concatenate(([1.0 / (alpha + 1.0)], 1.0 - r * l))
+    m0, m1 = (secant / np.where(s < 0.0, s, secant)
+              for s in (-1.0 - k * r_prime[cell], -1.0 - k * r_prime[cell + 1]))
+    t = (s0 - v) / (s0 - s1)
+    cubic = t + t * (1.0 - t) * ((1.0 - t) * (m0 - 1.0) - t * (m1 - 1.0))
+    t = np.where((cubic > 0.0) & (cubic <= 1.0), cubic, t)
+    w = lo + (hi - lo) * np.where(found, t, 0.5)
 
-    return g * big_q1(m2, _newton_bisect(h, lo, hi, 0.5 * (lo + hi), cfg))
+    # one pass at the starts: the residual, its two derivatives, a Halley step
+    big, small, l = level(w)
+    r = big / small
+    f = residual(w, v, k, r)
+    r_prime = 1.0 - r * l
+    fp = 1.0 + k * r_prime
+    fpp = k * (r * (alpha / (w * w) + beta / ((1.0 - w) * (1.0 - w))) - r_prime * l)
+    d = -2.0 * f * fp / (2.0 * fp * fp - f * fpp)
+    x2 = g * (big + small * d * (1.0 + 0.5 * l * d))
+    rest = ~(found & (np.abs(d) <= 1e-6 * np.minimum(w, 1.0 - w)))
+    if not rest.any():
+        return x2
+
+    top = ~found
+    if top.any():
+        big, small, _ = level(hi[top])
+        if np.any((1.0 - hi[top]) - k[top] * (big / small) > v[top]):
+            raise ConvergenceError("conditional survival failed to cross the draw level")
+    lo, hi = np.where(f < 0.0, w, lo)[rest], np.where(f > 0.0, w, hi)[rest]
+    start = (w + d)[rest]
+    start = np.where((start > lo) & (start < hi), start, 0.5 * (lo + hi))
+    last = np.empty((4, lo.size))  # w, Q2, q2 and l at each draw's last evaluation
+
+    def h(w, v, k, j):
+        big, small, l = level(w)
+        last[:, j] = w, big, small, l
+        r = big / small
+        return residual(w, v, k, r), 1.0 + k * (1.0 - r * l)
+
+    d = _newton_bisect(h, lo, hi, start, cfg, v[rest], k[rest], np.arange(lo.size)) - last[0]
+    _, big, small, l = last
+    x2[rest] = g[rest] * (big + small * d * (1.0 + 0.5 * l * d))
+    return x2

@@ -397,3 +397,26 @@ class TestSample:
             p = eval_sh_legendre(k, t)
             expected.append(float(np.mean((lead - lead.mean()) * (p - p.mean()))))
         assert _sample_directed(lead, cond) == tuple(expected)
+
+    @pytest.mark.parametrize("n", [9, 20, 1000])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_ranks_equal_the_searchsorted_formula(self, n, tied, monkeypatch):
+        # the mapped ranks, bit for bit, of the formula with two unsorted
+        # searchsorted queries that one argsort replaced
+        from bivqf import comoment
+
+        rng = np.random.default_rng(n)
+        lead = rng.normal(size=n)
+        cond = (rng.integers(0, max(2, n // 5), size=n).astype(float) if tied
+                else rng.normal(size=n))
+        ordered = np.sort(cond)
+        last = np.searchsorted(ordered, cond, "right")
+        count = last - np.searchsorted(ordered, cond, "left")
+        t_old = (last - (count - 1) / 2.0) / (n + 1.0)
+        seen = []
+        monkeypatch.setattr(comoment, "eval_sh_legendre",
+                            lambda k, t: seen.append(t) or eval_sh_legendre(k, t))
+        _sample_directed(lead, cond)
+        assert len(seen) == 3 and (count > 1).any() == tied
+        for t in seen:
+            assert t.tobytes() == t_old.tobytes()

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -20,6 +22,7 @@ from bivqf.model import (
     DEFAULT_NUMERIC_CONFIG,
     BivariateParams,
     MarginalParams,
+    NumericConfig,
     big_q1,
     f1,
     f1_flagged,
@@ -169,8 +172,8 @@ class TestPerPointBlocks:
         assert_rows_equal(ks_conditional(s, bp, mode="per-point"),
                           ks_per_point_loop(s, *family_cdfs(bp)))
 
-    # a corner solve iterates until its slowest element converges, so a
-    # row computed in a block may move by an ulp
+    # a corner solve stops each element on its own, so a row computed in a
+    # block equals the row computed alone
     @pytest.mark.parametrize("alpha, beta", [
         (-0.5, -1.4), (-1.2, -0.3), (-0.9, -1.8), (0.3, -1.2), (-1.5, -1.5),
         (-0.99, -1.0), (-1.0, 0.5), (-2.0, 0.0)])
@@ -178,19 +181,15 @@ class TestPerPointBlocks:
         bp = BivariateParams(MarginalParams(1.0, 0.3, 0.6),
                              MarginalParams(1.0, alpha, beta), 0.7)
         s = draw(bp, SamplerSpec(seed=11, n=300, method="transform"))
-        rows = ks_conditional(s, bp, mode="per-point")
-        ref = ks_per_point_loop(s, *family_cdfs(bp))
-        assert [g.cond_x1 for g in rows] == [r.cond_x1 for r in ref]
-        assert max(abs(g.d_point - r.d_point) for g, r in zip(rows, ref)) <= 4.5e-16
+        assert_rows_equal(ks_conditional(s, bp, mode="per-point"),
+                          ks_per_point_loop(s, *family_cdfs(bp)))
 
     @pytest.mark.parametrize("fitted", [False, True])
     def test_competitor_within_an_ulp_of_the_loop(self, fitted):
         p = fit_mrq(COMP).params if fitted else MRQ_PUB
         rows = mrq_ks_conditional(COMP, p, mode="per-point")
-        ref = ks_per_point_loop(COMP, *gof._mrq_cdfs(p, DEFAULT_NUMERIC_CONFIG))
-        assert [g.cond_x1 for g in rows] == [r.cond_x1 for r in ref]
         assert all(g.n_clamped == 0 for g in rows)
-        assert max(abs(g.d_point - r.d_point) for g, r in zip(rows, ref)) <= 4.5e-16
+        assert_rows_equal(rows, ks_per_point_loop(COMP, *gof._mrq_cdfs(p, DEFAULT_NUMERIC_CONFIG)))
 
     def test_two_blocks(self):
         n = 600
@@ -207,6 +206,58 @@ class TestPerPointBlocks:
         assert len(sizes) == math.ceil(n / max(1, 2 ** 18 // n)) == 2
         assert max(sizes) <= 2 ** 18 and sum(sizes) == n * n
         assert_rows_equal(rows, ks_per_point_loop(s, cdf1, cdf2))
+
+
+class TestKeptPit:
+    """ks_marginal and ks_conditional invert a margin's sample column once."""
+
+    @staticmethod
+    def counting_rows(monkeypatch, *margins):
+        calls = []
+        for i, m in enumerate(margins):
+            row = m._plan[2]
+            monkeypatch.setattr(row, "f", lambda *a, i=i, f=row.f: calls.append(i) or f(*a))
+        return calls
+
+    def test_d1_then_d21_inverts_x1_once(self, monkeypatch):
+        bp = BivariateParams(*(dataclasses.replace(m) for m in (BP_COMP.m1, BP_COMP.m2)),
+                             BP_COMP.theta)
+        calls = self.counting_rows(monkeypatch, bp.m1, bp.m2)
+        d1 = ks_marginal(COMP.x1, bp.m1)
+        d21 = ks_conditional(COMP, bp)
+        assert calls == [0, 1]
+        # the results are those of fresh margins, which keep nothing yet
+        assert_rows_equal([d1, d21], [ks_marginal(COMP.x1, dataclasses.replace(BP_COMP.m1)),
+                                      ks_conditional(COMP, dataclasses.replace(BP_COMP))])
+        ks_conditional(COMP, bp, mode="per-point")
+        assert calls == [0, 1, 1]
+
+    def test_a_new_column_shape_or_cfg_inverts_again(self, monkeypatch):
+        m = dataclasses.replace(BP_CABLE.m1)
+        calls = self.counting_rows(monkeypatch, m)
+        x = np.asarray(CABLE.x1)
+        ks_marginal(x, m)
+        ks_marginal(x.copy(), m)  # equal bytes, another array: kept
+        assert len(calls) == 1
+        for data, cfg in ((x[:-1], DEFAULT_NUMERIC_CONFIG),
+                          (x[:-1].reshape(1, -1), DEFAULT_NUMERIC_CONFIG),
+                          (np.nextafter(x, np.inf), DEFAULT_NUMERIC_CONFIG),
+                          (x, NumericConfig(root_tol=1e-13))):
+            before = len(calls)
+            ks_marginal(data, m, cfg)
+            assert len(calls) == before + 1
+
+    def test_kept_arrays_are_read_only_and_not_part_of_the_margin(self):
+        m = dataclasses.replace(BP_CABLE.m1)
+        ks_marginal(CABLE.x1, m)
+        pit, clamped = gof._kept_pit(m, CABLE.x1, DEFAULT_NUMERIC_CONFIG)
+        assert not (pit.flags.writeable or clamped.flags.writeable)
+        assert "_gof_pit" in vars(m)
+        assert m == BP_CABLE.m1 and repr(m) == repr(BP_CABLE.m1)
+        assert "_gof_pit" not in vars(dataclasses.replace(m))
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and "_gof_pit" not in vars(back)
+        assert pickle.dumps(m) == pickle.dumps(MarginalParams(m.c, m.alpha, m.beta))
 
 
 class TestPitRoundTrip:

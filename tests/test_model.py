@@ -1137,6 +1137,71 @@ def blend(cond, a, b):
     return m * a + (1.0 - m) * b
 
 
+class TestNewtonBisect:
+    """An array solve stops each element at its own first step of at most
+    root_tol, and h sees only the elements still moving."""
+
+    C = np.linspace(0.5, 7.5, 29)  # x^3 = c on [0, 2]; c = 1 starts on its root
+
+    @staticmethod
+    def h(x, c):
+        return x ** 3 - c, 3.0 * x * x
+
+    def test_batch_is_each_element_alone(self):
+        h, c, cfg = self.h, self.C, NumericConfig()
+        x0 = np.full(c.size, 1.0)
+        batch = _newton_bisect(h, np.zeros(c.size), np.full(c.size, 2.0), x0, cfg, c)
+        for i in range(c.size):
+            one = _newton_bisect(h, np.zeros(1), np.full(1, 2.0), x0[i:i + 1], cfg, c[i:i + 1])
+            assert batch[i].tobytes() == one[0].tobytes(), i
+        np.testing.assert_allclose(batch, np.cbrt(c), rtol=1e-15, atol=1e-15)
+
+    def test_h_sees_only_elements_still_moving(self):
+        h, c, cfg = self.h, self.C, NumericConfig()
+        seen, alone = [], []
+
+        def batch_h(x, c, j):
+            seen.append(j)
+            return h(x, c)
+
+        _newton_bisect(batch_h, 0.0, 2.0, np.full(c.size, 1.0), cfg, c, np.arange(c.size))
+        for i in range(c.size):
+            calls = []
+
+            def one_h(x, c):
+                calls.append(1)
+                return h(x, c)
+
+            _newton_bisect(one_h, 0.0, 2.0, np.full(1, 1.0), cfg, c[i:i + 1])
+            alone.append(len(calls))
+        counts = np.bincount(np.concatenate(seen), minlength=c.size)
+        np.testing.assert_array_equal(counts, alone)
+        # each call's elements are the ones not yet settled, in order
+        assert [j.size for j in seen] == [int(np.sum(np.array(alone) > n))
+                                          for n in range(len(seen))]
+        assert min(alone) < max(alone)
+
+    def test_iteration_cap_still_raises(self, monkeypatch):
+        # the element below moves by bisection only (a negative slope), so
+        # it takes 30-odd steps; its neighbour settles at once
+        monkeypatch.setattr(model, "ROOT_MAX_ITER", 3)
+        sizes = []
+
+        def h(x, s):
+            sizes.append(x.size)
+            return x - 0.3, s
+
+        with pytest.raises(ConvergenceError, match="within 3 steps"):
+            _newton_bisect(h, 0.0, 1.0, np.array([0.3, 0.9]), NumericConfig(),
+                           np.array([1.0, -1.0]))
+        assert sizes == [2, 1, 1]
+
+    def test_scalar_path_returns_a_numpy_float(self):
+        got = _newton_bisect(lambda x: (x ** 3 - 2.0, 3.0 * x * x), 0.0, 2.0, 1.0,
+                             NumericConfig())
+        assert type(got) is np.float64 and abs(got - 2.0 ** (1.0 / 3.0)) < 1e-15
+
+
 class TestPick:
     VALUES = [0.0, -0.0, 1.0, -2.5, 5e-324, 1e-300, -3e200, 1.7976931348623157e308]
 

@@ -4,11 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from bivqf import sampling
 from bivqf.catalog import make_case
 from bivqf.data import PairedSample
 from bivqf.errors import ConvergenceError, DomainError
-from bivqf.model import BivariateParams, MarginalParams, big_q1, joint_survival, q1
-from bivqf.sampling import SamplerSpec, draw
+from bivqf.model import (BivariateParams, MarginalParams, NumericConfig, _newton_bisect, big_q1,
+                         f1, joint_survival, q1)
+from bivqf.sampling import SamplerSpec, _exact_conditional, draw
 
 EXP_BP = BivariateParams(MarginalParams(1.0, 0.0, -1.0),
                          MarginalParams(1.0, 0.0, -1.0), 0.0)
@@ -118,12 +120,25 @@ def exact_mpmath(m2: MarginalParams, k: float, v: float) -> float:
         return float(big_q(w))
 
 
+PUBLISHED = {
+    "cable": BivariateParams(MarginalParams(9.0819, -0.4864, -0.9946),
+                             MarginalParams(29.2295, -0.3406, -0.3531), 0.6821),
+    "components": BivariateParams(MarginalParams(13.0499, 0.8856, -0.1844),
+                                  MarginalParams(5.9257, 0.3555, -0.6695), 0.5492),
+}
+
+
+def assert_matches_mpmath(bp, u1, v, x2):
+    for a, b, x in zip(u1, v, x2):
+        g = 1.0 + bp.theta * a
+        ref = g * exact_mpmath(bp.m2, (1.0 - a) * bp.theta / g, b)
+        assert math.isclose(x, ref, rel_tol=1e-13), (a, b, (x - ref) / ref)
+
+
 class TestExactSampler:
     @pytest.mark.parametrize("bp", [
-        BivariateParams(MarginalParams(9.0819, -0.4864, -0.9946),
-                        MarginalParams(29.2295, -0.3406, -0.3531), 0.6821),
-        BivariateParams(MarginalParams(13.0499, 0.8856, -0.1844),
-                        MarginalParams(5.9257, 0.3555, -0.6695), 0.5492),
+        PUBLISHED["cable"],
+        PUBLISHED["components"],
         BivariateParams(MarginalParams(2.0, 0.0, -1.0),
                         MarginalParams(1.0, 0.0, -1.0), 0.5),
     ], ids=["cable", "components", "exponential"])
@@ -132,10 +147,52 @@ class TestExactSampler:
         s = draw(bp, SamplerSpec(seed=23, n=n, method="exact"))
         rng = np.random.Generator(np.random.Philox(key=23))  # the sampler's stream
         u1, v = rng.random(n), rng.random(n)
-        for a, b, x2 in zip(u1, v, s.x2):
-            g = 1.0 + bp.theta * a
-            ref = g * exact_mpmath(bp.m2, (1.0 - a) * bp.theta / g, b)
-            assert math.isclose(x2, ref, rel_tol=1e-13), (a, b)
+        assert_matches_mpmath(bp, u1, v, s.x2)
+
+    @pytest.mark.parametrize("name", sorted(PUBLISHED))
+    def test_tail_draws_match_mpmath(self, name):
+        # 1 - v log-uniform in [1e-8, 1e-1]: w is small there, and the
+        # residual v - (1 - w) + k Q2/q2 lost up to 7e-9 of x2 to cancellation
+        bp = PUBLISHED[name]
+        rng = np.random.default_rng(41)
+        u1, v = rng.random(60), 1.0 - 10.0 ** rng.uniform(-8.0, -1.0, 60)
+        assert_matches_mpmath(bp, u1, v, _exact_conditional(bp, u1, v, NumericConfig()))
+
+    @pytest.mark.parametrize("name", sorted(PUBLISHED))
+    def test_one_pass_draws_near_both_ends(self, name, monkeypatch):
+        # draws that settle in the one Halley pass, without _newton_bisect:
+        # near w = 0 (v -> 1) in the first cell, and near w = 1 in the last
+        # cells where k -> 0 (u1 -> 1) makes S nearly 1 - w
+        def no_newton(*args):
+            raise AssertionError("a draw left the one pass")
+
+        monkeypatch.setattr(sampling, "_newton_bisect", no_newton)
+        bp = PUBLISHED[name]
+        rng = np.random.default_rng(43)
+        for u1, v in ((rng.random(40), 1.0 - 10.0 ** rng.uniform(-8.0, -3.0, 40)),
+                      (1.0 - 10.0 ** rng.uniform(-9.0, -6.0, 40), rng.uniform(0.016, 0.05, 40))):
+            x2 = _exact_conditional(bp, u1, v, NumericConfig())
+            w = f1(bp.m2, x2 / (1.0 + bp.theta * u1))
+            assert np.all(w < 1e-3) or np.all(w > 0.95), w
+            assert_matches_mpmath(bp, u1, v, x2)
+
+    def test_newton_draws_continue_from_their_last_evaluation(self, monkeypatch):
+        # the draws the one pass leaves go to one _newton_bisect call on the
+        # narrowed bracket; no separate Q2 pass follows it
+        calls = []
+
+        def spy(h, lo, hi, x, cfg, *per_elem):
+            calls.append(lo.size)
+            assert np.all((lo <= x) & (x <= hi)) and len(per_elem) == 3
+            return _newton_bisect(h, lo, hi, x, cfg, *per_elem)
+
+        monkeypatch.setattr(sampling, "_newton_bisect", spy)
+        bp = PUBLISHED["components"]
+        s = draw(bp, SamplerSpec(seed=23, n=300, method="exact"))
+        assert len(calls) == 1 and 0 < calls[0] < 300 // 4
+        rng = np.random.Generator(np.random.Philox(key=23))
+        u1, v = rng.random(300), rng.random(300)
+        assert_matches_mpmath(bp, u1, v, s.x2)
 
 
     def test_joint_survival_grid(self):
