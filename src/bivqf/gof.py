@@ -1,7 +1,12 @@
 """Goodness of fit: K-S statistics, p-values, and Q-Q plot data.
 
 PIT values come from numerically inverting the fitted quantile function
-at each observation (clamped at the support with a counted flag).  Two
+at the observations (clamped at the support with a counted flag), one
+f1 call per sample: a sample of more than 64 values is inverted exactly
+at 64 ranks and by Halley steps on Q between them, each PIT within
+1e-13 min(u, 1-u) + 4e-16 |x|/q(u) of its own exact solve at the
+published fits, so within that bound of what the rest of the sample
+leaves it; samples of at most 64 values are inverted value by value.  Two
 empirical-CDF conventions are carried side by side:
 
 - ``d_stat``: the standard two-sided statistic

@@ -123,9 +123,13 @@ DEFAULT_NUMERIC_CONFIG = NumericConfig()
 
 
 # the fixed rules start at 16 nodes and give up with QuadratureError past
-# MAX_RULE_NODES; _newton_bisect raises ConvergenceError after ROOT_MAX_ITER steps
+# MAX_RULE_NODES; _newton_bisect raises ConvergenceError after ROOT_MAX_ITER steps;
+# f1 solves a longer sample column exactly at COLUMN_ANCHORS ranks, and a block
+# of columns about _COLUMN_BLOCK values at a time (_by_column)
 MAX_RULE_NODES = 512
 ROOT_MAX_ITER = 200
+COLUMN_ANCHORS = 64
+_COLUMN_BLOCK = 2 ** 14
 
 
 @functools.lru_cache(maxsize=256)
@@ -509,7 +513,13 @@ def _take(mask, v):
 
 
 class _Row:
-    """A row: Q by q(p, u, upper) on 0 < u < 1, F by f(p, x, upper, cfg), upper = Q(1)."""
+    """A row: Q by q(p, u, upper) on 0 < u < 1, F by f(p, x, upper, cfg), upper = Q(1).
+
+    `by_column` marks the rows whose F is a root solve: f1 inverts their
+    long sample columns through _by_column.
+    """
+
+    by_column = False
 
 
 class _LineRow(_Row):  # the log-logistic line alpha + beta = -2
@@ -584,6 +594,8 @@ class _AlphaZeroRow(_Row):  # alpha = 0, with the log at beta = -1
 
 
 class _BetaRow(_Row):  # the incomplete beta, alpha, beta > -1
+    by_column = True
+
     def q(self, p, u, upper):
         return upper * betainc(p.alpha + 1.0, p.beta + 1.0, u)
 
@@ -600,7 +612,8 @@ class _BetaRow(_Row):  # the incomplete beta, alpha, beta > -1
         elif alpha != beta:
             return u
         # one Newton step on those, and on every element when alpha == beta off
-        # the arcsine row: betaincinv(a, a, p) is off by 1.4e-8 near p = 1/2
+        # the arcsine row: betaincinv(a, a, p) can miss just above p = 1/2
+        # (betaincinv(1.09375, 1.09375, 0.5 + 2**-53) is 0.49999999845, 3.1e-9 off)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = (upper * betainc(a, b, u) - x) / (c * u ** alpha * (1.0 - u) ** beta)
             take = np.abs(step) < 0.5 * np.minimum(u, 1.0 - u)
@@ -608,6 +621,8 @@ class _BetaRow(_Row):  # the incomplete beta, alpha, beta > -1
 
 
 class _CornerRow(_Row):  # the left half, its sign in Q/c, the right half, Q(1/2)/c
+    by_column = True
+
     def __init__(self, left: _Half, sign: float, right: _Half, mid: float):
         self.left, self.sign, self.right, self.mid = left, sign, right, mid
 
@@ -701,7 +716,17 @@ def f1(p: MarginalParams, x: float | np.ndarray,
     """Distribution function u = F(x); out-of-support inputs clamp to 0/1.
 
     `x` may be a float or an array; the result has its shape.  A NaN `x`
-    raises DomainError.
+    raises DomainError.  Where F is a root solve (the beta and corner
+    rows), each row of an array along its last axis is one sample column:
+    up to COLUMN_ANCHORS values inside the support are solved one by one,
+    and a longer column is solved exactly at COLUMN_ANCHORS ranks and by
+    Halley steps on Q between them (_by_column).  Each value of a long
+    column is then within 1e-13 min(u, 1-u) + 4e-16 |x|/q(u), and an ulp
+    of u, of its own solve where Q rounds to 4e-16 (the published fits),
+    so it may depend on its column's other values by that much; a row of
+    a block equals the same row passed alone, bit for bit.  Quadrature
+    grids are columns too: the u21 grids of population_lcomoments take
+    this path where their rows pass 64 nodes.
     """
     lower, upper, row = p._plan
     if isinstance(x, (float, int)):
@@ -717,8 +742,118 @@ def f1(p: MarginalParams, x: float | np.ndarray,
         raise DomainError("x must not be NaN")
     u = np.where(x <= lower, 0.0, 1.0)
     inside = (x > lower) & (x < upper)
-    u[inside] = row.f(p, x[inside], upper, cfg)
+    if row.by_column and x.ndim and x.shape[-1] > COLUMN_ANCHORS:
+        # C order, so that _by_column sets it through its (-1, n) rows in place
+        u = np.ascontiguousarray(u)
+        _by_column(row, p, x, u, inside, upper, cfg)
+    else:
+        u[inside] = row.f(p, x[inside], upper, cfg)
     return u
+
+
+def _by_column(row: _Row, p: MarginalParams, x: np.ndarray, u: np.ndarray,
+               inside: np.ndarray, upper: float, cfg: NumericConfig) -> None:
+    """Set u = F(x) where `inside`, each row along the last axis one sample column.
+
+    A column's values inside the support are sorted.  Up to
+    COLUMN_ANCHORS of them, row.f solves each exactly.  A longer column
+    is solved exactly at COLUMN_ANCHORS evenly spaced ranks, both ends
+    included.  A value equal to an anchor takes the anchor's result; any
+    other starts at the cubic Hermite inverse between its two anchors
+    (dx/du = q) and takes Halley steps on Q (_halley_passes), with Q' = q
+    and Q''/Q' = l = alpha/u - beta/(1-u); row.f solves what they leave.
+    Every step is elementwise, so a column gives the same values alone or
+    in a block, and a block is solved _COLUMN_BLOCK values at a time, so
+    that the temporaries stay a few MB.  `u` is C-ordered and set in place.
+    """
+    n = x.shape[-1]
+    x, u, inside = (a.reshape(-1, n) for a in (x, u, inside))  # u: a view
+    rows = max(1, _COLUMN_BLOCK // n)
+    for i in range(0, x.shape[0], rows):
+        _solve_columns(row, p, x[i:i + rows], u[i:i + rows], inside[i:i + rows], upper, cfg)
+
+
+def _solve_columns(row: _Row, p: MarginalParams, x: np.ndarray, u: np.ndarray,
+                   inside: np.ndarray, upper: float, cfg: NumericConfig) -> None:
+    """_by_column on 2-d arrays, a column a row; u is set in place."""
+    k = COLUMN_ANCHORS
+    order = np.argsort(x, axis=-1)
+    xs = np.take_along_axis(x, order, -1)
+    ins = np.take_along_axis(inside, order, -1)
+    m = np.count_nonzero(ins, axis=-1)
+    cols = np.flatnonzero(m > k)
+    col, pos = np.nonzero(ins)  # each column's values inside, ascending
+    long = m[col] > k
+    # the anchors: ranks j (m - 1) // (k - 1) of each long column's values inside
+    first = np.argmax(ins[cols], axis=-1)
+    xa = xs[cols[:, None], first[:, None] + np.arange(k) * (m[cols, None] - 1) // (k - 1)]
+    short_col, short_pos = col[~long], pos[~long]
+    exact = row.f(p, np.concatenate([xs[short_col, short_pos], xa.ravel()]), upper, cfg)
+    u[short_col, order[short_col, short_pos]] = exact[:short_col.size]
+    ua = exact[short_col.size:].reshape(xa.shape)
+
+    col, pos = col[long], pos[long]
+    c = np.cumsum(m > k)[col] - 1  # the row of xa
+    rank = pos - first[c]
+    cell = np.minimum(((k - 1) * (rank + 1) - 1) // (m[col] - 1), k - 2)
+    xv, x0, x1 = xs[col, pos], xa[c, cell], xa[c, cell + 1]
+    u0, u1 = ua[c, cell], ua[c, cell + 1]
+    alpha, beta = p.alpha, p.beta
+    out = np.where(xv == x0, u0, u1)
+    i = np.flatnonzero((xv != x0) & (xv != x1))
+    xi = xv[i]
+
+    def step(j, w):
+        # (Q(w) - x)/q and the Halley step; none where q is not finite
+        q = p.c * w ** alpha * (1.0 - w) ** beta
+        e = (row.q(p, w, upper) - xi[j]) / q
+        d = -e / (1.0 - 0.5 * e * (alpha / w - beta / (1.0 - w)))
+        return e, np.where(q < np.inf, d, np.nan)
+
+    with np.errstate(all="ignore"):
+        # the cubic Hermite inverse of Q on the cell, in t = (x - x0)/(x1 - x0)
+        h, du = x1 - x0, u1 - u0
+        m0, m1 = (h / (du * p.c * w ** alpha * (1.0 - w) ** beta) for w in (u0, u1))
+        t = (xv - x0) / h
+        cubic = t + t * (1.0 - t) * ((1.0 - t) * (m0 - 1.0) - t * (m1 - 1.0))
+        w = (u0 + du * np.where((cubic > 0.0) & (cubic < 1.0), cubic, t))[i]
+        rest = i[_halley_passes(step, w, u0[i], u1[i], np.ones(i.size, dtype=bool))]
+    out[i] = w
+    if rest.size:
+        out[rest] = row.f(p, xv[rest], upper, cfg)
+    u[col, order[col, pos]] = out
+
+
+def _halley_passes(step, w: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   take: np.ndarray, gate: float = np.inf) -> np.ndarray:
+    """Up to two Halley passes toward roots in lo <= root <= hi from the starts w.
+
+    step(j, w) evaluates the roots j at their points w, keeps what a root
+    settling there needs, and returns the residual at w (negative below
+    the root) and a Halley step d (NaN where there is none).  Each pass
+    narrows a root's bracket to the side of w that the residual's sign
+    gives.  A root of `take` settles when |d| <= 1e-6 min(w, 1-w) and
+    w + d lies in its bracket; one that does not, whose w + d lies
+    strictly inside and whose |d| <= gate min(w, 1-w), takes a second pass
+    from w + d.  lo, hi and w are set in place, w to each root's last
+    w + d, and the roots left unsettled are returned.
+    """
+    settled = np.zeros(w.size, dtype=bool)
+    j = slice(None)  # every root, then the roots of the second pass
+    for second in (False, True):
+        at = w[j]
+        f, d = step(j, at)
+        new, scale = at + d, np.minimum(at, 1.0 - at)
+        lo[j] = lo_j = np.where(f < 0.0, at, lo[j])
+        hi[j] = hi_j = np.where(f > 0.0, at, hi[j])
+        w[j] = new
+        settled[j] = ok = take[j] & (np.abs(d) <= 1e-6 * scale) & (new >= lo_j) & (new <= hi_j)
+        if second:
+            break
+        j = np.flatnonzero(take & ~ok & (np.abs(d) <= gate * scale) & (new > lo_j) & (new < hi_j))
+        if not j.size:
+            break
+    return np.flatnonzero(~settled)
 
 
 def f1_flagged(p: MarginalParams, x: float | np.ndarray,

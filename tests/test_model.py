@@ -666,6 +666,129 @@ class TestDistributionFunction:
         assert f1(MarginalParams(1.0, -0.9999999, -1.9999), x) == 0.0
 
 
+def mpmath_level(p: MarginalParams, x: float, u: float) -> mpmath.mpf:
+    """The root of Q(u) = x for alpha > -1, by mpmath Newton from u at 40 digits.
+
+    Q is c B_u(a, b), continued in b; where beta > -1 it is taken as
+    Q(1) I_u(a, b) with the float Q(1) the margin holds, whose rounding is
+    not the inversion's.
+    """
+    with mpmath.workdps(40):
+        u, x = mpmath.mpf(u), mpmath.mpf(x)
+        a, b = mpmath.mpf(p.alpha) + 1, mpmath.mpf(p.beta) + 1
+        scale = (mpmath.mpf(support(p).upper) / mpmath.beta(a, b) if p.beta > -1.0
+                 else mpmath.mpf(p.c))
+        for _ in range(4):
+            u -= ((scale * mpmath.betainc(a, b, 0, u) - x)
+                  / (scale * u ** (a - 1) * (1 - u) ** (b - 1)))
+        return +u
+
+
+def column_bound(p: MarginalParams, x, u, q_rel: float = 4e-16):
+    """1e-13 min(u, 1-u) + q_rel |x|/q(u), and an ulp of u, which near u = 1
+    can exceed the rest: a long column's accuracy against the exact solve,
+    with q_rel the relative rounding of Q at the Halley step."""
+    with np.errstate(all="ignore"):
+        q = p.c * u ** p.alpha * (1.0 - u) ** p.beta
+        return 1e-13 * np.minimum(u, 1.0 - u) + q_rel * np.abs(x) / q + np.spacing(u)
+
+
+class TestLongColumns:
+    """f1 on a sample column of more than COLUMN_ANCHORS values of a beta or
+    corner row: exact at the anchors, Halley steps on Q between them."""
+
+    MARGINS = [COMP1, CABLE1, CABLE2, MarginalParams(5.9257, 0.3555, -0.6695),
+               MarginalParams(1.0, 0.3, -1.2), MarginalParams(1.0, -1.2, -0.3),
+               MarginalParams(2.0, 2.5, 3.1)]
+
+    @staticmethod
+    def counting(monkeypatch, p):
+        sizes = []
+        row = p._plan[2]
+        monkeypatch.setattr(row, "f", lambda *a, f=row.f: sizes.append(np.size(a[1])) or f(*a))
+        return sizes
+
+    @pytest.mark.parametrize("p", MARGINS)
+    def test_one_anchor_call_and_few_exact_solves(self, p, monkeypatch):
+        p = dataclasses.replace(p)
+        sizes = self.counting(monkeypatch, p)
+        rng = np.random.default_rng(7)
+        exact = 0
+        for _ in range(10):
+            x = big_q1(p, rng.random(1000))
+            ref = np.array([f1(p, float(v)) for v in x])
+            before = len(sizes)
+            u = f1(p, x)
+            assert sizes[before] == model.COLUMN_ANCHORS and len(sizes) - before <= 2
+            exact += sum(sizes[before + 1:])
+            assert np.all(np.abs(u - ref) <= column_bound(p, x, ref))
+        # two Halley passes leave at most 2% of the values (6% at (2.5, 3.1))
+        assert exact <= (0.06 if p.alpha == 2.5 else 0.02) * 10000, exact
+
+    @pytest.mark.parametrize("p", MARGINS)
+    def test_a_column_of_64_is_all_anchors(self, p, monkeypatch):
+        x = big_q1(p, np.random.default_rng(8).random(64))
+        lower, upper, row = p._plan
+        expected = row.f(p, x, upper, model.DEFAULT_NUMERIC_CONFIG)
+        np.testing.assert_array_equal(f1(p, x), expected)
+        np.testing.assert_array_equal(f1(p, np.stack([x, x[::-1]])), [expected, expected[::-1]])
+        # so is a longer column with at most 64 values inside the support
+        out = np.concatenate([x, np.full(40, upper if upper < np.inf else -1.0)])
+        np.testing.assert_array_equal(f1(p, out)[:64], expected)
+
+    def test_rows_of_a_block_are_their_own_columns(self):
+        p = MarginalParams(1.0, 0.3, -1.2)
+        rng = np.random.default_rng(9)
+        x = big_q1(p, rng.random(300))
+        x[:30] = x[30:60]  # ties: anchor cells of zero width
+        block = np.stack([x, rng.permutation(x), np.where(rng.random(300) < 0.9, x, -1.0),
+                          x[:100].repeat(3), np.concatenate([x[:50], np.full(250, -1.0)])])
+        got = f1(p, block)
+        for row, u in zip(block, got):
+            np.testing.assert_array_equal(u, f1(p, row))
+        # a value depends on its column's values, not their order
+        order = np.argsort(block[1])
+        np.testing.assert_array_equal(got[1][order], f1(p, np.sort(block[1])))
+        np.testing.assert_array_equal(f1(p, block.reshape(5, 2, 150))[:, 0],
+                                      f1(p, block[:, :150]))
+        # a block is solved model._COLUMN_BLOCK values at a time
+        assert 20 * block.size > model._COLUMN_BLOCK
+        np.testing.assert_array_equal(f1(p, np.tile(block, (20, 1))), np.tile(got, (20, 1)))
+        assert f1(p, np.zeros((0, 100))).shape == (0, 100)
+
+    def test_any_memory_layout(self):
+        # a Fortran-ordered, transposed or strided block gives the C-ordered result
+        p = MarginalParams(1.0, 0.3, -1.2)
+        block = big_q1(p, np.random.default_rng(10).random((5, 2, 150)))
+        for x in (np.asfortranarray(block), block.transpose(1, 0, 2), block[:, :, ::-1]):
+            expected = f1(p, np.ascontiguousarray(x))
+            assert np.all((expected > 0.0) & (expected < 1.0))
+            np.testing.assert_array_equal(f1(p, x), expected)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_duplicated_values_and_the_support_ends(self):
+        # every value tied: each cell has zero width, and each value is an anchor's
+        for p in (COMP1, MarginalParams(1.0, -1.2, -0.3)):
+            x = np.repeat(big_q1(p, np.array([0.1, 0.5, 0.9])), 100)
+            np.testing.assert_array_equal(f1(p, x), np.repeat(f1(p, x[::100]), 100))
+            sup = support(p)
+            ends = np.concatenate([x, [sup.lower, sup.upper, -np.inf, np.inf]])
+            np.testing.assert_array_equal(f1(p, ends)[-4:], [0.0, 1.0, 0.0, 1.0])
+
+    def test_symmetric_shape_next_to_one_half(self):
+        # betaincinv(a, a, p) misses just above p = 1/2, where _BetaRow.f
+        # takes one Newton step on every value
+        p = MarginalParams(1.0, 0.09375, 0.09375)
+        levels = 0.5 + np.arange(-8, 9) * np.spacing(0.5) / 2 ** (np.arange(-8, 9) < 0)
+        x = big_q1(p, levels)
+        ref = [mpmath_level(p, v, 0.5) for v in x]
+        column = f1(p, np.concatenate([x, big_q1(p, np.linspace(0.01, 0.99, 100))]))[:17]
+        assert column.size == 17
+        for got in ([f1(p, float(v)) for v in x], column):
+            for g, r in zip(got, ref):
+                assert abs(g - r) <= 1e-15 * r, (g, r)
+
+
 class TestConditional:
     BP = BivariateParams(EXP1, MarginalParams(2.0, 0.0, -1.0), 0.7)
 

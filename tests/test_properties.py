@@ -20,7 +20,7 @@ from bivqf.lmom import sample_lmoments
 from bivqf.model import (DEFAULT_NUMERIC_CONFIG, BivariateParams, MarginalParams, big_q1, f1,
                          f1_flagged, product_moment, support, u21)
 from bivqf.sampling import SamplerSpec, draw
-from test_model import off_row
+from test_model import column_bound, mpmath_level, off_row
 
 SPECIAL = st.sampled_from((-2.0, -1.0, 0.0))
 
@@ -121,6 +121,42 @@ def test_array_equals_scalar(p):
         x = big_q1(p, v)
         assert type(x) is float and type(f1(p, x)) is float
         assert type(u21(bp, 0.4, v)) is float
+
+
+# the beta and corner rows, with shapes within 1e-6 of -1
+COLUMN_SHAPE = st.one_of(shape(-3.0, 3.0), st.floats(-1.0 - 1e-6, -1.0 + 1e-6))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(SCALE, COLUMN_SHAPE, COLUMN_SHAPE, st.integers(65, 400), st.integers(0, 2 ** 32 - 1))
+def test_long_column_matches_the_exact_solve(c, alpha, beta, n, seed):
+    p = MarginalParams(c, alpha, beta)
+    assume(p._plan[2].by_column)
+    rng = np.random.default_rng(seed)
+    x = big_q1(p, rng.random(n))
+    x[rng.integers(0, n, n // 8)] = x[rng.integers(0, n, n // 8)]  # ties
+    sup = support(p)
+    x[rng.integers(0, n, 6)] = [sup.lower - 1.0, sup.lower, sup.upper, sup.upper + 1.0,
+                                -np.inf, np.inf]
+    ref = np.array([f1(p, float(v)) for v in x])
+    got = f1(p, x)
+    # a Halley step on Q lands within Q's rounding of the root: 4e-16 of Q,
+    # but several ulps where alpha + 1 or beta + 1 is small and positive
+    # (scipy's betainc at a = 1/256, b = 3 is 5 ulps off near u = 1/3)
+    small = 0.0 < alpha + 1.0 < 1.0 / 32.0 or 0.0 < beta + 1.0 < 1.0 / 32.0
+    bound = column_bound(p, x, ref, q_rel=2e-15 if small else 4e-16)
+    # where alpha is just above -1 the exact solve is itself off by more
+    # (it works in log G, or from betaincinv, whose rounding 1/(alpha+1)
+    # amplifies), and the column is held to the root
+    for i in np.flatnonzero((got != ref) & ~(np.abs(got - ref) <= bound)):
+        assert p.alpha > -1.0, (x[i], got[i], ref[i], bound[i])
+        assert abs(got[i] - mpmath_level(p, x[i], ref[i])) <= bound[i], (x[i], got[i], ref[i])
+    # each row of a block is its own column, whatever its order or clamps
+    block = np.stack([x, rng.permutation(x), np.where(rng.random(n) < 0.5, x, -np.inf)])
+    rows = f1(p, block)
+    np.testing.assert_array_equal(rows[0], got)
+    for row, u in zip(block[1:], rows[1:]):
+        np.testing.assert_array_equal(u, f1(p, row))
 
 
 @PROPERTY

@@ -194,6 +194,29 @@ class TestExactSampler:
         u1, v = rng.random(300), rng.random(300)
         assert_matches_mpmath(bp, u1, v, s.x2)
 
+    @pytest.mark.parametrize("name", sorted(PUBLISHED))
+    def test_second_pass_settles_the_top_cells(self, name, monkeypatch):
+        # the Hermite start misses the one-pass bound in the top cells, where
+        # Q2/q2 is far from cubic; a second Halley pass settles nearly all
+        calls = []
+
+        def spy(h, lo, hi, x, cfg, *per_elem):
+            calls.append(lo.size)
+            return _newton_bisect(h, lo, hi, x, cfg, *per_elem)
+
+        monkeypatch.setattr(sampling, "_newton_bisect", spy)
+        bp = PUBLISHED[name]
+        for seed in (3, 7, 11):
+            s = draw(bp, SamplerSpec(seed=seed, n=1000, method="exact"))
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            u1, v = rng.random(1000), rng.random(1000)
+            # the 20 draws with the highest conditional level, in the top cells (54/65 = 0.83)
+            w = f1(bp.m2, s.x2 / (1.0 + bp.theta * u1))
+            top = np.argsort(w)[-20:]
+            assert np.all(w[top] > 0.83)
+            assert_matches_mpmath(bp, u1[top], v[top], s.x2[top])
+        assert sum(calls) < 0.01 * 3000, calls
+
 
     def test_joint_survival_grid(self):
         # power case with a small second shape: the clamped region is
