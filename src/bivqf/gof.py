@@ -2,11 +2,11 @@
 
 PIT values come from numerically inverting the fitted quantile function
 at the observations (clamped at the support with a counted flag), one
-f1 call per sample: a sample of more than 64 values is inverted exactly
-at 64 ranks and by Halley steps on Q between them, each PIT within
-1e-13 min(u, 1-u) + 4e-16 |x|/q(u) of its own exact solve at the
-published fits, so within that bound of what the rest of the sample
-leaves it; samples of at most 64 values are inverted value by value.  Two
+f1 call per sample: each value of a sample of more than 64 distinct
+values starts from Q at the 127 levels k/128 and takes Halley steps on
+Q, its PIT within 1e-13 min(u, 1-u) + 4e-16 |x|/q(u) of its own exact
+solve at the published fits and independent of the rest of the sample;
+samples of at most 64 distinct values are inverted value by value.  Two
 empirical-CDF conventions are carried side by side:
 
 - ``d_stat``: the standard two-sided statistic
@@ -44,9 +44,9 @@ __all__ = ["GofResult", "QQData", "kolmogorov_pvalue", "ks_marginal",
            "ks_conditional", "mrq_ks_marginal", "mrq_ks_conditional", "qq_data"]
 
 
-# the most PIT values one per-point cdf2 call computes, so its temporaries
-# stay a few MB (one (n, n) call at n = 3000 adds about 280 MB of peak RSS)
-_BLOCK = 2 ** 18
+# the most PIT values one per-point cdf2 call computes: f1 keeps about 20 arrays of
+# that size (per-point gof at n = 1000 peaks near 111 MB of RSS at 2**18, 70 MB here)
+_BLOCK = 2 ** 15
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergentMomentError, InsufficientDataError
+from .errors import DivergentMomentError, DomainError, InsufficientDataError
 from .model import MarginalParams, _lambda
 from .specfun import complete_beta
 
@@ -66,7 +66,8 @@ def sample_lmoments(data: Sequence[float], r_max: int = 4) -> LMomentVector:
 
     b_r = n^-1 sum_j [(j-1)...(j-r) / ((n-1)...(n-r))] x_(j) and
     l1 = b0, l2 = 2b1 - b0, l3 = 6b2 - 6b1 + b0,
-    l4 = 20b3 - 30b2 + 12b1 - b0.  Moments above r_max come back as NaN.
+    l4 = 20b3 - 30b2 + 12b1 - b0.  Moments above r_max come back as NaN;
+    a requested one that overflows raises DomainError.
     """
     if not 1 <= r_max <= 4:
         raise InsufficientDataError(f"r_max must be in 1..4, got {r_max}")
@@ -79,15 +80,15 @@ def sample_lmoments(data: Sequence[float], r_max: int = 4) -> LMomentVector:
         raise InsufficientDataError("data contains non-finite values")
 
     j = np.arange(1, n + 1, dtype=float)
-    b = np.full(4, math.nan)
+    b = np.full(4, math.nan)  # b_r past r_max stays NaN, and so do their L-moments
     w = np.ones(n)
-    b[0] = x.sum() / n  # the mean, bit for bit, without np.mean's per-call cost
-    for r in range(1, min(r_max, n)):
-        w = w * (j - r) / (n - r)
-        b[r] = (w * x).sum() / n
-
-    l1 = b[0]
-    l2 = 2.0 * b[1] - b[0] if r_max >= 2 else math.nan
-    l3 = 6.0 * b[2] - 6.0 * b[1] + b[0] if r_max >= 3 else math.nan
-    l4 = 20.0 * b[3] - 30.0 * b[2] + 12.0 * b[1] - b[0] if r_max >= 4 else math.nan
-    return LMomentVector(float(l1), float(l2), float(l3), float(l4))
+    with np.errstate(over="ignore", invalid="ignore"):  # sums past 1.8e308: refused below
+        b[0] = x.sum() / n  # the mean, bit for bit, without np.mean's per-call cost
+        for r in range(1, r_max):
+            w = w * (j - r) / (n - r)
+            b[r] = (w * x).sum() / n
+        lm = (b[0], 2.0 * b[1] - b[0], 6.0 * b[2] - 6.0 * b[1] + b[0],
+              20.0 * b[3] - 30.0 * b[2] + 12.0 * b[1] - b[0])
+    if not np.all(np.isfinite(lm[:r_max])):
+        raise DomainError(f"sample L-moments up to l{r_max} overflow float64 on this data")
+    return LMomentVector(*map(float, lm))

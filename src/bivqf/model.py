@@ -124,12 +124,12 @@ DEFAULT_NUMERIC_CONFIG = NumericConfig()
 
 # the fixed rules start at 16 nodes and give up with QuadratureError past
 # MAX_RULE_NODES; _newton_bisect raises ConvergenceError after ROOT_MAX_ITER steps;
-# f1 solves a longer sample column exactly at COLUMN_ANCHORS ranks, and a block
-# of columns about _COLUMN_BLOCK values at a time (_by_column)
+# f1 solves a row of more than EXACT_ROW_MAX distinct values from Q at the _GRID levels
+# (at the published fits 1.4% of such a row then needs the exact solve; 3% at 63 levels)
 MAX_RULE_NODES = 512
 ROOT_MAX_ITER = 200
-COLUMN_ANCHORS = 64
-_COLUMN_BLOCK = 2 ** 14
+EXACT_ROW_MAX = 64
+_GRID = np.arange(1, 128) / 128.0
 
 
 @functools.lru_cache(maxsize=256)
@@ -346,6 +346,11 @@ def q1(p: MarginalParams, u: float) -> float:
         raise DomainError("quantile density is singular at u = 0 for alpha < 0")
     if u == 1.0 and p.beta < 0.0:
         raise DomainError("quantile density is singular at u = 1 for beta < 0")
+    return _q_density(p, u)
+
+
+def _q_density(p: MarginalParams, u):
+    """q1 without its checks; u may be an array."""
     return p.c * u ** p.alpha * (1.0 - u) ** p.beta
 
 
@@ -515,11 +520,11 @@ def _take(mask, v):
 class _Row:
     """A row: Q by q(p, u, upper) on 0 < u < 1, F by f(p, x, upper, cfg), upper = Q(1).
 
-    `by_column` marks the rows whose F is a root solve: f1 inverts their
-    long sample columns through _by_column.
+    `inverts_q` marks the rows whose F is a root solve: f1 inverts their
+    long rows from Q on a grid (_from_grid).
     """
 
-    by_column = False
+    inverts_q = False
 
 
 class _LineRow(_Row):  # the log-logistic line alpha + beta = -2
@@ -594,7 +599,7 @@ class _AlphaZeroRow(_Row):  # alpha = 0, with the log at beta = -1
 
 
 class _BetaRow(_Row):  # the incomplete beta, alpha, beta > -1
-    by_column = True
+    inverts_q = True
 
     def q(self, p, u, upper):
         return upper * betainc(p.alpha + 1.0, p.beta + 1.0, u)
@@ -615,13 +620,13 @@ class _BetaRow(_Row):  # the incomplete beta, alpha, beta > -1
         # the arcsine row: betaincinv(a, a, p) can miss just above p = 1/2
         # (betaincinv(1.09375, 1.09375, 0.5 + 2**-53) is 0.49999999845, 3.1e-9 off)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = (upper * betainc(a, b, u) - x) / (c * u ** alpha * (1.0 - u) ** beta)
+            step = (upper * betainc(a, b, u) - x) / _q_density(p, u)
             take = np.abs(step) < 0.5 * np.minimum(u, 1.0 - u)
             return np.where(take if alpha == beta else take & start, u - step, u)
 
 
 class _CornerRow(_Row):  # the left half, its sign in Q/c, the right half, Q(1/2)/c
-    by_column = True
+    inverts_q = True
 
     def __init__(self, left: _Half, sign: float, right: _Half, mid: float):
         self.left, self.sign, self.right, self.mid = left, sign, right, mid
@@ -717,16 +722,14 @@ def f1(p: MarginalParams, x: float | np.ndarray,
 
     `x` may be a float or an array; the result has its shape.  A NaN `x`
     raises DomainError.  Where F is a root solve (the beta and corner
-    rows), each row of an array along its last axis is one sample column:
-    up to COLUMN_ANCHORS values inside the support are solved one by one,
-    and a longer column is solved exactly at COLUMN_ANCHORS ranks and by
-    Halley steps on Q between them (_by_column).  Each value of a long
-    column is then within 1e-13 min(u, 1-u) + 4e-16 |x|/q(u), and an ulp
-    of u, of its own solve where Q rounds to 4e-16 (the published fits),
-    so it may depend on its column's other values by that much; a row of
-    a block equals the same row passed alone, bit for bit.  Quadrature
-    grids are columns too: the u21 grids of population_lcomoments take
-    this path where their rows pass 64 nodes.
+    rows), a row of an array along its last axis with at most
+    EXACT_ROW_MAX distinct values inside the support is solved value by
+    value.  A row of more starts each value from Q at the 127 levels k/128
+    (_from_grid); such a value is within 1e-13 min(u, 1-u) + 4e-16 |x|/q(u),
+    and an ulp of u, of its own solve where Q rounds to 4e-16 (the
+    published fits), and depends on x and the margin alone, not on the
+    rest of its row.  Quadrature grids are rows too: the u21 grids of
+    population_lcomoments take the grid path where their rows pass 64 nodes.
     """
     lower, upper, row = p._plan
     if isinstance(x, (float, int)):
@@ -741,91 +744,62 @@ def f1(p: MarginalParams, x: float | np.ndarray,
     if np.isnan(x).any():
         raise DomainError("x must not be NaN")
     u = np.where(x <= lower, 0.0, 1.0)
-    inside = (x > lower) & (x < upper)
-    if row.by_column and x.ndim and x.shape[-1] > COLUMN_ANCHORS:
-        # C order, so that _by_column sets it through its (-1, n) rows in place
-        u = np.ascontiguousarray(u)
-        _by_column(row, p, x, u, inside, upper, cfg)
-    else:
-        u[inside] = row.f(p, x[inside], upper, cfg)
+    todo = (x > lower) & (x < upper)
+    if row.inverts_q and x.ndim and x.shape[-1] > EXACT_ROW_MAX:
+        xs = np.sort(np.where(todo, x, np.nan), axis=-1)  # NaN sorts last
+        more = np.count_nonzero(np.diff(xs, axis=-1) > 0.0, axis=-1, keepdims=True)
+        long = todo & (more >= EXACT_ROW_MAX)  # more than EXACT_ROW_MAX distinct inside
+        u[long], todo[long] = _from_grid(row, p, x[long], upper)
+    u[todo] = row.f(p, x[todo], upper, cfg)
     return u
 
 
-def _by_column(row: _Row, p: MarginalParams, x: np.ndarray, u: np.ndarray,
-               inside: np.ndarray, upper: float, cfg: NumericConfig) -> None:
-    """Set u = F(x) where `inside`, each row along the last axis one sample column.
+def _from_grid(row: _Row, p: MarginalParams, x: np.ndarray,
+               upper: float) -> tuple[np.ndarray, np.ndarray]:
+    """F at the values x inside the support, each on its own, from Q at the _GRID levels.
 
-    A column's values inside the support are sorted.  Up to
-    COLUMN_ANCHORS of them, row.f solves each exactly.  A longer column
-    is solved exactly at COLUMN_ANCHORS evenly spaced ranks, both ends
-    included.  A value equal to an anchor takes the anchor's result; any
-    other starts at the cubic Hermite inverse between its two anchors
-    (dx/du = q) and takes Halley steps on Q (_halley_passes), with Q' = q
-    and Q''/Q' = l = alpha/u - beta/(1-u); row.f solves what they leave.
-    Every step is elementwise, so a column gives the same values alone or
-    in a block, and a block is solved _COLUMN_BLOCK values at a time, so
-    that the temporaries stay a few MB.  `u` is C-ordered and set in place.
+    A value in a cell between two levels starts at the cubic Hermite
+    inverse of Q on the cell (dx/du = q) and takes Halley steps on Q
+    (_halley_passes), with Q' = q and Q''/Q' = l = alpha/u - beta/(1-u);
+    a value equal to Q at a level settles there in one step.  Returns u
+    and a mask of the values left for row.f: those in the two end cells,
+    where Q(0) or Q(1) may be infinite and q is 0 or infinite, and those
+    the steps leave unsettled.
     """
-    n = x.shape[-1]
-    x, u, inside = (a.reshape(-1, n) for a in (x, u, inside))  # u: a view
-    rows = max(1, _COLUMN_BLOCK // n)
-    for i in range(0, x.shape[0], rows):
-        _solve_columns(row, p, x[i:i + rows], u[i:i + rows], inside[i:i + rows], upper, cfg)
-
-
-def _solve_columns(row: _Row, p: MarginalParams, x: np.ndarray, u: np.ndarray,
-                   inside: np.ndarray, upper: float, cfg: NumericConfig) -> None:
-    """_by_column on 2-d arrays, a column a row; u is set in place."""
-    k = COLUMN_ANCHORS
-    order = np.argsort(x, axis=-1)
-    xs = np.take_along_axis(x, order, -1)
-    ins = np.take_along_axis(inside, order, -1)
-    m = np.count_nonzero(ins, axis=-1)
-    cols = np.flatnonzero(m > k)
-    col, pos = np.nonzero(ins)  # each column's values inside, ascending
-    long = m[col] > k
-    # the anchors: ranks j (m - 1) // (k - 1) of each long column's values inside
-    first = np.argmax(ins[cols], axis=-1)
-    xa = xs[cols[:, None], first[:, None] + np.arange(k) * (m[cols, None] - 1) // (k - 1)]
-    short_col, short_pos = col[~long], pos[~long]
-    exact = row.f(p, np.concatenate([xs[short_col, short_pos], xa.ravel()]), upper, cfg)
-    u[short_col, order[short_col, short_pos]] = exact[:short_col.size]
-    ua = exact[short_col.size:].reshape(xa.shape)
-
-    col, pos = col[long], pos[long]
-    c = np.cumsum(m > k)[col] - 1  # the row of xa
-    rank = pos - first[c]
-    cell = np.minimum(((k - 1) * (rank + 1) - 1) // (m[col] - 1), k - 2)
-    xv, x0, x1 = xs[col, pos], xa[c, cell], xa[c, cell + 1]
-    u0, u1 = ua[c, cell], ua[c, cell + 1]
     alpha, beta = p.alpha, p.beta
-    out = np.where(xv == x0, u0, u1)
-    i = np.flatnonzero((xv != x0) & (xv != x1))
-    xi = xv[i]
-
-    def step(j, w):
-        # (Q(w) - x)/q and the Halley step; none where q is not finite
-        q = p.c * w ** alpha * (1.0 - w) ** beta
-        e = (row.q(p, w, upper) - xi[j]) / q
-        d = -e / (1.0 - 0.5 * e * (alpha / w - beta / (1.0 - w)))
-        return e, np.where(q < np.inf, d, np.nan)
-
     with np.errstate(all="ignore"):
-        # the cubic Hermite inverse of Q on the cell, in t = (x - x0)/(x1 - x0)
-        h, du = x1 - x0, u1 - u0
-        m0, m1 = (h / (du * p.c * w ** alpha * (1.0 - w) ** beta) for w in (u0, u1))
-        t = (xv - x0) / h
-        cubic = t + t * (1.0 - t) * ((1.0 - t) * (m0 - 1.0) - t * (m1 - 1.0))
-        w = (u0 + du * np.where((cubic > 0.0) & (cubic < 1.0), cubic, t))[i]
-        rest = i[_halley_passes(step, w, u0[i], u1[i], np.ones(i.size, dtype=bool))]
-    out[i] = w
-    if rest.size:
-        out[rest] = row.f(p, xv[rest], upper, cfg)
-    u[col, order[col, pos]] = out
+        grid_x, grid_q = row.q(p, _GRID, upper), _q_density(p, _GRID)
+        cell = np.searchsorted(grid_x, x)  # grid_x[cell - 1] < x <= grid_x[cell]
+        left = (cell == 0) | (cell == _GRID.size)
+        i = np.flatnonzero(~left)
+        xi, right = x[i], cell[i]
+        x0, x1, lo, hi = grid_x[right - 1], grid_x[right], _GRID[right - 1], _GRID[right]
+        h = (x1 - x0) / (hi - lo)  # each end slope relative to the secant: h/q
+        w = lo + (hi - lo) * _hermite((xi - x0) / (x1 - x0), h / grid_q[right - 1],
+                                      h / grid_q[right])
+
+        def step(j, w):
+            # (Q(w) - x)/q and the Halley step; none where q is not finite
+            q = _q_density(p, w)
+            e = (row.q(p, w, upper) - xi[j]) / q
+            d = -e / (1.0 - 0.5 * e * (alpha / w - beta / (1.0 - w)))
+            return e, np.where(q < np.inf, d, np.nan)
+
+        left[i[_halley_passes(step, w, lo, hi, np.ones(i.size, dtype=bool))]] = True
+    u = np.empty_like(x)
+    u[i] = w
+    return u, left
+
+
+def _hermite(t: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """The cubic Hermite inverse on a cell at t in [0, 1], from its end
+    slopes relative to the secant, m0 and m1; t where the cubic leaves (0, 1]."""
+    cubic = t + t * (1.0 - t) * ((1.0 - t) * (m0 - 1.0) - t * (m1 - 1.0))
+    return np.where((cubic > 0.0) & (cubic <= 1.0), cubic, t)
 
 
 def _halley_passes(step, w: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   take: np.ndarray, gate: float = np.inf) -> np.ndarray:
+                   take: np.ndarray) -> np.ndarray:
     """Up to two Halley passes toward roots in lo <= root <= hi from the starts w.
 
     step(j, w) evaluates the roots j at their points w, keeps what a root
@@ -834,9 +808,9 @@ def _halley_passes(step, w: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     narrows a root's bracket to the side of w that the residual's sign
     gives.  A root of `take` settles when |d| <= 1e-6 min(w, 1-w) and
     w + d lies in its bracket; one that does not, whose w + d lies
-    strictly inside and whose |d| <= gate min(w, 1-w), takes a second pass
-    from w + d.  lo, hi and w are set in place, w to each root's last
-    w + d, and the roots left unsettled are returned.
+    strictly inside, takes a second pass from w + d.  lo, hi and w are
+    set in place, w to each root's last w + d, and the roots left
+    unsettled are returned.
     """
     settled = np.zeros(w.size, dtype=bool)
     j = slice(None)  # every root, then the roots of the second pass
@@ -850,7 +824,7 @@ def _halley_passes(step, w: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         settled[j] = ok = take[j] & (np.abs(d) <= 1e-6 * scale) & (new >= lo_j) & (new <= hi_j)
         if second:
             break
-        j = np.flatnonzero(take & ~ok & (np.abs(d) <= gate * scale) & (new > lo_j) & (new < hi_j))
+        j = np.flatnonzero(take & ~ok & (new > lo_j) & (new < hi_j))
         if not j.size:
             break
     return np.flatnonzero(~settled)

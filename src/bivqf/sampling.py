@@ -33,7 +33,7 @@ import numpy as np
 from .data import PairedSample
 from .errors import ConvergenceError, DomainError
 from .model import (BivariateParams, DEFAULT_NUMERIC_CONFIG, NumericConfig, _halley_passes,
-                    _newton_bisect, big_q1)
+                    _hermite, _newton_bisect, _q_density, big_q1)
 
 __all__ = ["SamplerSpec", "draw"]
 
@@ -92,8 +92,8 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     and q2 at the starts takes a Halley step d and narrows the bracket; a
     caught draw settles when |d| <= 1e-6 min(w, 1-w) and w + d stays in
     that bracket: x2 = g (Q2 + q2 d + q2 l d^2/2).  A caught draw left
-    with |d| <= 1e-3 min(w, 1-w) takes a second pass at w + d if that lies
-    inside it (model._halley_passes).  The rest run _newton_bisect on the
+    takes a second pass at w + d if that lies inside it
+    (model._halley_passes).  The rest run _newton_bisect on the
     narrowed bracket, and x2 is the same expansion about each one's last
     evaluation.
     """
@@ -120,7 +120,7 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
 
     def level(w):
         # Q2, q2 and l at w in (0, 1): big_q1's checks and masks are skipped
-        return (row.q(m2, w, upper), m2.c * w ** alpha * (1.0 - w) ** beta,
+        return (row.q(m2, w, upper), _q_density(m2, w),
                 alpha / w - beta / (1.0 - w))
 
     # the scan; the grid's Q2/q2 ratios are shared by all draws
@@ -147,9 +147,7 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     r_prime = np.concatenate(([1.0 / (alpha + 1.0)], 1.0 - r * l))
     m0, m1 = (secant / np.where(s < 0.0, s, secant)
               for s in (-1.0 - k * r_prime[cell], -1.0 - k * r_prime[cell + 1]))
-    t = (s0 - v) / (s0 - s1)
-    cubic = t + t * (1.0 - t) * ((1.0 - t) * (m0 - 1.0) - t * (m1 - 1.0))
-    t = np.where((cubic > 0.0) & (cubic <= 1.0), cubic, t)
+    t = _hermite((s0 - v) / (s0 - s1), m0, m1)
     w = lo + (hi - lo) * np.where(found, t, 0.5)
 
     def step(j, w):
@@ -167,14 +165,9 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
 
     # one pass at the starts, which settles caught draws, and a second for the
     # caught draws it leaves (mostly in the top cells, where Q2/q2 is far from
-    # cubic on a cell).  The gate of 1e-3 on that second pass buys no
-    # accuracy (the draws it holds back settle in a second pass as well); it
-    # is there for a test only, keeping a few draws of
-    # tests/test_sampling.py::TestExactSampler::
-    # test_newton_draws_continue_from_their_last_evaluation on _newton_bisect,
-    # which that test requires, and should go once the test picks such draws.
+    # cubic on a cell)
     x2 = np.empty(v.size)
-    rest = _halley_passes(step, w, lo, hi, found, gate=1e-3)
+    rest = _halley_passes(step, w, lo, hi, found)
     if not rest.size:
         return x2
 

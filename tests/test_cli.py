@@ -131,6 +131,16 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("data error: ")
         assert str(p) in err and "UTF-8" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["lmoments", "fit"])
+    def test_overflowing_data_is_3(self, command, capsys, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text("x1,x2\n1e300,2e300\n1e305,3e304\n5e307,1e306\n"
+                     "1.7e308,4e307\n3e306,8e307\n")
+        code, out, err = run([command, "--data", str(p)], capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "overflow" in err
+
     def test_ok_is_0(self, capsys):
         code, _, _ = run(["catalog"], capsys)
         assert code == 0

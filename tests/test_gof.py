@@ -192,7 +192,7 @@ class TestPerPointBlocks:
         assert_rows_equal(rows, ks_per_point_loop(COMP, *gof._mrq_cdfs(p, DEFAULT_NUMERIC_CONFIG)))
 
     def test_two_blocks(self):
-        n = 600
+        n = 200
         s = draw(BP_CABLE, SamplerSpec(seed=1, n=n, method="transform"))
         cdf1, cdf2 = family_cdfs(BP_CABLE)
         sizes = []
@@ -203,8 +203,8 @@ class TestPerPointBlocks:
             return pit, clamped
 
         rows = gof._ks_conditional(s, cdf1, spy, "per-point")
-        assert len(sizes) == math.ceil(n / max(1, 2 ** 18 // n)) == 2
-        assert max(sizes) <= 2 ** 18 and sum(sizes) == n * n
+        assert len(sizes) == math.ceil(n / max(1, gof._BLOCK // n)) == 2
+        assert max(sizes) <= gof._BLOCK and sum(sizes) == n * n
         assert_rows_equal(rows, ks_per_point_loop(s, cdf1, cdf2))
 
 

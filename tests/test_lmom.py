@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bivqf.data import BUILTIN_DATASETS
-from bivqf.errors import DivergentMomentError, InsufficientDataError
+from bivqf.errors import DivergentMomentError, DomainError, InsufficientDataError
 from bivqf.lmom import (
     population_lmoments,
     sample_lmoments,
@@ -166,6 +166,14 @@ class TestSample:
             sample_lmoments([1.0, 2.0], r_max=4)
         with pytest.raises(InsufficientDataError):
             sample_lmoments([1.0, math.inf, 2.0, 3.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_sums_are_refused(self):
+        # finite values whose sums pass 1.8e308: l1 would be inf and l4 NaN
+        with pytest.raises(DomainError, match="overflow"):
+            sample_lmoments([1e300, 1e305, 5e307, 1.7e308, 3e306])
+        lm = sample_lmoments([2e300, 3e304, 1e305, 4e305, 8e305])
+        assert all(math.isfinite(v) for v in (lm.l1, lm.l2, lm.l3, lm.l4))
 
     def test_r_max_truncation(self):
         lm = sample_lmoments([1.0, 2.0, 4.0], r_max=2)

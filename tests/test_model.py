@@ -694,8 +694,8 @@ def column_bound(p: MarginalParams, x, u, q_rel: float = 4e-16):
 
 
 class TestLongColumns:
-    """f1 on a sample column of more than COLUMN_ANCHORS values of a beta or
-    corner row: exact at the anchors, Halley steps on Q between them."""
+    """f1 on a row of more than EXACT_ROW_MAX distinct values of a beta or
+    corner row: Halley steps on Q from its cell of a fixed grid of levels."""
 
     MARGINS = [COMP1, CABLE1, CABLE2, MarginalParams(5.9257, 0.3555, -0.6695),
                MarginalParams(1.0, 0.3, -1.2), MarginalParams(1.0, -1.2, -0.3),
@@ -719,10 +719,11 @@ class TestLongColumns:
             ref = np.array([f1(p, float(v)) for v in x])
             before = len(sizes)
             u = f1(p, x)
-            assert sizes[before] == model.COLUMN_ANCHORS and len(sizes) - before <= 2
-            exact += sum(sizes[before + 1:])
+            assert len(sizes) - before <= 1  # at most one row.f call per long f1 call
+            exact += sum(sizes[before:])
             assert np.all(np.abs(u - ref) <= column_bound(p, x, ref))
-        # two Halley passes leave at most 2% of the values (6% at (2.5, 3.1))
+        # the two end cells and what two Halley passes leave: at most 2% of the
+        # values (6% at (2.5, 3.1))
         assert exact <= (0.06 if p.alpha == 2.5 else 0.02) * 10000, exact
 
     @pytest.mark.parametrize("p", MARGINS)
@@ -732,7 +733,7 @@ class TestLongColumns:
         expected = row.f(p, x, upper, model.DEFAULT_NUMERIC_CONFIG)
         np.testing.assert_array_equal(f1(p, x), expected)
         np.testing.assert_array_equal(f1(p, np.stack([x, x[::-1]])), [expected, expected[::-1]])
-        # so is a longer column with at most 64 values inside the support
+        # so is a longer row with at most 64 values inside the support
         out = np.concatenate([x, np.full(40, upper if upper < np.inf else -1.0)])
         np.testing.assert_array_equal(f1(p, out)[:64], expected)
 
@@ -740,21 +741,31 @@ class TestLongColumns:
         p = MarginalParams(1.0, 0.3, -1.2)
         rng = np.random.default_rng(9)
         x = big_q1(p, rng.random(300))
-        x[:30] = x[30:60]  # ties: anchor cells of zero width
+        x[:30] = x[30:60]  # ties
         block = np.stack([x, rng.permutation(x), np.where(rng.random(300) < 0.9, x, -1.0),
                           x[:100].repeat(3), np.concatenate([x[:50], np.full(250, -1.0)])])
         got = f1(p, block)
         for row, u in zip(block, got):
             np.testing.assert_array_equal(u, f1(p, row))
-        # a value depends on its column's values, not their order
+        # a value does not depend on the order of its row
         order = np.argsort(block[1])
         np.testing.assert_array_equal(got[1][order], f1(p, np.sort(block[1])))
         np.testing.assert_array_equal(f1(p, block.reshape(5, 2, 150))[:, 0],
                                       f1(p, block[:, :150]))
-        # a block is solved model._COLUMN_BLOCK values at a time
-        assert 20 * block.size > model._COLUMN_BLOCK
         np.testing.assert_array_equal(f1(p, np.tile(block, (20, 1))), np.tile(got, (20, 1)))
         assert f1(p, np.zeros((0, 100))).shape == (0, 100)
+
+    @pytest.mark.parametrize("p", [COMP1, CABLE2, MarginalParams(1.0, -1.2, -0.3)])
+    def test_a_value_does_not_depend_on_its_row(self, p):
+        # the same bits alone in its row, in a permutation of it, in a long
+        # subset of it and in the row joined to another long sample
+        rng = np.random.default_rng(11)
+        x, other = big_q1(p, rng.random(300)), big_q1(p, rng.random(200))
+        u = f1(p, x)
+        order = rng.permutation(300)
+        np.testing.assert_array_equal(f1(p, x[order]), u[order])
+        np.testing.assert_array_equal(f1(p, x[:100]), u[:100])
+        np.testing.assert_array_equal(f1(p, np.concatenate([other, x]))[200:], u)
 
     def test_any_memory_layout(self):
         # a Fortran-ordered, transposed or strided block gives the C-ordered result
@@ -767,7 +778,7 @@ class TestLongColumns:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_duplicated_values_and_the_support_ends(self):
-        # every value tied: each cell has zero width, and each value is an anchor's
+        # every value tied: three distinct values, each solved on its own
         for p in (COMP1, MarginalParams(1.0, -1.2, -0.3)):
             x = np.repeat(big_q1(p, np.array([0.1, 0.5, 0.9])), 100)
             np.testing.assert_array_equal(f1(p, x), np.repeat(f1(p, x[::100]), 100))

@@ -131,7 +131,7 @@ COLUMN_SHAPE = st.one_of(shape(-3.0, 3.0), st.floats(-1.0 - 1e-6, -1.0 + 1e-6))
 @given(SCALE, COLUMN_SHAPE, COLUMN_SHAPE, st.integers(65, 400), st.integers(0, 2 ** 32 - 1))
 def test_long_column_matches_the_exact_solve(c, alpha, beta, n, seed):
     p = MarginalParams(c, alpha, beta)
-    assume(p._plan[2].by_column)
+    assume(p._plan[2].inverts_q)
     rng = np.random.default_rng(seed)
     x = big_q1(p, rng.random(n))
     x[rng.integers(0, n, n // 8)] = x[rng.integers(0, n, n // 8)]  # ties

@@ -177,8 +177,9 @@ class TestExactSampler:
             assert_matches_mpmath(bp, u1, v, x2)
 
     def test_newton_draws_continue_from_their_last_evaluation(self, monkeypatch):
-        # the draws the one pass leaves go to one _newton_bisect call on the
-        # narrowed bracket; no separate Q2 pass follows it
+        # the draws the Halley passes leave go to one _newton_bisect call on
+        # their bracket; no separate Q2 pass follows it.  Here the passes
+        # report every draw unsettled at its start, so all of them take that path
         calls = []
 
         def spy(h, lo, hi, x, cfg, *per_elem):
@@ -186,10 +187,14 @@ class TestExactSampler:
             assert np.all((lo <= x) & (x <= hi)) and len(per_elem) == 3
             return _newton_bisect(h, lo, hi, x, cfg, *per_elem)
 
+        def unsettled(step, w, lo, hi, take):
+            return np.arange(w.size)
+
         monkeypatch.setattr(sampling, "_newton_bisect", spy)
+        monkeypatch.setattr(sampling, "_halley_passes", unsettled)
         bp = PUBLISHED["components"]
         s = draw(bp, SamplerSpec(seed=23, n=300, method="exact"))
-        assert len(calls) == 1 and 0 < calls[0] < 300 // 4
+        assert calls == [300]
         rng = np.random.Generator(np.random.Philox(key=23))
         u1, v = rng.random(300), rng.random(300)
         assert_matches_mpmath(bp, u1, v, s.x2)
