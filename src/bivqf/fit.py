@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     InfeasibleRegionError,
     InsufficientDataError,
+    QuadratureError,
     SingularSystemError,
 )
 from .lmom import LMomentVector, population_lmoments, sample_lmoments
@@ -97,35 +98,6 @@ def _fit_lmoments(lm: LMomentVector) -> MarginalParams:
             f"region alpha > -1, beta > -2")
     c = lm.l1 / complete_beta(alpha + 1.0, beta + 2.0)
     return MarginalParams(c, alpha, beta)
-
-
-def _increasing_root(f, lo: float, f_lo: float, hi: float, cap: float,
-                     cfg: NumericConfig) -> tuple[float, float]:
-    """Root of an increasing scalar f above lo, given f(lo) = f_lo <= 0, and the last hi.
-
-    hi doubles, lo following it, until f(hi) >= 0 (BracketError once hi
-    passes cap); then model._newton_bisect from the regula falsi point, on
-    the secant slope through the previous evaluation.  A NaN value raises
-    ConvergenceError, as its sign tests would all be false.
-    """
-    last = [lo, f_lo]
-
-    def h(x):
-        fx = float(f(float(x)))
-        if math.isnan(fx):
-            raise ConvergenceError(f"root search met a NaN function value at {x}")
-        slope = np.divide(fx - last[1], x - last[0])
-        last[:] = x, fx
-        return fx, slope
-
-    f_hi = h(hi)[0]
-    while f_hi < 0.0:
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-        if hi > cap:
-            raise BracketError(
-                f"root search found no sign change up to {cap:.6g} ({f_lo:.6g} at {lo:.6g})")
-        f_hi = h(hi)[0]
-    return float(_newton_bisect(h, lo, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo), cfg)), hi
 
 
 class _ThetaFit(tuple):
@@ -322,8 +294,8 @@ class MrqFitResult:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _mrq_lcov_12(p: MrqParams, cfg: NumericConfig) -> float:
-    """Population L2(1,2) of the competitor on a tensor Gauss-Jacobi rule.
+def _mrq_lcov_12(p: MrqParams, cfg: NumericConfig) -> np.ndarray:
+    """Population L2(1,2) of the competitor and its slope in d, on one rule.
 
     L2(1,2) = 2 int int (1-u1)(u2 - v) q1(u1) du1 du2 where v solves
     Q21(v | u1) = Q2(u2); the outer integrand (1-u1) q1(u1) is the
@@ -332,7 +304,10 @@ def _mrq_lcov_12(p: MrqParams, cfg: NumericConfig) -> float:
     aa = a2 + c + (b2 + d) u1, so the inner rule (model._u2_rule)
     substitutes 1 - u2 = s^k with one k = 3 max(1, 1/r), r at its smallest
     over u1, before the rule's cap.  v is solved on the whole grid at once
-    in y = -log(1-v), where Q21 is nearly linear.
+    in y = -log(1-v), where Q21 is nearly linear.  The slope, stacked with
+    the value on the tensor Gauss-Jacobi rule the value alone sizes, is the
+    gap's -e^-y dy/dd (0 at y = inf), dy/dd = -u1 (y + 2 expm1(-y)) /
+    (aa - 2 cc e^-y) from differentiating aa y + 2 cc expm1(-y) = x2.
     """
     a_marg = p.a2 + p.c
     k_smooth = 3.0 * max(1.0, 1.0 + (p.b2 + p.d) / a_marg)
@@ -343,10 +318,14 @@ def _mrq_lcov_12(p: MrqParams, cfg: NumericConfig) -> float:
         cc = (p.c + p.d * u1)[:, None]
         sk = s ** k
         x2 = -a_marg * k * np.log(s) - 2.0 * p.c * (1.0 - sk)
-        gap = np.exp(-_mrq_root(aa, cc, x2, cfg)) - sk
-        return ((p.a1 + p.b1) - 2.0 * p.b1 * (1.0 - u1)) * (gap @ w)
+        y = _mrq_root(aa, cc, x2, cfg)
+        e = np.exp(-y)
+        with np.errstate(invalid="ignore"):
+            slope = np.where(np.isinf(y), 0.0,
+                             e * u1[:, None] * (y + 2.0 * np.expm1(-y)) / (aa - 2.0 * cc * e))
+        return ((p.a1 + p.b1) - 2.0 * p.b1 * (1.0 - u1)) * np.stack([(e - sk) @ w, slope @ w])
 
-    return 2.0 * float(_fixed_rule(inner, 0.0, 0.0, cfg))
+    return 2.0 * _fixed_rule(inner, 0.0, 0.0, cfg, judged=0)
 
 
 def fit_mrq(s: PairedSample,
@@ -356,15 +335,16 @@ def fit_mrq(s: PairedSample,
     a_i and the first dependence coefficient come from l1 and l2 of each
     margin (lambda1 = a1, lambda2 = (a1+b1)/2 - b1/3, and likewise a2, c
     from the u1 -> 0 marginal).  b2 follows exactly from the product
-    moment, E(X1 X2) = a1 a2 + lambda2(X1) b2; d is matched to the sample
-    L-covariance of X1 toward X2 by monotone root-finding.  a2 + c =
-    6 l2 - 2 l1 of x2 must be positive (its L-CV above 1/3): otherwise
-    Q21(. | 0) turns down toward v = 1 and is no quantile function, so
-    InfeasibleRegionError is raised before the search for d.  The search
-    can end at the jump where a2 + c + b2 + d reaches 0, which is no root:
-    a d whose L-covariance misses the sample value by more than
-    max(quad_rel_tol, root_tol) max(1, |sample value|) raises it too.
-    Other constraint violations are reported as warnings, not errors.
+    moment, E(X1 X2) = a1 a2 + lambda2(X1) b2.  d matches the sample
+    L-covariance of X1 toward X2 on (d_min, d_max] = (-(a2 + c + b2),
+    a2 + b2 - c], where Q21's density stays positive at u1 = 1 and
+    a2 + b2 >= c + d.  L2(1,2) is decreasing and concave in d there, so
+    model._newton_bisect runs on its exact slope from d = 0 (the midpoint if
+    0 is outside), and InfeasibleRegionError refuses at once a root that a
+    tangent puts below d_min or L2(1,2) at d_max puts above d_max; so too
+    a2 + c <= 0 (Q21(. | 0) is then no quantile function), a2 + b2 <= 0, and
+    a last L2(1,2) off the sample value by over max(quad_rel_tol, root_tol)
+    max(1, |sample value|).  Other violated constraints are warnings.
     """
     if s.n < 4:
         raise InsufficientDataError(f"need at least 4 pairs, got {s.n}")
@@ -381,37 +361,47 @@ def fit_mrq(s: PairedSample,
 
     target_pm = s.product_mean
     b2 = (target_pm - a1 * a2) / lm1.l2
+    if not a2 + b2 > 0.0:  # (d_min, d_max] is empty
+        raise InfeasibleRegionError(f"competitor needs a2 + b2 > 0, got a2 + b2 = {a2 + b2:.6g}")
+    d_min, d_max = -(a2 + c + b2), a2 + b2 - c
 
     lcov = sample_lcomoments(s)
     target_l12 = lcov.l2_12
 
-    def resid(d: float) -> float:
-        if a2 + c + b2 + d <= 1e-9:
-            # conditional quantile density degenerates at u1 = 1; such d
-            # act as unboundedly strong dependence in the search
-            return 1e300
-        trial = MrqParams(a1, b1, a2, b2, c, d)
-        return _mrq_lcov_12(trial, cfg) - target_l12
+    def refuse(why: str) -> InfeasibleRegionError:
+        return InfeasibleRegionError(
+            f"no competitor matches the sample L-covariance {target_l12:.6g}: {why}")
 
-    # L2(1,2) is decreasing in d: find a d at or below the root, then search up from 1
-    lo = -1.0
-    while (r_lo := resid(lo)) < 0.0:
-        lo *= 2.0
-        if lo < -2.0 ** 40:
-            raise BracketError("could not bracket d from below")
-    d, _ = _increasing_root(lambda d: -resid(d), lo, -r_lo, 1.0, 2.0 ** 40, cfg)
+    value, top = math.nan, None  # L2(1,2) at the last evaluation, and at d_max once tried
 
-    params = MrqParams(a1, b1, a2, b2, c, d)
-    reached = _mrq_lcov_12(params, cfg)
+    def h(d):
+        nonlocal value, top
+        value, slope = _mrq_lcov_12(MrqParams(a1, b1, a2, b2, c, d), cfg).tolist()
+        if math.isnan(value):
+            raise ConvergenceError(f"root search met a NaN function value at {d}")
+        # L2(1,2) is decreasing and concave, so it lies below its tangent at d
+        newton = d + (target_l12 - value) / slope if slope < 0.0 else d
+        if value < target_l12 and newton <= d_min:
+            raise refuse(f"its root lies below d_min = -(a2 + c + b2) = {d_min:.6g}")
+        if value > target_l12 and newton > d_max and top is None:
+            try:
+                top = _mrq_lcov_12(MrqParams(a1, b1, a2, b2, c, d_max), cfg)[0]
+            except QuadratureError:
+                top = math.nan  # bisection goes on toward d_max
+            if top > target_l12:
+                raise refuse(f"its root lies above d_max = a2 + b2 - c = {d_max:.6g}")
+        return target_l12 - value, -slope
+
+    start = 0.0 if d_min < 0.0 <= d_max else 0.5 * (d_min + d_max)
+    d = float(_newton_bisect(h, d_min, d_max, start, cfg))
     tol = max(cfg.quad_rel_tol, cfg.root_tol) * max(1.0, abs(target_l12))
-    if not abs(reached - target_l12) <= tol:  # a NaN fails too
-        raise InfeasibleRegionError(
-            f"no competitor matches the sample L-covariance {target_l12:.6g}: the search "
-            f"ended at d = {d:.6g}, where its L-covariance is {reached:.6g}")
-    warnings = tuple(params.constraint_violations())
+    if not abs(value - target_l12) <= tol:  # a NaN fails too
+        raise refuse(f"the solve on (d_min, d_max] = ({d_min:.6g}, {d_max:.6g}] ended at "
+                     f"d = {d:.6g}, where its L-covariance is {value:.6g}")
+    params = MrqParams(a1, b1, a2, b2, c, d)
     residuals = {
         "product_moment": a1 * a2 + lm1.l2 * b2 - target_pm,
-        "lcov_12": reached - target_l12,
+        "lcov_12": value - target_l12,
         "lcov_21_consistency": b2 / 3.0 - lcov.l2_21,
     }
-    return MrqFitResult(params, residuals, warnings)
+    return MrqFitResult(params, residuals, params.constraint_violations())

@@ -276,15 +276,17 @@ def _newton_bisect(h: Callable[..., tuple[np.ndarray, np.ndarray]],
     """Elementwise root of h with h(lo) <= 0 <= h(hi), for floats or 1-d arrays.
 
     `h(x, *per_elem)` returns its value and slope in one call; lo, hi and
-    the start x are finite.  Safeguarded Newton: a step that does not
-    land strictly inside the bracket (where h is down to rounding noise,
-    steps onto its ends can cycle between them) and is not zero, or a
-    nonpositive slope, is replaced by bisection, and every evaluation
-    shrinks the bracket on the sign of h.  An element stops at its first
-    step of at most root_tol, which is its result; h then sees only the
-    elements still moving, with the arrays of `per_elem` sliced the same
-    way, so a batch solve gives each element's own solve bit for bit.  A
-    float stays a numpy scalar throughout, as _pick selects.
+    the start x are finite.  Safeguarded Newton: a step that leaves the
+    bracket, or lands on one of its ends and is over root_tol (where h is
+    down to rounding noise, steps onto its ends can cycle between them),
+    or a nonpositive slope, is replaced by bisection, and every evaluation
+    shrinks the bracket on the sign of h.  An element stops at a zero of h,
+    at its first Newton step of at most root_tol, which is its result, or
+    once its bracket is at most root_tol wide or has no float inside; a
+    small bisection step alone does not stop it.  h then sees
+    only the elements still moving, with the arrays of `per_elem` sliced
+    the same way, so a batch solve gives each element's own solve bit for
+    bit.  A float stays a numpy scalar throughout, as _pick selects.
     """
     array = isinstance(x, np.ndarray)
     pick = np.where if array else _pick
@@ -295,9 +297,13 @@ def _newton_bisect(h: Callable[..., tuple[np.ndarray, np.ndarray]],
             lo = pick(hx < 0.0, x, lo)
             hi = pick(hx > 0.0, x, hi)
             xn = x - hx / slope
-            newton = (slope > 0.0) & (((xn > lo) & (xn < hi)) | (xn == x))
-            xn = pick(hx == 0.0, x, pick(newton, xn, 0.5 * (lo + hi)))
-            done = abs(xn - x) <= cfg.root_tol
+            small = abs(xn - x) <= cfg.root_tol
+            newton = (slope > 0.0) & (((xn > lo) & (xn < hi))
+                                      | (small & (xn >= lo) & (xn <= hi)))
+            mid = 0.5 * (lo + hi)
+            xn = pick(hx == 0.0, x, pick(newton, xn, mid))
+            done = ((newton & small) | (hx == 0.0) | (hi - lo <= cfg.root_tol)
+                    | (mid == lo) | (mid == hi))
             if not array:
                 if done:
                     return xn

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.optimize import brentq
 
 from bivqf.comoment import sample_lcomoments
 from bivqf.data import BUILTIN_DATASETS, PairedSample
-from bivqf.errors import (BivqfError, BracketError, ConvergenceError, DomainError,
+from bivqf.errors import (BracketError, ConvergenceError, DomainError,
                           InfeasibleRegionError, QuadratureError)
 from bivqf.fit import (
     MrqParams,
@@ -274,13 +275,56 @@ MRQ_FIT = MrqParams(a1=2.7975, b1=0.15892105263157852, a2=3.086, b2=-1.073158477
                     c=0.08621052631578507, d=-0.8325921706476263)
 
 
+# the published fits, drawn from at the sizes of their data sets
+PUBLISHED = {
+    "cable": (BivariateParams(MarginalParams(9.0819, -0.4864, -0.9946),
+                              MarginalParams(29.2295, -0.3406, -0.3531), 0.6821), 9),
+    "components": (BivariateParams(MarginalParams(13.0499, 0.8856, -0.1844),
+                                   MarginalParams(5.9257, 0.3555, -0.6695), 0.5492), 20),
+}
+
+
 class TestMrq:
     @pytest.mark.parametrize("p", [
         *(pytest.param(replace(MRQ_PUB, d=d), id=str(d)) for d in (-7.16, -3.0, 0.0, 2.0)),
         *(pytest.param(replace(MRQ_FIT, d=d), id=f"components:{d}") for d in (-0.83, 2.0, 6.0))])
     def test_lcov_fixed_rule_matches_nested_oracle(self, p):
         ref = mrq_lcov_nested_oracle(p)
-        assert math.isclose(_mrq_lcov_12(p, NumericConfig()), ref, rel_tol=1e-9)
+        assert math.isclose(_mrq_lcov_12(p, NumericConfig())[0], ref, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(PUBLISHED))
+    def test_lcov_is_decreasing_and_concave_in_d(self, name):
+        # the premise of fit_mrq's early exits, on the coefficient sets of
+        # test_fit_returns_only_roots's samples: at interior d of
+        # (d_min, d_max] the slope of L2(1,2) is negative and falls, and it
+        # matches central differences; evaluations that raise are counted
+        bp, n = PUBLISHED[name]
+        cfg = NumericConfig()
+        evaluated, raised = 0, 0
+        for seed in range(20):
+            s = draw(bp, SamplerSpec(seed, n, "exact"))
+            lm1, lm2 = sample_lmoments(s.x1), sample_lmoments(s.x2)
+            a1, a2 = lm1.l1, lm2.l1
+            b1, c = 6.0 * lm1.l2 - 3.0 * a1, 6.0 * lm2.l2 - 3.0 * a2
+            b2 = (s.product_mean - a1 * a2) / lm1.l2
+            if not (a2 + c > 0.0 and a2 + b2 > 0.0):
+                continue
+            d_min, d_max = -(a2 + c + b2), a2 + b2 - c
+            h = 1e-4 * (d_max - d_min)
+            last = -math.inf
+            for d in d_min + (d_max - d_min) * np.arange(1, 6) / 6.0:
+                evaluated += 1
+                try:
+                    _, slope = _mrq_lcov_12(MrqParams(a1, b1, a2, b2, c, d), cfg)
+                    above, below = (_mrq_lcov_12(MrqParams(a1, b1, a2, b2, c, d + e), cfg)[0]
+                                    for e in (h, -h))
+                except QuadratureError:
+                    raised += 1
+                    continue
+                assert slope < 0.0 and (slope <= last or last == -math.inf), (seed, d)
+                assert math.isclose(slope, (above - below) / (2.0 * h), rel_tol=1e-7), (seed, d)
+                last = slope
+        assert evaluated >= 40 and raised <= 0.05 * evaluated, (evaluated, raised)
 
     def test_lcov_unreachable_tolerance_raises(self):
         p = MrqParams(a1=2.798, b1=0.159, a2=3.086, b2=4.628, c=0.086, d=-7.16)
@@ -328,28 +372,84 @@ class TestMrq:
         with pytest.raises(InfeasibleRegionError, match=r"a2 \+ c"):
             fit_mrq(CABLE)
 
-    @pytest.mark.parametrize("bp,n,non_roots", [
-        pytest.param(BivariateParams(MarginalParams(9.0819, -0.4864, -0.9946),
-                                     MarginalParams(29.2295, -0.3406, -0.3531), 0.6821),
-                     9, {7, 9, 10, 15, 18}, id="cable"),
-        pytest.param(BivariateParams(MarginalParams(13.0499, 0.8856, -0.1844),
-                                     MarginalParams(5.9257, 0.3555, -0.6695), 0.5492),
-                     20, {13}, id="components")])
-    def test_fit_returns_only_roots(self, bp, n, non_roots):
-        # on the seeds in non_roots the search for d ends at the jump where
-        # a2 + c + b2 + d reaches 0, 0.06 to 0.24 off the sample L-covariance
+    @pytest.mark.parametrize("name,below,above", [
+        pytest.param("cable", {7, 9, 10, 15, 18}, set(), id="cable"),
+        pytest.param("components", {13}, {4}, id="components")])
+    def test_fit_returns_only_roots(self, name, below, above):
+        # a fit lies in (d_min, d_max] and matches the sample L-covariance; a
+        # refusal names the bound it hit, or is a QuadratureError.  On the
+        # seeds in below (above) the root lies below d_min (above d_max)
+        bp, n = PUBLISHED[name]
         cfg = NumericConfig()
+        hit = {"below d_min": set(), "above d_max": set()}
         for seed in range(20):
             s = draw(bp, SamplerSpec(seed, n, "exact"))
             try:
                 p = fit_mrq(s, cfg).params
-            except BivqfError as e:
-                assert seed not in non_roots or (
-                    isinstance(e, InfeasibleRegionError) and "sample L-covariance" in str(e))
+            except QuadratureError:
                 continue
-            assert seed not in non_roots
+            except InfeasibleRegionError as e:
+                bound = re.search(r"a2 \+ [bc] > 0|below d_min|above d_max", str(e))
+                assert bound, e
+                hit.get(bound[0], set()).add(seed)
+                continue
+            assert -(p.a2 + p.c + p.b2) < p.d <= p.a2 + p.b2 - p.c
             target = sample_lcomoments(s).l2_12
-            assert abs(_mrq_lcov_12(p, cfg) - target) <= cfg.quad_rel_tol * max(1.0, abs(target))
+            assert abs(_mrq_lcov_12(p, cfg)[0] - target) \
+                <= cfg.quad_rel_tol * max(1.0, abs(target))
+        assert hit == {"below d_min": below, "above d_max": above}
+
+    def test_root_above_d_max_is_refused(self):
+        # the parent's upward doubling fitted d = -0.48988 here, past
+        # d_max = a2 + b2 - c = -0.70723, with a constraint warning
+        s = draw(PUBLISHED["components"][0], SamplerSpec(1966898329, 20, "exact"))
+        with pytest.raises(InfeasibleRegionError, match="above d_max"):
+            fit_mrq(s)
+
+    def test_root_below_a_failing_d_max(self):
+        # the parent's upward doubling stepped to d = 4, past d_max = 3.7136,
+        # where the L-covariance rule does not converge (nor at d_max itself);
+        # Newton from d = 0 stays below d_max
+        s = draw(PUBLISHED["components"][0], SamplerSpec(282757781, 20, "exact"))
+        res = fit_mrq(s)
+        p = res.params
+        assert math.isclose(p.d, 2.7414966939, rel_tol=1e-9)
+        assert p.d <= p.a2 + p.b2 - p.c and not res.warnings
+        with pytest.raises(QuadratureError):
+            _mrq_lcov_12(replace(p, d=p.a2 + p.b2 - p.c), NumericConfig())
+
+    def test_bisection_goes_on_where_the_rule_fails_at_d_max(self, monkeypatch):
+        # Newton from d = 0 passes d_max = 4.5734, where the rule does not
+        # converge; bisection from there finds the root below it
+        import bivqf.fit
+
+        tried = []
+
+        def counted(p, cfg):
+            tried.append(p.d)
+            return _mrq_lcov_12(p, cfg)
+
+        monkeypatch.setattr(bivqf.fit, "_mrq_lcov_12", counted)
+        s = draw(PUBLISHED["components"][0], SamplerSpec(139438105, 20, "exact"))
+        p = fit_mrq(s).params
+        d_max = p.a2 + p.b2 - p.c
+        assert d_max in tried and math.isclose(p.d, 4.23876721657, rel_tol=1e-9)
+        target = sample_lcomoments(s).l2_12
+        assert abs(_mrq_lcov_12(p, NumericConfig())[0] - target) <= 1e-8 * max(1.0, abs(target))
+
+    def test_empty_interval_is_refused(self):
+        # x2 falls as x1 rises: b2 < -a2, so no d has a2 + c + b2 + d > 0 and
+        # a2 + b2 >= c + d
+        s = PairedSample((1.0, 2.0, 3.0, 10.0), (10.0, 1.0, 0.5, 0.1))
+        with pytest.raises(InfeasibleRegionError, match=r"a2 \+ b2 > 0"):
+            fit_mrq(s)
+
+    def test_nan_lcov_raises(self, monkeypatch):
+        import bivqf.fit
+
+        monkeypatch.setattr(bivqf.fit, "_mrq_lcov_12", lambda p, cfg: np.array([math.nan, -1.0]))
+        with pytest.raises(ConvergenceError, match="NaN"):
+            fit_mrq(COMP)
 
     def test_fit_recovers_independent_exponentials(self):
         rng = np.random.Generator(np.random.Philox(key=99))

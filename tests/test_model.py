@@ -14,9 +14,9 @@ from bivqf import fit, model
 from bivqf.catalog import closed_marginal_cdf, generic_marginal_cdf, make_case
 from bivqf.comoment import population_lcomoments, sample_lcomoments
 from bivqf.data import BUILTIN_DATASETS, PairedSample
-from bivqf.errors import BracketError, ConvergenceError, DivergentMomentError, DomainError
-from bivqf.fit import (MrqParams, _increasing_root, _mrq_lcov_12, fit_bivariate, fit_marginal,
-                        fit_mrq, fit_theta)
+from bivqf.errors import ConvergenceError, DivergentMomentError, DomainError
+from bivqf.fit import (MrqParams, _mrq_lcov_12, fit_bivariate, fit_marginal, fit_mrq,
+                       fit_theta)
 from bivqf.model import (
     BivariateParams,
     MarginalParams,
@@ -1109,7 +1109,7 @@ class TestRootSearch:
     theta (beta2 <= -1), and elsewhere by _newton_bisect on the exact slope
     from theta = 0, each iterate on the u1 rule product_moment sizes
     (model._u1_rule), and product_moment itself only at theta = 0; fit_mrq
-    by fit._increasing_root, _newton_bisect on secant slopes.  Their roots
+    by _newton_bisect on the exact slope of L2(1,2) in d.  Their roots
     agree with scipy's brentq on the same residual."""
 
     @staticmethod
@@ -1145,8 +1145,7 @@ class TestRootSearch:
     @pytest.mark.parametrize("name", sorted(REPLICATED))
     def test_fit_theta_on_replicates(self, name, monkeypatch):
         bp, n = REPLICATED[name]
-        calls = self.count_calls(monkeypatch, ["_u1_rule", "product_moment",
-                                               "_increasing_root"])
+        calls = self.count_calls(monkeypatch, ["_u1_rule", "product_moment"])
         kinds = []
         for seed in range(24):
             s = draw(bp, SamplerSpec(seed, n, ("exact", "transform")[seed % 2]))
@@ -1154,7 +1153,7 @@ class TestRootSearch:
             for v in calls.values():
                 v.clear()
             theta, (lo, hi), _ = fit_theta(s, m1, m2)
-            assert not calls["_increasing_root"] and len(calls["product_moment"]) == 1
+            assert len(calls["product_moment"]) == 1
             if theta == 0.0:
                 kinds.append("zero")
                 continue
@@ -1227,9 +1226,9 @@ class TestRootSearch:
 
         def resid(d):
             trial = MrqParams(p.a1, p.b1, p.a2, p.b2, p.c, d)
-            return _mrq_lcov_12(trial, NumericConfig()) - target
+            return _mrq_lcov_12(trial, NumericConfig())[0] - target
 
-        # (-1, 1) is the bracket fit_mrq's expansion stops at on this sample
+        # the root lies in (-1, 1), inside (d_min, d_max] = (-2.10, 1.93]
         self.close_to_brentq(p.d, resid, -1.0, 1.0)
 
     def test_iteration_cap(self, monkeypatch):
@@ -1237,24 +1236,6 @@ class TestRootSearch:
         monkeypatch.setattr(model, "ROOT_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match="within 3 steps"):
             fit_theta(s, fit_marginal(s.x1), fit_marginal(s.x2))
-
-    def test_nan_value(self):
-        # met while doubling, and inside the bracket
-        for f in (lambda x: math.nan if x > 0.5 else -1.0,
-                  lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5):
-            with pytest.raises(ConvergenceError, match="NaN"):
-                _increasing_root(f, 0.0, f(0.0), 1.0, 2.0 ** 40, NumericConfig())
-
-    def test_cap_bounds_the_doubling(self):
-        calls = []
-
-        def below(x):
-            calls.append(x)
-            return -1.0
-
-        with pytest.raises(BracketError):
-            _increasing_root(below, -1.0, -1.0, 1.0, 2.0 ** 40, NumericConfig())
-        assert calls == [2.0 ** k for k in range(41)]
 
     @pytest.mark.parametrize("name", ["cable", "components"])
     def test_fit_theta_same_with_the_blend(self, name, monkeypatch):

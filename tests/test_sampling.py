@@ -8,8 +8,8 @@ from bivqf import sampling
 from bivqf.catalog import make_case
 from bivqf.data import PairedSample
 from bivqf.errors import ConvergenceError, DomainError
-from bivqf.model import (BivariateParams, MarginalParams, NumericConfig, _newton_bisect, big_q1,
-                         f1, joint_survival, q1)
+from bivqf.model import (BivariateParams, MarginalParams, NumericConfig, _halley_passes,
+                         _newton_bisect, big_q1, f1, joint_survival, q1)
 from bivqf.sampling import SamplerSpec, _exact_conditional, draw
 
 EXP_BP = BivariateParams(MarginalParams(1.0, 0.0, -1.0),
@@ -195,6 +195,23 @@ class TestExactSampler:
         bp = PUBLISHED["components"]
         s = draw(bp, SamplerSpec(seed=23, n=300, method="exact"))
         assert calls == [300]
+        rng = np.random.Generator(np.random.Philox(key=23))
+        u1, v = rng.random(300), rng.random(300)
+        assert_matches_mpmath(bp, u1, v, s.x2)
+
+    def test_newton_after_the_passes_ends_at_a_root(self, monkeypatch):
+        # the real passes run, then every draw goes on to _newton_bisect on
+        # its narrowed bracket.  The Halley point of u1 = 0.61986,
+        # v = 0.027969 is a bracket end next to the root: the small Newton
+        # step back onto that end ends its solve, where a bisection midpoint
+        # would leave x2 2e-13 off
+        def unsettled(step, w, lo, hi, take):
+            _halley_passes(step, w, lo, hi, take)
+            return np.arange(w.size)
+
+        monkeypatch.setattr(sampling, "_halley_passes", unsettled)
+        bp = PUBLISHED["components"]
+        s = draw(bp, SamplerSpec(seed=23, n=300, method="exact"))
         rng = np.random.Generator(np.random.Philox(key=23))
         u1, v = rng.random(300), rng.random(300)
         assert_matches_mpmath(bp, u1, v, s.x2)
