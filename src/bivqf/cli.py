@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: fit, gof, lmoments, comoments, sample, compare, catalog,
-reproduce.  Reports are JSON with a fixed field order (floats round-trip
-losslessly); Q-Q data goes to tab-separated files.  Exit codes: 0 ok,
+reproduce.  Reports are strict (RFC 8259) JSON with a fixed field order
+(floats round-trip losslessly; an undefined L-moment ratio is null, with
+a warning); Q-Q data goes to tab-separated files.  Exit codes: 0 ok,
 2 data error, 3 numeric failure, 64 usage error, 141 standard output
 closed early.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -108,9 +110,17 @@ def _write(path: str, text: str) -> None:
     print(f"wrote {p}")
 
 
+def _json(obj) -> str:
+    """obj as strict JSON: a non-finite float, which JSON lacks, is a numeric failure."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:
+        raise DomainError("the report holds a non-finite number, which JSON cannot carry") from None
+
+
 def _emit(args, rep: dict, files: dict[str, str]) -> None:
     """Print the report, or write it and the extra files under --out."""
-    text = json.dumps(rep, indent=2)
+    text = _json(rep)
     if not args.out:
         print(text)
         return
@@ -123,8 +133,16 @@ def _model_dict(bp: BivariateParams) -> dict:
     return {"marginal1": asdict(bp.m1), "marginal2": asdict(bp.m2), "theta": bp.theta}
 
 
-def _lmoments_dict(lm: LMomentVector) -> dict:
-    return {**asdict(lm), "tau2": lm.tau2, "tau3": lm.tau3, "tau4": lm.tau4}
+def _lmoments_dict(lm: LMomentVector, column: str, warnings: list[str]) -> dict:
+    """The L-moments and their ratios; a ratio with no value (its denominator
+    not positive, or l1 = 0) is null, and a warning names it."""
+    out = asdict(lm)
+    for name, den in (("tau2", "l1"), ("tau3", "l2"), ("tau4", "l2")):
+        out[name] = getattr(lm, name)
+        if math.isnan(out[name]):
+            out[name] = None
+            warnings.append(f"{column}: {name} is null, as {den} = {getattr(lm, den)!r}")
+    return out
 
 
 def _number(flag: str, text: str) -> float:
@@ -214,13 +232,13 @@ def _cmd_gof(args, s: PairedSample, cfg: NumericConfig):
 
 
 def _cmd_lmoments(args, s: PairedSample, cfg: NumericConfig):
-    results = {"x1": _lmoments_dict(sample_lmoments(s.x1)),
-               "x2": _lmoments_dict(sample_lmoments(s.x2))}
+    lms = {"x1": sample_lmoments(s.x1), "x2": sample_lmoments(s.x2)}
     bp = _model(args)
     if bp is not None:
-        results["model_x1"] = _lmoments_dict(population_lmoments(bp.m1))
-        results["model_x2"] = _lmoments_dict(population_lmoments(bp.m2))
-    return results, [], {}
+        lms["model_x1"] = population_lmoments(bp.m1)
+        lms["model_x2"] = population_lmoments(bp.m2)
+    warnings: list[str] = []
+    return {k: _lmoments_dict(lm, k, warnings) for k, lm in lms.items()}, warnings, {}
 
 
 def _cmd_comoments(args, s: PairedSample, cfg: NumericConfig):
@@ -288,7 +306,7 @@ def _cmd_catalog(args) -> int:
             },
             "notes": list(entry.notes),
         }
-        print(json.dumps(out, indent=2))
+        print(_json(out))
     else:
         print("\n".join(CATALOG_NAMES))
     return EXIT_OK
@@ -392,7 +410,7 @@ def _cmd_reproduce(args) -> int:
         print("\n".join(out_notes))
     if args.out:
         _write(f"{args.out}.report.json",
-               json.dumps(_report(None, cfg, {"rows": rows}, []), indent=2) + "\n")
+               _json(_report(None, cfg, {"rows": rows}, [])) + "\n")
     return EXIT_OK
 
 

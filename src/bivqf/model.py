@@ -263,8 +263,8 @@ def _u2_rule(n: int, k: float) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _pick(cond, a, b):
-    """a where cond holds, else b: np.where on an array, and a numpy float
-    on a float cond, where np.where would make a 0-d array first."""
+    """a where cond holds, else b: np.where on an array; on a float cond (f1's
+    closed rows, _newton_bisect's float mode) a numpy float, not a 0-d array."""
     if not isinstance(cond, np.ndarray):
         return np.float64(a if cond else b)
     return np.where(cond, a, b)
@@ -273,7 +273,7 @@ def _pick(cond, a, b):
 def _newton_bisect(h: Callable[..., tuple[np.ndarray, np.ndarray]],
                    lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
                    cfg: NumericConfig, *per_elem: np.ndarray) -> np.ndarray:
-    """Elementwise root of h with h(lo) <= 0 <= h(hi), for floats or 1-d arrays.
+    """Elementwise root of h with h(lo) <= 0 <= h(hi), for a float or a 1-d array.
 
     `h(x, *per_elem)` returns its value and slope in one call; lo, hi and
     the start x are finite.  Safeguarded Newton: a step that leaves the
@@ -286,7 +286,7 @@ def _newton_bisect(h: Callable[..., tuple[np.ndarray, np.ndarray]],
     small bisection step alone does not stop it.  h then sees
     only the elements still moving, with the arrays of `per_elem` sliced
     the same way, so a batch solve gives each element's own solve bit for
-    bit.  A float stays a numpy scalar throughout, as _pick selects.
+    bit.  A float (fit_theta, fit_mrq) stays a numpy scalar, as _pick selects.
     """
     array = isinstance(x, np.ndarray)
     pick = np.where if array else _pick
@@ -331,8 +331,8 @@ def _newton_bisect(h: Callable[..., tuple[np.ndarray, np.ndarray]],
 # ---------------------------------------------------------------------------
 # quantile density / quantile function / inversion
 #
-# big_q1 and f1 take a float or an array; the rows of _shape_plan use
-# operators and ufuncs that accept both, so a float is never made a 0-d array.
+# big_q1 and f1 take a float or an array; a row's q sees a 1-d array, and its
+# f a float too, which the corner rows make a one-element row.
 
 
 def support(p: MarginalParams) -> SupportInfo:
@@ -518,11 +518,6 @@ def _to_half(p: float, r: float) -> _ToHalf:
     return (_ToHalfSeries if near_pole else _ToHalf)(p, r)
 
 
-def _take(mask, v):
-    """v[mask] for a mask with a true element; a 0-d v stays a numpy scalar."""
-    return v[()] if v.ndim == 0 else v[mask]
-
-
 class _Row:
     """A row: Q by q(p, u, upper) on 0 < u < 1, F by f(p, x, upper, cfg), upper = Q(1).
 
@@ -572,7 +567,7 @@ class _ArcsineRow(_Row):  # alpha = beta = -1/2
     def q(self, p, u, upper):
         # 2c asin(sqrt(u)), mirrored above 1/2, where 1 - u is exact
         h = 2.0 * p.c * np.arcsin(np.sqrt(np.minimum(u, 1.0 - u)))
-        return _pick(u <= 0.5, h, upper - h)
+        return np.where(u <= 0.5, h, upper - h)
 
     def f(self, p, x, upper, cfg):
         s = np.sin(0.5 * x / p.c)
@@ -638,24 +633,23 @@ class _CornerRow(_Row):  # the left half, its sign in Q/c, the right half, Q(1/2
         self.left, self.sign, self.right, self.mid = left, sign, right, mid
 
     def q(self, p, u, upper):
-        u = np.asarray(u)
         out = np.full(u.shape, self.mid)
         low, high = u < 0.5, u > 0.5
         if low.any():
-            out[low] = self.sign * self.left.value(-np.log(2.0 * _take(low, u)))
+            out[low] = self.sign * self.left.value(-np.log(2.0 * u[low]))
         if high.any():
-            out[high] = self.mid + self.right.value(-np.log(2.0 * (1.0 - _take(high, u))))
-        return p.c * out[()]
+            out[high] = self.mid + self.right.value(-np.log(2.0 * (1.0 - u[high])))
+        return p.c * out
 
     def f(self, p, x, upper, cfg):
-        xc = np.asarray(x) / p.c
+        xc = np.atleast_1d(x) / p.c  # a float is a one-element row
         u = np.full(xc.shape, 0.5)
         low, high = xc < self.mid, xc > self.mid
         if low.any():
-            u[low] = 0.5 * np.exp(-self.left.solve(self.sign * _take(low, xc), cfg))
+            u[low] = 0.5 * np.exp(-self.left.solve(self.sign * xc[low], cfg))
         if high.any():
-            u[high] = 1.0 - 0.5 * np.exp(-self.right.solve(_take(high, xc) - self.mid, cfg))
-        return u[()]
+            u[high] = 1.0 - 0.5 * np.exp(-self.right.solve(xc[high] - self.mid, cfg))
+        return u if np.ndim(x) else u[0]
 
 
 def _shape_plan(alpha: float, beta: float) -> tuple[float, float, _Row]:
@@ -705,21 +699,13 @@ def big_q1(p: MarginalParams, u: float | np.ndarray) -> float | np.ndarray:
     integer exponents.
     """
     lower, upper, row = p._plan
-    if isinstance(u, (float, int)):
-        if not 0.0 < u < 1.0:
-            if u == 0.0:
-                return lower
-            if u != 1.0:
-                raise DomainError(f"u must lie in [0, 1], got {u}")
-            return upper
-        return float(row.q(p, u, upper))
-    u = np.asarray(u, dtype=float)
-    if not np.all((u >= 0.0) & (u <= 1.0)):
-        raise DomainError("u must lie in [0, 1]")
-    out = np.where(u == 0.0, lower, upper)
-    inside = (u > 0.0) & (u < 1.0)
-    out[inside] = row.q(p, u[inside], upper)
-    return out
+    v = np.asarray(u, dtype=float)
+    if not np.all((v >= 0.0) & (v <= 1.0)):
+        raise DomainError("u must lie in [0, 1]" + ("" if v.ndim else f", got {u}"))
+    out = np.where(v == 0.0, lower, upper)
+    inside = (v > 0.0) & (v < 1.0)
+    out[inside] = row.q(p, v[inside], upper)
+    return out if out.ndim else float(out)
 
 
 def f1(p: MarginalParams, x: float | np.ndarray,
@@ -871,10 +857,9 @@ def u21(bp: BivariateParams, u1: float | np.ndarray, u2: float | np.ndarray,
     v = np.asarray(u2, dtype=float)
     if not np.all((v >= 0.0) & (v <= 1.0)):
         raise DomainError("u2 must lie in [0, 1]")
-    g = 1.0 + bp.theta * u1[()]
+    g = 1.0 + bp.theta * u1
     moved = g != 1.0
-    # v[()] keeps a single u2 a float for big_q1's scalar path
-    w = f1(bp.m2, big_q1(bp.m2, v[()]) / g, cfg) if np.any(moved) else v
+    w = f1(bp.m2, big_q1(bp.m2, v) / g, cfg) if np.any(moved) else v
     v = np.where(moved, w, v)  # broadcast, and never the caller's array
     return v if v.ndim else float(v)
 

@@ -457,6 +457,56 @@ class TestCommands:
         assert out1 == out2
 
 
+def refuse_constant(name):
+    raise AssertionError(f"stdout holds {name}, which strict JSON lacks")
+
+
+class TestStrictJson:
+    """Reports are RFC 8259 JSON on edge data: no NaN or Infinity on stdout."""
+
+    EDGE = {"constant-column": "x1,x2\n1,2\n1,3\n1,4\n1,5\n1,6\n",
+            "zero-mean": "x1,x2\n-1,1\n1,2\n-2,3\n2,4\n"}
+
+    def data(self, name, tmp_path):
+        if name not in self.EDGE:
+            return name
+        path = tmp_path / f"{name}.csv"
+        path.write_text(self.EDGE[name], encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("data", ["constant-column", "zero-mean", "cable", "components"])
+    @pytest.mark.parametrize("command", ["lmoments", "comoments", "fit", "gof"])
+    def test_exit_code_and_strict_stdout(self, command, data, capsys, tmp_path):
+        code, out, err = run([command, "--data", self.data(data, tmp_path)], capsys)
+        assert code in (0, 2, 3)
+        if code:
+            assert out == "" and err.count("\n") == 1
+        else:
+            json.loads(out, parse_constant=refuse_constant)
+
+    @pytest.mark.parametrize("data, nulls", [
+        ("constant-column", {"tau3": "l2 = 0.0", "tau4": "l2 = 0.0"}),
+        ("zero-mean", {"tau2": "l1 = 0.0"})])
+    def test_undefined_ratio_is_null_with_a_warning(self, data, nulls, capsys, tmp_path):
+        code, out, _ = run(["lmoments", "--data", self.data(data, tmp_path)], capsys)
+        assert code == 0
+        rep = json.loads(out, parse_constant=refuse_constant)
+        x1 = rep["results"]["x1"]
+        assert [k for k in ("tau2", "tau3", "tau4") if x1[k] is None] == list(nulls)
+        assert all(v is not None for v in rep["results"]["x2"].values())
+        assert rep["warnings"] == [f"x1: {k} is null, as {d}" for k, d in nulls.items()]
+
+    def test_non_finite_report_is_3(self, capsys, monkeypatch):
+        import bivqf.cli
+        from bivqf.comoment import LComomentSet
+        nan_set = LComomentSet(*[math.nan] * len(LComomentSet.__dataclass_fields__))
+        monkeypatch.setattr(bivqf.cli, "sample_lcomoments", lambda s: nan_set)
+        code, out, err = run(["comoments", "--data", "cable"], capsys)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "non-finite" in err
+
+
 class TestRoundTrip:
     def _sample_and_fit(self, capsys, tmp_path, theta):
         path = str(tmp_path / "draws.csv")

@@ -525,36 +525,52 @@ BRANCHES = {
 }
 
 
+# 200 seeded levels: 100 across (0, 1) and 50 in each tail, 1e-12 to 0.1
+# from its end
+_tails = 10.0 ** np.random.default_rng(33).uniform(-12.0, -1.0, size=(2, 50))
+LEVELS = np.concatenate([np.random.default_rng(46).uniform(size=100),
+                         _tails[0], 1.0 - _tails[1]])
+
+
 class TestArrayMatchesScalar:
+    """One answer per value: a float gets the bits of the same value in an array."""
+
     @pytest.mark.parametrize("branch", list(BRANCHES))
     def test_big_q1(self, branch):
         p = BRANCHES[branch]
-        u = np.array([0.0, 1e-9, 0.05, 0.3, 0.5, 0.77, 0.99, 1.0])
+        u = np.concatenate([[0.0, 1e-9, 0.05, 0.3, 0.5, 0.77, 0.99, 1.0], LEVELS])
         arr = big_q1(p, u)
         assert arr.shape == u.shape
         scalar = [big_q1(p, float(v)) for v in u]
         assert all(type(v) is float for v in scalar)
-        # the same formula; vector and scalar pow may differ by an ulp
-        np.testing.assert_allclose(arr, scalar, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(big_q1(p, u.reshape(2, 4)), arr.reshape(2, 4),
-                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(arr, scalar)
+        np.testing.assert_array_equal(big_q1(p, u.reshape(2, -1)), arr.reshape(2, -1))
 
     @pytest.mark.parametrize("branch", list(BRANCHES))
     def test_f1_flagged(self, branch):
         p = BRANCHES[branch]
         sup = support(p)
-        inside = big_q1(p, np.array([1e-9, 0.05, 0.3, 0.5, 0.77, 0.99]))
+        inside = big_q1(p, np.concatenate([[1e-9, 0.05, 0.3, 0.5, 0.77, 0.99], LEVELS]))
         x = np.concatenate([inside, [sup.lower, sup.upper]])
         if p.alpha > -1.0:
             x = np.append(x, -1.0)  # below the support
         if math.isfinite(sup.upper):
             x = np.append(x, 2.0 * sup.upper)  # above it
-        u, flags = f1_flagged(p, x)
-        assert u.shape == flags.shape == x.shape
+        # one value per row: a row of more than EXACT_ROW_MAX values starts
+        # from Q on a grid (f1's long rows), not from each value's own solve
+        u, flags = f1_flagged(p, x[:, None])
+        assert u.shape == flags.shape == (x.size, 1)
+        u, flags = u[:, 0], flags[:, 0]
+        np.testing.assert_array_equal(f1_flagged(p, x[:60])[0], u[:60])  # one short row
         for xv, uv, fv in zip(x, u, flags):
             su, sf = f1_flagged(p, float(xv))
             assert type(su) is float and type(sf) is bool
-            assert math.isclose(uv, su, rel_tol=1e-13, abs_tol=1e-300), xv
+            if branch == "power":
+                # f1's float path on the closed rows is the catalog-grid
+                # benchmark's, and this row rounds ** through Python's pow there
+                assert math.isclose(uv, su, rel_tol=1e-13, abs_tol=1e-300), xv
+            else:
+                assert uv == su, xv
             assert fv == sf, xv
         assert list(flags) == [x < sup.lower or x > sup.upper for x in x]
         np.testing.assert_allclose(u[:6], [1e-9, 0.05, 0.3, 0.5, 0.77, 0.99],
