@@ -2,11 +2,11 @@
 
 PIT values come from numerically inverting the fitted quantile function
 at the observations (clamped at the support with a counted flag), one
-f1 call per sample: each value of a sample of more than 64 distinct
-values starts from Q at the 127 levels k/128 and takes Halley steps on
+f1 call per sample: each value of a sample of more than 64 values
+inside the support starts from Q at the 127 levels k/128 and takes Halley steps on
 Q, its PIT within 1e-13 min(u, 1-u) + 4e-16 |x|/q(u) of its own exact
 solve at the published fits and independent of the rest of the sample;
-samples of at most 64 distinct values are inverted value by value.  Two
+samples of at most 64 such values are inverted value by value.  Two
 empirical-CDF conventions are carried side by side:
 
 - ``d_stat``: the standard two-sided statistic

@@ -67,7 +67,8 @@ def sample_lmoments(data: Sequence[float], r_max: int = 4) -> LMomentVector:
     b_r = n^-1 sum_j [(j-1)...(j-r) / ((n-1)...(n-r))] x_(j) and
     l1 = b0, l2 = 2b1 - b0, l3 = 6b2 - 6b1 + b0,
     l4 = 20b3 - 30b2 + 12b1 - b0.  Moments above r_max come back as NaN;
-    a requested one that overflows raises DomainError.
+    a requested one that overflows raises DomainError.  A constant column
+    gives l2 = l3 = l4 = 0 exactly.
     """
     if not 1 <= r_max <= 4:
         raise InsufficientDataError(f"r_max must be in 1..4, got {r_max}")
@@ -91,4 +92,6 @@ def sample_lmoments(data: Sequence[float], r_max: int = 4) -> LMomentVector:
               20.0 * b[3] - 30.0 * b[2] + 12.0 * b[1] - b[0])
     if not np.all(np.isfinite(lm[:r_max])):
         raise DomainError(f"sample L-moments up to l{r_max} overflow float64 on this data")
+    if x[0] == x[-1]:  # a constant column, whose sums above may round off 0
+        lm = (lm[0], *(0.0 if r < r_max else math.nan for r in (1, 2, 3)))
     return LMomentVector(*map(float, lm))

@@ -124,7 +124,7 @@ DEFAULT_NUMERIC_CONFIG = NumericConfig()
 
 # the fixed rules start at 16 nodes and give up with QuadratureError past
 # MAX_RULE_NODES; _newton_bisect raises ConvergenceError after ROOT_MAX_ITER steps;
-# f1 solves a row of more than EXACT_ROW_MAX distinct values from Q at the _GRID levels
+# f1 solves a row of more than EXACT_ROW_MAX values inside the support from Q at _GRID
 # (at the published fits 1.4% of such a row then needs the exact solve; 3% at 63 levels)
 MAX_RULE_NODES = 512
 ROOT_MAX_ITER = 200
@@ -290,7 +290,7 @@ def _newton_bisect(h: Callable[..., tuple[np.ndarray, np.ndarray]],
     """
     array = isinstance(x, np.ndarray)
     pick = np.where if array else _pick
-    out = moving = None  # the results, and where the moving elements sit in them
+    out = at = None  # the results, and where the moving elements sit in them
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(ROOT_MAX_ITER):
             hx, slope = h(x, *per_elem)
@@ -307,18 +307,16 @@ def _newton_bisect(h: Callable[..., tuple[np.ndarray, np.ndarray]],
             if not array:
                 if done:
                     return xn
-            elif (stopped := np.count_nonzero(done)) == xn.size and out is None:
-                return xn
-            elif stopped:
-                if out is None:
-                    out, moving = np.empty(xn.size), np.ones(xn.size, dtype=bool)
-                out[moving] = xn  # the ones still moving are overwritten when they stop
-                if stopped == xn.size:
+            elif done.any():
+                if at is None:
+                    out, at = np.empty(xn.size), np.arange(xn.size)
+                out[at] = xn  # the ones still moving are overwritten when they stop
+                keep = np.flatnonzero(~done)
+                if not keep.size:
                     return out
                 # one array at a time, so that the peak stays that of a step
                 del hx, slope, newton
-                moving[moving] = keep = ~done
-                keep = keep.nonzero()[0]
+                at = at[keep]
                 x = xn = xn[keep]
                 lo = lo[keep]
                 hi = hi[keep]
@@ -715,8 +713,8 @@ def f1(p: MarginalParams, x: float | np.ndarray,
     `x` may be a float or an array; the result has its shape.  A NaN `x`
     raises DomainError.  Where F is a root solve (the beta and corner
     rows), a row of an array along its last axis with at most
-    EXACT_ROW_MAX distinct values inside the support is solved value by
-    value.  A row of more starts each value from Q at the 127 levels k/128
+    EXACT_ROW_MAX values inside the support is solved value by value.
+    A row of more starts each value from Q at the 127 levels k/128
     (_from_grid); such a value is within 1e-13 min(u, 1-u) + 4e-16 |x|/q(u),
     and an ulp of u, of its own solve where Q rounds to 4e-16 (the
     published fits), and depends on x and the margin alone, not on the
@@ -738,9 +736,7 @@ def f1(p: MarginalParams, x: float | np.ndarray,
     u = np.where(x <= lower, 0.0, 1.0)
     todo = (x > lower) & (x < upper)
     if row.inverts_q and x.ndim and x.shape[-1] > EXACT_ROW_MAX:
-        xs = np.sort(np.where(todo, x, np.nan), axis=-1)  # NaN sorts last
-        more = np.count_nonzero(np.diff(xs, axis=-1) > 0.0, axis=-1, keepdims=True)
-        long = todo & (more >= EXACT_ROW_MAX)  # more than EXACT_ROW_MAX distinct inside
+        long = todo & (np.count_nonzero(todo, axis=-1, keepdims=True) > EXACT_ROW_MAX)
         u[long], todo[long] = _from_grid(row, p, x[long], upper)
     u[todo] = row.f(p, x[todo], upper, cfg)
     return u

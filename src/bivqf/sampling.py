@@ -119,14 +119,14 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
         return np.where(w < 0.5, w - (1.0 - v), v - (1.0 - w)) + k * r
 
     def level(w):
-        # Q2, q2 and l at w in (0, 1): big_q1's checks and masks are skipped
-        return (row.q(m2, w, upper), _q_density(m2, w),
-                alpha / w - beta / (1.0 - w))
+        # Q2, q2, l, R and R' at w in (0, 1): big_q1's checks and masks are skipped
+        big, small, l = row.q(m2, w, upper), _q_density(m2, w), alpha / w - beta / (1.0 - w)
+        r = big / small
+        return big, small, l, r, 1.0 - r * l
 
     # the scan; the grid's Q2/q2 ratios are shared by all draws
     grid = np.arange(1, 65) / 65.0
-    big, small, l = level(grid)
-    r = big / small
+    _, _, _, r, r_prime = level(grid)
     # (1 - grid) - k r, in place: subtracting into a new (n, 64) array from the
     # broadcast (64,) operand takes several times as long
     s_grid = np.multiply.outer(k, r)
@@ -144,7 +144,7 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     s0 = np.where(cell == 0, 1.0, s_grid[i, cell - 1])
     s1 = s_grid[i, cell]
     secant = (s1 - s0) / (ends[cell + 1] - ends[cell])
-    r_prime = np.concatenate(([1.0 / (alpha + 1.0)], 1.0 - r * l))
+    r_prime = np.concatenate(([1.0 / (alpha + 1.0)], r_prime))
     m0, m1 = (secant / np.where(s < 0.0, s, secant)
               for s in (-1.0 - k * r_prime[cell], -1.0 - k * r_prime[cell + 1]))
     t = _hermite((s0 - v) / (s0 - s1), m0, m1)
@@ -152,11 +152,9 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
 
     def step(j, w):
         # the residual at w and a Halley step d; x2 = g (Q2 + q2 d + q2 l d^2/2)
-        big, small, l = level(w)
-        r = big / small
+        big, small, l, r, r_prime = level(w)
         kj = k[j]
         f = residual(w, v[j], kj, r)
-        r_prime = 1.0 - r * l
         fp = 1.0 + kj * r_prime
         fpp = kj * (r * (alpha / (w * w) + beta / ((1.0 - w) * (1.0 - w))) - r_prime * l)
         d = -2.0 * f * fp / (2.0 * fp * fp - f * fpp)
@@ -173,18 +171,16 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
 
     top = ~found
     if top.any():
-        big, small, _ = level(hi[top])
-        if np.any((1.0 - hi[top]) - k[top] * (big / small) > v[top]):
+        if np.any((1.0 - hi[top]) - k[top] * level(hi[top])[3] > v[top]):
             raise ConvergenceError("conditional survival failed to cross the draw level")
     lo, hi, start = lo[rest], hi[rest], w[rest]
     start = np.where((start > lo) & (start < hi), start, 0.5 * (lo + hi))
     last = np.empty((4, lo.size))  # w, Q2, q2 and l at each draw's last evaluation
 
     def h(w, v, k, j):
-        big, small, l = level(w)
+        big, small, l, r, r_prime = level(w)
         last[:, j] = w, big, small, l
-        r = big / small
-        return residual(w, v, k, r), 1.0 + k * (1.0 - r * l)
+        return residual(w, v, k, r), 1.0 + k * r_prime
 
     d = _newton_bisect(h, lo, hi, start, cfg, v[rest], k[rest], np.arange(lo.size)) - last[0]
     _, big, small, l = last

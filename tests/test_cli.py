@@ -497,6 +497,25 @@ class TestStrictJson:
         assert all(v is not None for v in rep["results"]["x2"].values())
         assert rep["warnings"] == [f"x1: {k} is null, as {d}" for k, d in nulls.items()]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [5, 7, 9, 30])
+    @pytest.mark.parametrize("value", ["1", "0.1", "0.3", "17.3", "1e-5", "123.456"])
+    def test_every_constant_column_has_zero_l_scale(self, value, n, capsys, tmp_path):
+        # the sums alone give l2 = 5.6e-17 on nine 0.3s and -1.4e-17 on thirty 0.1s
+        path = tmp_path / "constant.csv"
+        path.write_text("x1,x2\n" + "".join(f"{value},{i}\n" for i in range(2, n + 2)),
+                        encoding="utf-8")
+        code, out, _ = run(["lmoments", "--data", str(path)], capsys)
+        rep = json.loads(out, parse_constant=refuse_constant)
+        assert code == 0 and rep["results"]["x1"]["l2"] == 0.0
+        assert rep["results"]["x1"]["tau3"] is None and rep["results"]["x1"]["tau4"] is None
+        assert rep["warnings"] == [f"x1: {k} is null, as l2 = 0.0" for k in ("tau3", "tau4")]
+        for command, message in (("comoments", "zero L-scale"),
+                                 ("fit", "sample L-scale must be positive")):
+            code, out, err = run([command, "--data", str(path)], capsys)
+            assert (code, out) == (3, "")
+            assert err.count("\n") == 1 and message in err
+
     def test_non_finite_report_is_3(self, capsys, monkeypatch):
         import bivqf.cli
         from bivqf.comoment import LComomentSet

@@ -399,6 +399,35 @@ class TestMrq:
                 <= cfg.quad_rel_tol * max(1.0, abs(target))
         assert hit == {"below d_min": below, "above d_max": above}
 
+    def test_every_refusal_below_d_min_is_a_root_below_it(self):
+        # the tangent exit below d_min rests on L2(1,2) being concave in d,
+        # which its outer weight (a1 + b1) - 2 b1 (1 - u1) does not promise
+        # where a1 + b1 < 0; each refusal still has L2(1,2) next to d_min
+        # below the sample L-covariance, so the root lies below d_min
+        bp, n = PUBLISHED["cable"]
+        cfg = NumericConfig()
+        refused, negative_weight = 0, 0
+        for seed in range(200):
+            s = draw(bp, SamplerSpec(seed, n, "exact"))
+            try:
+                fit_mrq(s, cfg)
+                continue
+            except QuadratureError:
+                continue
+            except InfeasibleRegionError as e:
+                if "below d_min" not in str(e):
+                    continue
+            lm1, lm2 = sample_lmoments(s.x1), sample_lmoments(s.x2)
+            a1, a2 = lm1.l1, lm2.l1
+            b1, c = 6.0 * lm1.l2 - 3.0 * a1, 6.0 * lm2.l2 - 3.0 * a2
+            b2 = (s.product_mean - a1 * a2) / lm1.l2
+            d_min, d_max = -(a2 + c + b2), a2 + b2 - c
+            near = MrqParams(a1, b1, a2, b2, c, d_min + 1e-2 * (d_max - d_min))
+            assert _mrq_lcov_12(near, cfg)[0] < sample_lcomoments(s).l2_12, seed
+            refused += 1
+            negative_weight += a1 + b1 < 0.0
+        assert (refused, negative_weight) == (51, 19)
+
     def test_root_above_d_max_is_refused(self):
         # the parent's upward doubling fitted d = -0.48988 here, past
         # d_max = a2 + b2 - c = -0.70723, with a constraint warning

@@ -710,8 +710,8 @@ def column_bound(p: MarginalParams, x, u, q_rel: float = 4e-16):
 
 
 class TestLongColumns:
-    """f1 on a row of more than EXACT_ROW_MAX distinct values of a beta or
-    corner row: Halley steps on Q from its cell of a fixed grid of levels."""
+    """f1 on a row of more than EXACT_ROW_MAX values inside the support of a
+    beta or corner row: Halley steps on Q from its cell of a fixed grid of levels."""
 
     MARGINS = [COMP1, CABLE1, CABLE2, MarginalParams(5.9257, 0.3555, -0.6695),
                MarginalParams(1.0, 0.3, -1.2), MarginalParams(1.0, -1.2, -0.3),
@@ -794,10 +794,13 @@ class TestLongColumns:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_duplicated_values_and_the_support_ends(self):
-        # every value tied: three distinct values, each solved on its own
+        # every value tied: a long row of three values takes the grid, each tie
+        # with the same bits, each value within column_bound of its own solve
         for p in (COMP1, MarginalParams(1.0, -1.2, -0.3)):
             x = np.repeat(big_q1(p, np.array([0.1, 0.5, 0.9])), 100)
-            np.testing.assert_array_equal(f1(p, x), np.repeat(f1(p, x[::100]), 100))
+            u, ref = f1(p, x), f1(p, x[::100])
+            np.testing.assert_array_equal(u, np.repeat(u[::100], 100))
+            assert np.all(np.abs(u[::100] - ref) <= column_bound(p, x[::100], ref))
             sup = support(p)
             ends = np.concatenate([x, [sup.lower, sup.upper, -np.inf, np.inf]])
             np.testing.assert_array_equal(f1(p, ends)[-4:], [0.0, 1.0, 0.0, 1.0])
