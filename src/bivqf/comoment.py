@@ -129,7 +129,7 @@ def population_lcomoments(bp: BivariateParams,
         l21 = np.array([th * lm2.l1 / 3.0, 0.0, 0.0])
     else:
         l21 = _GAMMA * _u1_rule(
-            lambda u: _weights(u) * (_partial_mean2(m2, 1.0 + th * u) - lm2.l1),
+            lambda u: _weights(u) * (_partial_mean2(m2, 1.0 + th * u)[0] - lm2.l1),
             0.0, 1.0, th, cfg)
 
     return _build_set(tuple(map(float, l12)), tuple(map(float, l21)), lam2_1, lm2.l2)

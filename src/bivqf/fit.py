@@ -47,10 +47,8 @@ from .model import (
     _fixed_rule,
     _lambda,
     _newton_bisect,
-    _product_moment_and_slope,
-    _u1_rule,
+    _product_moment,
     _u2_rule,
-    product_moment,
 )
 from .specfun import complete_beta
 
@@ -121,19 +119,20 @@ def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
     """Match E(X1 X2) to the sample product mean; returns (theta_hat, bracket, warnings).
 
     A sample product mean at or below the independence value yields
-    theta = 0 with a warning.  For beta2 <= -1 the product moment is
-    l1_2 (l1_1 + theta lambda2_1), and theta is that line's root, its
-    own bracket.  Otherwise it is increasing and concave in theta, so
-    Newton on the exact slope (model._product_moment_and_slope) from
-    theta = 0, where both are closed, rises to the root from below: the
-    bracket is (the last iterate below the target, theta).  Each iterate
-    runs model._u1_rule, sized on the value alone as product_moment sizes
-    it.  A tangent that reaches the target only past theta = 1e6 raises
-    BracketError: by concavity the root lies beyond it too.
+    theta = 0 with a warning.  The product moment and its exact slope
+    come from model._product_moment, the routine product_moment returns
+    the value of.  For beta2 <= -1 it is the line
+    l1_2 (l1_1 + theta lambda2_1), and theta is that line's root, its own
+    bracket.  Otherwise it is increasing and concave in theta, so Newton
+    from theta = 0, where both are closed, rises to the root from below:
+    the bracket is (the last iterate below the target, theta).  Each
+    iterate past 0 runs model._u1_rule.  A tangent that reaches the
+    target only past theta = 1e6 raises BracketError: by concavity the
+    root lies beyond it too.
     """
     target = s.product_mean
     warnings: list[str] = []
-    e0 = product_moment(BivariateParams(m1, m2, 0.0), cfg)
+    e0, slope0 = _product_moment(m1, m2, 0.0, cfg)
     if math.isnan(target):  # x1 x2 overflowing both ways; no comparison would hold
         raise ConvergenceError("root search met a NaN sample product mean")
     if target <= e0:
@@ -141,7 +140,6 @@ def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
             f"sample product mean {target:.6g} does not exceed the "
             f"independence value {e0:.6g}; theta set to 0")
         return _ThetaFit(0.0, (0.0, 0.0), warnings, e0)
-    l1_1, l1_2, lam_1 = _lambda(m1, 1), _lambda(m2, 1), _lambda(m1, 2)
 
     def beyond_cap(th: float, value: float, slope: float) -> None:
         if th + (target - value) / slope > _THETA_CAP:
@@ -150,22 +148,19 @@ def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
                 f"at {th:.6g}, below the sample product mean {target:.6g}")
 
     if m2.beta <= -1.0:
-        beyond_cap(0.0, e0, l1_2 * lam_1)
-        theta = (target / l1_2 - l1_1) / lam_1
-        return _ThetaFit(theta, (theta, theta), warnings, l1_2 * (l1_1 + theta * lam_1))
+        beyond_cap(0.0, e0, slope0)
+        theta = (target / _lambda(m2, 1) - _lambda(m1, 1)) / _lambda(m1, 2)
+        return _ThetaFit(theta, (theta, theta), warnings,
+                         _product_moment(m1, m2, theta, cfg)[0])
 
     below, value = 0.0, e0  # the last iterate below the target; the last evaluation's value
 
     def h(th):
         nonlocal below, value
         th = float(th)
-        if th == 0.0:
-            value, slope = e0, l1_2 * lam_1
-        else:
-            value, slope = _u1_rule(_product_moment_and_slope(m1, m2, th), m1.alpha,
-                                    m1.beta + 1.0, th, cfg, judged=0)
-            if math.isnan(value):
-                raise ConvergenceError(f"root search met a NaN function value at {th}")
+        value, slope = _product_moment(m1, m2, th, cfg)
+        if math.isnan(value):
+            raise ConvergenceError(f"root search met a NaN function value at {th}")
         if value <= target:
             beyond_cap(th, value, slope)
             below = th

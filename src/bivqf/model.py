@@ -773,7 +773,7 @@ def _from_grid(row: _Row, p: MarginalParams, x: np.ndarray,
             d = -e / (1.0 - 0.5 * e * (alpha / w - beta / (1.0 - w)))
             return e, np.where(q < np.inf, d, np.nan)
 
-        left[i[_halley_passes(step, w, lo, hi, np.ones(i.size, dtype=bool))]] = True
+        left[i[_halley_passes(step, w, lo, hi)]] = True
     u = np.empty_like(x)
     u[i] = w
     return u, left
@@ -786,19 +786,17 @@ def _hermite(t: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
     return np.where((cubic > 0.0) & (cubic <= 1.0), cubic, t)
 
 
-def _halley_passes(step, w: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   take: np.ndarray) -> np.ndarray:
+def _halley_passes(step, w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Up to two Halley passes toward roots in lo <= root <= hi from the starts w.
 
     step(j, w) evaluates the roots j at their points w, keeps what a root
     settling there needs, and returns the residual at w (negative below
     the root) and a Halley step d (NaN where there is none).  Each pass
     narrows a root's bracket to the side of w that the residual's sign
-    gives.  A root of `take` settles when |d| <= 1e-6 min(w, 1-w) and
-    w + d lies in its bracket; one that does not, whose w + d lies
-    strictly inside, takes a second pass from w + d.  lo, hi and w are
-    set in place, w to each root's last w + d, and the roots left
-    unsettled are returned.
+    gives.  A root settles when |d| <= 1e-6 min(w, 1-w) and w + d lies in
+    its bracket; one that does not, whose w + d lies strictly inside,
+    takes a second pass from w + d.  lo, hi and w are set in place, w to
+    each root's last w + d, and the roots left unsettled are returned.
     """
     settled = np.zeros(w.size, dtype=bool)
     j = slice(None)  # every root, then the roots of the second pass
@@ -809,10 +807,10 @@ def _halley_passes(step, w: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         lo[j] = lo_j = np.where(f < 0.0, at, lo[j])
         hi[j] = hi_j = np.where(f > 0.0, at, hi[j])
         w[j] = new
-        settled[j] = ok = take[j] & (np.abs(d) <= 1e-6 * scale) & (new >= lo_j) & (new <= hi_j)
+        settled[j] = ok = (np.abs(d) <= 1e-6 * scale) & (new >= lo_j) & (new <= hi_j)
         if second:
             break
-        j = np.flatnonzero(take & ~ok & (new > lo_j) & (new < hi_j))
+        j = np.flatnonzero(~ok & (new > lo_j) & (new < hi_j))
         if not j.size:
             break
     return np.flatnonzero(~settled)
@@ -887,15 +885,15 @@ def _lambda(p: MarginalParams, r: int) -> float:
     return p.c * complete_beta(p.alpha + r, p.beta + 2.0)
 
 
-def _partial_mean2(m2: MarginalParams, g: np.ndarray, slope: bool = False):
-    """int_0^1 (1 - u21) q2(u2) du2 at g = 1 + theta*u1, for beta2 > -1.
+def _partial_mean2(m2: MarginalParams, g: np.ndarray):
+    """(P, dP/dg): int_0^1 (1 - u21) q2(u2) du2 at g = 1 + theta*u1, for beta2 > -1.
 
-    The partial mean P of X2 given X1 beyond its u1-quantile, up to the
-    top of the X2 support, that E(X1 X2) and L_k(2,1) share.  The change
-    of variable w = u21 makes it g c2 B_w*(alpha2+1, beta2+2) with
+    P is the partial mean of X2 given X1 beyond its u1-quantile, up to
+    the top of the X2 support, that E(X1 X2) and L_k(2,1) share.  The
+    change of variable w = u21 makes it g c2 B_w*(alpha2+1, beta2+2) with
     w* = I^-1(1/g).  Where w* underflows (alpha2 near -1),
     g I_w*(a2, b2+1) has reached its limit B(a2, b2) / B(a2, b2+1), since
-    w*^a2 -> a2 B(a2, b2) / g.  With `slope`, (P, dP/dg): from
+    w*^a2 -> a2 B(a2, b2) / g.  From
     dw*/dg = -B(a2, b2) / (g^2 w*^(a2-1) (1-w*)^(b2-1)),
     dP/dg = (P - Q2(1) (1 - w*)) / g, and 0 where P has reached its limit.
     """
@@ -903,40 +901,40 @@ def _partial_mean2(m2: MarginalParams, g: np.ndarray, slope: bool = False):
     w = betaincinv(a2, b2, 1.0 / g)
     live = w > 1e-300
     p = np.where(live, _lambda(m2, 1) * g * betainc(a2, b2 + 1.0, w), m2._plan[1])
-    if not slope:
-        return p
     return p, np.where(live, (p - m2._plan[1] * (1.0 - w)) / g, 0.0)
 
 
-def _product_moment_and_slope(m1: MarginalParams, m2: MarginalParams, theta: float):
-    """The integrands over u1 of product_moment at theta and of its slope in theta, stacked.
+def _product_moment(m1: MarginalParams, m2: MarginalParams, theta: float,
+                     cfg: NumericConfig):
+    """E(X1 X2) at theta and its slope in theta, for marginals in the L-moment region.
 
-    The slope's is u1 dP/dg at g = 1 + theta*u1, for beta2 > -1.
+    At theta = 0, and at every theta for beta2 <= -1 (u21 then sweeps the
+    whole unit interval, so the inner integral is exact), it is the line
+    l1_2 (l1_1 + theta lambda2_1).  Elsewhere one _u1_rule, sized on the
+    value alone, integrates P and u1 dP/dg (_partial_mean2) together and
+    returns its numpy scalars.
     """
+    if theta == 0.0 or m2.beta <= -1.0:
+        l1_2, lam_1 = _lambda(m2, 1), _lambda(m1, 2)
+        return l1_2 * (_lambda(m1, 1) + theta * lam_1), l1_2 * lam_1
+
     def f(u: np.ndarray) -> np.ndarray:
-        p, dp = _partial_mean2(m2, 1.0 + theta * u, slope=True)
+        p, dp = _partial_mean2(m2, 1.0 + theta * u)
         return m1.c * np.stack([p, u * dp])
 
-    return f
+    return tuple(_u1_rule(f, m1.alpha, m1.beta + 1.0, theta, cfg, judged=0))
 
 
 def product_moment(bp: BivariateParams,
                    cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> float:
     """E(X1 X2) = double integral of (1-u1)(1-u21) q1(u1) q2(u2).
 
-    The inner u2-integral is _partial_mean2, exactly; the one over u1
-    runs on _u1_rule.  Requires both marginals in the finite-mean region
-    with nonnegative support (alpha > -1, beta > -2).
+    The value of _product_moment, the routine fit_theta iterates.
+    Requires both marginals in the finite-mean region with nonnegative
+    support (alpha > -1, beta > -2).
     """
-    th, m1, m2 = bp.theta, bp.m1, bp.m2
-    for label, m in (("m1", m1), ("m2", m2)):
+    for label, m in (("m1", bp.m1), ("m2", bp.m2)):
         if not m.in_lmoment_region():
             raise DivergentMomentError(
                 f"product moment requires alpha > -1 and beta > -2 for {label}")
-    if th == 0.0:
-        return _lambda(m1, 1) * _lambda(m2, 1)
-    if m2.beta <= -1.0:
-        # u21 sweeps the whole unit interval: inner integral is exact
-        return _lambda(m2, 1) * (_lambda(m1, 1) + th * _lambda(m1, 2))
-    return float(_u1_rule(lambda u: m1.c * _partial_mean2(m2, 1.0 + th * u),
-                          m1.alpha, m1.beta + 1.0, th, cfg))
+    return float(_product_moment(bp.m1, bp.m2, bp.theta, cfg)[0])

@@ -83,18 +83,19 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     With R = Q2/q2, S(w) = (1 - w) - k R(w), and each draw solves v - S = 0
     as w - (1 - v) + k R below w = 1/2 and v - (1 - w) + k R above it:
     1 - v is exact for v >= 1/2 and 1 - w for w >= 1/2, so neither rounds
-    where the difference cancels.  The first of 64 scan cells whose right
-    end has S <= v holds the first crossing.  A draw starts at the cubic
-    Hermite inverse of S on its cell, from S at both ends (the scan's) and
-    dS/dw = -1 - k R', with R' = 1 - R l, l = d(log q2)/dw =
-    alpha2/w - beta2/(1-w) and R'(0) = 1/(alpha2+1); a slope >= 0 (the
-    dip of S lies in the cell) gives way to the secant.  One pass of Q2
-    and q2 at the starts takes a Halley step d and narrows the bracket; a
-    caught draw settles when |d| <= 1e-6 min(w, 1-w) and w + d stays in
-    that bracket: x2 = g (Q2 + q2 d + q2 l d^2/2).  A caught draw left
+    where the difference cancels.  The first of 65 scan cells, the last
+    from 64/65 to 1 - 1e-12, whose right end has S <= v holds the first
+    crossing; a draw no cell catches raises ConvergenceError.  A draw
+    starts at the cubic Hermite inverse of S on its cell, from S at both
+    ends (the scan's) and dS/dw = -1 - k R', with R' = 1 - R l,
+    l = d(log q2)/dw = alpha2/w - beta2/(1-w) and R'(0) = 1/(alpha2+1);
+    a slope >= 0 (the dip of S lies in the cell) gives way to the secant.
+    One pass of Q2 and q2 at the starts takes a Halley step d and narrows
+    the bracket; a draw settles when |d| <= 1e-6 min(w, 1-w) and w + d
+    stays in that bracket: x2 = g (Q2 + q2 d + q2 l d^2/2).  A draw left
     takes a second pass at w + d if that lies inside it
-    (model._halley_passes).  The rest run _newton_bisect on the
-    narrowed bracket, and x2 is the same expansion about each one's last
+    (model._halley_passes).  The rest run _newton_bisect on the narrowed
+    bracket, and x2 is the same expansion about each one's last
     evaluation.
     """
     m2 = bp.m2
@@ -124,31 +125,32 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
         r = big / small
         return big, small, l, r, 1.0 - r * l
 
-    # the scan; the grid's Q2/q2 ratios are shared by all draws
-    grid = np.arange(1, 65) / 65.0
-    _, _, _, r, r_prime = level(grid)
-    # (1 - grid) - k r, in place: subtracting into a new (n, 64) array from the
-    # broadcast (64,) operand takes several times as long
+    # the scan; the grid's Q2/q2 ratios are shared by all draws.  q2 underflows at
+    # the last level on steep right tails, where R is then infinite and S -inf
+    grid = np.append(np.arange(1, 65) / 65.0, 1.0 - 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, _, r, r_prime = level(grid)
+    # (1 - grid) - k r, in place: subtracting into a new (n, 65) array from the
+    # broadcast (65,) operand takes several times as long
     s_grid = np.multiply.outer(k, r)
+    s_grid[k == 0.0] = 0.0  # u1 = 1, or theta (1 - u1) underflowing, against an infinite R
     np.subtract(1.0 - grid, s_grid, out=s_grid)
     crossed = s_grid <= v[:, None]
     cell = np.argmax(crossed, axis=1)
     i = np.arange(v.size)
-    found = crossed[i, cell]
+    if not crossed[i, cell].all():
+        raise ConvergenceError("conditional survival failed to cross the draw level")
     ends = np.concatenate(([0.0], grid))
-    # remaining crossings sit in the last cell near w = 1
-    lo = np.where(found, ends[cell], grid[-1])
-    hi = np.where(found, ends[cell + 1], 1.0 - 1e-12)
+    lo, hi = ends[cell], ends[cell + 1]
 
-    # the start, the midpoint where no cell caught the draw
+    # the cubic Hermite start on the cell
     s0 = np.where(cell == 0, 1.0, s_grid[i, cell - 1])
     s1 = s_grid[i, cell]
-    secant = (s1 - s0) / (ends[cell + 1] - ends[cell])
+    secant = (s1 - s0) / (hi - lo)
     r_prime = np.concatenate(([1.0 / (alpha + 1.0)], r_prime))
     m0, m1 = (secant / np.where(s < 0.0, s, secant)
               for s in (-1.0 - k * r_prime[cell], -1.0 - k * r_prime[cell + 1]))
-    t = _hermite((s0 - v) / (s0 - s1), m0, m1)
-    w = lo + (hi - lo) * np.where(found, t, 0.5)
+    w = lo + (hi - lo) * _hermite((s0 - v) / (s0 - s1), m0, m1)
 
     def step(j, w):
         # the residual at w and a Halley step d; x2 = g (Q2 + q2 d + q2 l d^2/2)
@@ -161,18 +163,14 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
         x2[j] = g[j] * (big + small * d * (1.0 + 0.5 * l * d))
         return f, d
 
-    # one pass at the starts, which settles caught draws, and a second for the
-    # caught draws it leaves (mostly in the top cells, where Q2/q2 is far from
-    # cubic on a cell)
+    # one pass at the starts, which settles most draws, and a second for the
+    # draws it leaves (mostly in the top cells, where Q2/q2 is far from cubic
+    # on a cell)
     x2 = np.empty(v.size)
-    rest = _halley_passes(step, w, lo, hi, found)
+    rest = _halley_passes(step, w, lo, hi)
     if not rest.size:
         return x2
 
-    top = ~found
-    if top.any():
-        if np.any((1.0 - hi[top]) - k[top] * level(hi[top])[3] > v[top]):
-            raise ConvergenceError("conditional survival failed to cross the draw level")
     lo, hi, start = lo[rest], hi[rest], w[rest]
     start = np.where((start > lo) & (start < hi), start, 0.5 * (lo + hi))
     last = np.empty((4, lo.size))  # w, Q2, q2 and l at each draw's last evaluation

@@ -13,6 +13,7 @@ import bivqf
 from bivqf.cli import _digest, main
 from bivqf.data import BUILTIN_DATASETS, PairedSample, ingest
 from bivqf.errors import ParseError
+from bivqf.model import MarginalParams, big_q1
 
 
 def run(argv, capsys):
@@ -350,6 +351,19 @@ class TestCommands:
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and err.startswith("error: out of memory")
         assert message in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta2", ["30", "100"])
+    def test_exact_sampler_on_a_steep_right_tail(self, beta2, capsys):
+        # q2 underflows to 0 at the scan's last level, 1 - 1e-12, so Q2/q2
+        # is infinite there; the sample comes out without a warning
+        code, out, err = run(["sample", "--params", f"1,0.5,0.2,1,0.5,{beta2},2", "--n", "2000",
+                              "--seed", "3", "--method", "exact"], capsys)
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert rows[0] == "x1,x2" and len(rows) == 2001
+        x2 = np.array([float(r.split(",")[1]) for r in rows[1:]])
+        assert np.all((x2 > 0.0) & (x2 <= 3.0 * big_q1(MarginalParams(1.0, 0.5, float(beta2)), 1.0)))
 
     def test_fit_report_round_trips_losslessly(self, capsys):
         _, out, _ = run(["fit", "--data", "cable"], capsys)

@@ -122,7 +122,8 @@ class TestThetaFit:
             theta, bracket, warnings = fit_theta(s, self.M1, self.M2)
             assert abs(theta - theta_true) <= 1e-8
             assert not warnings
-            assert bracket[1] >= theta_true
+            # each Newton iterate is a lower bound on the root
+            assert bracket[0] <= theta_true
 
     @pytest.mark.parametrize("s", [CABLE, COMP])
     def test_product_mean_is_kept_and_feeds_the_residual(self, s):
@@ -132,6 +133,17 @@ class TestThetaFit:
         assert s.product_mean is target
         fit = fit_bivariate(s)
         assert fit.residuals["product_moment"] == product_moment(fit.params) - target
+
+    def test_closed_line_fit_feeds_the_residual(self):
+        # a replicate of the published cable fit whose fitted beta2 is below
+        # -1: theta is the root of the line, and the residual is taken there
+        bp = BivariateParams(MarginalParams(9.0819, -0.4864, -0.9946),
+                             MarginalParams(29.2295, -0.3406, -0.3531), 0.6821)
+        s = draw(bp, SamplerSpec(0, 9, "exact"))
+        fit = fit_bivariate(s)
+        assert fit.params.m2.beta <= -1.0 and fit.params.theta > 0.0
+        assert fit.theta_bracket == (fit.params.theta, fit.params.theta)
+        assert fit.residuals["product_moment"] == product_moment(fit.params) - s.product_mean
 
     def test_independence_returns_zero(self):
         e0 = product_moment(BivariateParams(self.M1, self.M2, 0.0))

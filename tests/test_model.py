@@ -1126,10 +1126,10 @@ REPLICATED = {
 class TestRootSearch:
     """fit_theta solves in closed form where the product moment is linear in
     theta (beta2 <= -1), and elsewhere by _newton_bisect on the exact slope
-    from theta = 0, each iterate on the u1 rule product_moment sizes
-    (model._u1_rule), and product_moment itself only at theta = 0; fit_mrq
-    by _newton_bisect on the exact slope of L2(1,2) in d.  Their roots
-    agree with scipy's brentq on the same residual."""
+    from theta = 0; model._product_moment gives both at each iterate, on a
+    u1 rule (model._u1_rule) past theta = 0 and on the closed line at 0.
+    fit_mrq solves by _newton_bisect on the exact slope of L2(1,2) in d.
+    Their roots agree with scipy's brentq on the same residual."""
 
     @staticmethod
     def close_to_brentq(x, f, lo, hi, cfg=NumericConfig()):
@@ -1138,23 +1138,38 @@ class TestRootSearch:
             (x, ref)
 
     @staticmethod
-    def count_calls(monkeypatch, names):
-        """Count the calls fit makes to each of `names`, keeping the calls' results."""
-        calls = {name: [] for name in names}
-        for name in names:
-            def counted(*args, _name=name, _fn=getattr(fit, name), **kw):
-                out = _fn(*args, **kw)
-                calls[_name].append(out)
-                return out
-            monkeypatch.setattr(fit, name, counted)
+    def count_calls(monkeypatch):
+        """Record the theta of each product moment fit evaluates, and count the
+        u1 rules those evaluations run."""
+        calls = {"thetas": [], "rules": 0}
+
+        def counted_pm(m1, m2, theta, cfg, _fn=fit._product_moment):
+            calls["thetas"].append(theta)
+            return _fn(m1, m2, theta, cfg)
+
+        def counted_rule(*args, _fn=model._u1_rule, **kw):
+            calls["rules"] += 1
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(fit, "_product_moment", counted_pm)
+        monkeypatch.setattr(model, "_u1_rule", counted_rule)
         return calls
+
+    @staticmethod
+    def newton_ran_the_rule_at_each_iterate(calls):
+        # theta = 0 first, for the independence value and as Newton's start,
+        # on the closed line; then one rule per iterate past it
+        thetas = calls["thetas"]
+        past_0 = len(thetas) - 2
+        return (thetas[:2] == [0.0, 0.0] and past_0 >= 1 and all(th > 0.0 for th in thetas[2:])
+                and calls["rules"] == past_0)
 
     def test_fit_theta(self, monkeypatch):
         s = BUILTIN_DATASETS["cable"]
         m1, m2 = fit_marginal(s.x1), fit_marginal(s.x2)
-        calls = self.count_calls(monkeypatch, ["_u1_rule", "product_moment"])
+        calls = self.count_calls(monkeypatch)
         theta, (lo, hi), _ = fit_theta(s, m1, m2)
-        assert calls["_u1_rule"] and len(calls["product_moment"]) == 1
+        assert self.newton_ran_the_rule_at_each_iterate(calls), calls
         assert 0.0 < lo <= hi == theta
         target = float(np.mean(np.asarray(s.x1) * np.asarray(s.x2)))
         self.close_to_brentq(
@@ -1164,25 +1179,27 @@ class TestRootSearch:
     @pytest.mark.parametrize("name", sorted(REPLICATED))
     def test_fit_theta_on_replicates(self, name, monkeypatch):
         bp, n = REPLICATED[name]
-        calls = self.count_calls(monkeypatch, ["_u1_rule", "product_moment"])
+        calls = self.count_calls(monkeypatch)
         kinds = []
         for seed in range(24):
             s = draw(bp, SamplerSpec(seed, n, ("exact", "transform")[seed % 2]))
             m1, m2 = fit_marginal(s.x1), fit_marginal(s.x2)
-            for v in calls.values():
-                v.clear()
+            calls["thetas"].clear()
+            calls["rules"] = 0
             theta, (lo, hi), _ = fit_theta(s, m1, m2)
-            assert len(calls["product_moment"]) == 1
+            assert calls["thetas"][0] == 0.0
             if theta == 0.0:
                 kinds.append("zero")
                 continue
             if m2.beta <= -1.0:
                 # the product moment is a line in theta: no rule runs
                 kinds.append("closed")
-                assert lo == hi == theta and not calls["_u1_rule"]
+                assert lo == hi == theta and calls["thetas"] == [0.0, theta]
+                assert calls["rules"] == 0
             else:
                 kinds.append("newton")
-                assert 0.0 <= lo <= hi == theta and calls["_u1_rule"]
+                assert 0.0 <= lo <= hi == theta
+                assert self.newton_ran_the_rule_at_each_iterate(calls), calls
             target = s.product_mean
             self.close_to_brentq(
                 theta, lambda th: product_moment(BivariateParams(m1, m2, th)) - target,
@@ -1193,14 +1210,14 @@ class TestRootSearch:
         (CABLE1, CABLE2, 0.89),
         (MarginalParams(1.0, 0.3, 0.4), MarginalParams(1.5, -0.2, 0.6), 2.0),
         (MarginalParams(2.0, 1.5, -0.7), MarginalParams(1.0, 2.0, 1.0), 40.0),
-        (UNIF, MarginalParams(1.0, -0.9, -0.95), 0.3)])
+        (UNIF, MarginalParams(1.0, -0.9, -0.95), 0.3),
+        (UNIF, MarginalParams(1.0, 0.5, -1.3), 0.7)])
     def test_slope_matches_central_differences(self, m1, m2, theta):
         def pm(th):
             return product_moment(BivariateParams(m1, m2, th))
 
-        value, slope = model._u1_rule(model._product_moment_and_slope(m1, m2, theta),
-                                      m1.alpha, m1.beta + 1.0, theta, NumericConfig())
-        assert math.isclose(value, pm(theta), rel_tol=1e-14)
+        value, slope = model._product_moment(m1, m2, theta, NumericConfig())
+        assert value == pm(theta)
         h = 1e-5 * theta
         assert math.isclose(slope, (pm(theta + h) - pm(theta - h)) / (2.0 * h), rel_tol=1e-9)
 
@@ -1210,9 +1227,9 @@ class TestRootSearch:
         m1 = MarginalParams(1.0, 0.06399247143604425, 0.30015558539171994)
         m2 = MarginalParams(1.0, 2.5525959634177555, -0.9403720494851855)
         target = product_moment(BivariateParams(m1, m2, 435.41552826662354))
-        calls = self.count_calls(monkeypatch, ["_u1_rule", "product_moment"])
+        calls = self.count_calls(monkeypatch)
         theta = fit_theta(PairedSample((1.0,), (target,)), m1, m2)[0]
-        assert calls["_u1_rule"] and len(calls["product_moment"]) == 1
+        assert self.newton_ran_the_rule_at_each_iterate(calls), calls
         self.close_to_brentq(
             theta, lambda th: product_moment(BivariateParams(m1, m2, th)) - target,
             0.0, 2.0 * theta)
@@ -1228,9 +1245,9 @@ class TestRootSearch:
         eps = np.finfo(float).eps
         for theta_true in (2000.0, 30000.0):
             target = product_moment(BivariateParams(m1, m2, theta_true))
-            calls = self.count_calls(monkeypatch, ["_u1_rule", "product_moment"])
+            calls = self.count_calls(monkeypatch)
             theta = fit_theta(PairedSample((1.0,), (target,)), m1, m2)[0]
-            assert calls["_u1_rule"] and len(calls["product_moment"]) == 1
+            assert self.newton_ran_the_rule_at_each_iterate(calls), calls
             for root in (theta, brentq(
                     lambda th: product_moment(BivariateParams(m1, m2, th)) - target,
                     0.0, 2.0 * theta, xtol=1e-12, maxiter=model.ROOT_MAX_ITER)):

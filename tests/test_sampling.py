@@ -88,8 +88,9 @@ class TestMarginals:
 
 
 def exact_mpmath(m2: MarginalParams, k: float, v: float) -> float:
-    """First crossing of S(w) = v for one draw: a scan of 64 cells, then
-    mpmath's root of S in the cell that first crosses, at 30 digits.
+    """First crossing of S(w) = v for one draw: a scan of the sampler's 65
+    cells, the last ending at 1 - 1e-12, then mpmath's root of S in the
+    cell that first crosses, at 30 digits.
 
     Returns Q2 at the root.
     """
@@ -176,6 +177,26 @@ class TestExactSampler:
             assert np.all(w < 1e-3) or np.all(w > 0.95), w
             assert_matches_mpmath(bp, u1, v, x2)
 
+    @pytest.mark.parametrize("bp", [
+        PUBLISHED["components"],
+        BivariateParams(MarginalParams(1.0, 0.3, 0.4), MarginalParams(1.0, 0.5, -1.5), 0.8),
+    ], ids=["components", "corner"])
+    def test_last_cell_draws_match_mpmath(self, bp):
+        # v below 1/65 and u1 near 1 (k small) leave S(64/65) > v: only the
+        # last scan cell, from 64/65 to 1 - 1e-12, catches these draws.  The
+        # three pinned draws of the corner margin (beta2 = -1.5) end 6e-13 to
+        # 7e-13 off when started from the cell's midpoint, not its Hermite inverse
+        rng = np.random.default_rng(47)
+        u1 = np.append(1.0 - 10.0 ** rng.uniform(-3.0, 0.0, 200),
+                       [0.9347175378932754, 0.9908380753072197, 0.9988775686925233])
+        v = np.append(rng.uniform(0.0, 1.0 / 65.0, 200),
+                      [2.585267966783028e-05, 2.5118625335976207e-05, 3.808718339375521e-05])
+        x2 = _exact_conditional(bp, u1, v, NumericConfig())
+        last = np.flatnonzero(f1(bp.m2, x2 / (1.0 + bp.theta * u1)) > 64.0 / 65.0)
+        assert last.size >= 100 and np.all(last[-3:] == [200, 201, 202])
+        last = np.append(last[:40], last[-3:])
+        assert_matches_mpmath(bp, u1[last], v[last], x2[last])
+
     def test_newton_draws_continue_from_their_last_evaluation(self, monkeypatch):
         # the draws the Halley passes leave go to one _newton_bisect call on
         # their bracket; no separate Q2 pass follows it.  Here the passes
@@ -187,7 +208,7 @@ class TestExactSampler:
             assert np.all((lo <= x) & (x <= hi)) and len(per_elem) == 3
             return _newton_bisect(h, lo, hi, x, cfg, *per_elem)
 
-        def unsettled(step, w, lo, hi, take):
+        def unsettled(step, w, lo, hi):
             return np.arange(w.size)
 
         monkeypatch.setattr(sampling, "_newton_bisect", spy)
@@ -205,8 +226,8 @@ class TestExactSampler:
         # v = 0.027969 is a bracket end next to the root: the small Newton
         # step back onto that end ends its solve, where a bisection midpoint
         # would leave x2 2e-13 off
-        def unsettled(step, w, lo, hi, take):
-            _halley_passes(step, w, lo, hi, take)
+        def unsettled(step, w, lo, hi):
+            _halley_passes(step, w, lo, hi)
             return np.arange(w.size)
 
         monkeypatch.setattr(sampling, "_halley_passes", unsettled)
@@ -286,6 +307,22 @@ class TestExactSampler:
         sg = draw(bp_generic, SamplerSpec(seed=3, n=300, method="exact"))
         diff = np.max(np.abs(np.asarray(sc.x2) - np.asarray(sg.x2)))
         assert diff <= 1e-5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_k_zero_against_an_infinite_ratio(self):
+        # u1 = 1 gives k = 0 and S = 1 - w; q2 underflows at the scan's last
+        # level (beta2 = 30), and the scan takes k R = 0 there, not 0 * inf:
+        # the draw lands on w = 1 - v
+        bp = BivariateParams(MarginalParams(1.0, 0.5, 0.2), MarginalParams(1.0, 0.5, 30.0), 2.0)
+        x2 = _exact_conditional(bp, np.array([1.0]), np.array([0.001]), NumericConfig())
+        assert math.isclose(x2[0], 3.0 * big_q1(bp.m2, 0.999), rel_tol=1e-13)
+
+    def test_a_draw_no_cell_catches_is_a_convergence_error(self):
+        # v = 0 where k R(1 - 1e-12) is below 1e-12 (beta2 = -1.5: R ~ 2 (1 - w)):
+        # S stays positive up to the scan's last level, so no cell holds a crossing
+        bp = BivariateParams(MarginalParams(1.0, 0.3, 0.4), MarginalParams(1.0, 0.5, -1.5), 0.8)
+        with pytest.raises(ConvergenceError, match="failed to cross"):
+            _exact_conditional(bp, np.array([0.5, 0.9]), np.array([0.5, 0.0]), NumericConfig())
 
     def test_exact_requires_nonnegative_support(self):
         bp = BivariateParams(MarginalParams(1.0, 0.0, 0.0),
