@@ -157,7 +157,7 @@ def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
 
     def h(th):
         nonlocal below, value
-        th = float(th)
+        th = float(th[0])
         value, slope = _product_moment(m1, m2, th, cfg)
         if math.isnan(value):
             raise ConvergenceError(f"root search met a NaN function value at {th}")
@@ -166,7 +166,7 @@ def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
             below = th
         return value - target, slope
 
-    theta = float(_newton_bisect(h, 0.0, _THETA_CAP, 0.0, cfg))
+    theta = float(_newton_bisect(h, 0.0, _THETA_CAP, np.zeros(1), cfg)[0])
     return _ThetaFit(theta, (below, theta), warnings, float(value))
 
 
@@ -371,6 +371,7 @@ def fit_mrq(s: PairedSample,
 
     def h(d):
         nonlocal value, top
+        d = float(d[0])  # a 1-d d would reach the cached rules of _u2_rule through k_smooth
         value, slope = _mrq_lcov_12(MrqParams(a1, b1, a2, b2, c, d), cfg).tolist()
         if math.isnan(value):
             raise ConvergenceError(f"root search met a NaN function value at {d}")
@@ -388,7 +389,7 @@ def fit_mrq(s: PairedSample,
         return target_l12 - value, -slope
 
     start = 0.0 if d_min < 0.0 <= d_max else 0.5 * (d_min + d_max)
-    d = float(_newton_bisect(h, d_min, d_max, start, cfg))
+    d = float(_newton_bisect(h, d_min, d_max, np.array([start]), cfg)[0])
     tol = max(cfg.quad_rel_tol, cfg.root_tol) * max(1.0, abs(target_l12))
     if not abs(value - target_l12) <= tol:  # a NaN fails too
         raise refuse(f"the solve on (d_min, d_max] = ({d_min:.6g}, {d_max:.6g}] ended at "

@@ -124,8 +124,9 @@ DEFAULT_NUMERIC_CONFIG = NumericConfig()
 
 # the fixed rules start at 16 nodes and give up with QuadratureError past
 # MAX_RULE_NODES; _newton_bisect raises ConvergenceError after ROOT_MAX_ITER steps;
-# f1 solves a row of more than EXACT_ROW_MAX values inside the support from Q at _GRID
-# (at the published fits 1.4% of such a row then needs the exact solve; 3% at 63 levels)
+# f1 solves a beta row of more than EXACT_ROW_MAX values inside the support, and every
+# corner value, from Q at _GRID (at the published fits 1.4% of a long row then needs
+# the exact solve; 3% at 63 levels)
 MAX_RULE_NODES = 512
 ROOT_MAX_ITER = 200
 EXACT_ROW_MAX = 64
@@ -263,8 +264,8 @@ def _u2_rule(n: int, k: float) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _pick(cond, a, b):
-    """a where cond holds, else b: np.where on an array; on a float cond (f1's
-    closed rows, _newton_bisect's float mode) a numpy float, not a 0-d array."""
+    """a where cond holds, else b: np.where on an array; on a float cond
+    (the float F of _LineRow and _T2Row) a numpy float, not a 0-d array."""
     if not isinstance(cond, np.ndarray):
         return np.float64(a if cond else b)
     return np.where(cond, a, b)
@@ -273,7 +274,7 @@ def _pick(cond, a, b):
 def _newton_bisect(h: Callable[..., tuple[np.ndarray, np.ndarray]],
                    lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
                    cfg: NumericConfig, *per_elem: np.ndarray) -> np.ndarray:
-    """Elementwise root of h with h(lo) <= 0 <= h(hi), for a float or a 1-d array.
+    """Elementwise root of h with h(lo) <= 0 <= h(hi), for a 1-d array of starts x.
 
     `h(x, *per_elem)` returns its value and slope in one call; lo, hi and
     the start x are finite.  Safeguarded Newton: a step that leaves the
@@ -286,28 +287,23 @@ def _newton_bisect(h: Callable[..., tuple[np.ndarray, np.ndarray]],
     small bisection step alone does not stop it.  h then sees
     only the elements still moving, with the arrays of `per_elem` sliced
     the same way, so a batch solve gives each element's own solve bit for
-    bit.  A float (fit_theta, fit_mrq) stays a numpy scalar, as _pick selects.
+    bit.  A single root (fit_theta, fit_mrq) is a one-element array.
     """
-    array = isinstance(x, np.ndarray)
-    pick = np.where if array else _pick
     out = at = None  # the results, and where the moving elements sit in them
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(ROOT_MAX_ITER):
             hx, slope = h(x, *per_elem)
-            lo = pick(hx < 0.0, x, lo)
-            hi = pick(hx > 0.0, x, hi)
+            lo = np.where(hx < 0.0, x, lo)
+            hi = np.where(hx > 0.0, x, hi)
             xn = x - hx / slope
             small = abs(xn - x) <= cfg.root_tol
             newton = (slope > 0.0) & (((xn > lo) & (xn < hi))
                                       | (small & (xn >= lo) & (xn <= hi)))
             mid = 0.5 * (lo + hi)
-            xn = pick(hx == 0.0, x, pick(newton, xn, mid))
+            xn = np.where(hx == 0.0, x, np.where(newton, xn, mid))
             done = ((newton & small) | (hx == 0.0) | (hi - lo <= cfg.root_tol)
                     | (mid == lo) | (mid == hi))
-            if not array:
-                if done:
-                    return xn
-            elif done.any():
+            if done.any():
                 if at is None:
                     out, at = np.empty(xn.size), np.arange(xn.size)
                 out[at] = xn  # the ones still moving are overwritten when they stop
@@ -367,9 +363,9 @@ def _q_density(p: MarginalParams, u):
 # s^(p-1) (1-s)^(r-1) over [0, y] or [y, 1/2], with y = u on the left
 # (p, r = a, b) and y = 1 - u on the right (p, r = b, a), a = alpha + 1,
 # b = beta + 1.  A half is a function of mu = -log(2y) >= 0, so both tails
-# keep relative accuracy, and F is one safeguarded Newton in mu on the
-# half that holds x: mu is -logit(u) - log 2 in the far left tail and
-# w - log 2, w = -log(1-u), on the right.
+# keep relative accuracy.  F is _from_grid's, and in its end cells one
+# safeguarded Newton in mu on the half that holds x: mu is -logit(u) - log 2
+# in the far left tail and w - log 2, w = -log(1-u), on the right.
 
 # exp(-_MU_MAX)/2 underflows, so no root in mu lies beyond it
 _MU_MAX = 745.0
@@ -519,8 +515,8 @@ def _to_half(p: float, r: float) -> _ToHalf:
 class _Row:
     """A row: Q by q(p, u, upper) on 0 < u < 1, F by f(p, x, upper, cfg), upper = Q(1).
 
-    `inverts_q` marks the rows whose F is a root solve: f1 inverts their
-    long rows from Q on a grid (_from_grid).
+    `inverts_q` marks the beta row, whose f (betaincinv) beats the grid on
+    short rows: f1 inverts its longer rows from Q on a grid (_from_grid).
     """
 
     inverts_q = False
@@ -625,8 +621,6 @@ class _BetaRow(_Row):  # the incomplete beta, alpha, beta > -1
 
 
 class _CornerRow(_Row):  # the left half, its sign in Q/c, the right half, Q(1/2)/c
-    inverts_q = True
-
     def __init__(self, left: _Half, sign: float, right: _Half, mid: float):
         self.left, self.sign, self.right, self.mid = left, sign, right, mid
 
@@ -640,14 +634,22 @@ class _CornerRow(_Row):  # the left half, its sign in Q/c, the right half, Q(1/2
         return p.c * out
 
     def f(self, p, x, upper, cfg):
-        xc = np.atleast_1d(x) / p.c  # a float is a one-element row
+        # every value from the grid, a float as a one-element row
+        xs = np.atleast_1d(x)
+        u, left = _from_grid(self, p, xs, upper)
+        u[left] = self.exact(p, xs[left], cfg)
+        return u if np.ndim(x) else u[0]
+
+    def exact(self, p, x, cfg):
+        """F at the 1-d x inside the support, by Newton in mu on the half that holds each."""
+        xc = x / p.c
         u = np.full(xc.shape, 0.5)
         low, high = xc < self.mid, xc > self.mid
         if low.any():
             u[low] = 0.5 * np.exp(-self.left.solve(self.sign * xc[low], cfg))
         if high.any():
             u[high] = 1.0 - 0.5 * np.exp(-self.right.solve(xc[high] - self.mid, cfg))
-        return u if np.ndim(x) else u[0]
+        return u
 
 
 def _shape_plan(alpha: float, beta: float) -> tuple[float, float, _Row]:
@@ -711,14 +713,15 @@ def f1(p: MarginalParams, x: float | np.ndarray,
     """Distribution function u = F(x); out-of-support inputs clamp to 0/1.
 
     `x` may be a float or an array; the result has its shape.  A NaN `x`
-    raises DomainError.  Where F is a root solve (the beta and corner
-    rows), a row of an array along its last axis with at most
-    EXACT_ROW_MAX values inside the support is solved value by value.
-    A row of more starts each value from Q at the 127 levels k/128
-    (_from_grid); such a value is within 1e-13 min(u, 1-u) + 4e-16 |x|/q(u),
-    and an ulp of u, of its own solve where Q rounds to 4e-16 (the
-    published fits), and depends on x and the margin alone, not on the
-    rest of its row.  Quadrature grids are rows too: the u21 grids of
+    raises DomainError.  A corner row (alpha <= -1, or beta <= -1 with
+    alpha != 0, off the closed rows) starts every value, a float too, from
+    Q at the 127 levels k/128 (_from_grid); a beta row does so on a row of
+    an array along its last axis with more than EXACT_ROW_MAX values inside
+    the support, and solves a shorter row value by value.  A value from
+    the grid is within 1e-13 min(u, 1-u) + 4e-16 |x|/q(u), and an ulp of
+    u, of its exact solve where Q rounds to 4e-16 (the published fits),
+    and depends on x and the margin alone, not on the rest of its row.
+    Quadrature grids are rows too: the u21 grids of
     population_lcomoments take the grid path where their rows pass 64 nodes.
     """
     lower, upper, row = p._plan
@@ -738,7 +741,8 @@ def f1(p: MarginalParams, x: float | np.ndarray,
     if row.inverts_q and x.ndim and x.shape[-1] > EXACT_ROW_MAX:
         long = todo & (np.count_nonzero(todo, axis=-1, keepdims=True) > EXACT_ROW_MAX)
         u[long], todo[long] = _from_grid(row, p, x[long], upper)
-    u[todo] = row.f(p, x[todo], upper, cfg)
+    if todo.any():  # a corner row's f evaluates the grid even for no value
+        u[todo] = row.f(p, x[todo], upper, cfg)
     return u
 
 
@@ -750,9 +754,9 @@ def _from_grid(row: _Row, p: MarginalParams, x: np.ndarray,
     inverse of Q on the cell (dx/du = q) and takes Halley steps on Q
     (_halley_passes), with Q' = q and Q''/Q' = l = alpha/u - beta/(1-u);
     a value equal to Q at a level settles there in one step.  Returns u
-    and a mask of the values left for row.f: those in the two end cells,
-    where Q(0) or Q(1) may be infinite and q is 0 or infinite, and those
-    the steps leave unsettled.
+    and a mask of the values left for the row's exact solve: those in the
+    two end cells, where Q(0) or Q(1) may be infinite and q is 0 or
+    infinite, and those the steps leave unsettled.
     """
     alpha, beta = p.alpha, p.beta
     with np.errstate(all="ignore"):

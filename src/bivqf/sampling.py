@@ -96,7 +96,9 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     takes a second pass at w + d if that lies inside it
     (model._halley_passes).  The rest run _newton_bisect on the narrowed
     bracket, and x2 is the same expansion about each one's last
-    evaluation.
+    evaluation.  Where k = 0 (u1 = 1, or theta (1 - u1) underflowing),
+    S = 1 - w, and every product with k is 0 for that draw, even against
+    an infinite R.
     """
     m2 = bp.m2
     th = bp.theta
@@ -115,9 +117,13 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     _, upper, row = m2._plan
     alpha, beta = m2.alpha, m2.beta
 
+    def k_times(k, a):
+        # k a, and 0 where k = 0, so that no 0 * inf forms against an infinite R
+        return np.multiply(k, a, out=np.zeros(np.broadcast(k, a).shape), where=k != 0.0)
+
     def residual(w, v, k, r):
         # v - S, with no rounding in 1 - v for v >= 1/2 nor in 1 - w for w >= 1/2
-        return np.where(w < 0.5, w - (1.0 - v), v - (1.0 - w)) + k * r
+        return np.where(w < 0.5, w - (1.0 - v), v - (1.0 - w)) + k_times(k, r)
 
     def level(w):
         # Q2, q2, l, R and R' at w in (0, 1): big_q1's checks and masks are skipped
@@ -132,8 +138,7 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
         _, _, _, r, r_prime = level(grid)
     # (1 - grid) - k r, in place: subtracting into a new (n, 65) array from the
     # broadcast (65,) operand takes several times as long
-    s_grid = np.multiply.outer(k, r)
-    s_grid[k == 0.0] = 0.0  # u1 = 1, or theta (1 - u1) underflowing, against an infinite R
+    s_grid = k_times(k[:, None], r)
     np.subtract(1.0 - grid, s_grid, out=s_grid)
     crossed = s_grid <= v[:, None]
     cell = np.argmax(crossed, axis=1)
@@ -143,13 +148,16 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     ends = np.concatenate(([0.0], grid))
     lo, hi = ends[cell], ends[cell + 1]
 
-    # the cubic Hermite start on the cell
+    # the cubic Hermite start on the cell; where S is -inf at its top (k > 0 against
+    # an infinite R), _hermite drops the NaN of -inf/-inf for t = 0, its bottom
     s0 = np.where(cell == 0, 1.0, s_grid[i, cell - 1])
     s1 = s_grid[i, cell]
     secant = (s1 - s0) / (hi - lo)
     r_prime = np.concatenate(([1.0 / (alpha + 1.0)], r_prime))
-    m0, m1 = (secant / np.where(s < 0.0, s, secant)
-              for s in (-1.0 - k * r_prime[cell], -1.0 - k * r_prime[cell + 1]))
+    with np.errstate(invalid="ignore"):
+        m0, m1 = (secant / np.where(s < 0.0, s, secant)
+                  for s in (-1.0 - k_times(k, r_prime[cell]),
+                            -1.0 - k_times(k, r_prime[cell + 1])))
     w = lo + (hi - lo) * _hermite((s0 - v) / (s0 - s1), m0, m1)
 
     def step(j, w):
@@ -157,8 +165,8 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
         big, small, l, r, r_prime = level(w)
         kj = k[j]
         f = residual(w, v[j], kj, r)
-        fp = 1.0 + kj * r_prime
-        fpp = kj * (r * (alpha / (w * w) + beta / ((1.0 - w) * (1.0 - w))) - r_prime * l)
+        fp = 1.0 + k_times(kj, r_prime)
+        fpp = k_times(kj, r * (alpha / (w * w) + beta / ((1.0 - w) * (1.0 - w))) - r_prime * l)
         d = -2.0 * f * fp / (2.0 * fp * fp - f * fpp)
         x2[j] = g[j] * (big + small * d * (1.0 + 0.5 * l * d))
         return f, d
@@ -178,7 +186,7 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     def h(w, v, k, j):
         big, small, l, r, r_prime = level(w)
         last[:, j] = w, big, small, l
-        return residual(w, v, k, r), 1.0 + k * r_prime
+        return residual(w, v, k, r), 1.0 + k_times(k, r_prime)
 
     d = _newton_bisect(h, lo, hi, start, cfg, v[rest], k[rest], np.arange(lo.size)) - last[0]
     _, big, small, l = last

@@ -313,9 +313,11 @@ class TestLogLogisticLine:
             big_q1(m, 0.3)
             u21(BivariateParams(UNIF, m, 0.7), 0.4, self.LEVELS)
         assert calls == []
-        # the twin off the line takes the corner path and its Newton solve
+        # the twin off the line takes the corner path: at a level in the grid's
+        # first cell, its Newton solve on the left half
         if alpha != 0.0:
-            f1(MarginalParams(1.3, *off_row(alpha, beta)), float(x[3]))
+            t = MarginalParams(1.3, *off_row(alpha, beta))
+            f1(t, big_q1(t, self.LEVELS[0]))
             assert len(calls) == 1
 
 
@@ -390,8 +392,11 @@ class TestT2Row:
             u21(BivariateParams(UNIF, m, 0.7), 0.4, self.LEVELS)
             u21(BivariateParams(UNIF, m, 0.7), 0.4, 0.2)
         assert calls == []
+        # each twin takes the corner path: at a level in the grid's first
+        # cell, its Newton solve on the left half
         for shape in self.TWINS:
-            f1(MarginalParams(1.3, *shape), float(x[3]))
+            t = MarginalParams(1.3, *shape)
+            f1(t, big_q1(t, self.LEVELS[0]))
         assert len(calls) == len(self.TWINS)
 
 
@@ -709,9 +714,24 @@ def column_bound(p: MarginalParams, x, u, q_rel: float = 4e-16):
         return 1e-13 * np.minimum(u, 1.0 - u) + q_rel * np.abs(x) / q + np.spacing(u)
 
 
+def exact_solve(p: MarginalParams, x) -> np.ndarray:
+    """Each value's own exact F: betaincinv value by value on a beta row, and
+    the corner row's Newton solve in mu, which its f runs on the values the
+    grid leaves; 0 and 1 outside the support."""
+    x = np.asarray(x, dtype=float)
+    lower, upper, row = p._plan
+    if not isinstance(row, model._CornerRow):
+        return np.array([f1(p, float(v)) for v in x])
+    u = np.where(x <= lower, 0.0, 1.0)
+    inside = (x > lower) & (x < upper)
+    u[inside] = row.exact(p, x[inside], model.DEFAULT_NUMERIC_CONFIG)
+    return u
+
+
 class TestLongColumns:
     """f1 on a row of more than EXACT_ROW_MAX values inside the support of a
-    beta or corner row: Halley steps on Q from its cell of a fixed grid of levels."""
+    beta row, and on any corner row: Halley steps on Q from its cell of a
+    fixed grid of levels."""
 
     MARGINS = [COMP1, CABLE1, CABLE2, MarginalParams(5.9257, 0.3555, -0.6695),
                MarginalParams(1.0, 0.3, -1.2), MarginalParams(1.0, -1.2, -0.3),
@@ -719,9 +739,13 @@ class TestLongColumns:
 
     @staticmethod
     def counting(monkeypatch, p):
+        # the sizes of the exact solve's calls: a beta row's f, which f1 calls
+        # on what the grid leaves, and the corner row's exact, which its f calls
         sizes = []
         row = p._plan[2]
-        monkeypatch.setattr(row, "f", lambda *a, f=row.f: sizes.append(np.size(a[1])) or f(*a))
+        name = "exact" if isinstance(row, model._CornerRow) else "f"
+        exact = getattr(row, name)
+        monkeypatch.setattr(row, name, lambda *a: sizes.append(np.size(a[1])) or exact(*a))
         return sizes
 
     @pytest.mark.parametrize("p", MARGINS)
@@ -732,10 +756,10 @@ class TestLongColumns:
         exact = 0
         for _ in range(10):
             x = big_q1(p, rng.random(1000))
-            ref = np.array([f1(p, float(v)) for v in x])
+            ref = exact_solve(p, x)
             before = len(sizes)
             u = f1(p, x)
-            assert len(sizes) - before <= 1  # at most one row.f call per long f1 call
+            assert len(sizes) - before <= 1  # at most one exact call per long f1 call
             exact += sum(sizes[before:])
             assert np.all(np.abs(u - ref) <= column_bound(p, x, ref))
         # the two end cells and what two Halley passes leave: at most 2% of the
@@ -798,7 +822,7 @@ class TestLongColumns:
         # with the same bits, each value within column_bound of its own solve
         for p in (COMP1, MarginalParams(1.0, -1.2, -0.3)):
             x = np.repeat(big_q1(p, np.array([0.1, 0.5, 0.9])), 100)
-            u, ref = f1(p, x), f1(p, x[::100])
+            u, ref = f1(p, x), exact_solve(p, x[::100])
             np.testing.assert_array_equal(u, np.repeat(u[::100], 100))
             assert np.all(np.abs(u[::100] - ref) <= column_bound(p, x[::100], ref))
             sup = support(p)
@@ -817,6 +841,50 @@ class TestLongColumns:
         for got in ([f1(p, float(v)) for v in x], column):
             for g, r in zip(got, ref):
                 assert abs(g - r) <= 1e-15 * r, (g, r)
+
+
+class TestOneCornerF:
+    """A corner value's F depends on x and its margin alone: a float, a row of
+    1, 9, 20 or 64 values and a row of 1100 give it the same bits, from Q at
+    the grid's levels, or from the exact solve in mu in the two end cells and
+    where the Halley passes leave it."""
+
+    # two fitted cable corners of bootstrap replicates, a right half on the
+    # series next to its pole (0.3, -1.98) and three median-anchored shapes.
+    # (-1 + 1e-6, -1.5) stays on the list of F's known misses: against
+    # mpmath_level its grid values reach 2.4 times the bound below and its end
+    # cells 4.6 times, as Newton in mu on log G amplifies the rounding of
+    # log G by 1/(alpha + 1)
+    MARGINS = [MarginalParams(8.477, -0.3455, -1.3282), MarginalParams(9.0819, -0.5980, -1.4267),
+               MarginalParams(1.3, 0.3, -1.98), MarginalParams(1.3, -1.2, -0.5),
+               MarginalParams(1.3, -1.5, -1.2), MarginalParams(1.3, -2.0, 0.5)]
+
+    @pytest.mark.parametrize("p", MARGINS)
+    def test_one_f_whatever_holds_it(self, p):
+        rng = np.random.default_rng(53)
+        levels = np.concatenate([rng.random(700), 10.0 ** -rng.uniform(1.0, 300.0, 300),
+                                 1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 300)])
+        x = big_q1(p, levels)
+        lower, upper, _ = p._plan
+        # inside the support, and no subnormal x, whose rounding the bound does not hold
+        x = rng.permutation(x[(x > lower) & (x < upper) & (np.abs(x) >= 2.0 ** -1022)])[:1100]
+        assert x.size == 1100
+        u = f1(p, x)
+        np.testing.assert_array_equal([f1(p, float(v)) for v in x], u)
+        np.testing.assert_array_equal(f1(p, x[:, None])[:, 0], u)
+        for n in (9, 20, 64):
+            np.testing.assert_array_equal(
+                np.concatenate([f1(p, x[i:i + n]) for i in range(0, x.size, n)]), u)
+        if p.alpha > -1.0:
+            ref = np.array([float(mpmath_level(p, v, w)) for v, w in zip(x, u)])
+        else:
+            ref = exact_solve(p, x)
+        # the exact solve holds u through mu = -log(2 min(u, 1-u)) to about an
+        # ulp of mu, 1.1e-13 of u past mu = 512 (u below 1e-223): there it is
+        # up to 1.13 times column_bound off mpmath_level at (-0.598, -1.4267)
+        m = np.minimum(ref, 1.0 - ref)
+        bound = column_bound(p, x, ref) + m * np.spacing(-np.log(2.0 * m))
+        assert np.all(np.abs(u - ref) <= bound), np.max(np.abs(u - ref) / bound)
 
 
 class TestConditional:
@@ -1346,11 +1414,6 @@ class TestNewtonBisect:
             _newton_bisect(h, 0.0, 1.0, np.array([0.3, 0.9]), NumericConfig(),
                            np.array([1.0, -1.0]))
         assert sizes == [2, 1, 1]
-
-    def test_scalar_path_returns_a_numpy_float(self):
-        got = _newton_bisect(lambda x: (x ** 3 - 2.0, 3.0 * x * x), 0.0, 2.0, 1.0,
-                             NumericConfig())
-        assert type(got) is np.float64 and abs(got - 2.0 ** (1.0 / 3.0)) < 1e-15
 
 
 class TestPick:

@@ -308,14 +308,18 @@ class TestExactSampler:
         diff = np.max(np.abs(np.asarray(sc.x2) - np.asarray(sg.x2)))
         assert diff <= 1e-5
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_k_zero_against_an_infinite_ratio(self):
-        # u1 = 1 gives k = 0 and S = 1 - w; q2 underflows at the scan's last
-        # level (beta2 = 30), and the scan takes k R = 0 there, not 0 * inf:
-        # the draw lands on w = 1 - v
-        bp = BivariateParams(MarginalParams(1.0, 0.5, 0.2), MarginalParams(1.0, 0.5, 30.0), 2.0)
-        x2 = _exact_conditional(bp, np.array([1.0]), np.array([0.001]), NumericConfig())
-        assert math.isclose(x2[0], 3.0 * big_q1(bp.m2, 0.999), rel_tol=1e-13)
+        # k = 0 where u1 = 1, or where theta (1 - u1) underflows (theta = 5e-324,
+        # u1 = 0.6), and S = 1 - w; q2 underflows at the scan's last level
+        # (beta2 = 30), and the scan, the Hermite slopes and the Halley steps
+        # take k R = 0 there, not 0 * inf: the draw lands on w = 1 - v.  At
+        # u1 = 0.2, k = 5e-324 and S is -inf at that level
+        m1, m2 = MarginalParams(1.0, 0.5, 0.2), MarginalParams(1.0, 0.5, 30.0)
+        for theta, u1 in ((2.0, 1.0), (5e-324, 0.6), (5e-324, 0.2)):
+            bp = BivariateParams(m1, m2, theta)
+            x2 = _exact_conditional(bp, np.array([u1]), np.array([0.001]), NumericConfig())
+            assert math.isclose(x2[0], (1.0 + theta * u1) * big_q1(m2, 0.999), rel_tol=1e-13)
 
     def test_a_draw_no_cell_catches_is_a_convergence_error(self):
         # v = 0 where k R(1 - 1e-12) is below 1e-12 (beta2 = -1.5: R ~ 2 (1 - w)):
