@@ -256,10 +256,9 @@ def _mrq_root(aa, cc, x, cfg: NumericConfig) -> np.ndarray:
         start = np.clip(x / aa, 0.0, top)
     y = np.where(x > 0.0, np.inf, 0.0)
     live = (x > 0.0) & (_mrq_q(top, aa, cc) >= x)
-    if np.any(live):
-        y[live] = _newton_bisect(
-            lambda y, a, c, xl: (_mrq_q(y, a, c) - xl, a - 2.0 * c * np.exp(-y)),
-            0.0, top[live], start[live], cfg, aa[live], cc[live], x[live])
+    a, c, xl = aa[live], cc[live], x[live]
+    y[live] = _newton_bisect(lambda y: (_mrq_q(y, a, c) - xl, a - 2.0 * c * np.exp(-y)),
+                             0.0, top[live], start[live], cfg)
     return y
 
 

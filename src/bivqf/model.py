@@ -271,28 +271,35 @@ def _pick(cond, a, b):
     return np.where(cond, a, b)
 
 
-def _newton_bisect(h: Callable[..., tuple[np.ndarray, np.ndarray]],
+def _newton_bisect(h: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                    lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
-                   cfg: NumericConfig, *per_elem: np.ndarray) -> np.ndarray:
+                   cfg: NumericConfig) -> np.ndarray:
     """Elementwise root of h with h(lo) <= 0 <= h(hi), for a 1-d array of starts x.
 
-    `h(x, *per_elem)` returns its value and slope in one call; lo, hi and
-    the start x are finite.  Safeguarded Newton: a step that leaves the
-    bracket, or lands on one of its ends and is over root_tol (where h is
-    down to rounding noise, steps onto its ends can cycle between them),
-    or a nonpositive slope, is replaced by bisection, and every evaluation
+    `h(x)` returns its value and slope in one call; lo, hi and the start x
+    are finite.  Safeguarded Newton: a step that leaves the bracket, or
+    lands on one of its ends and is over root_tol (where h is down to
+    rounding noise, steps onto its ends can cycle between them), or a
+    nonpositive slope, is replaced by bisection, and every evaluation
     shrinks the bracket on the sign of h.  An element stops at a zero of h,
     at its first Newton step of at most root_tol, which is its result, or
     once its bracket is at most root_tol wide or has no float inside; a
-    small bisection step alone does not stop it.  h then sees
-    only the elements still moving, with the arrays of `per_elem` sliced
-    the same way, so a batch solve gives each element's own solve bit for
-    bit.  A single root (fit_theta, fit_mrq) is a one-element array.
+    small bisection step alone does not stop it.  h sees the whole batch
+    at every step, a stopped element at its last evaluation, so a batch
+    solve gives each element its own solve bit for bit; once all have
+    stopped the solve returns without calling h again (an empty batch at
+    once).  A single root (fit_theta, fit_mrq) is a one-element array.
     """
-    out = at = None  # the results, and where the moving elements sit in them
+    out = np.empty(x.size)
+    moving = np.ones(x.size, dtype=bool)
+    steps = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(ROOT_MAX_ITER):
-            hx, slope = h(x, *per_elem)
+        while moving.any():
+            if steps == ROOT_MAX_ITER:
+                raise ConvergenceError(
+                    f"safeguarded Newton did not converge within {ROOT_MAX_ITER} steps")
+            steps += 1
+            hx, slope = h(x)
             lo = np.where(hx < 0.0, x, lo)
             hi = np.where(hx > 0.0, x, hi)
             xn = x - hx / slope
@@ -303,23 +310,10 @@ def _newton_bisect(h: Callable[..., tuple[np.ndarray, np.ndarray]],
             xn = np.where(hx == 0.0, x, np.where(newton, xn, mid))
             done = ((newton & small) | (hx == 0.0) | (hi - lo <= cfg.root_tol)
                     | (mid == lo) | (mid == hi))
-            if done.any():
-                if at is None:
-                    out, at = np.empty(xn.size), np.arange(xn.size)
-                out[at] = xn  # the ones still moving are overwritten when they stop
-                keep = np.flatnonzero(~done)
-                if not keep.size:
-                    return out
-                # one array at a time, so that the peak stays that of a step
-                del hx, slope, newton
-                at = at[keep]
-                x = xn = xn[keep]
-                lo = lo[keep]
-                hi = hi[keep]
-                per_elem = [a[keep] for a in per_elem]
-            x = xn
-    raise ConvergenceError(
-        f"safeguarded Newton did not converge within {ROOT_MAX_ITER} steps")
+            out = np.where(moving, xn, out)  # a stopped element keeps its result
+            moving &= ~done
+            x = np.where(moving, xn, x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +397,13 @@ class _Half:
     def solve(self, g, cfg: NumericConfig):
         """mu at which G(mu) = g, elementwise, by safeguarded Newton on log G."""
         lo, hi = self.bracket(g)
-        s = self.rising
+        s, log_g = self.rising, np.log(g)
 
-        def h(mu, log_g):
+        def h(mu):
             log_val, slope = self._log(mu)
             return s * (log_val - log_g), slope
 
-        return _newton_bisect(h, lo, hi, lo, cfg, np.log(g))
+        return _newton_bisect(h, lo, hi, lo, cfg)
 
 
 class _FromZero(_Half):

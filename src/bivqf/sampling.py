@@ -181,14 +181,15 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
 
     lo, hi, start = lo[rest], hi[rest], w[rest]
     start = np.where((start > lo) & (start < hi), start, 0.5 * (lo + hi))
+    v_rest, k_rest = v[rest], k[rest]
     last = np.empty((4, lo.size))  # w, Q2, q2 and l at each draw's last evaluation
 
-    def h(w, v, k, j):
+    def h(w):
         big, small, l, r, r_prime = level(w)
-        last[:, j] = w, big, small, l
-        return residual(w, v, k, r), 1.0 + k_times(k, r_prime)
+        last[:] = w, big, small, l
+        return residual(w, v_rest, k_rest, r), 1.0 + k_times(k_rest, r_prime)
 
-    d = _newton_bisect(h, lo, hi, start, cfg, v[rest], k[rest], np.arange(lo.size)) - last[0]
+    d = _newton_bisect(h, lo, hi, start, cfg) - last[0]
     _, big, small, l = last
     x2[rest] = g[rest] * (big + small * d * (1.0 + 0.5 * l * d))
     return x2

@@ -142,6 +142,37 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "overflow" in err
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_nan_in_the_theta_search_is_3(self, command, capsys, monkeypatch):
+        # the product moment turns NaN past theta = 0, where fit_theta's first
+        # Newton step lands (cable's theta is positive; compare fits it first)
+        real = bivqf.fit._product_moment
+
+        def nan_past_zero(m1, m2, theta, cfg):
+            value, slope = real(m1, m2, theta, cfg)
+            return (value if theta == 0.0 else math.nan), slope
+
+        monkeypatch.setattr(bivqf.fit, "_product_moment", nan_past_zero)
+        code, out, err = run([command, "--data", "cable"], capsys)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        assert err.startswith("numeric failure: root search met a NaN function value at ")
+
+    def test_competitor_solve_ending_off_its_root_is_3(self, capsys, monkeypatch):
+        # a solve that stops at its first point, as one whose bracket closes
+        # away from the root would: fit_mrq's last check refuses the d it ends at
+        # (`fit` never fits the competitor)
+        def first_point(h, lo, hi, x, cfg):
+            h(x)
+            return x
+
+        monkeypatch.setattr(bivqf.fit, "_newton_bisect", first_point)
+        code, out, err = run(["compare", "--data", "components"], capsys)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: no competitor matches the sample L-covariance ")
+        assert "the solve on (d_min, d_max] = (" in err and "ended at d = 0, where" in err
+
     def test_ok_is_0(self, capsys):
         code, _, _ = run(["catalog"], capsys)
         assert code == 0

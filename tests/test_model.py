@@ -1358,62 +1358,72 @@ def blend(cond, a, b):
 
 class TestNewtonBisect:
     """An array solve stops each element at its own first step of at most
-    root_tol, and h sees only the elements still moving."""
+    root_tol; h sees the whole batch at every step, a stopped element at
+    its last evaluation, and the solve returns before h once all have
+    stopped."""
 
     C = np.linspace(0.5, 7.5, 29)  # x^3 = c on [0, 2]; c = 1 starts on its root
 
     @staticmethod
-    def h(x, c):
-        return x ** 3 - c, 3.0 * x * x
+    def cube(c, seen=None):
+        """h of x^3 = c, recording a copy of each x it sees in `seen`."""
+        def h(x):
+            if seen is not None:
+                seen.append(x.copy())
+            return x ** 3 - c, 3.0 * x * x
+        return h
 
     def test_batch_is_each_element_alone(self):
-        h, c, cfg = self.h, self.C, NumericConfig()
+        c, cfg = self.C, NumericConfig()
         x0 = np.full(c.size, 1.0)
-        batch = _newton_bisect(h, np.zeros(c.size), np.full(c.size, 2.0), x0, cfg, c)
+        batch = _newton_bisect(self.cube(c), np.zeros(c.size), np.full(c.size, 2.0), x0, cfg)
         for i in range(c.size):
-            one = _newton_bisect(h, np.zeros(1), np.full(1, 2.0), x0[i:i + 1], cfg, c[i:i + 1])
+            one = _newton_bisect(self.cube(c[i:i + 1]), np.zeros(1), np.full(1, 2.0),
+                                 x0[i:i + 1], cfg)
             assert batch[i].tobytes() == one[0].tobytes(), i
         np.testing.assert_allclose(batch, np.cbrt(c), rtol=1e-15, atol=1e-15)
 
-    def test_h_sees_only_elements_still_moving(self):
-        h, c, cfg = self.h, self.C, NumericConfig()
-        seen, alone = [], []
-
-        def batch_h(x, c, j):
-            seen.append(j)
-            return h(x, c)
-
-        _newton_bisect(batch_h, 0.0, 2.0, np.full(c.size, 1.0), cfg, c, np.arange(c.size))
+    def test_h_sees_the_whole_batch_and_stopped_elements_stay_put(self):
+        c, cfg = self.C, NumericConfig()
+        seen = []
+        _newton_bisect(self.cube(c, seen), 0.0, 2.0, np.full(c.size, 1.0), cfg)
+        assert all(x.shape == c.shape for x in seen)
+        alone = []
         for i in range(c.size):
-            calls = []
+            path = []
+            _newton_bisect(self.cube(c[i:i + 1], path), 0.0, 2.0, np.full(1, 1.0), cfg)
+            alone.append(np.concatenate(path))
+        # the batch calls h until the slowest element stops, and no more
+        assert len(seen) == max(p.size for p in alone) > min(p.size for p in alone)
+        for i, path in enumerate(alone):
+            # each element's own points, then its last one at every later call
+            mine = np.array([x[i] for x in seen])
+            expected = np.append(path, np.full(len(seen) - path.size, path[-1]))
+            assert mine.tobytes() == expected.tobytes(), i
 
-            def one_h(x, c):
-                calls.append(1)
-                return h(x, c)
+    def test_empty_batch_returns_at_once(self):
+        calls = []
 
-            _newton_bisect(one_h, 0.0, 2.0, np.full(1, 1.0), cfg, c[i:i + 1])
-            alone.append(len(calls))
-        counts = np.bincount(np.concatenate(seen), minlength=c.size)
-        np.testing.assert_array_equal(counts, alone)
-        # each call's elements are the ones not yet settled, in order
-        assert [j.size for j in seen] == [int(np.sum(np.array(alone) > n))
-                                          for n in range(len(seen))]
-        assert min(alone) < max(alone)
+        def h(x):
+            calls.append(x.size)
+            return x, np.ones_like(x)
+
+        out = _newton_bisect(h, np.zeros(0), np.ones(0), np.zeros(0), NumericConfig())
+        assert out.shape == (0,) and calls == []
 
     def test_iteration_cap_still_raises(self, monkeypatch):
         # the element below moves by bisection only (a negative slope), so
-        # it takes 30-odd steps; its neighbour settles at once
+        # it takes 30-odd steps; its neighbour settles at once and stays in the batch
         monkeypatch.setattr(model, "ROOT_MAX_ITER", 3)
-        sizes = []
+        sizes, s = [], np.array([1.0, -1.0])
 
-        def h(x, s):
+        def h(x):
             sizes.append(x.size)
             return x - 0.3, s
 
         with pytest.raises(ConvergenceError, match="within 3 steps"):
-            _newton_bisect(h, 0.0, 1.0, np.array([0.3, 0.9]), NumericConfig(),
-                           np.array([1.0, -1.0]))
-        assert sizes == [2, 1, 1]
+            _newton_bisect(h, 0.0, 1.0, np.array([0.3, 0.9]), NumericConfig())
+        assert sizes == [2, 2, 2]
 
 
 class TestPick:

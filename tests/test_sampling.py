@@ -203,10 +203,10 @@ class TestExactSampler:
         # report every draw unsettled at its start, so all of them take that path
         calls = []
 
-        def spy(h, lo, hi, x, cfg, *per_elem):
+        def spy(h, lo, hi, x, cfg):
             calls.append(lo.size)
-            assert np.all((lo <= x) & (x <= hi)) and len(per_elem) == 3
-            return _newton_bisect(h, lo, hi, x, cfg, *per_elem)
+            assert np.all((lo <= x) & (x <= hi))
+            return _newton_bisect(h, lo, hi, x, cfg)
 
         def unsettled(step, w, lo, hi):
             return np.arange(w.size)
@@ -243,9 +243,9 @@ class TestExactSampler:
         # Q2/q2 is far from cubic; a second Halley pass settles nearly all
         calls = []
 
-        def spy(h, lo, hi, x, cfg, *per_elem):
+        def spy(h, lo, hi, x, cfg):
             calls.append(lo.size)
-            return _newton_bisect(h, lo, hi, x, cfg, *per_elem)
+            return _newton_bisect(h, lo, hi, x, cfg)
 
         monkeypatch.setattr(sampling, "_newton_bisect", spy)
         bp = PUBLISHED[name]
