@@ -124,8 +124,9 @@ def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
     the value of.  For beta2 <= -1 it is the line
     l1_2 (l1_1 + theta lambda2_1), and theta is that line's root, its own
     bracket.  Otherwise it is increasing and concave in theta, so Newton
-    from theta = 0, where both are closed, rises to the root from below:
-    the bracket is (the last iterate below the target, theta).  Each
+    from theta = 0, where both are closed, rises to the root from below
+    (to a few ulps, over which the rule's value can stay flat): the
+    bracket is (the last iterate below the target, theta).  Each
     iterate past 0 runs model._u1_rule.  A tangent that reaches the
     target only past theta = 1e6 raises BracketError: by concavity the
     root lies beyond it too.

@@ -124,12 +124,11 @@ DEFAULT_NUMERIC_CONFIG = NumericConfig()
 
 # the fixed rules start at 16 nodes and give up with QuadratureError past
 # MAX_RULE_NODES; _newton_bisect raises ConvergenceError after ROOT_MAX_ITER steps;
-# f1 solves a beta row of more than EXACT_ROW_MAX values inside the support, and every
-# corner value, from Q at _GRID (at the published fits 1.4% of a long row then needs
-# the exact solve; 3% at 63 levels)
+# f1 starts a row with more values inside the support than its row's grid_past from
+# Q at _GRID: 64 on a beta row, 0 on a corner row (at the published fits 1.4% of a
+# long row then needs the exact solve; 3% at 63 levels)
 MAX_RULE_NODES = 512
 ROOT_MAX_ITER = 200
-EXACT_ROW_MAX = 64
 _GRID = np.arange(1, 128) / 128.0
 
 
@@ -319,8 +318,8 @@ def _newton_bisect(h: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 # ---------------------------------------------------------------------------
 # quantile density / quantile function / inversion
 #
-# big_q1 and f1 take a float or an array; a row's q sees a 1-d array, and its
-# f a float too, which the corner rows make a one-element row.
+# big_q1 and f1 take a float or an array; a row's q sees a 1-d array, and so
+# does its f, but for a closed row's f, which f1 hands a float as it is.
 
 
 def support(p: MarginalParams) -> SupportInfo:
@@ -357,8 +356,8 @@ def _q_density(p: MarginalParams, u):
 # s^(p-1) (1-s)^(r-1) over [0, y] or [y, 1/2], with y = u on the left
 # (p, r = a, b) and y = 1 - u on the right (p, r = b, a), a = alpha + 1,
 # b = beta + 1.  A half is a function of mu = -log(2y) >= 0, so both tails
-# keep relative accuracy.  F is _from_grid's, and in its end cells one
-# safeguarded Newton in mu on the half that holds x: mu is -logit(u) - log 2
+# keep relative accuracy.  F is _from_grid's, and in its end cells f's:
+# safeguarded Newton in mu on the half that holds x; mu is -logit(u) - log 2
 # in the far left tail and w - log 2, w = -log(1-u), on the right.
 
 # exp(-_MU_MAX)/2 underflows, so no root in mu lies beyond it
@@ -509,11 +508,14 @@ def _to_half(p: float, r: float) -> _ToHalf:
 class _Row:
     """A row: Q by q(p, u, upper) on 0 < u < 1, F by f(p, x, upper, cfg), upper = Q(1).
 
-    `inverts_q` marks the beta row, whose f (betaincinv) beats the grid on
-    short rows: f1 inverts its longer rows from Q on a grid (_from_grid).
+    A root-solving row sets `grid_past`: f1 starts a row with more values inside
+    the support from Q on a grid (_from_grid), and f takes the rest, a 1-d array.
     """
 
-    inverts_q = False
+    grid_past = None  # a closed row, whose f takes a float too
+
+    def __init__(self):  # an instance's own grid_past: f1's float path reads it faster
+        self.grid_past = type(self).grid_past
 
 
 class _LineRow(_Row):  # the log-logistic line alpha + beta = -2
@@ -588,7 +590,7 @@ class _AlphaZeroRow(_Row):  # alpha = 0, with the log at beta = -1
 
 
 class _BetaRow(_Row):  # the incomplete beta, alpha, beta > -1
-    inverts_q = True
+    grid_past = 64  # betaincinv costs less than the grid on a shorter row
 
     def q(self, p, u, upper):
         return upper * betainc(p.alpha + 1.0, p.beta + 1.0, u)
@@ -600,8 +602,8 @@ class _BetaRow(_Row):  # the incomplete beta, alpha, beta > -1
         # betaincinv is NaN at tiny levels on some shapes (a in about
         # (1.001, 1.02) with b <= 0.2 below 1e-17; a = b = 3 below 1e-108):
         # those start from the tail asymptote u^a/a = x/c of B_u(a, b)
-        start = u != u  # NaN; the cheapest test on a numpy scalar
-        if np.count_nonzero(start):
+        start = np.isnan(u)
+        if start.any():
             u = np.where(start, (a * x / c) ** (1.0 / a), u)
         elif alpha != beta:
             return u
@@ -615,6 +617,8 @@ class _BetaRow(_Row):  # the incomplete beta, alpha, beta > -1
 
 
 class _CornerRow(_Row):  # the left half, its sign in Q/c, the right half, Q(1/2)/c
+    grid_past = 0
+
     def __init__(self, left: _Half, sign: float, right: _Half, mid: float):
         self.left, self.sign, self.right, self.mid = left, sign, right, mid
 
@@ -628,13 +632,6 @@ class _CornerRow(_Row):  # the left half, its sign in Q/c, the right half, Q(1/2
         return p.c * out
 
     def f(self, p, x, upper, cfg):
-        # every value from the grid, a float as a one-element row
-        xs = np.atleast_1d(x)
-        u, left = _from_grid(self, p, xs, upper)
-        u[left] = self.exact(p, xs[left], cfg)
-        return u if np.ndim(x) else u[0]
-
-    def exact(self, p, x, cfg):
         """F at the 1-d x inside the support, by Newton in mu on the half that holds each."""
         xc = x / p.c
         u = np.full(xc.shape, 0.5)
@@ -707,19 +704,19 @@ def f1(p: MarginalParams, x: float | np.ndarray,
     """Distribution function u = F(x); out-of-support inputs clamp to 0/1.
 
     `x` may be a float or an array; the result has its shape.  A NaN `x`
-    raises DomainError.  A corner row (alpha <= -1, or beta <= -1 with
-    alpha != 0, off the closed rows) starts every value, a float too, from
-    Q at the 127 levels k/128 (_from_grid); a beta row does so on a row of
-    an array along its last axis with more than EXACT_ROW_MAX values inside
-    the support, and solves a shorter row value by value.  A value from
-    the grid is within 1e-13 min(u, 1-u) + 4e-16 |x|/q(u), and an ulp of
-    u, of its exact solve where Q rounds to 4e-16 (the published fits),
-    and depends on x and the margin alone, not on the rest of its row.
-    Quadrature grids are rows too: the u21 grids of
-    population_lcomoments take the grid path where their rows pass 64 nodes.
+    raises DomainError.  A closed row's f takes the values, a float too.
+    On a root-solving row f1 looks at each row along an array's last axis
+    (a float is a row of one): past the row's `grid_past` values inside
+    the support (0 on a corner row, 64 on a beta row), each starts from
+    Q at the 127 levels k/128 (_from_grid), and the row's f solves the
+    rest.  A value from the grid is within 1e-13 min(u, 1-u)
+    + 4e-16 |x|/q(u), and an ulp of u, of its exact solve where Q rounds
+    to 4e-16 (the published fits), and depends on x and the margin alone.
+    Quadrature grids are rows too: the u21 grids of population_lcomoments
+    take the grid path where their rows pass 64 nodes.
     """
     lower, upper, row = p._plan
-    if isinstance(x, (float, int)):
+    if isinstance(x, (float, int)) and row.grid_past is None:
         if x <= lower:
             return 0.0
         if x >= upper:
@@ -727,17 +724,18 @@ def f1(p: MarginalParams, x: float | np.ndarray,
         if x != x:
             raise DomainError("x must not be NaN")
         return float(row.f(p, float(x), upper, cfg))
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
+    rows = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.isnan(rows).any():
         raise DomainError("x must not be NaN")
-    u = np.where(x <= lower, 0.0, 1.0)
-    todo = (x > lower) & (x < upper)
-    if row.inverts_q and x.ndim and x.shape[-1] > EXACT_ROW_MAX:
-        long = todo & (np.count_nonzero(todo, axis=-1, keepdims=True) > EXACT_ROW_MAX)
-        u[long], todo[long] = _from_grid(row, p, x[long], upper)
-    if todo.any():  # a corner row's f evaluates the grid even for no value
-        u[todo] = row.f(p, x[todo], upper, cfg)
-    return u
+    u = np.where(rows <= lower, 0.0, 1.0)
+    todo = (rows > lower) & (rows < upper)
+    if row.grid_past is not None and rows.shape[-1] > row.grid_past:
+        long = todo & (np.count_nonzero(todo, axis=-1, keepdims=True) > row.grid_past)
+        if long.any():  # the grid evaluates Q at its 127 levels even for no value
+            u[long], todo[long] = _from_grid(row, p, rows[long], upper)
+    if todo.any():
+        u[todo] = row.f(p, rows[todo], upper, cfg)
+    return float(u[0]) if isinstance(x, (float, int)) else u.reshape(np.shape(x))
 
 
 def _from_grid(row: _Row, p: MarginalParams, x: np.ndarray,
@@ -748,9 +746,9 @@ def _from_grid(row: _Row, p: MarginalParams, x: np.ndarray,
     inverse of Q on the cell (dx/du = q) and takes Halley steps on Q
     (_halley_passes), with Q' = q and Q''/Q' = l = alpha/u - beta/(1-u);
     a value equal to Q at a level settles there in one step.  Returns u
-    and a mask of the values left for the row's exact solve: those in the
-    two end cells, where Q(0) or Q(1) may be infinite and q is 0 or
-    infinite, and those the steps leave unsettled.
+    and a mask of the values left for the row's f, its exact solve: those
+    in the two end cells, where Q(0) or Q(1) may be infinite and q is 0 or
+    infinite, and those the steps leave unsettled.  f1 is its only caller.
     """
     alpha, beta = p.alpha, p.beta
     with np.errstate(all="ignore"):

@@ -106,8 +106,8 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
         raise DomainError("exact sampler requires alpha2 > -1 (nonnegative support)")
     g = 1.0 + th * u1
     k = (1.0 - u1) * th / g
-    if th == 0.0:
-        return big_q1(m2, v)
+    if th == 0.0:  # S = 1 - w; the scan below would miss v < 1e-12
+        return big_q1(m2, 1.0 - v)
 
     if m2.beta == 0.0:
         # Q2/q2 = w/(alpha2+1): S is linear in w, closed-form inversion

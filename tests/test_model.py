@@ -519,6 +519,7 @@ BRANCHES = {
     "alpha0-bounded": MarginalParams(2.0, 0.0, 0.5),
     "alpha0-pareto": MarginalParams(1.0, 0.0, -1.5),
     "incomplete-beta": CABLE2,
+    "incomplete-beta-symmetric": MarginalParams(1.0, 0.09375, 0.09375),
     "heavy-right": HEAVY_LL,
     "fallback-log-tail": MarginalParams(1.0, 0.3, -1.0),
     "fallback-loglogistic": LOGLOG,
@@ -561,7 +562,7 @@ class TestArrayMatchesScalar:
             x = np.append(x, -1.0)  # below the support
         if math.isfinite(sup.upper):
             x = np.append(x, 2.0 * sup.upper)  # above it
-        # one value per row: a row of more than EXACT_ROW_MAX values starts
+        # one value per row: a beta row of more than 64 values starts
         # from Q on a grid (f1's long rows), not from each value's own solve
         u, flags = f1_flagged(p, x[:, None])
         assert u.shape == flags.shape == (x.size, 1)
@@ -575,7 +576,8 @@ class TestArrayMatchesScalar:
                 # benchmark's, and this row rounds ** through Python's pow there
                 assert math.isclose(uv, su, rel_tol=1e-13, abs_tol=1e-300), xv
             else:
-                assert uv == su, xv
+                # a float is a row of one on the root-solving rows
+                assert uv == su == f1(p, np.array([xv]))[0], xv
             assert fv == sf, xv
         assert list(flags) == [x < sup.lower or x > sup.upper for x in x]
         np.testing.assert_allclose(u[:6], [1e-9, 0.05, 0.3, 0.5, 0.77, 0.99],
@@ -716,20 +718,20 @@ def column_bound(p: MarginalParams, x, u, q_rel: float = 4e-16):
 
 def exact_solve(p: MarginalParams, x) -> np.ndarray:
     """Each value's own exact F: betaincinv value by value on a beta row, and
-    the corner row's Newton solve in mu, which its f runs on the values the
-    grid leaves; 0 and 1 outside the support."""
+    the corner row's f, its Newton solve in mu, which f1 runs on the values
+    the grid leaves; 0 and 1 outside the support."""
     x = np.asarray(x, dtype=float)
     lower, upper, row = p._plan
     if not isinstance(row, model._CornerRow):
         return np.array([f1(p, float(v)) for v in x])
     u = np.where(x <= lower, 0.0, 1.0)
     inside = (x > lower) & (x < upper)
-    u[inside] = row.exact(p, x[inside], model.DEFAULT_NUMERIC_CONFIG)
+    u[inside] = row.f(p, x[inside], upper, model.DEFAULT_NUMERIC_CONFIG)
     return u
 
 
 class TestLongColumns:
-    """f1 on a row of more than EXACT_ROW_MAX values inside the support of a
+    """f1 on a row of more than 64 values inside the support of a
     beta row, and on any corner row: Halley steps on Q from its cell of a
     fixed grid of levels."""
 
@@ -739,13 +741,12 @@ class TestLongColumns:
 
     @staticmethod
     def counting(monkeypatch, p):
-        # the sizes of the exact solve's calls: a beta row's f, which f1 calls
-        # on what the grid leaves, and the corner row's exact, which its f calls
+        # the sizes of the exact solve's calls: the row's f, which f1 calls on
+        # what the grid leaves
         sizes = []
         row = p._plan[2]
-        name = "exact" if isinstance(row, model._CornerRow) else "f"
-        exact = getattr(row, name)
-        monkeypatch.setattr(row, name, lambda *a: sizes.append(np.size(a[1])) or exact(*a))
+        exact = row.f
+        monkeypatch.setattr(row, "f", lambda *a: sizes.append(np.size(a[1])) or exact(*a))
         return sizes
 
     @pytest.mark.parametrize("p", MARGINS)
@@ -768,9 +769,11 @@ class TestLongColumns:
 
     @pytest.mark.parametrize("p", MARGINS)
     def test_a_column_of_64_is_all_anchors(self, p, monkeypatch):
+        # each value's F is its float F: the beta row's own solve, the corner
+        # row's from the grid
         x = big_q1(p, np.random.default_rng(8).random(64))
-        lower, upper, row = p._plan
-        expected = row.f(p, x, upper, model.DEFAULT_NUMERIC_CONFIG)
+        upper = p._plan[1]
+        expected = np.array([f1(p, float(v)) for v in x])
         np.testing.assert_array_equal(f1(p, x), expected)
         np.testing.assert_array_equal(f1(p, np.stack([x, x[::-1]])), [expected, expected[::-1]])
         # so is a longer row with at most 64 values inside the support
@@ -794,6 +797,20 @@ class TestLongColumns:
                                       f1(p, block[:, :150]))
         np.testing.assert_array_equal(f1(p, np.tile(block, (20, 1))), np.tile(got, (20, 1)))
         assert f1(p, np.zeros((0, 100))).shape == (0, 100)
+
+    def test_no_value_inside_evaluates_no_q(self, monkeypatch):
+        # on a corner margin the grid costs Q at its 127 levels even for no
+        # value: an empty block, a row below the support and a float below it skip it
+        p = MarginalParams(1.0, 0.3, -1.2)
+        row, calls = p._plan[2], []
+        q = row.q
+        monkeypatch.setattr(row, "q", lambda *a: calls.append(np.size(a[1])) or q(*a))
+        assert f1(p, np.zeros((0, 100))).shape == (0, 100)
+        np.testing.assert_array_equal(f1(p, np.full(70, -1.0)), np.zeros(70))
+        assert f1(p, -1.0) == 0.0
+        assert calls == []
+        f1(p, 1.0)
+        assert calls[0] == 127
 
     @pytest.mark.parametrize("p", [COMP1, CABLE2, MarginalParams(1.0, -1.2, -0.3)])
     def test_a_value_does_not_depend_on_its_row(self, p):

@@ -321,6 +321,15 @@ class TestExactSampler:
             x2 = _exact_conditional(bp, np.array([u1]), np.array([0.001]), NumericConfig())
             assert math.isclose(x2[0], (1.0 + theta * u1) * big_q1(m2, 0.999), rel_tol=1e-13)
 
+    def test_theta_zero_is_the_limit_of_small_theta(self):
+        # k = 0 for every draw at theta = 0, and S = 1 - w: x2 = Q2(1 - v), the
+        # draw that theta = 5e-324, whose k is 0 or 5e-324, reaches through the
+        # scan and its passes
+        m1, m2 = MarginalParams(9.0819, -0.4864, -0.9946), MarginalParams(29.2295, -0.3406, -0.3531)
+        spec = SamplerSpec(seed=1, n=2000, method="exact")
+        at_zero, tiny = (draw(BivariateParams(m1, m2, theta), spec).x2 for theta in (0.0, 5e-324))
+        np.testing.assert_allclose(at_zero, tiny, rtol=1e-13, atol=0.0)
+
     def test_a_draw_no_cell_catches_is_a_convergence_error(self):
         # v = 0 where k R(1 - 1e-12) is below 1e-12 (beta2 = -1.5: R ~ 2 (1 - w)):
         # S stays positive up to the scan's last level, so no cell holds a crossing
