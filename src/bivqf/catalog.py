@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from scipy.special import betaincinv
-
+from . import specfun
 from .errors import DomainError, UnsupportedCaseError
 from .model import (
     BivariateParams,
@@ -60,7 +59,7 @@ class _Case:
 def _beta_cdf(x: float, c: float, alpha: float, beta: float) -> float:
     # Q(u) = c B_u(alpha+1, beta+1), so F(x) = I^-1(x / (c B(alpha+1, beta+1)))
     a, b = alpha + 1.0, beta + 1.0
-    return float(betaincinv(a, b, min(max(x / (c * complete_beta(a, b)), 0.0), 1.0)))
+    return float(specfun.betaincinv(a, b, min(max(x / (c * complete_beta(a, b)), 0.0), 1.0)))
 
 
 def _power(a: float, b: float) -> tuple[float, float, float]:

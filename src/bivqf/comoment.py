@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_sh_legendre, hyp2f1
 
+from . import specfun
 from .data import PairedSample
 from .errors import DivergentMomentError, InsufficientDataError
 from .lmom import population_lmoments, sample_lmoments
@@ -167,8 +167,8 @@ def power_case_lcov_closed_form(bp: BivariateParams,
     a1 = 1.0 / (bp.m1.alpha + 1.0)
     a2 = 1.0 / (bp.m2.alpha + 1.0)
     th = bp.theta
-    fa = float(hyp2f1(1.0 / a1, a2, 1.0 + 1.0 / a1, -th))
-    fb = float(hyp2f1(1.0 + 1.0 / a1, a2, 2.0 + 1.0 / a1, -th))
+    fa = float(specfun.hyp2f1(1.0 / a1, a2, 1.0 + 1.0 / a1, -th))
+    fb = float(specfun.hyp2f1(1.0 + 1.0 / a1, a2, 2.0 + 1.0 / a1, -th))
     formula = -bp.m1.c * a1 * fa - (fb + a1) / (1.0 + a1)
     quadrature = population_lcomoments(bp, cfg).l2_12
     return PowerLcovComparison(formula, quadrature, quadrature - formula)
@@ -189,8 +189,8 @@ def power_case_lcov_hypergeometric(bp: BivariateParams) -> float:
     a1 = 1.0 / (bp.m1.alpha + 1.0)
     a2 = 1.0 / (bp.m2.alpha + 1.0)
     th = bp.theta
-    fa = float(hyp2f1(a2, 1.0 / a1, 1.0 + 1.0 / a1, -th))
-    fb = float(hyp2f1(a2, 1.0 + 1.0 / a1, 2.0 + 1.0 / a1, -th))
+    fa = float(specfun.hyp2f1(a2, 1.0 / a1, 1.0 + 1.0 / a1, -th))
+    fb = float(specfun.hyp2f1(a2, 1.0 + 1.0 / a1, 2.0 + 1.0 / a1, -th))
     return bp.m1.c * a1 * (a1 / (1.0 + a1) - fa + fb / (1.0 + a1))
 
 
@@ -228,7 +228,7 @@ def _sample_directed(lead: np.ndarray, cond: np.ndarray) -> tuple[float, float, 
     centered = lead - lead.sum() / n
     out = []
     for k in (1, 2, 3):
-        p = eval_sh_legendre(k, t)
+        p = specfun.eval_sh_legendre(k, t)
         out.append(float((centered * (p - p.sum() / n)).sum() / n))
     return tuple(out)
 

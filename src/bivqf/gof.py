@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov
 
+from . import specfun
 from .data import PairedSample
 from .errors import DomainError, InsufficientDataError
 from .fit import MrqParams, mrq_conditional_cdf, mrq_marginal1_cdf
@@ -73,7 +73,7 @@ def kolmogorov_pvalue(d: float, n: int) -> float:
     Parameters estimated from the same data make this approximate and
     conservative; it is reported as-is.
     """
-    return float(kolmogorov(math.sqrt(n) * d))
+    return float(specfun.kolmogorov(math.sqrt(n) * d))
 
 
 def _ks_from_pit(pit: np.ndarray, method: str, clamped,

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import (beta as beta_fn, betainc, betaincinv, eval_jacobi,
-                           eval_legendre, expit, exprel, hyp2f1, logit)
 
+from . import specfun
 from .errors import ConvergenceError, DivergentMomentError, DomainError, QuadratureError
 from .specfun import complete_beta
 
@@ -150,7 +149,7 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     k, legendre = np.arange(n, dtype="d"), a == b == 0.0
     if legendre:
         diag, off, mu0 = np.zeros(n), k[1:] * np.sqrt(1.0 / (4 * k[1:] * k[1:] - 1)), 1.0
-        p = eval_legendre
+        p = specfun.eval_legendre
         dp = lambda x: (-n * x * p(n, x) + n * p(n - 1, x)) / (1 - x ** 2)  # noqa: E731
     else:
         s, j = 2.0 * k + a + b, k[1:]
@@ -158,9 +157,10 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
             diag = np.where(k == 0, (b - a) / (2 + a + b), (b * b - a * a) / (s * (s + 2)))
             off = (2.0 / s[1:] * np.sqrt((j + a) * (j + b) / (s[1:] + 1))
                    * np.where(j == 1, 1.0, np.sqrt(j * (j + a + b) / (s[1:] - 1))))
-        mu0 = beta_fn(a + 1, b + 1)
-        p = lambda m, x: eval_jacobi(m, a, b, x)  # noqa: E731
-        dp = lambda x: 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x)  # noqa: E731
+        mu0 = specfun.beta(a + 1, b + 1)
+        p = lambda m, x: specfun.eval_jacobi(m, a, b, x)  # noqa: E731
+        dp = lambda x: (0.5 * (n + a + b + 1)  # noqa: E731
+                        * specfun.eval_jacobi(n - 1, a + 1, b + 1, x))
     jacobi = np.diag(diag)
     jacobi.flat[1::n + 1] = off  # the superdiagonal, the only half eigvalsh reads
     x = np.linalg.eigvalsh(jacobi, UPLO="U")
@@ -182,6 +182,7 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past 1.8e308 is named at the end
 def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: float,
                 cfg: NumericConfig, judged=...) -> np.ndarray:
     """int_0^1 u^a_exp (1-u)^b_exp f(u) du on Gauss-Jacobi nodes (Golub-Welsch).
@@ -223,6 +224,9 @@ def _fixed_rule(f: Callable[[np.ndarray], np.ndarray], a_exp: float, b_exp: floa
                                                 cfg.quad_rel_tol * np.abs(val[judged]))):
                 return val
         prev, n = val, 2 * n
+    if not np.all(np.isfinite(val[judged])):
+        raise QuadratureError(f"fixed rule's value at {MAX_RULE_NODES} nodes is not finite: "
+                              "the integrand overflows float64 or is NaN")
     raise QuadratureError(
         f"fixed rule did not reach the quadrature tolerance within "
         f"{MAX_RULE_NODES} nodes (last change {np.max(err):.3e})")
@@ -373,7 +377,7 @@ def _inc_beta_cont(p: float, r: float, y):
 
     Poles at p = 0, -1, -2, ...; called with y <= 1/2 only.
     """
-    return y ** p / p * hyp2f1(p, 1.0 - r, p + 1.0, y)
+    return y ** p / p * specfun.hyp2f1(p, 1.0 - r, p + 1.0, y)
 
 
 class _Half:
@@ -418,7 +422,7 @@ class _FromZero(_Half):
         # where y is subnormal, y**p has a few digits and stops moving with mu
         p, r = self.p, self.r
         y = 0.5 * np.exp(-mu)
-        f = hyp2f1(p, 1.0 - r, p + 1.0, y)
+        f = specfun.hyp2f1(p, 1.0 - r, p + 1.0, y)
         return (-p * (mu + math.log(2.0)) - math.log(p) + np.log(f),
                 p * (1.0 - y) ** (r - 1.0) / f)
 
@@ -497,7 +501,7 @@ class _ToHalfSeries(_ToHalf):
     def _at(self, y, mu):
         eta = 2.0 * y
         e, t = self.pole
-        return self.total - eta ** self.p * self._poly(eta) + t * mu * exprel(-e * mu)
+        return self.total - eta ** self.p * self._poly(eta) + t * mu * specfun.exprel(-e * mu)
 
 
 def _to_half(p: float, r: float) -> _ToHalf:
@@ -522,8 +526,8 @@ class _LineRow(_Row):  # the log-logistic line alpha + beta = -2
     def q(self, p, u, upper):
         # q du = c exp(a t) dt in t = logit(u); anchored at 0 for a > 0,
         # at the median otherwise (before beta = 0, which anchors (-2, 0) at 0)
-        c, a, t = p.c, p.alpha + 1.0, logit(u)
-        return c * np.exp(a * t) / a if a > 0.0 else c * t * exprel(a * t)
+        c, a, t = p.c, p.alpha + 1.0, specfun.logit(u)
+        return c * np.exp(a * t) / a if a > 0.0 else c * t * specfun.exprel(a * t)
 
     def f(self, p, x, upper, cfg):
         c, a = p.c, p.alpha + 1.0
@@ -532,7 +536,7 @@ class _LineRow(_Row):  # the log-logistic line alpha + beta = -2
         else:
             t = x / c if a == 0.0 else np.log1p(a * x / c) / a
         # 1 - expit(-t) rounds once above 1/2, where expit(t) rounds twice
-        e = expit(-abs(t))
+        e = specfun.expit(-abs(t))
         return _pick(t < 0.0, e, 1.0 - e)
 
 
@@ -593,12 +597,12 @@ class _BetaRow(_Row):  # the incomplete beta, alpha, beta > -1
     grid_past = 64  # betaincinv costs less than the grid on a shorter row
 
     def q(self, p, u, upper):
-        return upper * betainc(p.alpha + 1.0, p.beta + 1.0, u)
+        return upper * specfun.betainc(p.alpha + 1.0, p.beta + 1.0, u)
 
     def f(self, p, x, upper, cfg):
         c, alpha, beta = p.c, p.alpha, p.beta
         a, b = alpha + 1.0, beta + 1.0
-        u = betaincinv(a, b, x / upper)
+        u = specfun.betaincinv(a, b, x / upper)
         # betaincinv is NaN at tiny levels on some shapes (a in about
         # (1.001, 1.02) with b <= 0.2 below 1e-17; a = b = 3 below 1e-108):
         # those start from the tail asymptote u^a/a = x/c of B_u(a, b)
@@ -611,7 +615,7 @@ class _BetaRow(_Row):  # the incomplete beta, alpha, beta > -1
         # the arcsine row: betaincinv(a, a, p) can miss just above p = 1/2
         # (betaincinv(1.09375, 1.09375, 0.5 + 2**-53) is 0.49999999845, 3.1e-9 off)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = (upper * betainc(a, b, u) - x) / _q_density(p, u)
+            step = (upper * specfun.betainc(a, b, u) - x) / _q_density(p, u)
             take = np.abs(step) < 0.5 * np.minimum(u, 1.0 - u)
             return np.where(take if alpha == beta else take & start, u - step, u)
 
@@ -894,9 +898,9 @@ def _partial_mean2(m2: MarginalParams, g: np.ndarray):
     dP/dg = (P - Q2(1) (1 - w*)) / g, and 0 where P has reached its limit.
     """
     a2, b2 = m2.alpha + 1.0, m2.beta + 1.0
-    w = betaincinv(a2, b2, 1.0 / g)
+    w = specfun.betaincinv(a2, b2, 1.0 / g)
     live = w > 1e-300
-    p = np.where(live, _lambda(m2, 1) * g * betainc(a2, b2 + 1.0, w), m2._plan[1])
+    p = np.where(live, _lambda(m2, 1) * g * specfun.betainc(a2, b2 + 1.0, w), m2._plan[1])
     return p, np.where(live, (p - m2._plan[1] * (1.0 - w)) / g, 0.0)
 
 

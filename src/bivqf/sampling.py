@@ -63,17 +63,30 @@ def _rng(seed: int) -> np.random.Generator:
 
 def draw(bp: BivariateParams, spec: SamplerSpec,
          cfg: NumericConfig = DEFAULT_NUMERIC_CONFIG) -> PairedSample:
-    """Generate a paired sample; identical specs reproduce bit-for-bit."""
+    """Generate a paired sample; identical specs reproduce bit-for-bit.
+
+    A draw past 1.8e308, or otherwise not finite, raises DomainError.
+    """
     rng = _rng(spec.seed)
     u1 = rng.random(spec.n)
     x1 = big_q1(bp.m1, u1)
     if spec.method == "transform":
         u2 = rng.random(spec.n)
-        x2 = (1.0 + bp.theta * u1) * big_q1(bp.m2, u2)
+        x2 = _scaled(1.0 + bp.theta * u1, big_q1(bp.m2, u2))
     else:
         v = rng.random(spec.n)
         x2 = _exact_conditional(bp, u1, v, cfg)
+    bad = ~(np.isfinite(x1) & np.isfinite(x2))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"draw {i + 1} overflows float64: ({x1[i]}, {x2[i]})")
     return PairedSample(x1, x2, source=f"sampler:{spec.method}:seed={spec.seed}")
+
+
+def _scaled(g: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x2 = g Q2; a product past 1.8e308 is inf, which draw refuses."""
+    with np.errstate(over="ignore"):
+        return g * q
 
 
 def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
@@ -112,7 +125,7 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     if m2.beta == 0.0:
         # Q2/q2 = w/(alpha2+1): S is linear in w, closed-form inversion
         w = (1.0 - v) / (1.0 + k / (m2.alpha + 1.0))
-        return g * big_q1(m2, w)
+        return _scaled(g, big_q1(m2, w))
 
     _, upper, row = m2._plan
     alpha, beta = m2.alpha, m2.beta
@@ -168,7 +181,7 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
         fp = 1.0 + k_times(kj, r_prime)
         fpp = k_times(kj, r * (alpha / (w * w) + beta / ((1.0 - w) * (1.0 - w))) - r_prime * l)
         d = -2.0 * f * fp / (2.0 * fp * fp - f * fpp)
-        x2[j] = g[j] * (big + small * d * (1.0 + 0.5 * l * d))
+        x2[j] = _scaled(g[j], big + small * d * (1.0 + 0.5 * l * d))
         return f, d
 
     # one pass at the starts, which settles most draws, and a second for the
@@ -191,5 +204,5 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
 
     d = _newton_bisect(h, lo, hi, start, cfg) - last[0]
     _, big, small, l = last
-    x2[rest] = g[rest] * (big + small * d * (1.0 + 0.5 * l * d))
+    x2[rest] = _scaled(g[rest], big + small * d * (1.0 + 0.5 * l * d))
     return x2

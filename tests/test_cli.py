@@ -142,6 +142,20 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "overflow" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        # x2 = (1 + theta u1) Q2 passes 1.8e308 where 1e308 u2 (1 + u1) does
+        ["sample", "--params", "1,0,0,1e308,0,0,1", "--n", "1000", "--seed", "0"],
+        ["sample", "--params", "1,0,0,1e308,0,0,1", "--n", "1000", "--seed", "0",
+         "--method", "exact"],
+        # the (2,1) integrand, the partial mean of X2 times W_k, overflows
+        ["comoments", "--data", "cable", "--params", "1,0,0,1e308,0,0,1"],
+    ])
+    def test_overflowing_model_is_3(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "overflow" in err
+
     @pytest.mark.parametrize("command", ["fit", "compare"])
     def test_nan_in_the_theta_search_is_3(self, command, capsys, monkeypatch):
         # the product moment turns NaN past theta = 0, where fit_theta's first

@@ -403,7 +403,7 @@ class TestSample:
     def test_ranks_equal_the_searchsorted_formula(self, n, tied, monkeypatch):
         # the mapped ranks, bit for bit, of the formula with two unsorted
         # searchsorted queries that one argsort replaced
-        from bivqf import comoment
+        from bivqf import specfun
 
         rng = np.random.default_rng(n)
         lead = rng.normal(size=n)
@@ -414,7 +414,7 @@ class TestSample:
         count = last - np.searchsorted(ordered, cond, "left")
         t_old = (last - (count - 1) / 2.0) / (n + 1.0)
         seen = []
-        monkeypatch.setattr(comoment, "eval_sh_legendre",
+        monkeypatch.setattr(specfun, "eval_sh_legendre",
                             lambda k, t: seen.append(t) or eval_sh_legendre(k, t))
         _sample_directed(lead, cond)
         assert len(seen) == 3 and (count > 1).any() == tied

@@ -1,4 +1,8 @@
-"""Start-up cost: the package loads only numpy and scipy.special.
+"""Start-up cost: importing the package loads numpy and no part of scipy.
+
+scipy.special loads at the first special-function call, through
+`bivqf.specfun`, the one module that imports it; commands that call none
+(`catalog`, `lmoments`, usage and data errors) never load it.
 
 scipy.stats, scipy.integrate and scipy.optimize together take longer to
 import than everything `bivqf reproduce` computes, so none of them may be
@@ -11,12 +15,14 @@ commands that integrate nothing build none.  Each check runs in a fresh
 interpreter, where no other test has imported them.
 """
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PACKAGE = Path(SRC) / "bivqf"
 
 PRELUDE = """
 import sys
@@ -24,6 +30,9 @@ LAZY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
 
 def loaded():
     return [m for m in LAZY if m in sys.modules]
+
+def scipy_loaded():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
 """
 
 
@@ -146,3 +155,58 @@ assert subpackages <= {{"special", "_lib"}}, sorted(subpackages)
 """)
     assert res.returncode == 0, res.stderr
     assert "24/29 reference values reproduced" in res.stdout
+
+
+def test_import_and_commands_without_special_functions_load_no_scipy(tmp_path):
+    res = run_fresh(f"""
+import bivqf
+assert not scipy_loaded(), "import bivqf loaded " + ", ".join(scipy_loaded())
+import bivqf.cli
+assert not scipy_loaded(), "import bivqf.cli loaded " + ", ".join(scipy_loaded())
+cable = "9.0819,-0.4864,-0.9946,29.2295,-0.3406,-0.3531,0.6821"
+for argv, code in ((["catalog"], 0),
+                   (["catalog", "pareto1", "--param", "sigma1=1", "--param", "a1=2",
+                     "--param", "sigma2=1.5", "--param", "a2=3", "--theta", "0.5"], 0),
+                   (["lmoments", "--data", "cable"], 0),
+                   (["lmoments", "--data", "cable", "--params", cable], 0),
+                   (["sample", "--catalog", "power", "--param", "a1=2", "--param", "b1=1",
+                     "--param", "a2=3", "--param", "b2=2", "--theta", "0.5", "--n", "50",
+                     "--seed", "3", "--method", "exact", "--out", {str(tmp_path / "s")!r}], 0),
+                   (["fit", "--data", "cable", "--quad-tol", "0"], 64),
+                   (["fit", "--data", {str(tmp_path / "missing.csv")!r}], 2)):
+    assert bivqf.cli.main(argv) == code, argv
+    assert not scipy_loaded(), argv[0] + " loaded " + ", ".join(scipy_loaded())
+""")
+    assert res.returncode == 0, res.stderr
+
+
+def test_special_functions_are_scipy_ufuncs_after_the_first_call():
+    # the first lookup imports scipy.special and stores the ufunc itself in
+    # specfun, so no wrapper sits between the hot paths and scipy
+    res = run_fresh("""
+import numpy as np
+from bivqf import specfun
+from bivqf.model import MarginalParams, big_q1, f1
+assert "betainc" not in vars(specfun) and not scipy_loaded()
+m = MarginalParams(1.0, 0.5, -0.3)
+f1(m, big_q1(m, np.array([0.2, 0.4])))
+import scipy.special
+for name in ("betainc", "betaincinv"):
+    assert vars(specfun)[name] is getattr(scipy.special, name), name
+""")
+    assert res.returncode == 0, res.stderr
+
+
+def test_only_specfun_imports_scipy():
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] == "scipy" for n in names):
+                importers.add(path.name)
+    assert importers == {"specfun.py"}

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from scipy.special import (beta as beta_fn, betainc, betaincinv, expit, roots_jacobi,
                            roots_legendre)
 
-from bivqf import fit, model
+from bivqf import fit, model, specfun
 from bivqf.catalog import closed_marginal_cdf, generic_marginal_cdf, make_case
 from bivqf.comoment import population_lcomoments, sample_lcomoments
 from bivqf.data import BUILTIN_DATASETS, PairedSample
@@ -440,7 +440,7 @@ class TestArcsineRow:
             raise AssertionError("incomplete beta called")
 
         for name in ("betainc", "betaincinv"):
-            monkeypatch.setattr(model, name, refuse)
+            monkeypatch.setattr(specfun, name, refuse)
         x = big_q1(ARCSINE, self.LEVELS)
         f1(ARCSINE, x)
         f1(ARCSINE, float(x[20]))

@@ -337,6 +337,18 @@ class TestExactSampler:
         with pytest.raises(ConvergenceError, match="failed to cross"):
             _exact_conditional(bp, np.array([0.5, 0.9]), np.array([0.5, 0.0]), NumericConfig())
 
+    def test_an_infinite_draw_is_a_domain_error(self, monkeypatch):
+        # Generator.random can return 0; v = 0 at theta = 0 draws Q2(1), which is
+        # infinite for beta2 <= -1, and the sampler refuses it
+        class Zeros:
+            def random(self, n):
+                return np.zeros(n)
+
+        monkeypatch.setattr(sampling, "_rng", lambda seed: Zeros())
+        bp = BivariateParams(MarginalParams(1.0, 0.3, 0.4), MarginalParams(2.0, 0.5, -1.0), 0.0)
+        with pytest.raises(DomainError, match=r"draw 1 overflows float64: \(0\.0, inf\)"):
+            draw(bp, SamplerSpec(seed=1, n=3, method="exact"))
+
     def test_exact_requires_nonnegative_support(self):
         bp = BivariateParams(MarginalParams(1.0, 0.0, 0.0),
                              MarginalParams(1.0, -1.5, -1.5), 0.5)
