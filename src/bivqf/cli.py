@@ -89,9 +89,9 @@ def _digest(s: PairedSample) -> str:
     return h.hexdigest()[:16]
 
 
-def _report(s: PairedSample | None, cfg: NumericConfig, results: dict,
+def _report(args, s: PairedSample | None, cfg: NumericConfig, results: dict,
             warnings: list[str]) -> dict:
-    rep = {"command": " ".join(sys.argv[1:]), "version": __version__}
+    rep = {"command": " ".join(args.argv), "version": __version__}
     if s is not None:
         rep["input"] = {"source": s.source, "n": s.n, "digest": _digest(s)}
     rep["numeric_config"] = asdict(cfg)
@@ -192,7 +192,7 @@ def _run_data(args) -> int:
     cfg = _numeric_config(args)
     s = ingest(args.data)
     results, warnings, files = args.body(args, s, cfg)
-    _emit(args, _report(s, cfg, results, warnings), files)
+    _emit(args, _report(args, s, cfg, results, warnings), files)
     return EXIT_OK
 
 
@@ -410,7 +410,7 @@ def _cmd_reproduce(args) -> int:
         print("\n".join(out_notes))
     if args.out:
         _write(f"{args.out}.report.json",
-               _json(_report(None, cfg, {"rows": rows}, [])) + "\n")
+               _json(_report(args, None, cfg, {"rows": rows}, [])) + "\n")
     return EXIT_OK
 
 
@@ -482,6 +482,7 @@ def _run(argv: list[str] | None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    args.argv = sys.argv[1:] if argv is None else argv  # the report's command, as parsed
     try:
         out = getattr(args, "out", None)
         if out and not Path(out).parent.is_dir():

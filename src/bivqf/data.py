@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 __all__ = ["PairedSample", "BUILTIN_DATASETS", "ingest"]
 
@@ -58,8 +58,12 @@ class PairedSample:
 
     @cached_property
     def product_mean(self) -> float:
-        """mean(x1 * x2), the target of the product-moment fits."""
-        return float(np.mean(self.x1 * self.x2))
+        """mean(x1 * x2), the target of the product-moment fits; DomainError if not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            mean = float(np.mean(self.x1 * self.x2))
+        if not np.isfinite(mean):
+            raise DomainError(f"the sample product mean overflows float64 on this data ({mean})")
+        return mean
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -100,12 +104,13 @@ def _parse_csv_text(text: str, source: str) -> PairedSample:
     rows: list[tuple[float, float]] = []
     reader = csv.reader(io.StringIO(text))
     for lineno, record in enumerate(reader, start=1):
-        cells = [c.strip() for c in record if c.strip() != ""]
+        cells = [c.strip() for c in record]
+        while cells and not cells[-1]:  # trailing empty cells; none left on a blank line
+            cells.pop()
         if not cells:
             continue
-        if len(cells) != 2:
-            raise ParseError(
-                f"{source}:{lineno}: expected two numeric columns, got {len(cells)}")
+        if len(cells) != 2 or "" in cells:
+            raise ParseError(f"{source}:{lineno}: expected two numeric cells, got {cells!r}")
         try:
             pair = (float(cells[0]), float(cells[1]))
         except ValueError:

@@ -134,8 +134,6 @@ def fit_theta(s: PairedSample, m1: MarginalParams, m2: MarginalParams,
     target = s.product_mean
     warnings: list[str] = []
     e0, slope0 = _product_moment(m1, m2, 0.0, cfg)
-    if math.isnan(target):  # x1 x2 overflowing both ways; no comparison would hold
-        raise ConvergenceError("root search met a NaN sample product mean")
     if target <= e0:
         warnings.append(
             f"sample product mean {target:.6g} does not exceed the "

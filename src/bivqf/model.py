@@ -63,9 +63,13 @@ class MarginalParams:
 
     @functools.cached_property
     def _plan(self) -> tuple[float, float, _Row]:
-        """(Q(0), Q(1), row), bound on first use; no field, so == and repr skip it."""
+        """(Q(0), Q(1), row), bound on first use; no field, so == and repr skip it.
+        A finite Q(1)/c whose Q(1) overflows float64 raises DomainError."""
         top, lower, row = _shape_plan(self.alpha, self.beta)
-        return lower, self.c * top, row
+        upper = self.c * top
+        if upper == math.inf and top < math.inf:
+            raise DomainError(f"Q(1) = c * {top!r} overflows float64 at c = {self.c!r}")
+        return lower, upper, row
 
     def __getstate__(self) -> dict:  # pickles the fields only: no plan, no PIT kept by gof
         return {name: vars(self)[name] for name in self.__dataclass_fields__}
@@ -747,8 +751,9 @@ def _from_grid(row: _Row, p: MarginalParams, x: np.ndarray,
     """F at the values x inside the support, each on its own, from Q at the _GRID levels.
 
     A value in a cell between two levels starts at the cubic Hermite
-    inverse of Q on the cell (dx/du = q) and takes Halley steps on Q
-    (_halley_passes), with Q' = q and Q''/Q' = l = alpha/u - beta/(1-u);
+    inverse of Q on the cell (_hermite, from Q and q at the cell's ends)
+    and takes Halley steps on Q (_halley_passes), with Q' = q and
+    Q''/Q' = l = alpha/u - beta/(1-u);
     a value equal to Q at a level settles there in one step.  Returns u
     and a mask of the values left for the row's f, its exact solve: those
     in the two end cells, where Q(0) or Q(1) may be infinite and q is 0 or
@@ -761,10 +766,9 @@ def _from_grid(row: _Row, p: MarginalParams, x: np.ndarray,
         left = (cell == 0) | (cell == _GRID.size)
         i = np.flatnonzero(~left)
         xi, right = x[i], cell[i]
-        x0, x1, lo, hi = grid_x[right - 1], grid_x[right], _GRID[right - 1], _GRID[right]
-        h = (x1 - x0) / (hi - lo)  # each end slope relative to the secant: h/q
-        w = lo + (hi - lo) * _hermite((xi - x0) / (x1 - x0), h / grid_q[right - 1],
-                                      h / grid_q[right])
+        lo, hi = _GRID[right - 1], _GRID[right]
+        w = _hermite(lo, hi, grid_x[right - 1], grid_x[right],
+                     grid_q[right - 1], grid_q[right], xi)
 
         def step(j, w):
             # (Q(w) - x)/q and the Halley step; none where q is not finite
@@ -779,11 +783,16 @@ def _from_grid(row: _Row, p: MarginalParams, x: np.ndarray,
     return u, left
 
 
-def _hermite(t: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """The cubic Hermite inverse on a cell at t in [0, 1], from its end
-    slopes relative to the secant, m0 and m1; t where the cubic leaves (0, 1]."""
+def _hermite(lo, hi, f0, f1, d0, d1, y) -> np.ndarray:
+    """The cubic Hermite inverse at y of a monotone f on the cells [lo, hi], from f
+    (f0, f1) and its slopes (d0, d1) at their ends; a slope whose sign differs from
+    the secant's counts as the secant.  Where the cubic leaves a cell, the secant's root."""
+    secant = (f1 - f0) / (hi - lo)
+    with np.errstate(invalid="ignore"):
+        m0, m1 = (secant / np.where(np.sign(d) == np.sign(secant), d, secant) for d in (d0, d1))
+    t = (y - f0) / (f1 - f0)
     cubic = t + t * (1.0 - t) * ((1.0 - t) * (m0 - 1.0) - t * (m1 - 1.0))
-    return np.where((cubic > 0.0) & (cubic <= 1.0), cubic, t)
+    return lo + (hi - lo) * np.where((cubic > 0.0) & (cubic <= 1.0), cubic, t)
 
 
 def _halley_passes(step, w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -99,19 +99,19 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     where the difference cancels.  The first of 65 scan cells, the last
     from 64/65 to 1 - 1e-12, whose right end has S <= v holds the first
     crossing; a draw no cell catches raises ConvergenceError.  A draw
-    starts at the cubic Hermite inverse of S on its cell, from S at both
-    ends (the scan's) and dS/dw = -1 - k R', with R' = 1 - R l,
+    starts at _hermite's inverse of S on its cell, from S at both ends
+    (the scan's) and dS/dw = -1 - k R', with R' = 1 - R l,
     l = d(log q2)/dw = alpha2/w - beta2/(1-w) and R'(0) = 1/(alpha2+1);
-    a slope >= 0 (the dip of S lies in the cell) gives way to the secant.
+    a slope >= 0 (the dip of S lies in the cell) counts as the secant.
     One pass of Q2 and q2 at the starts takes a Halley step d and narrows
     the bracket; a draw settles when |d| <= 1e-6 min(w, 1-w) and w + d
     stays in that bracket: x2 = g (Q2 + q2 d + q2 l d^2/2).  A draw left
     takes a second pass at w + d if that lies inside it
     (model._halley_passes).  The rest run _newton_bisect on the narrowed
-    bracket, and x2 is the same expansion about each one's last
-    evaluation.  Where k = 0 (u1 = 1, or theta (1 - u1) underflowing),
-    S = 1 - w, and every product with k is 0 for that draw, even against
-    an infinite R.
+    bracket, and x2 = g Q2 at its root.  Every margin takes this path,
+    the power margins (beta2 = 0, R = w/(alpha2+1)) too.  Where k = 0
+    (u1 = 1, or theta (1 - u1) underflowing), S = 1 - w, and every
+    product with k is 0 for that draw, even against an infinite R.
     """
     m2 = bp.m2
     th = bp.theta
@@ -121,11 +121,6 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     k = (1.0 - u1) * th / g
     if th == 0.0:  # S = 1 - w; the scan below would miss v < 1e-12
         return big_q1(m2, 1.0 - v)
-
-    if m2.beta == 0.0:
-        # Q2/q2 = w/(alpha2+1): S is linear in w, closed-form inversion
-        w = (1.0 - v) / (1.0 + k / (m2.alpha + 1.0))
-        return _scaled(g, big_q1(m2, w))
 
     _, upper, row = m2._plan
     alpha, beta = m2.alpha, m2.beta
@@ -161,17 +156,12 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     ends = np.concatenate(([0.0], grid))
     lo, hi = ends[cell], ends[cell + 1]
 
-    # the cubic Hermite start on the cell; where S is -inf at its top (k > 0 against
-    # an infinite R), _hermite drops the NaN of -inf/-inf for t = 0, its bottom
-    s0 = np.where(cell == 0, 1.0, s_grid[i, cell - 1])
-    s1 = s_grid[i, cell]
-    secant = (s1 - s0) / (hi - lo)
+    # the cubic Hermite start on the cell, from S and dS/dw = -1 - k R' at its
+    # ends; where S is -inf at its top (k > 0 against an infinite R), t = 0 and
+    # _hermite drops the NaN of -inf/-inf for the cell's bottom
     r_prime = np.concatenate(([1.0 / (alpha + 1.0)], r_prime))
-    with np.errstate(invalid="ignore"):
-        m0, m1 = (secant / np.where(s < 0.0, s, secant)
-                  for s in (-1.0 - k_times(k, r_prime[cell]),
-                            -1.0 - k_times(k, r_prime[cell + 1])))
-    w = lo + (hi - lo) * _hermite((s0 - v) / (s0 - s1), m0, m1)
+    w = _hermite(lo, hi, np.where(cell == 0, 1.0, s_grid[i, cell - 1]), s_grid[i, cell],
+                 -1.0 - k_times(k, r_prime[cell]), -1.0 - k_times(k, r_prime[cell + 1]), v)
 
     def step(j, w):
         # the residual at w and a Halley step d; x2 = g (Q2 + q2 d + q2 l d^2/2)
@@ -186,23 +176,17 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
 
     # one pass at the starts, which settles most draws, and a second for the
     # draws it leaves (mostly in the top cells, where Q2/q2 is far from cubic
-    # on a cell)
+    # on a cell); the rest solve on their narrowed brackets, x2 = g Q2 at the root
     x2 = np.empty(v.size)
     rest = _halley_passes(step, w, lo, hi)
-    if not rest.size:
-        return x2
+    if rest.size:
+        lo, hi, start = lo[rest], hi[rest], w[rest]
+        start = np.where((start > lo) & (start < hi), start, 0.5 * (lo + hi))
+        v_rest, k_rest = v[rest], k[rest]
 
-    lo, hi, start = lo[rest], hi[rest], w[rest]
-    start = np.where((start > lo) & (start < hi), start, 0.5 * (lo + hi))
-    v_rest, k_rest = v[rest], k[rest]
-    last = np.empty((4, lo.size))  # w, Q2, q2 and l at each draw's last evaluation
+        def h(w):
+            _, _, _, r, r_prime = level(w)
+            return residual(w, v_rest, k_rest, r), 1.0 + k_times(k_rest, r_prime)
 
-    def h(w):
-        big, small, l, r, r_prime = level(w)
-        last[:] = w, big, small, l
-        return residual(w, v_rest, k_rest, r), 1.0 + k_times(k_rest, r_prime)
-
-    d = _newton_bisect(h, lo, hi, start, cfg) - last[0]
-    _, big, small, l = last
-    x2[rest] = _scaled(g[rest], big + small * d * (1.0 + 0.5 * l * d))
+        x2[rest] = _scaled(g[rest], big_q1(m2, _newton_bisect(h, lo, hi, start, cfg)))
     return x2

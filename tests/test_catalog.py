@@ -116,6 +116,17 @@ class TestClosedForms:
         e = make_case("govindarajulu", sigma1=2.0, b1=3.0, sigma2=1.0, b2=2.0)
         assert math.isclose(big_q1(e.params.m1, 1.0), 2.0, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: closed_marginal_cdf(make_case("exponential", c1=1.0, c2=1.0), 3, 0.5),
+         DomainError, "component index must be 1 or 2"),
+        (lambda: closed_conditional_survival(make_case("sine", scale1=1.0, scale2=2.0),
+                                             0.2, 0.5),
+         UnsupportedCaseError, "'sine' has no closed conditional survival"),
+    ], ids=["component-index", "marginal-only-conditional"])
+    def test_refusals(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
 
 ENTRIES = {
     "complementary-beta": dict(c1=1.0, alpha1=0.3, beta1=0.6, c2=2.0,

@@ -50,6 +50,27 @@ class TestIngest:
             ingest(p)
         assert ":2:" in str(err.value)
 
+    @pytest.mark.parametrize("text, rows", [
+        # blank lines are skipped, and so are trailing empty cells
+        ("x1,x2\n\n1,2\n  \n3,4,,\n", ((1.0, 2.0), (3.0, 4.0))),
+        ("1,2,\n,\n3,4\n\n", ((1.0, 2.0), (3.0, 4.0))),
+        # a third cell, or an empty cell before a value, is refused on its line
+        ("x1,x2\n1,2\n3,4,5\n", ":3: expected two numeric cells, got ['3', '4', '5']"),
+        ("x1,x2\n1,2\n1,,2\n", ":3: expected two numeric cells, got ['1', '', '2']"),
+        ("1,2\n,3,4\n", ":2: expected two numeric cells, got ['', '3', '4']"),
+        ("1, ,2\n", ":1: expected two numeric cells, got ['1', '', '2']"),
+        ("1,2\n3\n", ":2: expected two numeric cells, got ['3']"),
+    ])
+    def test_cells_and_blank_lines(self, text, rows, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text(text, encoding="utf-8")
+        if isinstance(rows, tuple):
+            assert ingest(p).rows == rows
+        else:
+            with pytest.raises(ParseError) as err:
+                ingest(p)
+            assert str(err.value) == str(p) + rows
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("", encoding="utf-8")
@@ -150,11 +171,34 @@ class TestExitCodes:
          "--method", "exact"],
         # the (2,1) integrand, the partial mean of X2 times W_k, overflows
         ["comoments", "--data", "cable", "--params", "1,0,0,1e308,0,0,1"],
+        # Q(1) = c Q(1)/c passes 1.8e308 where Q(1)/c is finite: refused as the
+        # margin binds its plan, before q overflows inside the model
+        ["sample", "--params", "1e308,-0.5,0,1,0,0,1", "--n", "1000", "--seed", "0"],
+        ["sample", "--params", "1,0,0,1e308,-0.5,-0.3,1", "--n", "1000", "--seed", "0",
+         "--method", "exact"],
     ])
     def test_overflowing_model_is_3(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "overflow" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_overflowing_product_mean_is_3(self, command, capsys, tmp_path):
+        # the sums of the L-moments stay finite; mean(x1 x2) does not
+        p = tmp_path / "big.csv"
+        p.write_text("x1,x2\n1e200,2e200\n3e200,1e200\n2e200,5e200\n4e200,3e200\n"
+                     "5e200,4e200\n")
+        code, out, err = run([command, "--data", str(p)], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: the sample product mean overflows float64 on this data (inf)\n"
+
+    def test_empty_cell_between_values_is_2(self, capsys, tmp_path):
+        p = tmp_path / "gap.csv"
+        p.write_text("x1,x2\n1,2\n1,,2\n3,4\n")
+        code, out, err = run(["lmoments", "--data", str(p)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"data error: {p}:3: expected two numeric cells, got ['1', '', '2']\n"
 
     @pytest.mark.parametrize("command", ["fit", "compare"])
     def test_nan_in_the_theta_search_is_3(self, command, capsys, monkeypatch):
@@ -369,6 +413,15 @@ def test_report_layout(capsys, argv, result_keys):
     assert list(rep["results"]) == result_keys
     # the two tolerances, and nothing derived from them
     assert rep["numeric_config"] == {"quad_rel_tol": 1e-8, "root_tol": 1e-12}
+
+
+@pytest.mark.parametrize("argv", [["lmoments", "--data", "cable"], None])
+def test_report_command_is_the_parsed_argv(argv, capsys, monkeypatch):
+    # main(argv) reports argv, not its host process's arguments; main() reports sys.argv[1:]
+    monkeypatch.setattr(sys, "argv", ["host", "lmoments", "--data", "components"])
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["command"] == " ".join(argv or sys.argv[1:])
 
 
 class TestCommands:

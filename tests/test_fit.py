@@ -9,10 +9,11 @@ from scipy.optimize import brentq
 
 from bivqf.comoment import sample_lcomoments
 from bivqf.data import BUILTIN_DATASETS, PairedSample
-from bivqf.errors import (BracketError, ConvergenceError, DomainError,
-                          InfeasibleRegionError, QuadratureError)
+from bivqf.errors import (BracketError, ConvergenceError, DomainError, InfeasibleRegionError,
+                          InsufficientDataError, QuadratureError, SingularSystemError)
 from bivqf.fit import (
     MrqParams,
+    _fit_lmoments,
     _mrq_lcov_12,
     fit_bivariate,
     fit_marginal,
@@ -22,7 +23,7 @@ from bivqf.fit import (
     mrq_marginal1_cdf,
     mrq_quantile,
 )
-from bivqf.lmom import population_lmoments, sample_lmoments
+from bivqf.lmom import LMomentVector, population_lmoments, sample_lmoments
 from bivqf.model import (
     BivariateParams,
     MarginalParams,
@@ -153,13 +154,12 @@ class TestThetaFit:
         assert warnings and "independence" in warnings[0]
 
     @pytest.mark.parametrize("m2", [M2, MarginalParams(1.5, -0.2, -1.3)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_product_mean(self, m2):
-        # products overflowing to +inf and -inf: the search and the closed
-        # form (beta2 <= -1) both refuse, as a NaN function value
+        # products overflowing to +inf and -inf: the sample refuses its NaN
+        # product mean, before the search or the closed form (beta2 <= -1) runs
         s = PairedSample((1e200, -1e200, 1.0), (1e200, 1e200, 1.0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert math.isnan(s.product_mean)
-        with pytest.raises(ConvergenceError, match="NaN"):
+        with pytest.raises(DomainError, match=r"product mean overflows float64 .*\(nan\)"):
             fit_theta(s, self.M1, m2)
 
     def test_unreachable_target(self):
@@ -511,3 +511,30 @@ class TestMrq:
     def test_mean_identity(self):
         res = fit_mrq(COMP)
         assert res.params.a1 == sample_lmoments(COMP.x1).l1
+
+
+ONE = dict(a1=1.0, b1=0.0, a2=1.0, b2=0.0, c=0.0, d=0.0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    # t3 = 2 t2 - 1 makes the ratio system singular
+    (lambda: _fit_lmoments(LMomentVector(1.0, 0.5, 0.0, 0.0)), SingularSystemError,
+     "degenerate ratio system for t2=0.5, t3=0"),
+    (lambda: mrq_quantile(MrqParams(**{**ONE, "a2": -1.0, "b2": 5.0, "c": 3.0}), 0.5, 0.5),
+     DomainError,
+     r"^invalid competitor parameters: a2 = -1 must be positive$"),
+    (lambda: mrq_quantile(MrqParams(**{**ONE, "c": -2.0}), 0.5, 0.5), DomainError,
+     r"^invalid competitor parameters: a2 \+ c = -1 must be positive$"),
+    (lambda: mrq_quantile(MrqParams(**{**ONE, "d": 1.5}), 0.5, 0.5), DomainError,
+     r"^invalid competitor parameters: a2 \+ b2 = 1 must be >= c \+ d = 1.5$"),
+    (lambda: mrq_quantile(MrqParams(**ONE), 1.0, 0.5), DomainError,
+     r"u1 and u2 must lie in \[0, 1\)"),
+    (lambda: mrq_quantile(MrqParams(**ONE), 0.5, -0.1), DomainError,
+     r"u1 and u2 must lie in \[0, 1\)"),
+    (lambda: fit_mrq(PairedSample((1.0, 2.0, 3.0), (2.0, 1.0, 4.0))), InsufficientDataError,
+     "need at least 4 pairs, got 3"),
+], ids=["singular-ratios", "mrq-a2", "mrq-a2-plus-c", "mrq-a2-plus-b2", "mrq-u1", "mrq-u2",
+        "mrq-three-pairs"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -8,7 +8,7 @@ import pytest
 
 from bivqf import gof
 from bivqf.data import BUILTIN_DATASETS, PairedSample
-from bivqf.errors import DomainError
+from bivqf.errors import DomainError, InsufficientDataError
 from bivqf.fit import MrqParams, fit_mrq
 from bivqf.gof import (
     kolmogorov_pvalue,
@@ -273,6 +273,16 @@ class TestPitRoundTrip:
             g = ks_conditional(s, bp, mode="pooled")
             passes += g.p_value >= 0.01
         assert passes >= 95
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ks_marginal([], BP_CABLE.m1), "empty sample"),
+    (lambda: qq_data([5.1], lambda p: big_q1(BP_CABLE.m1, p)),
+     "Q-Q data needs at least two observations"),
+], ids=["ks-empty", "qq-one-point"])
+def test_too_little_data(call, match):
+    with pytest.raises(InsufficientDataError, match=match):
+        call()
 
 
 class TestQQ:

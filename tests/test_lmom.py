@@ -167,6 +167,11 @@ class TestSample:
         with pytest.raises(InsufficientDataError):
             sample_lmoments([1.0, math.inf, 2.0, 3.0])
 
+    @pytest.mark.parametrize("r_max", [0, 5, -1])
+    def test_r_max_outside_one_to_four(self, r_max):
+        with pytest.raises(InsufficientDataError, match=f"r_max must be in 1..4, got {r_max}"):
+            sample_lmoments([1.0, 2.0, 3.0, 4.0, 5.0], r_max=r_max)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_sums_are_refused(self):
         # finite values whose sums pass 1.8e308: l1 would be inf and l4 NaN

@@ -1200,6 +1200,35 @@ class TestParamValidation:
         # the absolute floor is a hundredth of the relative tolerance, to the bit
         assert NumericConfig().quad_abs_tol == 1e-10
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda: q1(UNIF, -0.1), r"u must lie in \[0, 1\], got -0.1"),
+        (lambda: q1(UNIF, 1.5), r"u must lie in \[0, 1\], got 1.5"),
+        (lambda: u21(BivariateParams(UNIF, UNIF, 0.5), 0.3, 1.5), r"u2 must lie in \[0, 1\]"),
+        (lambda: u21(BivariateParams(UNIF, UNIF, 0.5), 0.3, np.array([0.2, -0.1])),
+         r"u2 must lie in \[0, 1\]"),
+        (lambda: q2_bar_conditional(BivariateParams(UNIF, UNIF, 0.5), -0.5, 0.3),
+         r"u1 must lie in \[0, 1\], got -0.5"),
+        (lambda: q2_bar_conditional(BivariateParams(UNIF, UNIF, 0.5), 1.5, 0.3),
+         r"u1 must lie in \[0, 1\], got 1.5"),
+    ], ids=["q1-below", "q1-above", "u21-u2", "u21-u2-array", "q2-bar-u1-below",
+            "q2-bar-u1-above"])
+    def test_levels_outside_the_unit_interval(self, call, match):
+        with pytest.raises(DomainError, match=match):
+            call()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [MarginalParams(1e308, -0.5, 0.0),
+                                   MarginalParams(1e308, -0.5, -0.3)],
+                             ids=["power", "beta"])
+    def test_an_overflowing_top_is_refused_as_the_plan_binds(self, m):
+        # Q(1)/c is finite (2 and B(1/2, 7/10)) but c Q(1)/c passes 1.8e308
+        with pytest.raises(DomainError, match=r"Q\(1\) = c \* .* overflows float64 at c = 1e\+308"):
+            big_q1(m, 0.5)
+        with pytest.raises(DomainError, match="overflows"):
+            support(m)
+        # an infinite Q(1)/c is the support's end, not an overflow
+        assert support(MarginalParams(1e308, 0.0, -1.0)).upper == math.inf
+
 
 # the published fits and the sample sizes the bootstrap replicates them at
 REPLICATED = {

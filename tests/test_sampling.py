@@ -297,16 +297,20 @@ class TestExactSampler:
         assert emp - model > 3.0 * se
 
     def test_generic_solver_matches_closed_power_path(self):
-        # beta2 = 0 runs the closed linear inversion; a marginal with a
-        # vanishing beta2 perturbation runs the generic scan and must
-        # agree to the perturbation scale
+        # beta2 = 0 (the power margins) takes the same scan and passes as every
+        # margin; the oracle is S's closed inverse there: R = w/(alpha2+1), so S is
+        # linear in w, w = (1 - v)/(1 + k/(alpha2+1)) and x2 = g Q2(w).  Both round
+        # w to an ulp or so, and x2 ~ w^(alpha2+1) carries alpha2 + 1 times that
         m1 = MarginalParams(1.0, 1.0, 0.0)
-        bp_closed = BivariateParams(m1, MarginalParams(1.0, 0.5, 0.0), 0.9)
-        bp_generic = BivariateParams(m1, MarginalParams(1.0, 0.5, 1e-9), 0.9)
-        sc = draw(bp_closed, SamplerSpec(seed=3, n=300, method="exact"))
-        sg = draw(bp_generic, SamplerSpec(seed=3, n=300, method="exact"))
-        diff = np.max(np.abs(np.asarray(sc.x2) - np.asarray(sg.x2)))
-        assert diff <= 1e-5
+        for alpha2, theta in ((-0.9, 0.7), (-0.5, 2.0), (0.0, 5.0), (0.5, 0.9), (3.0, 0.3)):
+            m2 = MarginalParams(2.0, alpha2, 0.0)
+            s = draw(BivariateParams(m1, m2, theta), SamplerSpec(seed=3, n=2000, method="exact"))
+            rng = sampling._rng(3)
+            u1, v = rng.random(2000), rng.random(2000)
+            g = 1.0 + theta * u1
+            w = (1.0 - v) / (1.0 + (1.0 - u1) * theta / g / (alpha2 + 1.0))
+            np.testing.assert_allclose(s.x2, g * big_q1(m2, w), rtol=(alpha2 + 2.0) * 5e-16,
+                                       atol=0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_k_zero_against_an_infinite_ratio(self):
