@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .data import PairedSample
 from .errors import ConvergenceError, DomainError
 from .model import (BivariateParams, DEFAULT_NUMERIC_CONFIG, NumericConfig, _halley_passes,
@@ -39,6 +40,7 @@ __all__ = ["SamplerSpec", "draw"]
 
 # the longest float64 array numpy can size
 _MAX_N = np.iinfo(np.intp).max // 8
+_TINY = np.finfo(float).tiny  # the smallest normal float64: a Q2 below it has lost digits
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,10 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     stays in that bracket: x2 = g (Q2 + q2 d + q2 l d^2/2).  A draw left
     takes a second pass at w + d if that lies inside it
     (model._halley_passes).  The rest run _newton_bisect on the narrowed
-    bracket, and x2 = g Q2 at its root.  Every margin takes this path,
-    the power margins (beta2 = 0, R = w/(alpha2+1)) too.  Where k = 0
-    (u1 = 1, or theta (1 - u1) underflowing), S = 1 - w, and every
+    bracket, and x2 = g Q2 at its root.  The power margins (beta2 = 0,
+    R = w/(alpha2+1)) take this path too.  Where Q2 is below the normal
+    range (large alpha2, small w), R comes from 2F1, not Q2/q2.  Where
+    k = 0 (u1 = 1, or theta (1 - u1) underflowing), S = 1 - w, and every
     product with k is 0 for that draw, even against an infinite R.
     """
     m2 = bp.m2
@@ -123,20 +126,26 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
         return big_q1(m2, 1.0 - v)
 
     _, upper, row = m2._plan
-    alpha, beta = m2.alpha, m2.beta
+    alpha, beta, a = m2.alpha, m2.beta, m2.alpha + 1.0
 
-    def k_times(k, a):
-        # k a, and 0 where k = 0, so that no 0 * inf forms against an infinite R
-        return np.multiply(k, a, out=np.zeros(np.broadcast(k, a).shape), where=k != 0.0)
+    def k_times(k, y):
+        # k y, and 0 where k = 0, so that no 0 * inf forms against an infinite R
+        return np.multiply(k, y, out=np.zeros(np.broadcast(k, y).shape), where=k != 0.0)
 
     def residual(w, v, k, r):
         # v - S, with no rounding in 1 - v for v >= 1/2 nor in 1 - w for w >= 1/2
         return np.where(w < 0.5, w - (1.0 - v), v - (1.0 - w)) + k_times(k, r)
 
     def level(w):
-        # Q2, q2, l, R and R' at w in (0, 1): big_q1's checks and masks are skipped
+        # Q2, q2, l, R and R' at w in (0, 1): big_q1's checks and masks are skipped.
+        # Where Q2 is below the normal range (w^a underflows, a = alpha2 + 1), R is
+        # w/a 2F1(a, -beta2; a+1; w)/(1-w)^beta2, Q2/q2 with w^alpha2 cancelled
         big, small, l = row.q(m2, w, upper), _q_density(m2, w), alpha / w - beta / (1.0 - w)
-        r = big / small
+        lost = big < _TINY
+        r = np.divide(big, small, out=np.empty(w.shape), where=~lost)
+        if lost.any():
+            s = w[lost]
+            r[lost] = s / a * specfun.hyp2f1(a, -beta, a + 1.0, s) / (1.0 - s) ** beta
         return big, small, l, r, 1.0 - r * l
 
     # the scan; the grid's Q2/q2 ratios are shared by all draws.  q2 underflows at
@@ -159,7 +168,7 @@ def _exact_conditional(bp: BivariateParams, u1: np.ndarray, v: np.ndarray,
     # the cubic Hermite start on the cell, from S and dS/dw = -1 - k R' at its
     # ends; where S is -inf at its top (k > 0 against an infinite R), t = 0 and
     # _hermite drops the NaN of -inf/-inf for the cell's bottom
-    r_prime = np.concatenate(([1.0 / (alpha + 1.0)], r_prime))
+    r_prime = np.concatenate(([1.0 / a], r_prime))
     w = _hermite(lo, hi, np.where(cell == 0, 1.0, s_grid[i, cell - 1]), s_grid[i, cell],
                  -1.0 - k_times(k, r_prime[cell]), -1.0 - k_times(k, r_prime[cell + 1]), v)
 

@@ -183,6 +183,18 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "overflow" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("params", [
+        "1,1,0,1,80,0,0.5",
+        "1,0.5,0.2,1,623.0148526331,2.4043690536921387,0.0043070381928096285",
+    ], ids=["power", "beta"])
+    def test_exact_sample_where_q2_underflows_is_0(self, params, capsys, tmp_path):
+        # alpha2 large enough that Q2 and q2 are 0 at small w: Q2/q2 would be 0/0
+        code, out, err = run(["sample", "--params", params, "--n", "2000", "--seed", "1",
+                              "--method", "exact", "--out", str(tmp_path / "s")], capsys)
+        assert (code, err) == (0, "")
+        assert ingest(str(tmp_path / "s.csv")).n == 2000
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["fit", "compare"])
     def test_overflowing_product_mean_is_3(self, command, capsys, tmp_path):
         # the sums of the L-moments stay finite; mean(x1 x2) does not

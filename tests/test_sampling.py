@@ -296,21 +296,62 @@ class TestExactSampler:
         se = math.sqrt(model * (1.0 - model) / n)
         assert emp - model > 3.0 * se
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_generic_solver_matches_closed_power_path(self):
         # beta2 = 0 (the power margins) takes the same scan and passes as every
         # margin; the oracle is S's closed inverse there: R = w/(alpha2+1), so S is
         # linear in w, w = (1 - v)/(1 + k/(alpha2+1)) and x2 = g Q2(w).  Both round
-        # w to an ulp or so, and x2 ~ w^(alpha2+1) carries alpha2 + 1 times that
+        # w to an ulp or so, and x2 ~ w^(alpha2+1) carries alpha2 + 1 times that.
+        # From alpha2 = 80 on, Q2 and q2 underflow where w^(alpha2+1) does, and
+        # the sampler forms R without them; an x2 below the normal range has
+        # lost digits, and the bound there is absolute
         m1 = MarginalParams(1.0, 1.0, 0.0)
-        for alpha2, theta in ((-0.9, 0.7), (-0.5, 2.0), (0.0, 5.0), (0.5, 0.9), (3.0, 0.3)):
+        for alpha2, theta, seed in ((-0.9, 0.7, 3), (-0.5, 2.0, 3), (0.0, 5.0, 3), (0.5, 0.9, 3),
+                                    (3.0, 0.3, 3), (80.0, 0.5, 1), (500.0, 3.0, 3)):
             m2 = MarginalParams(2.0, alpha2, 0.0)
-            s = draw(BivariateParams(m1, m2, theta), SamplerSpec(seed=3, n=2000, method="exact"))
-            rng = sampling._rng(3)
+            s = draw(BivariateParams(m1, m2, theta), SamplerSpec(seed=seed, n=2000, method="exact"))
+            rng = sampling._rng(seed)
             u1, v = rng.random(2000), rng.random(2000)
             g = 1.0 + theta * u1
             w = (1.0 - v) / (1.0 + (1.0 - u1) * theta / g / (alpha2 + 1.0))
             np.testing.assert_allclose(s.x2, g * big_q1(m2, w), rtol=(alpha2 + 2.0) * 5e-16,
-                                       atol=0.0)
+                                       atol=np.finfo(float).tiny)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m2, theta", [
+        (MarginalParams(1.0, 623.0148526331, 2.4043690536921387), 0.0043070381928096285),
+        (MarginalParams(1.0, 200.0, 2.0), 3.0),
+        (MarginalParams(0.5, 120.0, -0.5), 1.0),
+    ], ids=["alpha2-623", "alpha2-200", "alpha2-120-beta2-neg"])
+    def test_large_alpha2_where_q2_underflows(self, m2, theta):
+        # Q2 and q2 are 0 at small w here, also at scan levels; R is
+        # w/a 2F1(a, -beta2; a+1; w)/(1-w)^beta2 there (a = alpha2 + 1), and the
+        # oracle is that ratio at 40 digits, scanned over the sampler's cells.
+        # x2 ~ w^a carries a times the few ulps of w; a draw below the normal
+        # range is checked to 1e-300
+        bp = BivariateParams(MarginalParams(1.0, 0.5, 0.2), m2, theta)
+        n = 40
+        s = draw(bp, SamplerSpec(seed=5, n=n, method="exact"))
+        rng = sampling._rng(5)
+        u1, v = rng.random(n), rng.random(n)
+        with mpmath.workdps(40):
+            a, beta = mpmath.mpf(m2.alpha) + 1, mpmath.mpf(m2.beta)
+            levels = [mpmath.mpf(j) / 65 for j in range(1, 65)] + [1 - mpmath.mpf(1e-12)]
+            for x, b, c in zip(s.x2, u1, v):
+                g = 1 + theta * b
+                k = (1 - b) * theta / g
+
+                def s_minus_v(w):
+                    return (1 - w) - k * w / a * mpmath.hyp2f1(a, -beta, a + 1, w) / (1 - w) ** beta - c
+
+                lo = 0
+                for hi in levels:
+                    if s_minus_v(hi) <= 0:
+                        break
+                    lo = hi
+                w = mpmath.findroot(s_minus_v, (lo, hi), solver="anderson")
+                ref = float(g * m2.c * mpmath.betainc(a, beta + 1, 0, w))
+                assert math.isclose(x, ref, rel_tol=float(a) * 4e-15, abs_tol=1e-300), (b, c, x, ref)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_k_zero_against_an_infinite_ratio(self):
